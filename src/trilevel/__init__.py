@@ -17,8 +17,8 @@ from .observables import ObservableRecord, coherence_norm, entropy, purity, spec
 from .oracle import (AmplitudeTriple, ZeroFrequencyError, hydrogen_amplitudes,
                      hydrogen_density, hydrogen_stark_basis, hydrogen_trajectory,
                      integrate_eta_direct, integrate_rho_direct)
-from .propagator import (PropagationError, Trajectory, evolve_eta, exp_generator,
-                         run, trajectory_from_etas, trajectory_from_rhos)
+from .propagator import (PropagationError, Trajectory, run, trajectory_from_etas,
+                         trajectory_from_rhos)
 from .riccati import MuTrajectory, SingularityError, solve_mu
 
 __version__ = "0.1.0"
@@ -29,7 +29,7 @@ __all__ = [
     "ObservableRecord", "Preset", "PropagationError", "SingularityError",
     "Trajectory", "UnknownPresetError", "ZeroFrequencyError",
     "coherence_norm", "commutator", "entropy", "epsilon", "eta_to_rho",
-    "evolve_eta", "exp_generator", "hydrogen_amplitudes", "hydrogen_config",
+    "hydrogen_amplitudes", "hydrogen_config",
     "hydrogen_density", "hydrogen_stark_basis", "hydrogen_trajectory",
     "integrate_eta_direct", "integrate_rho_direct", "j_coupling",
     "liouvillian", "preset", "preset_names", "purity", "random_density_matrix",

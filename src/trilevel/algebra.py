@@ -4,9 +4,12 @@ A degenerate three-level system driven between neighbouring levels closes on
 three 3x3 generators ``A_X, A_Y, A_Z`` obeying angular-momentum commutators.
 The eight independent (traceless) degrees of freedom of the density matrix are
 collected into a coherence vector ``eta`` chosen so that the same commutators
-are realised by three 8x8 matrices ``B_X, B_Y, B_Z``; the ladder combinations
-``B_PLUS = B_X + i B_Y`` and ``B_MINUS = B_X - i B_Y`` are nilpotent, which is
-what makes the product-form propagator cheap to evaluate.
+are realised by three 8x8 matrices ``B_X, B_Y, B_Z``: ``B_k`` is the
+commutator with ``A_k`` written on ``eta``, i.e.
+``rho_to_eta(A_k X - X A_k) == B_k @ rho_to_eta(X)``.  The ladder combinations
+``A_PLUS = A_X + i A_Y`` and ``A_MINUS = A_X - i A_Y`` (and their 8x8
+counterparts ``B_PLUS``, ``B_MINUS``) are nilpotent, which is what makes the
+product-form propagator cheap to evaluate.
 """
 
 from __future__ import annotations
@@ -72,6 +75,8 @@ B_Z = _const([[0, 0, 0, 1, 0, 0, 0, 0],
               [0, 0, 0, 0, 0, -1, 0, 0],
               [0, 0, 0, 0, -1, 0, 0, 0]])
 
+A_PLUS = _const(A_X + 1j * A_Y)
+A_MINUS = _const(A_X - 1j * A_Y)
 B_PLUS = _const(B_X + 1j * B_Y)
 B_MINUS = _const(B_X - 1j * B_Y)
 
@@ -93,19 +98,20 @@ def rho_to_eta(rho: np.ndarray) -> np.ndarray:
     rho23 + rho32, rho32 - rho23).  For Hermitian input the components at
     indices 0, 1, 2, 4, 6 are real and those at 3, 5, 7 pure imaginary.
     The trace is deliberately not part of the vector; it is conserved and
-    carried separately.
+    carried separately.  A stack of matrices of shape (..., 3, 3) maps to
+    coherence vectors of shape (..., 8).
     """
     r = np.asarray(rho, dtype=complex)
-    return np.array([
-        r[0, 0] - r[2, 2],
-        (r[0, 0] + r[2, 2] - 2.0 * r[1, 1]) / _SQRT3,
-        r[0, 1] + r[1, 0],
-        r[1, 0] - r[0, 1],
-        r[0, 2] + r[2, 0],
-        r[2, 0] - r[0, 2],
-        r[1, 2] + r[2, 1],
-        r[2, 1] - r[1, 2],
-    ])
+    return np.stack([
+        r[..., 0, 0] - r[..., 2, 2],
+        (r[..., 0, 0] + r[..., 2, 2] - 2.0 * r[..., 1, 1]) / _SQRT3,
+        r[..., 0, 1] + r[..., 1, 0],
+        r[..., 1, 0] - r[..., 0, 1],
+        r[..., 0, 2] + r[..., 2, 0],
+        r[..., 2, 0] - r[..., 0, 2],
+        r[..., 1, 2] + r[..., 2, 1],
+        r[..., 2, 1] - r[..., 1, 2],
+    ], axis=-1)
 
 
 def eta_to_rho(eta: np.ndarray, trace: complex = 1.0) -> np.ndarray:
@@ -167,14 +173,6 @@ def coherence_pattern_deviation(eta: np.ndarray) -> float:
     real_part = np.max(np.abs(e[[0, 1, 2, 4, 6]].imag))
     imag_part = np.max(np.abs(e[[3, 5, 7]].real))
     return float(max(real_part, imag_part))
-
-
-def project_physical_eta(eta: np.ndarray) -> np.ndarray:
-    """Project onto the reality pattern; equivalent to the Hermitian part of rho."""
-    e = np.asarray(eta, dtype=complex).copy()
-    e[[0, 1, 2, 4, 6]] = e[[0, 1, 2, 4, 6]].real
-    e[[3, 5, 7]] = 1j * e[[3, 5, 7]].imag
-    return e
 
 
 def random_density_matrix(rng: np.random.Generator) -> np.ndarray:

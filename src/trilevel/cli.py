@@ -143,10 +143,10 @@ def _apply_overrides(spec: RunSpec, args: argparse.Namespace) -> None:
 
 
 def _validate_spec(spec: RunSpec) -> None:
-    if spec.t_end <= 0:
-        raise config.ConfigError("t_end must be > 0", key="t_end")
-    if spec.dt_out <= 0:
-        raise config.ConfigError("dt_out must be > 0", key="dt_out")
+    for key in ("t_end", "dt_out"):
+        value = getattr(spec, key)
+        if not (math.isfinite(value) and value > 0):
+            raise config.ConfigError(f"{key} must be finite and > 0, got {value!r}", key=key)
     if not (0 < spec.tol <= 1e-3):
         raise config.ConfigError("tol must be in (0, 1e-3]", key="tol")
     if spec.solver == "hydrogen_analytic":
@@ -225,14 +225,10 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     if base.csv_path is None:
         raise config.ConfigError("csv is required", key="csv")
     csv_base = Path(base.csv_path)
+    attr = "sign_convention" if args.param == "sign" else args.param
     for token, value in zip(tokens, values):
-        entries = base.field.as_entries()
-        entries[args.param] = value
         try:
-            cfg = fields.FieldConfig(A=entries["A"], Omega=entries["Omega"], B=entries["B"],
-                                     omega=entries["omega"], delta=entries["delta"],
-                                     Gamma=entries["Gamma"],
-                                     sign_convention=entries["sign"])
+            cfg = base.field.with_updates(**{attr: value})
         except ValueError as exc:
             raise config.ConfigError(str(exc), key=args.param) from None
         spec = RunSpec(field=cfg, initial=base.initial, solver=base.solver,

@@ -7,6 +7,8 @@ starting with ``#`` and blank lines are ignored.
 
 from __future__ import annotations
 
+import math
+
 
 class ConfigError(ValueError):
     """Malformed configuration; ``key`` names the offending entry when known."""
@@ -88,9 +90,12 @@ def get_float(entries: dict[str, str], key: str, default: float | None = None) -
             raise ConfigError(f"{key} is required", key=key)
         return default
     try:
-        return float(entries[key])
+        value = float(entries[key])
     except ValueError:
         raise ConfigError(f"{key} must be a number, got {entries[key]!r}", key=key) from None
+    if not math.isfinite(value):
+        raise ConfigError(f"{key} must be finite, got {entries[key]!r}", key=key)
+    return value
 
 
 def get_str(entries: dict[str, str], key: str, default: str | None = None) -> str:

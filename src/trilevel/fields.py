@@ -59,6 +59,9 @@ class FieldConfig:
     sign_convention: float = 1.0
 
     def __post_init__(self):
+        for name, value in vars(self).items():
+            if not math.isfinite(value):
+                raise ValueError(f"{name} must be finite, got {value!r}")
         if self.Gamma < 0:
             raise ValueError("Gamma must be >= 0")
         if self.sign_convention not in (1.0, -1.0, 1, -1):

@@ -1,22 +1,28 @@
-"""Product-of-exponentials propagation of the coherence vector.
+"""Product-of-exponentials propagation of the density matrix.
 
-The non-decaying part of the evolution is the product, applied right to left,
+The paper writes the non-decaying part of the evolution on the coherence
+vector as the product, applied right to left,
 
     exp(-i mu_plus(t) B_plus) exp(-i mu_minus(t) B_minus) exp(-i mu(t) B_z)
 
-acting on eta(0); decoherence multiplies the result by the real scalar
-exp(-Gamma t), which is why the density matrix stays Hermitian as it relaxes.
+acting on eta(0).  The exponents depend only on the Lie algebra, so the same
+values drive the 3x3 factor
 
-Because B_plus and B_minus are nilpotent their exponentials are short exact
-polynomials; only exp of B_z needs a scaled Taylor evaluation.  The exponent
-functions come from :mod:`trilevel.riccati`.  When they grow (or blow up at a
-chart singularity of the factorization), the propagator composes the group
-element accumulated so far and restarts the exponents from zero at that time;
-the evolution operator is a cocycle, so segmentation is exact.
+    G = exp(-i mu_plus A_plus) exp(-i mu_minus A_minus) exp(-i mu A_z)
+
+and the density matrix evolves as rho(t) = I/3 + exp(-Gamma t) (G rho(0) G^-1 - I/3):
+decoherence is a real scalar decay toward the maximally mixed state.  Each
+factor is an exact quadratic in its generator, because A_plus and A_minus are
+nilpotent of degree 3 and A_z^3 = A_z.  The exponent functions come from
+:mod:`trilevel.riccati`.  When they grow (or blow up at a chart singularity of
+the factorization), the propagator composes the state reached so far and
+restarts the exponents from zero at that time; the evolution operator is a
+cocycle, so segmentation is exact.
 """
 
 from __future__ import annotations
 
+import cmath
 import math
 from dataclasses import dataclass
 
@@ -24,7 +30,7 @@ import numpy as np
 
 from . import algebra, observables
 from .fields import FieldConfig
-from .riccati import MuTrajectory, SingularityError, solve_mu
+from .riccati import SingularityError, solve_mu
 
 #: Chart restart threshold on max(|mu_plus|, |mu_minus|, |Im mu|).  Keeping
 #: the exponent magnitudes of order one keeps every factor of the product well
@@ -35,84 +41,39 @@ CHART_LIMIT = 1.0
 #: A restart that advances time by less than this is treated as failure.
 MIN_SEGMENT = 1e-6
 
-_EXP_SERIES_RTOL = 1e-14
-
-_FACTORIALS = [math.factorial(n) for n in range(24)]
+_I3 = np.eye(3, dtype=complex)
+_A_PLUS_SQ = algebra.A_PLUS @ algebra.A_PLUS
+_A_MINUS_SQ = algebra.A_MINUS @ algebra.A_MINUS
+_A_Z_SQ = algebra.A_Z @ algebra.A_Z
 
 
 class PropagationError(RuntimeError):
     """Propagation could not continue (restart failed to advance)."""
 
 
-def _nilpotent_powers(m: np.ndarray) -> list[np.ndarray]:
-    degree = algebra.nilpotency_degree(m)
-    powers = [np.eye(m.shape[0], dtype=complex)]
-    for _ in range(degree - 1):
-        powers.append(powers[-1] @ m)
-    return powers
+def _exp_pair(gen: np.ndarray, gen_sq: np.ndarray, odd: complex, even: complex):
+    """exp(c gen) and exp(-c gen) as I +- odd gen + even gen^2.
 
-
-_BP_POWERS = _nilpotent_powers(algebra.B_PLUS)
-_BM_POWERS = _nilpotent_powers(algebra.B_MINUS)
-
-
-def _exp_nilpotent(c: complex, powers: list[np.ndarray]) -> np.ndarray:
-    out = powers[0].copy()
-    ck = 1.0 + 0j
-    for n in range(1, len(powers)):
-        ck *= c
-        out += (ck / _FACTORIALS[n]) * powers[n]
-    return out
-
-
-def _exp_taylor(m: np.ndarray) -> np.ndarray:
-    """Scaling-and-squaring Taylor evaluation of exp(m) for small matrices."""
-    norm = float(np.max(np.sum(np.abs(m), axis=1)))
-    squarings = max(0, int(math.ceil(math.log2(norm / 0.5))) if norm > 0.5 else 0)
-    ms = m / (2.0 ** squarings)
-    out = np.eye(m.shape[0], dtype=complex)
-    term = np.eye(m.shape[0], dtype=complex)
-    for n in range(1, len(_FACTORIALS)):
-        term = term @ ms / n
-        out += term
-        if np.max(np.abs(term)) <= _EXP_SERIES_RTOL * np.max(np.abs(out)):
-            break
-    for _ in range(squarings):
-        out = out @ out
-    return out
-
-
-def exp_generator(c: complex, generator: np.ndarray) -> np.ndarray:
-    """exp(c * generator) for the 8x8 generators.
-
-    The nilpotent ladder matrices use their terminating power series; anything
-    else falls back to scaling-and-squaring.
+    (odd, even) is (c, c^2/2) for a generator with gen^3 = 0 and
+    (sinh c, cosh c - 1) for one with gen^3 = gen.
     """
-    if generator is algebra.B_PLUS:
-        return _exp_nilpotent(c, _BP_POWERS)
-    if generator is algebra.B_MINUS:
-        return _exp_nilpotent(c, _BM_POWERS)
-    return _exp_taylor(c * np.asarray(generator, dtype=complex))
+    even_part = _I3 + even * gen_sq
+    odd_part = odd * gen
+    return even_part + odd_part, even_part - odd_part
 
 
-def chart_matrix(mu_plus: complex, mu_minus: complex, mu: complex) -> np.ndarray:
-    """The non-decaying 8x8 propagator factor for given exponent values."""
-    return (_exp_nilpotent(-1j * mu_plus, _BP_POWERS)
-            @ _exp_nilpotent(-1j * mu_minus, _BM_POWERS)
-            @ exp_generator(-1j * mu, algebra.B_Z))
+def chart_matrix(mu_plus: complex, mu_minus: complex,
+                 mu: complex) -> tuple[np.ndarray, np.ndarray]:
+    """The 3x3 factor G and its inverse for given exponent values.
 
-
-def evolve_eta(eta0: np.ndarray, mus: MuTrajectory, Gamma: float, t: float) -> np.ndarray:
-    """Apply the product propagator at time ``t`` within a single chart.
-
-    Factors act right to left: B_z first, then B_minus, then B_plus, then the
-    scalar decay.  ``t`` must lie inside the solved range of ``mus``.
+    The inverse is the reversed product with the signs of the exponents
+    flipped, so it costs no matrix inversion.
     """
-    mp, mm, mu = mus.evaluate(t)
-    eta = exp_generator(-1j * mu, algebra.B_Z) @ np.asarray(eta0, dtype=complex)
-    eta = _exp_nilpotent(-1j * mm, _BM_POWERS) @ eta
-    eta = _exp_nilpotent(-1j * mp, _BP_POWERS) @ eta
-    return math.exp(-Gamma * (t - mus.t_start)) * eta
+    cp, cm, cz = -1j * mu_plus, -1j * mu_minus, -1j * mu
+    p, p_inv = _exp_pair(algebra.A_PLUS, _A_PLUS_SQ, cp, 0.5 * cp * cp)
+    m, m_inv = _exp_pair(algebra.A_MINUS, _A_MINUS_SQ, cm, 0.5 * cm * cm)
+    z, z_inv = _exp_pair(algebra.A_Z, _A_Z_SQ, cmath.sinh(cz), cmath.cosh(cz) - 1.0)
+    return p @ m @ z, z_inv @ m_inv @ p_inv
 
 
 @dataclass
@@ -128,42 +89,29 @@ class Trajectory:
         return len(self.grid)
 
 
-def trajectory_from_etas(grid: np.ndarray, etas: np.ndarray, trace: float = 1.0) -> Trajectory:
-    """Build a trajectory from coherence vectors.
-
-    The coherence vectors are projected onto the physical reality pattern
-    (equivalently, rho is replaced by its Hermitian part), so the trace and
-    hermiticity guarantees hold structurally at any solver tolerance.
-    """
+def _build_trajectory(grid: np.ndarray, rhos) -> Trajectory:
     grid = np.asarray(grid, dtype=float)
-    n = len(grid)
-    eta_out = np.empty((n, 8), dtype=complex)
-    rho_out = np.empty((n, 3, 3), dtype=complex)
-    records = []
-    for k in range(n):
-        eta_k = algebra.project_physical_eta(etas[k])
-        rho_k = algebra.eta_to_rho(eta_k, trace)
-        eta_out[k] = eta_k
-        rho_out[k] = rho_k
-        records.append(observables.record(grid[k], rho_k, eta_k))
+    rhos = np.asarray(rhos, dtype=complex)
+    rho_out = 0.5 * (rhos + rhos.conj().transpose(0, 2, 1))
+    eta_out = algebra.rho_to_eta(rho_out)
+    records = [observables.record(t, r, e) for t, r, e in zip(grid, rho_out, eta_out)]
     return Trajectory(grid, rho_out, eta_out, records)
+
+
+def trajectory_from_etas(grid: np.ndarray, etas: np.ndarray, trace: float = 1.0) -> Trajectory:
+    """Build a trajectory from coherence vectors, hermitized as in trajectory_from_rhos."""
+    return _build_trajectory(grid, [algebra.eta_to_rho(e, trace) for e in etas])
 
 
 def trajectory_from_rhos(grid: np.ndarray, rhos: np.ndarray) -> Trajectory:
-    """Build a trajectory from density matrices (hermitized the same way)."""
-    grid = np.asarray(grid, dtype=float)
-    n = len(grid)
-    eta_out = np.empty((n, 8), dtype=complex)
-    rho_out = np.empty((n, 3, 3), dtype=complex)
-    records = []
-    for k in range(n):
-        r = np.asarray(rhos[k], dtype=complex)
-        r = 0.5 * (r + r.conj().T)
-        eta_k = algebra.rho_to_eta(r)
-        eta_out[k] = eta_k
-        rho_out[k] = r
-        records.append(observables.record(grid[k], r, eta_k))
-    return Trajectory(grid, rho_out, eta_out, records)
+    """Build a trajectory from density matrices.
+
+    Each matrix is replaced by its Hermitian part.  That removes the
+    anti-Hermitian residue of order the solver tolerance that approximate
+    exponents (or an oracle's integration error) leave, so trace and
+    hermiticity hold structurally at any tolerance.
+    """
+    return _build_trajectory(grid, rhos)
 
 
 def output_grid(t_end: float, dt_out: float) -> np.ndarray:
@@ -192,18 +140,15 @@ def run(cfg: FieldConfig, rho0: np.ndarray, t_end: float, dt_out: float, tol: fl
     ``chart_limit=None`` disables proactive restarts so charts only end at
     blow-ups.
     """
-    if t_end <= 0:
-        raise ValueError("t_end must be positive")
-    if dt_out <= 0:
-        raise ValueError("dt_out must be positive")
-    if tol <= 0:
-        raise ValueError("tol must be positive")
+    for name, value in (("t_end", t_end), ("dt_out", dt_out), ("tol", tol)):
+        if not (math.isfinite(value) and value > 0):
+            raise ValueError(f"{name} must be positive and finite, got {value!r}")
     rho0 = algebra.validate_density_matrix(rho0)
-    eta0 = algebra.rho_to_eta(rho0)
-    trace = float(np.trace(rho0).real)
+    # the maximally mixed state at the trace of rho0, which decay approaches
+    mixed = float(np.trace(rho0).real) / 3.0 * np.eye(3)
 
     grid = output_grid(t_end, dt_out)
-    etas = np.empty((len(grid), 8), dtype=complex)
+    rhos = np.empty((len(grid), 3, 3), dtype=complex)
 
     cps = sorted({float(c) for c in (checkpoints or []) if 0.0 < float(c) < t_end})
 
@@ -211,7 +156,7 @@ def run(cfg: FieldConfig, rho0: np.ndarray, t_end: float, dt_out: float, tol: fl
     if chart_limit is not None:
         halt = lambda _t, vals: _chart_health(vals) > chart_limit
 
-    accumulated = eta0.copy()   # chart-start value of the non-decaying part
+    accumulated = rho0   # chart-start value of the non-decaying part
     t_base = 0.0
     oi = 0
     guard = 0
@@ -249,17 +194,18 @@ def run(cfg: FieldConfig, rho0: np.ndarray, t_end: float, dt_out: float, tol: fl
         fuzz = 1e-12 * max(1.0, abs(cover))
         while oi < len(grid) and grid[oi] <= cover + fuzz:
             t = float(min(grid[oi], cover))
-            mvals = chart.evaluate(t)
-            eta_t = chart_matrix(*mvals) @ accumulated
-            etas[oi] = math.exp(-cfg.Gamma * t) * eta_t
+            g, g_inv = chart_matrix(*chart.evaluate(t))
+            decay = math.exp(-cfg.Gamma * t)
+            rhos[oi] = decay * (g @ accumulated @ g_inv) + (1.0 - decay) * mixed
             oi += 1
         if oi >= len(grid):
             break
 
-        accumulated = chart_matrix(*chart.evaluate(cover)) @ accumulated
+        g, g_inv = chart_matrix(*chart.evaluate(cover))
+        accumulated = g @ accumulated @ g_inv
         t_base = cover
         guard += 1
         if guard > 10_000_000:
             raise PropagationError("too many chart restarts")
 
-    return trajectory_from_etas(grid, etas, trace)
+    return trajectory_from_rhos(grid, rhos)

@@ -91,6 +91,10 @@ def test_round_trip_is_a_linear_identity_for_arbitrary_matrices():
         m = rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3))
         back = algebra.eta_to_rho(algebra.rho_to_eta(m), np.trace(m))
         assert np.max(np.abs(back - m)) <= 1e-14
+    # a stack maps matrix by matrix, with the same arithmetic
+    stack = rng.standard_normal((5, 3, 3)) + 1j * rng.standard_normal((5, 3, 3))
+    assert np.array_equal(algebra.rho_to_eta(stack),
+                          np.array([algebra.rho_to_eta(m) for m in stack]))
 
 
 def test_reality_pattern_of_physical_coherence_vectors():
@@ -125,11 +129,3 @@ def test_validate_density_matrix_rejects_bad_input():
         algebra.validate_density_matrix(np.diag([1.1, 0.0, -0.1]).astype(complex))
     with pytest.raises(ValueError, match="3x3"):
         algebra.validate_density_matrix(np.eye(2))
-
-
-def test_project_physical_eta_matches_hermitian_part():
-    rng = np.random.default_rng(46)
-    m = rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3))
-    herm = 0.5 * (m + m.conj().T)
-    projected = algebra.project_physical_eta(algebra.rho_to_eta(m))
-    assert np.max(np.abs(projected - algebra.rho_to_eta(herm))) <= 1e-14

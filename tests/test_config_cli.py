@@ -52,6 +52,8 @@ def test_float_serialization_round_trips():
 def test_coercion_helpers_name_the_key():
     with pytest.raises(config.ConfigError, match="tol"):
         config.get_float({"tol": "abc"}, "tol")
+    with pytest.raises(config.ConfigError, match="tol must be finite"):
+        config.get_float({"tol": "nan"}, "tol")
     with pytest.raises(config.ConfigError, match="solver"):
         config.get_choice({"solver": "magic"}, "solver", ("product",))
     assert config.get_bool({"x": "true"}, "x") is True
@@ -126,6 +128,22 @@ def test_run_rejects_unknown_keys_and_bad_tol(tmp_path, capsys):
     cfg2 = write_cfg(tmp_path / "bad2.cfg", "preset = fig1\ncsv = x.csv\ntol = 0.01\n")
     assert cli.main(["run", cfg2]) == 2
     assert "tol" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("config_text, extra_args, key", [
+    ("preset = fig1\ncsv = x.csv\nA = nan\n", [], "A"),
+    ("preset = fig1\ncsv = x.csv\nGamma = inf\n", [], "Gamma"),
+    (None, ["--t-end", "inf"], "t_end"),
+], ids=["A=nan", "Gamma=inf", "t_end=inf"])
+def test_non_finite_input_is_a_config_error_naming_the_key(tmp_path, capsys, config_text,
+                                                           extra_args, key):
+    if config_text is None:
+        argv = ["figure", "fig1", "--out", str(tmp_path)]
+    else:
+        argv = ["run", write_cfg(tmp_path / "nf.cfg", config_text)]
+    assert cli.main(argv + extra_args) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error:") and f"{key} must be finite" in err
 
 
 def test_run_requires_csv(tmp_path, capsys):
@@ -250,6 +268,7 @@ def test_sweep_rejects_empty_values_and_bad_param(tmp_path, capsys):
     assert cli.main(["sweep", cfg, "--param", "delta", "--values", ""]) == 2
     assert cli.main(["sweep", cfg, "--param", "bogus", "--values", "1"]) == 2
     assert cli.main(["sweep", cfg, "--param", "delta", "--values", "1,up"]) == 2
+    assert cli.main(["sweep", cfg, "--param", "Gamma", "--values", "nan"]) == 2
 
 
 def test_unwritable_csv_path_maps_to_io_exit_code(tmp_path, capsys):

@@ -65,6 +65,10 @@ def test_field_config_validation():
         fields.FieldConfig(A=1.0, Omega=1.0, B=1.0, omega=1.0, Gamma=-0.1)
     with pytest.raises(ValueError, match="sign"):
         fields.FieldConfig(A=1.0, Omega=1.0, B=1.0, omega=1.0, sign_convention=2.0)
+    with pytest.raises(ValueError, match="Gamma must be finite"):
+        fields.FieldConfig(A=1.0, Omega=1.0, B=1.0, omega=1.0, Gamma=math.nan)
+    with pytest.raises(ValueError, match="omega must be finite"):
+        fields.FieldConfig(A=1.0, Omega=1.0, B=1.0, omega=math.inf)
 
 
 CAPTION_PARAMETERS = {

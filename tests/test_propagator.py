@@ -2,75 +2,90 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.linalg import expm
 
-from trilevel import algebra, fields, observables, oracle, propagator, riccati
+from trilevel import algebra, fields, observables, oracle, propagator
+
+
+# The closed-form exponentials of the 3x3 generators live inside chart_matrix;
+# each is reached by setting its own exponent and leaving the others at zero.
+LADDER_AND_Z = {"mu_plus": algebra.A_PLUS, "mu_minus": algebra.A_MINUS, "mu": algebra.A_Z}
+
+
+def single_factor(slot, c):
+    """chart_matrix with every exponent but ``slot`` at zero: one factor and its inverse."""
+    mus = dict.fromkeys(LADDER_AND_Z, 0.0)
+    mus[slot] = c
+    return propagator.chart_matrix(**mus)
 
 
 def test_exp_generator_at_zero_is_identity():
-    for gen in (algebra.B_PLUS, algebra.B_MINUS, algebra.B_Z):
-        assert np.allclose(propagator.exp_generator(0.0, gen), np.eye(8), atol=1e-16)
+    g, g_inv = propagator.chart_matrix(0.0, 0.0, 0.0)
+    assert np.array_equal(g, np.eye(3))
+    assert np.array_equal(g_inv, np.eye(3))
 
 
-def test_exp_of_bz_with_real_exponent_is_unitary():
+def test_exp_of_az_with_real_exponent_is_unitary():
     for mu in (0.3, -1.7, 12.0):
-        u = propagator.exp_generator(-1j * mu, algebra.B_Z)
-        assert np.max(np.abs(u @ u.conj().T - np.eye(8))) <= 1e-12
+        u, u_inv = single_factor("mu", mu)
+        assert np.max(np.abs(u @ u.conj().T - np.eye(3))) <= 1e-12
+        assert np.max(np.abs(u_inv - u.conj().T)) <= 1e-12
 
 
-@pytest.mark.parametrize("gen", [algebra.B_PLUS, algebra.B_MINUS, algebra.B_Z])
-def test_exp_generator_matches_dense_matrix_exponential(gen):
+@pytest.mark.parametrize("slot, gen", list(LADDER_AND_Z.items()), ids=["gen0", "gen1", "gen2"])
+def test_exp_generator_matches_dense_matrix_exponential(slot, gen):
+    gen = np.asarray(gen)
     rng = np.random.default_rng(3)
     for _ in range(5):
         c = complex(rng.standard_normal(), rng.standard_normal())
-        ours = propagator.exp_generator(c, gen)
-        reference = expm(c * np.asarray(gen))
-        assert np.max(np.abs(ours - reference)) <= 1e-12 * max(1.0, np.max(np.abs(reference)))
+        g, g_inv = single_factor(slot, c)
+        for ours, reference in ((g, expm(-1j * c * gen)), (g_inv, expm(1j * c * gen))):
+            assert np.max(np.abs(ours - reference)) <= 1e-12 * max(1.0, np.max(np.abs(reference)))
 
 
 def test_nilpotent_exponential_equals_truncated_series():
     c = 0.37 - 1.21j
-    series = sum((c ** k / math.factorial(k)) * np.linalg.matrix_power(algebra.B_PLUS, k)
-                 for k in range(5))
-    assert np.max(np.abs(propagator.exp_generator(c, algebra.B_PLUS) - series)) <= 1e-13
+    for slot in ("mu_plus", "mu_minus"):
+        gen = LADDER_AND_Z[slot]
+        assert not np.any(np.linalg.matrix_power(gen, 3))
+        series = sum((c ** k / math.factorial(k)) * np.linalg.matrix_power(gen, k)
+                     for k in range(3))
+        g, _ = single_factor(slot, 1j * c)
+        assert np.max(np.abs(g - series)) <= 1e-13
 
 
-def test_evolve_eta_at_time_zero_is_identity():
+@settings(derandomize=True, deadline=None, max_examples=300)
+@given(seed=st.integers(0, 2**32 - 1),
+       mu_plus=st.complex_numbers(max_magnitude=3.0),
+       mu_minus=st.complex_numbers(max_magnitude=3.0),
+       mu=st.complex_numbers(max_magnitude=3.0))
+def test_density_factor_matches_the_paper_8x8_product(seed, mu_plus, mu_minus, mu):
+    # the paper's 8x8 form of the propagator, evaluated with dense exponentials
+    eta0 = algebra.rho_to_eta(algebra.random_density_matrix(np.random.default_rng(seed)))
+    reference = (expm(-1j * mu_plus * np.asarray(algebra.B_PLUS))
+                 @ expm(-1j * mu_minus * np.asarray(algebra.B_MINUS))
+                 @ expm(-1j * mu * np.asarray(algebra.B_Z)) @ eta0)
+    g, g_inv = propagator.chart_matrix(mu_plus, mu_minus, mu)
+    ours = algebra.rho_to_eta(g @ algebra.eta_to_rho(eta0, 0.0) @ g_inv)
+    assert np.max(np.abs(ours - reference)) <= 1e-12 * np.max(np.abs(reference))
+
+
+def test_run_at_time_zero_returns_rho0():
     cfg = fields.preset("fig3").config
-    mus = riccati.solve_mu(cfg, 5.0, 1e-10)
-    eta0 = algebra.rho_to_eta(np.diag([1.0, 0.0, 0.0]))
-    out = propagator.evolve_eta(eta0, mus, cfg.Gamma, 0.0)
-    assert np.max(np.abs(out - eta0)) == 0.0
-
-
-def test_evolve_eta_norm_decays_exponentially():
-    cfg = fields.preset("fig9").config
-    mus = riccati.solve_mu(cfg, 10.0, 1e-10,
-                           halt=lambda t, v: max(abs(v[0]), abs(v[1]), abs(v[2].imag)) > 1.0)
-    eta0 = algebra.rho_to_eta(fields.InitialState("level2").density())
-    n0 = observables.coherence_norm(eta0)
-    for t in np.linspace(0.0, mus.t_final, 7):
-        eta_t = propagator.evolve_eta(eta0, mus, cfg.Gamma, float(t))
-        assert observables.coherence_norm(eta_t) == pytest.approx(
-            math.exp(-cfg.Gamma * t) * n0, abs=1e-8)
-
-
-def test_evolve_eta_rejects_out_of_range_time():
-    cfg = fields.preset("fig1").config
-    mus = riccati.solve_mu(cfg, 2.0, 1e-9)
-    with pytest.raises(ValueError):
-        propagator.evolve_eta(np.zeros(8), mus, cfg.Gamma, 3.0)
+    rho0 = np.diag([1.0, 0.0, 0.0]).astype(complex)
+    traj = propagator.run(cfg, rho0, 5.0, 1.0, 1e-10)
+    assert np.max(np.abs(traj.rho[0] - rho0)) == 0.0
+    assert np.max(np.abs(traj.eta[0] - algebra.rho_to_eta(rho0))) == 0.0
 
 
 def test_long_time_coherence_vector_vanishes():
-    # fig1 fields stay on a single factorization chart out to t = 500
     ps = fields.preset("fig1")
-    cfg = ps.config
-    mus = riccati.solve_mu(cfg, 500.0, 1e-9)
-    eta0 = algebra.rho_to_eta(ps.initial.density())
-    eta_t = propagator.evolve_eta(eta0, mus, cfg.Gamma, 500.0)
-    n0 = observables.coherence_norm(eta0)
-    assert observables.coherence_norm(eta_t) <= 1e-4 * n0 + 1e-8
+    rho0 = ps.initial.density()
+    traj = propagator.run(ps.config, rho0, 500.0, 250.0, 1e-9)
+    n0 = observables.coherence_norm(algebra.rho_to_eta(rho0))
+    assert observables.coherence_norm(traj.eta[-1]) <= 1e-4 * n0 + 1e-8
 
 
 def test_run_matches_direct_integration_on_fig1():
@@ -172,6 +187,10 @@ def test_run_input_validation():
         propagator.run(cfg, rho0, 1.0, 0.0, 1e-9)
     with pytest.raises(ValueError):
         propagator.run(cfg, rho0, 1.0, 0.1, 0.0)
+    with pytest.raises(ValueError, match="t_end"):
+        propagator.run(cfg, rho0, math.inf, 0.1, 1e-9)
+    with pytest.raises(ValueError, match="dt_out"):
+        propagator.run(cfg, rho0, 1.0, math.nan, 1e-9)
     with pytest.raises(ValueError):
         propagator.run(cfg, np.eye(3), 1.0, 0.1, 1e-9)  # trace 3
 
