@@ -118,20 +118,21 @@ def eta_to_rho(eta: np.ndarray, trace: complex = 1.0) -> np.ndarray:
     """Invert :func:`rho_to_eta`; exact linear inverse for any input.
 
     ``trace`` supplies the conserved ninth degree of freedom (1 for physical
-    states).
+    states).  A stack of coherence vectors of shape (..., 8) maps to matrices
+    of shape (..., 3, 3); ``trace`` is then a scalar or one value per vector.
     """
-    e = np.asarray(eta, dtype=complex)
+    e = np.moveaxis(np.asarray(eta, dtype=complex), -1, 0)
     s = (2.0 * trace + _SQRT3 * e[1]) / 3.0
-    rho = np.empty((3, 3), dtype=complex)
-    rho[0, 0] = 0.5 * (s + e[0])
-    rho[2, 2] = 0.5 * (s - e[0])
-    rho[1, 1] = trace - s
-    rho[0, 1] = 0.5 * (e[2] - e[3])
-    rho[1, 0] = 0.5 * (e[2] + e[3])
-    rho[0, 2] = 0.5 * (e[4] - e[5])
-    rho[2, 0] = 0.5 * (e[4] + e[5])
-    rho[1, 2] = 0.5 * (e[6] - e[7])
-    rho[2, 1] = 0.5 * (e[6] + e[7])
+    rho = np.empty(e.shape[1:] + (3, 3), dtype=complex)
+    rho[..., 0, 0] = 0.5 * (s + e[0])
+    rho[..., 2, 2] = 0.5 * (s - e[0])
+    rho[..., 1, 1] = trace - s
+    rho[..., 0, 1] = 0.5 * (e[2] - e[3])
+    rho[..., 1, 0] = 0.5 * (e[2] + e[3])
+    rho[..., 0, 2] = 0.5 * (e[4] - e[5])
+    rho[..., 2, 0] = 0.5 * (e[4] + e[5])
+    rho[..., 1, 2] = 0.5 * (e[6] - e[7])
+    rho[..., 2, 1] = 0.5 * (e[6] + e[7])
     return rho
 
 

@@ -57,21 +57,19 @@ def _fmt_value(v: float) -> str:
 
 def write_csv(path, trajectory: propagator.Trajectory) -> None:
     lines = [",".join(observables.ObservableRecord.CSV_FIELDS)]
-    for rec in trajectory.observables:
-        lines.append(",".join(_fmt_value(v) for v in rec.as_row()))
+    lines.extend(",".join(map(_fmt_value, row)) for row in trajectory.table.tolist())
     Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
 
 
 def write_svg_panels(base_path, trajectory: propagator.Trajectory,
                      quantities, title_prefix: str = "") -> list[Path]:
     base = Path(base_path)
-    rows = {name: [getattr(r, name) for r in trajectory.observables]
-            for name in observables.ObservableRecord.CSV_FIELDS}
+    columns = dict(zip(observables.ObservableRecord.CSV_FIELDS, trajectory.table.T))
     written = []
     multi = len(quantities) > 1
     for q in quantities:
         out = base.with_name(f"{base.stem}_{q}{base.suffix or '.svg'}") if multi else base
-        series = [(label, rows[col]) for label, col in _PANEL_SERIES[q]]
+        series = [(label, columns[col]) for label, col in _PANEL_SERIES[q]]
         svg.line_chart(out, trajectory.grid, series,
                        title=f"{title_prefix}{q}".strip(), xlabel="t", ylabel=q)
         written.append(out)

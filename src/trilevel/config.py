@@ -18,22 +18,32 @@ class ConfigError(ValueError):
         self.key = key
 
 
-def parse_flat(text: str) -> dict[str, str]:
-    """Parse ``key = value`` lines into a dict of raw strings."""
-    out: dict[str, str] = {}
+def _lines(text: str):
+    """Yield ``(lineno, line, entry)`` per line that is not blank or a comment;
+    ``entry`` is the stripped ``(key, value)``, or None on a ``[`` line."""
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.strip()
         if not line or line.startswith("#"):
             continue
         if line.startswith("["):
-            raise ConfigError(f"line {lineno}: block header {line!r} not allowed here")
+            yield lineno, line, None
+            continue
         if "=" not in line:
             raise ConfigError(f"line {lineno}: expected 'key = value', got {line!r}")
         key, _, value = line.partition("=")
         key = key.strip()
-        value = value.strip()
         if not key:
             raise ConfigError(f"line {lineno}: empty key")
+        yield lineno, line, (key, value.strip())
+
+
+def parse_flat(text: str) -> dict[str, str]:
+    """Parse ``key = value`` lines into a dict of raw strings."""
+    out: dict[str, str] = {}
+    for lineno, line, entry in _lines(text):
+        if entry is None:
+            raise ConfigError(f"line {lineno}: block header {line!r} not allowed here")
+        key, value = entry
         if key in out:
             raise ConfigError(f"line {lineno}: duplicate key {key!r}", key=key)
         out[key] = value
@@ -45,11 +55,10 @@ def parse_blocks(text: str) -> dict[str, dict[str, str]]:
     blocks: dict[str, dict[str, str]] = {}
     current: dict[str, str] | None = None
     name = None
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.strip()
-        if not line or line.startswith("#"):
-            continue
-        if line.startswith("[") and line.endswith("]"):
+    for lineno, line, entry in _lines(text):
+        if entry is None:
+            if not line.endswith("]"):
+                raise ConfigError(f"line {lineno}: expected 'key = value', got {line!r}")
             name = line[1:-1].strip()
             if not name:
                 raise ConfigError(f"line {lineno}: empty block name")
@@ -60,11 +69,7 @@ def parse_blocks(text: str) -> dict[str, dict[str, str]]:
             continue
         if current is None:
             raise ConfigError(f"line {lineno}: entry before any [name] header")
-        if "=" not in line:
-            raise ConfigError(f"line {lineno}: expected 'key = value', got {line!r}")
-        key, _, value = line.partition("=")
-        key = key.strip()
-        value = value.strip()
+        key, value = entry
         if key in current:
             raise ConfigError(f"line {lineno}: duplicate key {key!r} in [{name}]", key=key)
         current[key] = value

@@ -1,6 +1,8 @@
 """Per-sample physical quantities: populations, coherences, entropy, purity.
 
-Entropy is reported in nats; the maximally mixed three-level value is ln 3.
+Each function takes one density matrix (or coherence vector) or a stack of
+them, shape (..., 3, 3) or (..., 8), and maps it matrix by matrix.  Entropy
+is reported in nats; the maximally mixed three-level value is ln 3.
 """
 
 from __future__ import annotations
@@ -12,37 +14,33 @@ import numpy as np
 
 LN3 = math.log(3.0)
 
-# Eigenvalues inside [-CLAMP_WINDOW, 1 + CLAMP_WINDOW] are clamped to [0, 1]
-# before taking logs, so roundoff near pure states cannot produce NaNs.
-CLAMP_WINDOW = 1e-9
-
 
 def spectrum(rho: np.ndarray) -> np.ndarray:
     """Real eigenvalues of a Hermitian density matrix, sorted descending."""
-    return np.linalg.eigvalsh(np.asarray(rho))[::-1].copy()
+    return np.linalg.eigvalsh(np.asarray(rho))[..., ::-1]
 
 
-def _clamped_spectrum(rho: np.ndarray) -> np.ndarray:
-    lam = spectrum(rho)
-    return np.clip(lam, 0.0, 1.0)
+def _entropy_of_spectrum(lam: np.ndarray) -> np.ndarray | float:
+    # clamped to [0, 1] so that roundoff near pure states cannot give NaNs;
+    # 0 ln 0 = 0, so a zero eigenvalue takes ln 1 in place of ln 0
+    lam = np.clip(lam, 0.0, 1.0)
+    return -np.sum(lam * np.log(np.where(lam > 0.0, lam, 1.0)), axis=-1)
 
 
-def entropy(rho: np.ndarray) -> float:
+def entropy(rho: np.ndarray) -> np.ndarray | float:
     """Von Neumann entropy -sum(lam ln lam) in nats, with 0 ln 0 = 0."""
-    lam = _clamped_spectrum(rho)
-    nz = lam[lam > 0.0]
-    return float(-np.sum(nz * np.log(nz)))
+    return _entropy_of_spectrum(spectrum(rho))
 
 
-def purity(rho: np.ndarray) -> float:
+def purity(rho: np.ndarray) -> np.ndarray | float:
     """Tr rho^2."""
     r = np.asarray(rho)
-    return float(np.real(np.trace(r @ r)))
+    return np.real(np.trace(r @ r, axis1=-2, axis2=-1))
 
 
-def coherence_norm(eta: np.ndarray) -> float:
+def coherence_norm(eta: np.ndarray) -> np.ndarray | float:
     """Euclidean norm sqrt(sum |eta_i|^2) of a coherence vector."""
-    return float(np.sqrt(np.sum(np.abs(np.asarray(eta)) ** 2)))
+    return np.sqrt(np.sum(np.abs(np.asarray(eta)) ** 2, axis=-1))
 
 
 @dataclass(frozen=True)
@@ -70,24 +68,15 @@ class ObservableRecord:
                   "re23", "im23", "entropy", "purity", "eig1", "eig2", "eig3",
                   "eta_norm")
 
-    def as_row(self) -> tuple[float, ...]:
-        return tuple(getattr(self, name) for name in self.CSV_FIELDS)
 
-
-def record(t: float, rho: np.ndarray, eta: np.ndarray) -> ObservableRecord:
-    """Assemble the observable record for one sample."""
-    r = np.asarray(rho)
-    lam = spectrum(r)
-    return ObservableRecord(
-        t=float(t),
-        pop1=float(r[0, 0].real),
-        pop2=float(r[1, 1].real),
-        pop3=float(r[2, 2].real),
-        re12=float(r[0, 1].real), im12=float(r[0, 1].imag),
-        re13=float(r[0, 2].real), im13=float(r[0, 2].imag),
-        re23=float(r[1, 2].real), im23=float(r[1, 2].imag),
-        entropy=entropy(r),
-        purity=purity(r),
-        eig1=float(lam[0]), eig2=float(lam[1]), eig3=float(lam[2]),
-        eta_norm=coherence_norm(eta),
-    )
+def table(grid: np.ndarray, rho: np.ndarray, eta: np.ndarray) -> np.ndarray:
+    """The observables of n samples as an (n, 16) array, columns in CSV_FIELDS order."""
+    lam = spectrum(rho)
+    return np.column_stack([
+        grid,
+        rho[:, 0, 0].real, rho[:, 1, 1].real, rho[:, 2, 2].real,
+        rho[:, 0, 1].real, rho[:, 0, 1].imag,
+        rho[:, 0, 2].real, rho[:, 0, 2].imag,
+        rho[:, 1, 2].real, rho[:, 1, 2].imag,
+        _entropy_of_spectrum(lam), purity(rho), lam, coherence_norm(eta),
+    ])

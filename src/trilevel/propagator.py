@@ -22,9 +22,9 @@ cocycle, so segmentation is exact.
 
 from __future__ import annotations
 
-import cmath
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -41,6 +41,9 @@ CHART_LIMIT = 1.0
 #: A restart that advances time by less than this is treated as failure.
 MIN_SEGMENT = 1e-6
 
+#: Largest output grid, in rows.
+MAX_SAMPLES = 1_000_000
+
 _I3 = np.eye(3, dtype=complex)
 _A_PLUS_SQ = algebra.A_PLUS @ algebra.A_PLUS
 _A_MINUS_SQ = algebra.A_MINUS @ algebra.A_MINUS
@@ -51,7 +54,7 @@ class PropagationError(RuntimeError):
     """Propagation could not continue (restart failed to advance)."""
 
 
-def _exp_pair(gen: np.ndarray, gen_sq: np.ndarray, odd: complex, even: complex):
+def _exp_pair(gen: np.ndarray, gen_sq: np.ndarray, odd: np.ndarray, even: np.ndarray):
     """exp(c gen) and exp(-c gen) as I +- odd gen + even gen^2.
 
     (odd, even) is (c, c^2/2) for a generator with gen^3 = 0 and
@@ -62,28 +65,36 @@ def _exp_pair(gen: np.ndarray, gen_sq: np.ndarray, odd: complex, even: complex):
     return even_part + odd_part, even_part - odd_part
 
 
-def chart_matrix(mu_plus: complex, mu_minus: complex,
-                 mu: complex) -> tuple[np.ndarray, np.ndarray]:
+def chart_matrix(mu_plus, mu_minus, mu) -> tuple[np.ndarray, np.ndarray]:
     """The 3x3 factor G and its inverse for given exponent values.
 
-    The inverse is the reversed product with the signs of the exponents
-    flipped, so it costs no matrix inversion.
+    The exponents broadcast: arrays of shape S give G and G^-1 of shape
+    S + (3, 3).  The inverse is the reversed product with the signs of the
+    exponents flipped, so it costs no matrix inversion.
     """
-    cp, cm, cz = -1j * mu_plus, -1j * mu_minus, -1j * mu
+    cp, cm, cz = (-1j * np.asarray(m)[..., None, None] for m in (mu_plus, mu_minus, mu))
     p, p_inv = _exp_pair(algebra.A_PLUS, _A_PLUS_SQ, cp, 0.5 * cp * cp)
     m, m_inv = _exp_pair(algebra.A_MINUS, _A_MINUS_SQ, cm, 0.5 * cm * cm)
-    z, z_inv = _exp_pair(algebra.A_Z, _A_Z_SQ, cmath.sinh(cz), cmath.cosh(cz) - 1.0)
+    z, z_inv = _exp_pair(algebra.A_Z, _A_Z_SQ, np.sinh(cz), np.cosh(cz) - 1.0)
     return p @ m @ z, z_inv @ m_inv @ p_inv
 
 
 @dataclass
 class Trajectory:
-    """Output grid with density matrices, coherence vectors and observables."""
+    """Output grid with density matrices, coherence vectors and observables.
+
+    ``table`` holds the observables as (n, 16) columns in ``CSV_FIELDS`` order;
+    ``observables`` builds one ``ObservableRecord`` per row on first access.
+    """
 
     grid: np.ndarray
     rho: np.ndarray
     eta: np.ndarray
-    observables: list[observables.ObservableRecord]
+    table: np.ndarray
+
+    @cached_property
+    def observables(self) -> list[observables.ObservableRecord]:
+        return [observables.ObservableRecord(*row) for row in self.table.tolist()]
 
     def __len__(self) -> int:
         return len(self.grid)
@@ -94,13 +105,12 @@ def _build_trajectory(grid: np.ndarray, rhos) -> Trajectory:
     rhos = np.asarray(rhos, dtype=complex)
     rho_out = 0.5 * (rhos + rhos.conj().transpose(0, 2, 1))
     eta_out = algebra.rho_to_eta(rho_out)
-    records = [observables.record(t, r, e) for t, r, e in zip(grid, rho_out, eta_out)]
-    return Trajectory(grid, rho_out, eta_out, records)
+    return Trajectory(grid, rho_out, eta_out, observables.table(grid, rho_out, eta_out))
 
 
 def trajectory_from_etas(grid: np.ndarray, etas: np.ndarray, trace: float = 1.0) -> Trajectory:
     """Build a trajectory from coherence vectors, hermitized as in trajectory_from_rhos."""
-    return _build_trajectory(grid, [algebra.eta_to_rho(e, trace) for e in etas])
+    return _build_trajectory(grid, algebra.eta_to_rho(etas, trace))
 
 
 def trajectory_from_rhos(grid: np.ndarray, rhos: np.ndarray) -> Trajectory:
@@ -115,7 +125,12 @@ def trajectory_from_rhos(grid: np.ndarray, rhos: np.ndarray) -> Trajectory:
 
 
 def output_grid(t_end: float, dt_out: float) -> np.ndarray:
-    """Uniform output times 0, dt, 2dt, ... with the last sample at t_end."""
+    """Uniform output times 0, dt, 2dt, ... with the last sample at t_end; a grid
+    of more than MAX_SAMPLES rows is a ValueError, raised before any allocation."""
+    rows = t_end / dt_out + 1.0
+    if not rows <= MAX_SAMPLES:
+        raise ValueError(f"dt_out = {dt_out!r} gives {rows:.3g} output rows up to "
+                         f"t_end = {t_end!r}; at most {MAX_SAMPLES} are allowed")
     n = int(math.ceil(t_end / dt_out - 1e-9))
     grid = np.arange(n + 1) * dt_out
     grid[-1] = min(grid[-1], t_end)
@@ -176,12 +191,14 @@ def run(cfg: FieldConfig, rho0: np.ndarray, t_end: float, dt_out: float, tol: fl
         if complete:
             cover = target
         else:
-            # Compose at the last sample whose exponents are still small, so
-            # the composed factor is well conditioned even near a blow-up.
+            # Compose at the last node whose exponents are still small (the
+            # _chart_health measure, at every node at once), so the composed
+            # factor is well conditioned even near a blow-up; node 1 (the first
+            # step) is the fallback.
             walk_limit = chart_limit if chart_limit is not None else CHART_LIMIT
-            idx = len(chart.grid) - 1
-            while idx > 1 and _chart_health(chart.evaluate(float(chart.grid[idx]))) > walk_limit:
-                idx -= 1
+            health = np.max(np.abs([chart.mu_plus, chart.mu_minus, chart.mu.imag]), axis=0)
+            healthy = np.flatnonzero(health[2:] <= walk_limit)
+            idx = 2 + int(healthy[-1]) if len(healthy) else min(1, len(chart.grid) - 1)
             if idx < 1:
                 raise PropagationError(
                     f"chart from t = {t_base:.9g} produced no usable samples")
@@ -191,13 +208,13 @@ def run(cfg: FieldConfig, rho0: np.ndarray, t_end: float, dt_out: float, tol: fl
             raise PropagationError(
                 f"restart at t = {t_base:.9g} advanced less than {MIN_SEGMENT}")
 
-        fuzz = 1e-12 * max(1.0, abs(cover))
-        while oi < len(grid) and grid[oi] <= cover + fuzz:
-            t = float(min(grid[oi], cover))
-            g, g_inv = chart_matrix(*chart.evaluate(t))
-            decay = math.exp(-cfg.Gamma * t)
-            rhos[oi] = decay * (g @ accumulated @ g_inv) + (1.0 - decay) * mixed
-            oi += 1
+        # every output time up to the cover, clipped onto it
+        stop = int(np.searchsorted(grid, cover + 1e-12 * max(1.0, abs(cover)), side="right"))
+        t = np.minimum(grid[oi:stop], cover)
+        g, g_inv = chart_matrix(*chart.evaluate(t))
+        decay = np.exp(-cfg.Gamma * t)[:, None, None]
+        rhos[oi:stop] = decay * (g @ accumulated @ g_inv) + (1.0 - decay) * mixed
+        oi = stop
         if oi >= len(grid):
             break
 

@@ -105,24 +105,24 @@ class MuTrajectory:
     def __init__(self, grid: np.ndarray, values: np.ndarray, derivs: np.ndarray,
                  derivs2: np.ndarray, halted: bool = False):
         self.grid = np.asarray(grid, dtype=float)
-        self._values = values    # (n, 3): mu_plus, mu_minus, mu at the nodes
-        self._derivs = derivs    # (n, 3): first derivatives at the nodes
-        self._derivs2 = derivs2  # (n, 3): second derivatives at the nodes
+        self._values = values.T    # (3, n): mu_plus, mu_minus, mu at the nodes
+        self._derivs = derivs.T    # (3, n): first derivatives at the nodes
+        self._derivs2 = derivs2.T  # (3, n): second derivatives at the nodes
         self.halted = halted
         for arr in (self.grid, self._values, self._derivs, self._derivs2):
             arr.setflags(write=False)
 
     @property
     def mu_plus(self) -> np.ndarray:
-        return self._values[:, 0]
+        return self._values[0]
 
     @property
     def mu_minus(self) -> np.ndarray:
-        return self._values[:, 1]
+        return self._values[1]
 
     @property
     def mu(self) -> np.ndarray:
-        return self._values[:, 2]
+        return self._values[2]
 
     @property
     def t_start(self) -> float:
@@ -132,26 +132,29 @@ class MuTrajectory:
     def t_final(self) -> float:
         return float(self.grid[-1])
 
-    def _locate(self, t: float) -> int:
-        if not (self.t_start <= t <= self.t_final):
-            raise ValueError(f"time {t!r} outside solved range "
+    def _interval(self, t) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Left node index, step length and position s in [0, 1] of each time."""
+        t = np.asarray(t, dtype=float)
+        inside = (self.t_start <= t) & (t <= self.t_final)
+        if not np.all(inside):
+            raise ValueError(f"time {float(t[~inside].flat[0])!r} outside solved range "
                              f"[{self.t_start!r}, {self.t_final!r}]")
-        i = int(np.searchsorted(self.grid, t, side="right")) - 1
-        return min(max(i, 0), len(self.grid) - 2)
-
-    def evaluate(self, t: float) -> tuple[complex, complex, complex]:
-        """Interpolated (mu_plus, mu_minus, mu) at time ``t``."""
-        if len(self.grid) == 1:
-            if t != self.t_start:
-                raise ValueError(f"time {t!r} outside solved range")
-            v = self._values[0]
-            return complex(v[0]), complex(v[1]), complex(v[2])
-        i = self._locate(t)
-        if t == self.grid[i] or t == self.grid[i + 1]:
-            v = self._values[i if t == self.grid[i] else i + 1]
-            return complex(v[0]), complex(v[1]), complex(v[2])
+        i = np.clip(np.searchsorted(self.grid, t, side="right") - 1, 0, len(self.grid) - 2)
         h = self.grid[i + 1] - self.grid[i]
-        s = (t - self.grid[i]) / h
+        return i, h, (t - self.grid[i]) / h
+
+    def evaluate(self, t) -> np.ndarray:
+        """Interpolated (mu_plus, mu_minus, mu) at time ``t``, shape (3,) + shape(t).
+
+        The Hermite weights are exactly (1, 0, ...) at s = 0 and put exactly 1
+        on the right node at s = 1, so a time on a node returns its values.
+        """
+        if len(self.grid) == 1:
+            t = np.asarray(t, dtype=float)
+            if np.any(t != self.t_start):
+                raise ValueError(f"time {t!r} outside solved range")
+            return self._values[:, np.zeros(t.shape, dtype=int)]
+        i, h, s = self._interval(t)
         s2, s3 = s * s, s * s * s
         s4, s5 = s3 * s, s3 * s * s
         h0 = 1 - 10 * s3 + 15 * s4 - 6 * s5
@@ -160,19 +163,15 @@ class MuTrajectory:
         h3 = 10 * s3 - 15 * s4 + 6 * s5
         h4 = -4 * s3 + 7 * s4 - 3 * s5
         h5 = 0.5 * (s3 - 2 * s4 + s5)
-        v = (h0 * self._values[i] + h3 * self._values[i + 1]
-             + h * (h1 * self._derivs[i] + h4 * self._derivs[i + 1])
-             + h * h * (h2 * self._derivs2[i] + h5 * self._derivs2[i + 1]))
-        return complex(v[0]), complex(v[1]), complex(v[2])
+        return (h0 * self._values[:, i] + h3 * self._values[:, i + 1]
+             + h * (h1 * self._derivs[:, i] + h4 * self._derivs[:, i + 1])
+             + h * h * (h2 * self._derivs2[:, i] + h5 * self._derivs2[:, i + 1]))
 
-    def evaluate_derivative(self, t: float) -> tuple[complex, complex, complex]:
-        """Time derivative of the interpolant at ``t`` (for residual checks)."""
+    def evaluate_derivative(self, t) -> np.ndarray:
+        """Time derivative of the interpolant at ``t`` (for residual checks), shaped as evaluate."""
         if len(self.grid) == 1:
-            d = self._derivs[0]
-            return complex(d[0]), complex(d[1]), complex(d[2])
-        i = self._locate(t)
-        h = self.grid[i + 1] - self.grid[i]
-        s = (t - self.grid[i]) / h
+            return self._derivs[:, np.zeros(np.shape(t), dtype=int)]
+        i, h, s = self._interval(t)
         s2, s3, s4 = s * s, s * s * s, s * s * s * s
         d0 = (-30 * s2 + 60 * s3 - 30 * s4) / h
         d1 = 1 - 18 * s2 + 32 * s3 - 15 * s4
@@ -180,20 +179,15 @@ class MuTrajectory:
         d3 = (30 * s2 - 60 * s3 + 30 * s4) / h
         d4 = -12 * s2 + 28 * s3 - 15 * s4
         d5 = 0.5 * (3 * s2 - 8 * s3 + 5 * s4)
-        d = (d0 * self._values[i] + d3 * self._values[i + 1]
-             + d1 * self._derivs[i] + d4 * self._derivs[i + 1]
-             + h * (d2 * self._derivs2[i] + d5 * self._derivs2[i + 1]))
-        return complex(d[0]), complex(d[1]), complex(d[2])
+        return (d0 * self._values[:, i] + d3 * self._values[:, i + 1]
+             + d1 * self._derivs[:, i] + d4 * self._derivs[:, i + 1]
+             + h * (d2 * self._derivs2[:, i] + d5 * self._derivs2[:, i + 1]))
 
 
 def residuals(traj: MuTrajectory, cfg: FieldConfig, times: np.ndarray) -> np.ndarray:
     """ODE residuals of the dense interpolant at the given times, shape (n, 3)."""
-    out = np.empty((len(times), 3), dtype=complex)
-    for k, t in enumerate(times):
-        vals = np.array(traj.evaluate(float(t)))
-        derivs = np.array(traj.evaluate_derivative(float(t)))
-        out[k] = derivs - mu_rhs(float(t), vals, cfg)
-    return out
+    rhs = [mu_rhs(float(t), vals, cfg) for t, vals in zip(times, traj.evaluate(times).T)]
+    return traj.evaluate_derivative(times).T - rhs
 
 
 def _error_norm(err: np.ndarray, y0: np.ndarray, y1: np.ndarray, tol: float) -> float:

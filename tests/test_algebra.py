@@ -93,8 +93,13 @@ def test_round_trip_is_a_linear_identity_for_arbitrary_matrices():
         assert np.max(np.abs(back - m)) <= 1e-14
     # a stack maps matrix by matrix, with the same arithmetic
     stack = rng.standard_normal((5, 3, 3)) + 1j * rng.standard_normal((5, 3, 3))
-    assert np.array_equal(algebra.rho_to_eta(stack),
-                          np.array([algebra.rho_to_eta(m) for m in stack]))
+    etas = algebra.rho_to_eta(stack)
+    assert np.array_equal(etas, np.array([algebra.rho_to_eta(m) for m in stack]))
+    traces = np.trace(stack, axis1=1, axis2=2)
+    assert np.array_equal(algebra.eta_to_rho(etas, traces),
+                          np.array([algebra.eta_to_rho(e, tr) for e, tr in zip(etas, traces)]))
+    assert np.array_equal(algebra.eta_to_rho(etas), np.array([algebra.eta_to_rho(e) for e in etas]))
+    assert np.max(np.abs(algebra.eta_to_rho(etas, traces) - stack)) <= 1e-14
 
 
 def test_reality_pattern_of_physical_coherence_vectors():

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -42,6 +43,8 @@ def test_parse_blocks():
         config.parse_blocks("[x]\n[x]\n")
     with pytest.raises(config.ConfigError, match="before any"):
         config.parse_blocks("a = 1\n")
+    with pytest.raises(config.ConfigError, match="line 2: empty key"):
+        config.parse_blocks("[x]\n = 1\n")
 
 
 def test_float_serialization_round_trips():
@@ -144,6 +147,18 @@ def test_non_finite_input_is_a_config_error_naming_the_key(tmp_path, capsys, con
     assert cli.main(argv + extra_args) == 2
     err = capsys.readouterr().err
     assert err.startswith("config error:") and f"{key} must be finite" in err
+
+
+def test_oversized_output_is_a_config_error_naming_dt_out(tmp_path, capsys):
+    tracemalloc.start()
+    try:
+        assert cli.main(["figure", "fig1", "--out", str(tmp_path), "--t-end", "1e300"]) == 2
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 10_000_000
+    err = capsys.readouterr().err
+    assert err.startswith("config error: dt_out = 0.1 ") and "t_end = 1e+300" in err
 
 
 def test_run_requires_csv(tmp_path, capsys):

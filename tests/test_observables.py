@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -68,17 +69,39 @@ def test_purity_equals_identity_in_coherence_norm():
             1.0 / 3.0 + 0.5 * observables.coherence_norm(eta) ** 2, abs=1e-10)
 
 
-def test_record_consistency():
+def test_table_rows_match_the_per_matrix_quantities():
     rng = np.random.default_rng(11)
-    rho = algebra.random_density_matrix(rng)
+    rho = np.array([algebra.random_density_matrix(rng) for _ in range(50)])
     eta = algebra.rho_to_eta(rho)
-    rec = observables.record(1.5, rho, eta)
-    assert rec.pop1 + rec.pop2 + rec.pop3 == pytest.approx(1.0, abs=1e-9)
-    assert rec.purity == pytest.approx(rec.eig1 ** 2 + rec.eig2 ** 2 + rec.eig3 ** 2, abs=1e-10)
-    assert rec.eig1 >= rec.eig2 >= rec.eig3
-    assert 0.0 <= rec.entropy <= observables.LN3 + 1e-9
-    assert rec.as_row()[0] == 1.5
-    assert len(rec.as_row()) == len(observables.ObservableRecord.CSV_FIELDS) == 16
+    grid = 1.5 + np.arange(len(rho))
+    tab = observables.table(grid, rho, eta)
+    assert tab.shape == (len(rho), len(observables.ObservableRecord.CSV_FIELDS)) == (50, 16)
+    for row, t, r, e in zip(tab, grid, rho, eta):
+        rec = observables.ObservableRecord(*row)
+        assert rec.t == t
+        assert [rec.pop1, rec.pop2, rec.pop3] == list(np.diag(r).real)
+        assert (rec.re12, rec.im12, rec.re13, rec.im13, rec.re23, rec.im23) == (
+            r[0, 1].real, r[0, 1].imag, r[0, 2].real, r[0, 2].imag, r[1, 2].real, r[1, 2].imag)
+        assert rec.entropy == observables.entropy(r)
+        assert rec.purity == observables.purity(r)
+        assert [rec.eig1, rec.eig2, rec.eig3] == list(observables.spectrum(r))
+        assert rec.eta_norm == observables.coherence_norm(e)
+        assert rec.pop1 + rec.pop2 + rec.pop3 == pytest.approx(1.0, abs=1e-9)
+        assert rec.purity == pytest.approx(rec.eig1 ** 2 + rec.eig2 ** 2 + rec.eig3 ** 2,
+                                           abs=1e-10)
+        assert rec.eig1 >= rec.eig2 >= rec.eig3
+        assert 0.0 <= rec.entropy <= observables.LN3 + 1e-9
+    # a trajectory keeps the table of its hermitized states and builds its records from it
+    traj = propagator.trajectory_from_rhos(grid, rho)
+    assert np.array_equal(traj.table, observables.table(grid, traj.rho, traj.eta))
+    assert traj.observables is traj.observables
+    assert [list(dataclasses.astuple(r)) for r in traj.observables] == traj.table.tolist()
+    # the stacked quantities are the per-matrix ones, bit for bit
+    assert np.array_equal(observables.spectrum(rho), [observables.spectrum(r) for r in rho])
+    assert np.array_equal(observables.entropy(rho), [observables.entropy(r) for r in rho])
+    assert np.array_equal(observables.purity(rho), [observables.purity(r) for r in rho])
+    assert np.array_equal(observables.coherence_norm(eta),
+                          [observables.coherence_norm(e) for e in eta])
 
 
 def test_entropy_monotone_under_decoherence():

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -6,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.linalg import expm
 
-from trilevel import algebra, fields, observables, oracle, propagator
+from trilevel import algebra, fields, observables, oracle, propagator, riccati
 
 
 # The closed-form exponentials of the 3x3 generators live inside chart_matrix;
@@ -54,6 +55,17 @@ def test_nilpotent_exponential_equals_truncated_series():
                      for k in range(3))
         g, _ = single_factor(slot, 1j * c)
         assert np.max(np.abs(g - series)) <= 1e-13
+
+
+def test_chart_matrix_broadcasts_over_arrays_of_exponents():
+    rng = np.random.default_rng(4)
+    mus = [rng.standard_normal((4, 5)) + 1j * rng.standard_normal((4, 5)) for _ in range(3)]
+    g, g_inv = propagator.chart_matrix(*mus)
+    assert g.shape == g_inv.shape == (4, 5, 3, 3)
+    for idx in np.ndindex(4, 5):
+        one, one_inv = propagator.chart_matrix(*(m[idx] for m in mus))
+        for ours, reference in ((g[idx], one), (g_inv[idx], one_inv)):
+            assert np.max(np.abs(ours - reference)) <= 1e-15 * np.max(np.abs(reference))
 
 
 @settings(derandomize=True, deadline=None, max_examples=300)
@@ -148,6 +160,32 @@ def test_run_with_restarts_disabled_still_handles_the_singularity():
     assert np.max(np.abs(traj.eta - direct.eta)) <= 1e-6
 
 
+@pytest.mark.parametrize("cfg, chart_limit", [
+    (fields.preset("fig3").config, propagator.CHART_LIMIT),           # charts halted by health
+    (fields.FieldConfig(A=0.0, Omega=0.0, B=1.0, omega=0.0), None),   # charts ended by blow-ups
+], ids=["halted", "blow-up"])
+def test_restarts_compose_at_the_last_healthy_node(monkeypatch, cfg, chart_limit):
+    charts = []
+
+    def recording_solve_mu(*args, **kwargs):
+        try:
+            charts.append(riccati.solve_mu(*args, **kwargs))
+        except riccati.SingularityError as exc:
+            charts.append(exc.partial)
+            raise
+        return charts[-1]
+
+    monkeypatch.setattr(propagator, "solve_mu", recording_solve_mu)
+    rho0 = np.diag([1.0, 0.0, 0.0]).astype(complex)
+    propagator.run(cfg, rho0, 20.0, 0.5, 1e-10, chart_limit=chart_limit)
+    assert len(charts) >= 3
+    for chart, following in zip(charts, charts[1:]):
+        health = np.maximum(np.maximum(abs(chart.mu_plus), abs(chart.mu_minus)), abs(chart.mu.imag))
+        last_healthy = np.flatnonzero(health <= propagator.CHART_LIMIT)[-1]
+        assert last_healthy < len(chart.grid) - 1   # the chart ended past the limit
+        assert following.t_start == chart.grid[max(1, last_healthy)]
+
+
 def test_purity_law_along_a_run():
     ps = fields.preset("fig7")
     rho0 = ps.initial.density()
@@ -176,6 +214,20 @@ def test_output_grid_row_counts():
     grid = propagator.output_grid(1.0, 0.3)
     assert grid[-1] == 1.0
     assert grid[0] == 0.0
+
+
+def test_oversized_output_grid_fails_before_allocating():
+    cfg = fields.preset("fig1").config
+    rho0 = np.diag([1.0, 0.0, 0.0]).astype(complex)
+    tracemalloc.start()
+    try:
+        with pytest.raises(ValueError, match="dt_out = 1e-07 .* t_end = 1.0"):
+            propagator.run(cfg, rho0, 1.0, 1e-7, 1e-9)   # 10^7 rows
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1_000_000
+    assert len(propagator.output_grid(99.0, 1e-4)) == 990_001 <= propagator.MAX_SAMPLES
 
 
 def test_run_input_validation():

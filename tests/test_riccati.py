@@ -136,12 +136,26 @@ def test_dense_output_is_exact_at_nodes():
         assert np.max(np.abs(vals - stored)) == 0.0
 
 
+def test_evaluate_on_an_array_equals_the_scalar_calls():
+    traj = riccati.solve_mu(fields.preset("fig9").config, 10.0, 1e-9)
+    times = np.concatenate([traj.grid, np.linspace(0.0, 10.0, 37)])   # nodes and between
+    for method in (traj.evaluate, traj.evaluate_derivative):
+        stacked = method(times)
+        assert stacked.shape == (3, len(times))
+        assert np.array_equal(stacked, np.array([method(float(t)) for t in times]).T)
+        assert np.array_equal(method(times[:36].reshape(4, 9)), stacked[:, :36].reshape(3, 4, 9))
+    nodes = np.array([traj.mu_plus, traj.mu_minus, traj.mu])
+    assert np.array_equal(traj.evaluate(traj.grid), nodes)
+
+
 def test_evaluate_rejects_out_of_range_times():
     traj = riccati.solve_mu(fields.preset("fig1").config, 2.0, 1e-9)
     with pytest.raises(ValueError):
         traj.evaluate(-0.1)
     with pytest.raises(ValueError):
         traj.evaluate(2.1)
+    with pytest.raises(ValueError, match="2.1"):
+        traj.evaluate(np.array([0.5, 2.1]))
 
 
 def test_solve_mu_input_validation():
