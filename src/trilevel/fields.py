@@ -62,6 +62,9 @@ class FieldConfig:
         for name, value in vars(self).items():
             if not math.isfinite(value):
                 raise ValueError(f"{name} must be finite, got {value!r}")
+            # Python floats, so the drive functions never hand a numpy scalar
+            # to the Riccati stepper's scalar arithmetic
+            object.__setattr__(self, name, float(value))
         if self.Gamma < 0:
             raise ValueError("Gamma must be >= 0")
         if self.sign_convention not in (1.0, -1.0, 1, -1):

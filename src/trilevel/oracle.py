@@ -146,35 +146,40 @@ def _pure_state_vector(rho0: np.ndarray) -> np.ndarray:
     return vec[:, -1]
 
 
-def hydrogen_schroedinger(A: float, omega: float, psi0: np.ndarray, t: float) -> np.ndarray:
-    """Unitary evolution of a pure state in the oscillating Stark field."""
+def hydrogen_schroedinger(A: float, omega: float, psi0: np.ndarray, t) -> np.ndarray:
+    """Unitary evolution of a pure state in the oscillating Stark field.
+
+    ``t`` is a time or an array of times; the states come back with shape
+    shape(t) + (3,).
+    """
     if omega == 0.0:
         raise ZeroFrequencyError("omega must be nonzero for the oscillating-field closed form")
     states, factors = hydrogen_stark_basis()
     coeffs = states.conj().T @ np.asarray(psi0, dtype=complex)
     # Energy A*factor integrated over the cosine drive gives the phase
     # exp(-i A factor sin(omega t)/omega) per eigenstate.
-    phases = np.exp(-1j * A * factors * math.sin(omega * t) / omega)
-    return states @ (phases * coeffs)
+    sin = np.sin(omega * np.asarray(t, dtype=float))[..., None]
+    phases = np.exp(-1j * A * factors * sin / omega)
+    return (phases * coeffs) @ states.T
 
 
 def hydrogen_density(A: float, omega: float, Gamma: float, rho0: np.ndarray,
-                     t: float) -> np.ndarray:
+                     t) -> np.ndarray:
     """Closed-form density matrix under uniform decoherence.
 
     rho(t) = I/3 + exp(-Gamma t) (|psi(t)><psi(t)| - I/3) with |psi(t)> the
-    decoherence-free evolution of the (pure) initial state.
+    decoherence-free evolution of the (pure) initial state.  ``t`` is a time
+    or an array of times; the matrices come back with shape shape(t) + (3, 3).
     """
-    psi0 = _pure_state_vector(rho0)
-    psi = hydrogen_schroedinger(A, omega, psi0, t)
+    t = np.asarray(t, dtype=float)
+    psi = hydrogen_schroedinger(A, omega, _pure_state_vector(rho0), t)
     eye3 = np.eye(3, dtype=complex) / 3.0
-    proj = np.outer(psi, psi.conj())
-    return eye3 + math.exp(-Gamma * t) * (proj - eye3)
+    proj = np.einsum("...i,...j->...ij", psi, psi.conj())
+    return eye3 + np.exp(-Gamma * t)[..., None, None] * (proj - eye3)
 
 
 def hydrogen_trajectory(A: float, omega: float, Gamma: float, rho0: np.ndarray,
                         t_end: float, dt_out: float) -> Trajectory:
     """Closed-form trajectory sampled on the standard output grid."""
     grid = output_grid(t_end, dt_out)
-    rhos = np.array([hydrogen_density(A, omega, Gamma, rho0, float(t)) for t in grid])
-    return trajectory_from_rhos(grid, rhos)
+    return trajectory_from_rhos(grid, hydrogen_density(A, omega, Gamma, rho0, grid))

@@ -44,6 +44,11 @@ MIN_SEGMENT = 1e-6
 #: Largest output grid, in rows.
 MAX_SAMPLES = 1_000_000
 
+#: Output samples filled per batch: the batch's G and G^-1 stacks and the
+#: dense-output temporaries (about 1.5 KB a sample) are what bounds run's
+#: transient memory, whatever the number of samples in one chart.
+SAMPLE_BLOCK = 4096
+
 _I3 = np.eye(3, dtype=complex)
 _A_PLUS_SQ = algebra.A_PLUS @ algebra.A_PLUS
 _A_MINUS_SQ = algebra.A_MINUS @ algebra.A_MINUS
@@ -144,6 +149,17 @@ def _chart_health(vals: tuple[complex, complex, complex]) -> float:
     return max(abs(mp), abs(mm), abs(mu.imag))
 
 
+def _fill(out: np.ndarray, t: np.ndarray, chart, rho: np.ndarray, gamma: float,
+          mixed: np.ndarray) -> None:
+    """out[k] = the state at time t[k] on ``chart`` from its start value ``rho``,
+    SAMPLE_BLOCK samples at a time."""
+    for lo in range(0, len(t), SAMPLE_BLOCK):
+        tb = t[lo:lo + SAMPLE_BLOCK]
+        g, g_inv = chart_matrix(*chart.evaluate(tb))
+        decay = np.exp(-gamma * tb)[:, None, None]
+        out[lo:lo + SAMPLE_BLOCK] = decay * (g @ rho @ g_inv) + (1.0 - decay) * mixed
+
+
 def run(cfg: FieldConfig, rho0: np.ndarray, t_end: float, dt_out: float, tol: float, *,
         checkpoints=None, chart_limit: float | None = CHART_LIMIT) -> Trajectory:
     """Propagate ``rho0`` over [0, t_end], sampling every ``dt_out``.
@@ -210,10 +226,8 @@ def run(cfg: FieldConfig, rho0: np.ndarray, t_end: float, dt_out: float, tol: fl
 
         # every output time up to the cover, clipped onto it
         stop = int(np.searchsorted(grid, cover + 1e-12 * max(1.0, abs(cover)), side="right"))
-        t = np.minimum(grid[oi:stop], cover)
-        g, g_inv = chart_matrix(*chart.evaluate(t))
-        decay = np.exp(-cfg.Gamma * t)[:, None, None]
-        rhos[oi:stop] = decay * (g @ accumulated @ g_inv) + (1.0 - decay) * mixed
+        _fill(rhos[oi:stop], np.minimum(grid[oi:stop], cover), chart, accumulated,
+              cfg.Gamma, mixed)
         oi = stop
         if oi >= len(grid):
             break

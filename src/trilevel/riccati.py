@@ -15,14 +15,19 @@ the factorization, not a physical divergence (compare tan(J0 t) for constant
 coupling), and is reported as :class:`SingularityError` so the caller can
 restart the factorization from a fresh reference point.
 
-The integrator is an explicit embedded Dormand-Prince 5(4) pair.  Dense
-output is quintic Hermite interpolation from the exact first and second
-derivatives at the accepted nodes (the cosine drives differentiate in closed
-form), so interpolated values and ODE residuals stay at the accuracy of the
-accepted steps at any tolerance.
+The integrator is an explicit embedded Dormand-Prince 5(4) pair, stepped on
+tuples of Python complex: with three components, array arithmetic would cost
+more in per-call overhead than the arithmetic itself.  Dense output is
+quintic Hermite interpolation from the exact first and second derivatives at
+the accepted nodes (the cosine drives differentiate in closed form), so
+interpolated values and ODE residuals stay at the accuracy of the accepted
+steps at any tolerance.
 """
 
 from __future__ import annotations
+
+import cmath
+import math
 
 import numpy as np
 
@@ -36,8 +41,10 @@ _MIN_FACTOR = 0.2
 _MAX_FACTOR = 5.0
 _ORDER_EXP = 0.2  # error exponent for the 5(4) pair
 
-# Dormand-Prince 5(4) tableau.
-_C = np.array([0.0, 1 / 5, 3 / 10, 4 / 5, 8 / 9, 1.0])
+# Dormand-Prince 5(4) tableau, as Python floats: the stepper works on tuples of
+# Python complex, and one numpy scalar in a stage would make every stage that
+# touches it numpy arithmetic, about ten times slower.
+_C = (0.0, 1 / 5, 3 / 10, 4 / 5, 8 / 9, 1.0)
 _A = (
     (),
     (1 / 5,),
@@ -46,8 +53,8 @@ _A = (
     (19372 / 6561, -25360 / 2187, 64448 / 6561, -212 / 729),
     (9017 / 3168, -355 / 33, 46732 / 5247, 49 / 176, -5103 / 18656),
 )
-_B5 = np.array([35 / 384, 0.0, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84])
-_B4 = np.array([5179 / 57600, 0.0, 7571 / 16695, 393 / 640, -92097 / 339200, 187 / 2100, 1 / 40])
+_B5 = (35 / 384, 0.0, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84)
+_B4 = (5179 / 57600, 0.0, 7571 / 16695, 393 / 640, -92097 / 339200, 187 / 2100, 1 / 40)
 
 
 class SingularityError(RuntimeError):
@@ -63,20 +70,19 @@ class SingularityError(RuntimeError):
         self.partial = partial
 
 
-def mu_rhs(t: float, y: np.ndarray, cfg: FieldConfig) -> np.ndarray:
-    """Right-hand side of the coupled exponent-function system."""
+def mu_rhs(t: float, y, cfg: FieldConfig) -> tuple[complex, complex, complex]:
+    """Right-hand side of the coupled exponent-function system.
+
+    ``y`` is (mu_plus, mu_minus, mu); the derivatives come back as a tuple.
+    """
     eps = epsilon(t, cfg)
     j = j_coupling(t, cfg)
     mp, mm, _ = y
     dmu = eps + 2j * j * mp
-    return np.array([
-        -1j * eps * mp + j * (1.0 + mp * mp),
-        j + 1j * dmu * mm,
-        dmu,
-    ])
+    return (-1j * eps * mp + j * (1.0 + mp * mp), j + 1j * dmu * mm, dmu)
 
 
-def _mu_rhs2(t: float, y: np.ndarray, f: np.ndarray, cfg: FieldConfig) -> np.ndarray:
+def _mu_rhs2(t: float, y, f, cfg: FieldConfig) -> tuple[complex, complex, complex]:
     """Exact second derivatives along a solution (for the dense output)."""
     eps = epsilon(t, cfg)
     j = j_coupling(t, cfg)
@@ -85,11 +91,9 @@ def _mu_rhs2(t: float, y: np.ndarray, f: np.ndarray, cfg: FieldConfig) -> np.nda
     mp, mm, _ = y
     dmp, dmm, dmu = f
     d2mu = deps + 2j * (dj * mp + j * dmp)
-    return np.array([
-        -1j * (deps * mp + eps * dmp) + dj * (1.0 + mp * mp) + 2.0 * j * mp * dmp,
-        dj + 1j * (d2mu * mm + dmu * dmm),
-        d2mu,
-    ])
+    return (-1j * (deps * mp + eps * dmp) + dj * (1.0 + mp * mp) + 2.0 * j * mp * dmp,
+            dj + 1j * (d2mu * mm + dmu * dmm),
+            d2mu)
 
 
 class MuTrajectory:
@@ -190,21 +194,30 @@ def residuals(traj: MuTrajectory, cfg: FieldConfig, times: np.ndarray) -> np.nda
     return traj.evaluate_derivative(times).T - rhs
 
 
-def _error_norm(err: np.ndarray, y0: np.ndarray, y1: np.ndarray, tol: float) -> float:
-    scale = tol + tol * np.maximum(np.abs(y0), np.abs(y1))
-    return float(np.sqrt(np.mean(np.abs(err / scale) ** 2)))
+def _combine(y, h: float, coeffs, ks) -> tuple[complex, complex, complex]:
+    """y + h * sum_j coeffs[j] * ks[j], componentwise on 3-tuples."""
+    s0 = s1 = s2 = 0j
+    for c, (k0, k1, k2) in zip(coeffs, ks):
+        s0 += c * k0
+        s1 += c * k1
+        s2 += c * k2
+    return (y[0] + h * s0, y[1] + h * s1, y[2] + h * s2)
 
 
-def _initial_step(t0: float, y0: np.ndarray, f0: np.ndarray, t_end: float,
-                  cfg: FieldConfig, tol: float) -> float:
+def _scaled_rms(v, scale) -> float:
+    """Root mean square of |v_i| / scale_i over the three components."""
+    return math.sqrt(sum((abs(x) / s) ** 2 for x, s in zip(v, scale)) / 3.0)
+
+
+def _initial_step(t0: float, y0, f0, t_end: float, cfg: FieldConfig, tol: float) -> float:
     span = t_end - t0
-    scale = tol + tol * np.abs(y0)
-    d0 = float(np.sqrt(np.mean(np.abs(y0 / scale) ** 2)))
-    d1 = float(np.sqrt(np.mean(np.abs(f0 / scale) ** 2)))
+    scale = [tol + tol * abs(v) for v in y0]
+    d0 = _scaled_rms(y0, scale)
+    d1 = _scaled_rms(f0, scale)
     h0 = 1e-6 if (d0 < 1e-5 or d1 < 1e-5) else 0.01 * d0 / d1
     h0 = min(h0, span)
-    f1 = mu_rhs(t0 + h0, y0 + h0 * f0, cfg)
-    d2 = float(np.sqrt(np.mean(np.abs((f1 - f0) / scale) ** 2))) / h0
+    f1 = mu_rhs(t0 + h0, tuple(a + h0 * b for a, b in zip(y0, f0)), cfg)
+    d2 = _scaled_rms([b - a for a, b in zip(f0, f1)], scale) / h0
     if max(d1, d2) <= 1e-15:
         h1 = max(1e-6, h0 * 1e-3)
     else:
@@ -259,8 +272,9 @@ def solve_mu(cfg: FieldConfig, t_end: float, tol: float, *,
         zeros = np.zeros((2, 3), complex)
         return MuTrajectory(grid, zeros, zeros.copy(), zeros.copy())
 
-    t = t_start
-    y = np.zeros(3, dtype=complex)
+    # Python scalars throughout the loop; nodes become arrays in MuTrajectory.
+    t, t_end, tol = float(t_start), float(t_end), float(tol)
+    y = (0j, 0j, 0j)
     f = mu_rhs(t, y, cfg)
     g = _mu_rhs2(t, y, f, cfg)
     ts = [t]
@@ -269,26 +283,25 @@ def solve_mu(cfg: FieldConfig, t_end: float, tol: float, *,
     gs = [g]
 
     h = _initial_step(t, y, f, t_end, cfg, tol)
-    k = np.empty((7, 3), dtype=complex)
 
     while t < t_end:
         h = min(h, t_end - t)
         if h < 1e-14 * max(1.0, abs(t)):
             raise RuntimeError(f"step size collapsed at t = {t:.9g}")
 
-        k[0] = f
-        for i in range(1, 6):
-            yi = y + h * sum(a * k[j] for j, a in enumerate(_A[i]))
-            k[i] = mu_rhs(t + _C[i] * h, yi, cfg)
-        y_new = y + h * (k[:6].T @ _B5)
+        k = [f]
+        for c, row in zip(_C[1:], _A[1:]):
+            k.append(mu_rhs(t + c * h, _combine(y, h, row, k), cfg))
+        y_new = _combine(y, h, _B5, k)
         f_new = mu_rhs(t + h, y_new, cfg)
-        k[6] = f_new
-        y4 = y + h * (k.T @ _B4)
+        k.append(f_new)
+        y4 = _combine(y, h, _B4, k)
 
-        if not (np.all(np.isfinite(y_new.view(float))) and np.all(np.isfinite(y4.view(float)))):
+        if not all(map(cmath.isfinite, y_new + y4)):
             h *= 0.25
             continue
-        err = _error_norm(y_new - y4, y, y_new, tol)
+        err = _scaled_rms([a - b for a, b in zip(y_new, y4)],
+                          [tol + tol * max(abs(a), abs(b)) for a, b in zip(y, y_new)])
         if err > 1.0:
             h *= max(_MIN_FACTOR, _SAFETY * err ** -_ORDER_EXP)
             continue
@@ -297,8 +310,7 @@ def solve_mu(cfg: FieldConfig, t_end: float, tol: float, *,
         g_new = _mu_rhs2(t_new, y_new, f_new, cfg)
         if abs(y_new[0]) >= BLOWUP_THRESHOLD:
             t_star = _find_crossing(t, h, y, f, g, y_new, f_new, g_new, BLOWUP_THRESHOLD)
-            partial = MuTrajectory(np.array(ts), np.array(ys), np.array(fs), np.array(gs))
-            raise SingularityError(t_star, partial)
+            raise SingularityError(t_star, _trajectory(ts, ys, fs, gs))
 
         t, y, f, g = t_new, y_new, f_new, g_new
         ts.append(t)
@@ -308,8 +320,11 @@ def solve_mu(cfg: FieldConfig, t_end: float, tol: float, *,
         factor = _MAX_FACTOR if err == 0.0 else min(_MAX_FACTOR, _SAFETY * err ** -_ORDER_EXP)
         h *= max(_MIN_FACTOR, factor)
 
-        if halt is not None and halt(t, (complex(y[0]), complex(y[1]), complex(y[2]))):
-            return MuTrajectory(np.array(ts), np.array(ys), np.array(fs), np.array(gs),
-                                halted=True)
+        if halt is not None and halt(t, y):
+            return _trajectory(ts, ys, fs, gs, halted=True)
 
-    return MuTrajectory(np.array(ts), np.array(ys), np.array(fs), np.array(gs))
+    return _trajectory(ts, ys, fs, gs)
+
+
+def _trajectory(ts, ys, fs, gs, halted: bool = False) -> MuTrajectory:
+    return MuTrajectory(np.array(ts), np.array(ys), np.array(fs), np.array(gs), halted=halted)

@@ -129,6 +129,17 @@ def test_hydrogen_density_stark_start_decays_monotonically():
         assert np.max(np.abs(rho - expected)) <= 1e-12
 
 
+@pytest.mark.parametrize("kind", ["level1", "stark_plus", "stark_zero"])
+def test_hydrogen_trajectory_equals_the_per_time_densities(kind):
+    rho0 = fields.InitialState(kind).density()
+    traj = oracle.hydrogen_trajectory(1.3, 0.7, 0.05, rho0, 30.0, 0.25)
+    per_time = np.array([oracle.hydrogen_density(1.3, 0.7, 0.05, rho0, float(t))
+                         for t in traj.grid])
+    assert np.max(np.abs(traj.rho - per_time)) <= 1e-15
+    stacked = oracle.hydrogen_density(1.3, 0.7, 0.05, rho0, traj.grid[:12].reshape(3, 4))
+    assert np.max(np.abs(stacked.reshape(12, 3, 3) - per_time[:12])) <= 1e-15
+
+
 def test_hydrogen_density_rejects_mixed_initial_states():
     with pytest.raises(ValueError, match="pure"):
         oracle.hydrogen_density(1.0, 1.0, 0.0, np.eye(3) / 3.0, 1.0)

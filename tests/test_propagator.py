@@ -109,6 +109,20 @@ def test_run_matches_direct_integration_on_fig1():
     assert np.max(np.abs(prod.rho - direct.rho)) <= 1e-6
 
 
+@pytest.mark.parametrize("name", ["fig1", "fig3", "fig17"])
+def test_global_error_scales_with_tol(name):
+    # Against a tight reference, the product path's error stays within a
+    # fixed multiple of tol.  The multiple is pinned from a measurement of the
+    # stepper on numpy arrays over these nine cases (largest ratio 3.99, fig3
+    # at tol 1e-6) and is not to be raised.
+    ps = fields.preset(name)
+    rho0 = ps.initial.density()
+    ref = oracle.integrate_rho_direct(ps.config, rho0, 20.0, 0.5, 1e-13)
+    for tol in (1e-6, 1e-8, 1e-10):
+        traj = propagator.run(ps.config, rho0, 20.0, 0.5, tol)
+        assert np.max(np.abs(traj.rho - ref.rho)) <= 5.0 * tol, tol
+
+
 def test_run_relaxes_to_the_maximally_mixed_state():
     ps = fields.preset("fig2")
     traj = propagator.run(ps.config, ps.initial.density(), 500.0, 250.0, 1e-9)
@@ -228,6 +242,22 @@ def test_oversized_output_grid_fails_before_allocating():
         tracemalloc.stop()
     assert peak < 1_000_000
     assert len(propagator.output_grid(99.0, 1e-4)) == 990_001 <= propagator.MAX_SAMPLES
+
+
+def test_transient_memory_of_a_long_chart_is_bounded():
+    # One chart of 10^5 output samples (fig11 stays healthy to t = 100): the
+    # samples are filled in blocks of SAMPLE_BLOCK, so the peak is the result
+    # arrays (40.8 MB) plus a bounded transient.  Measured peak 61.9 MB; it
+    # was 155 MB when a whole chart was filled in one batch.
+    ps = fields.preset("fig11")
+    tracemalloc.start()
+    try:
+        traj = propagator.run(ps.config, ps.initial.density(), 100.0, 1e-3, 1e-10)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(traj) == 100_001
+    assert peak < 70e6
 
 
 def test_run_input_validation():

@@ -173,3 +173,41 @@ def test_restartable_from_arbitrary_start_time():
     assert complex(traj.mu_plus[0]) == 0j
     mp, mm, mu = traj.evaluate(7.0)
     assert (mp, mm, mu) == (0j, 0j, 0j)
+
+
+def test_stepper_runs_on_python_scalars():
+    # One numpy scalar in the stage loop turns every stage into numpy
+    # arithmetic, about ten times slower; numpy inputs must not leak in.
+    cfg = fields.preset("fig3").config
+    assert all(type(v) is complex for v in riccati.mu_rhs(0.7, (0.1j, 0.2 + 0j, 0.3 + 0.1j), cfg))
+    np_cfg = fields.FieldConfig(*(np.float64(v) for v in vars(cfg).values()))
+    seen = []
+
+    def halt(t, vals):
+        seen.append((t, vals))
+        return False
+
+    riccati.solve_mu(np_cfg, np.float64(5.0), np.float64(1e-9), t_start=np.float64(0.0),
+                     halt=halt)
+    assert seen
+    for t, vals in seen:
+        assert type(t) is float
+        assert len(vals) == 3 and all(type(v) is complex for v in vals)
+
+
+def test_every_stage_calls_mu_rhs_through_the_module(monkeypatch):
+    # An RHS counter that wraps riccati.mu_rhs sees every evaluation: one at
+    # the start, one in the starting-step estimate, six per attempted step.
+    calls = []
+    real = riccati.mu_rhs
+
+    def counting(*args):
+        calls.append(args[0])
+        return real(*args)
+
+    monkeypatch.setattr(riccati, "mu_rhs", counting)
+    traj = riccati.solve_mu(fields.preset("fig3").config, 30.0, 1e-9)
+    accepted = len(traj.grid) - 1
+    assert accepted > 0
+    assert (len(calls) - 2) % 6 == 0
+    assert len(calls) - 2 >= 6 * accepted
