@@ -49,15 +49,13 @@ class RunSpec:
     quantities: tuple[str, ...]
 
 
-def _fmt_value(v: float) -> str:
-    if v == 0.0:
-        v = 0.0  # normalize -0.0
-    return f"{v:.11e}"
+_CSV_ROW = ",".join(["%.11e"] * len(observables.ObservableRecord.CSV_FIELDS))
 
 
 def write_csv(path, trajectory: propagator.Trajectory) -> None:
     lines = [",".join(observables.ObservableRecord.CSV_FIELDS)]
-    lines.extend(",".join(map(_fmt_value, row)) for row in trajectory.table.tolist())
+    # + 0.0 turns -0.0 into +0.0
+    lines.extend(_CSV_ROW % tuple(row) for row in (trajectory.table + 0.0).tolist())
     Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
 
 

@@ -79,7 +79,7 @@ class FieldConfig:
 
 
 def field_config_from_entries(entries: dict[str, str]) -> FieldConfig:
-    """Build a FieldConfig from raw config entries, validating each key."""
+    """Build a FieldConfig from raw config entries; invalid values are a ConfigError."""
     cfg_kwargs = dict(
         A=config.get_float(entries, "A"),
         Omega=config.get_float(entries, "Omega"),
@@ -89,11 +89,10 @@ def field_config_from_entries(entries: dict[str, str]) -> FieldConfig:
         Gamma=config.get_float(entries, "Gamma", 0.0),
         sign_convention=config.get_float(entries, "sign", 1.0),
     )
-    if cfg_kwargs["Gamma"] < 0:
-        raise config.ConfigError("Gamma must be >= 0", key="Gamma")
-    if cfg_kwargs["sign_convention"] not in (1.0, -1.0):
-        raise config.ConfigError("sign must be 1 or -1", key="sign")
-    return FieldConfig(**cfg_kwargs)
+    try:
+        return FieldConfig(**cfg_kwargs)
+    except ValueError as exc:
+        raise config.ConfigError(str(exc)) from None
 
 
 def epsilon(t: float, cfg: FieldConfig) -> float:

@@ -46,6 +46,16 @@ class AmplitudeTriple(NamedTuple):
         return np.array([self.s, self.p, self.d], dtype=complex)
 
 
+def _max_step(cfg: FieldConfig) -> float:
+    """A quarter of the shortest drive period, or inf for a static drive.
+
+    DOP853's error estimate cannot see the drive on a state that commutes with
+    it (a Stark eigenstate), and without a cap it steps over whole periods.
+    """
+    fastest = max(abs(cfg.Omega), abs(cfg.omega))
+    return math.pi / (2.0 * fastest) if fastest > 0 else math.inf
+
+
 def integrate_eta_direct(cfg: FieldConfig, eta0: np.ndarray, t_end: float,
                          dt_out: float, tol: float) -> Trajectory:
     """Adaptive direct integration of the coherence-vector equation."""
@@ -58,7 +68,8 @@ def integrate_eta_direct(cfg: FieldConfig, eta0: np.ndarray, t_end: float,
         return -1j * (epsilon(t, cfg) * (bz @ y) + 2.0 * j_coupling(t, cfg) * (bx @ y)) - gamma * y
 
     sol = solve_ivp(rhs, (0.0, t_end), np.asarray(eta0, dtype=complex),
-                    t_eval=grid, rtol=tol, atol=tol, method=_IVP_METHOD)
+                    t_eval=grid, rtol=tol, atol=tol, method=_IVP_METHOD,
+                    max_step=_max_step(cfg))
     if not sol.success:
         raise RuntimeError(f"direct eta integration failed: {sol.message}")
     return trajectory_from_etas(grid, sol.y.T)
@@ -89,7 +100,8 @@ def integrate_rho_direct(cfg: FieldConfig, rho0: np.ndarray, t_end: float,
         return drho.reshape(-1)
 
     sol = solve_ivp(rhs, (0.0, t_end), rho0.reshape(-1),
-                    t_eval=grid, rtol=tol, atol=tol, method=_IVP_METHOD)
+                    t_eval=grid, rtol=tol, atol=tol, method=_IVP_METHOD,
+                    max_step=_max_step(cfg))
     if not sol.success:
         raise RuntimeError(f"direct rho integration failed: {sol.message}")
     return trajectory_from_rhos(grid, sol.y.T.reshape(-1, 3, 3))

@@ -160,16 +160,12 @@ def _fill(out: np.ndarray, t: np.ndarray, chart, rho: np.ndarray, gamma: float,
         out[lo:lo + SAMPLE_BLOCK] = decay * (g @ rho @ g_inv) + (1.0 - decay) * mixed
 
 
-def run(cfg: FieldConfig, rho0: np.ndarray, t_end: float, dt_out: float, tol: float, *,
-        checkpoints=None, chart_limit: float | None = CHART_LIMIT) -> Trajectory:
+def run(cfg: FieldConfig, rho0: np.ndarray, t_end: float, dt_out: float, tol: float) -> Trajectory:
     """Propagate ``rho0`` over [0, t_end], sampling every ``dt_out``.
 
-    The exponent functions are solved on consecutive charts; a new chart is
-    started whenever the current one is halted by the health limit, hits a
-    blow-up, or reaches a forced checkpoint.  ``checkpoints`` forces restarts
-    at the given interior times (used to exercise the cocycle property);
-    ``chart_limit=None`` disables proactive restarts so charts only end at
-    blow-ups.
+    The exponent functions are solved on consecutive charts.  A chart halts at
+    its first node past CHART_LIMIT, or ends at a blow-up; the state is then
+    composed at the last node inside the limit and a new chart starts there.
     """
     for name, value in (("t_end", t_end), ("dt_out", dt_out), ("tol", tol)):
         if not (math.isfinite(value) and value > 0):
@@ -181,44 +177,25 @@ def run(cfg: FieldConfig, rho0: np.ndarray, t_end: float, dt_out: float, tol: fl
     grid = output_grid(t_end, dt_out)
     rhos = np.empty((len(grid), 3, 3), dtype=complex)
 
-    cps = sorted({float(c) for c in (checkpoints or []) if 0.0 < float(c) < t_end})
-
-    halt = None
-    if chart_limit is not None:
-        halt = lambda _t, vals: _chart_health(vals) > chart_limit
+    halt = lambda _t, vals: _chart_health(vals) > CHART_LIMIT
 
     accumulated = rho0   # chart-start value of the non-decaying part
     t_base = 0.0
     oi = 0
     guard = 0
     while oi < len(grid):
-        target = t_end
-        for c in cps:
-            if c > t_base + 1e-15:
-                target = min(target, c)
-                break
         try:
-            chart = solve_mu(cfg, target, tol, t_start=t_base, halt=halt)
+            chart = solve_mu(cfg, t_end, tol, t_start=t_base, halt=halt)
             complete = not chart.halted
+            # A halted chart's last node is its first past the limit, so the
+            # one before it is the last inside; node 1 (the first step) is the
+            # fallback, so that a restart always advances.
+            cover = t_end if complete else float(chart.grid[max(1, len(chart.grid) - 2)])
         except SingularityError as exc:
+            # every node of a blow-up's partial chart passed the limit
             chart = exc.partial
             complete = False
-
-        if complete:
-            cover = target
-        else:
-            # Compose at the last node whose exponents are still small (the
-            # _chart_health measure, at every node at once), so the composed
-            # factor is well conditioned even near a blow-up; node 1 (the first
-            # step) is the fallback.
-            walk_limit = chart_limit if chart_limit is not None else CHART_LIMIT
-            health = np.max(np.abs([chart.mu_plus, chart.mu_minus, chart.mu.imag]), axis=0)
-            healthy = np.flatnonzero(health[2:] <= walk_limit)
-            idx = 2 + int(healthy[-1]) if len(healthy) else min(1, len(chart.grid) - 1)
-            if idx < 1:
-                raise PropagationError(
-                    f"chart from t = {t_base:.9g} produced no usable samples")
-            cover = float(chart.grid[idx])
+            cover = chart.t_final
 
         if not complete and cover <= t_base + MIN_SEGMENT:
             raise PropagationError(

@@ -96,6 +96,20 @@ def _mu_rhs2(t: float, y, f, cfg: FieldConfig) -> tuple[complex, complex, comple
             d2mu)
 
 
+def _quintic(s, h, v0, v1, d0, d1, g0, g1):
+    """Quintic Hermite interpolant at s in [0, 1] of a step of length h, from the
+    values v, first derivatives d and second derivatives g at its two ends.
+
+    The weights are exactly (1, 0, ...) at s = 0 and put exactly 1 on v1 at
+    s = 1, so a node returns its value.
+    """
+    s2, s3 = s * s, s * s * s
+    s4, s5 = s3 * s, s3 * s * s
+    return ((1 - 10 * s3 + 15 * s4 - 6 * s5) * v0 + (10 * s3 - 15 * s4 + 6 * s5) * v1
+            + h * ((s - 6 * s3 + 8 * s4 - 3 * s5) * d0 + (-4 * s3 + 7 * s4 - 3 * s5) * d1)
+            + h * h * (0.5 * (s2 - 3 * s3 + 3 * s4 - s5) * g0 + 0.5 * (s3 - 2 * s4 + s5) * g1))
+
+
 class MuTrajectory:
     """Sampled exponent functions with dense evaluation between samples.
 
@@ -148,28 +162,16 @@ class MuTrajectory:
         return i, h, (t - self.grid[i]) / h
 
     def evaluate(self, t) -> np.ndarray:
-        """Interpolated (mu_plus, mu_minus, mu) at time ``t``, shape (3,) + shape(t).
-
-        The Hermite weights are exactly (1, 0, ...) at s = 0 and put exactly 1
-        on the right node at s = 1, so a time on a node returns its values.
-        """
+        """Interpolated (mu_plus, mu_minus, mu) at time ``t``, shape (3,) + shape(t);
+        a time on a node returns its values."""
         if len(self.grid) == 1:
             t = np.asarray(t, dtype=float)
             if np.any(t != self.t_start):
                 raise ValueError(f"time {t!r} outside solved range")
             return self._values[:, np.zeros(t.shape, dtype=int)]
         i, h, s = self._interval(t)
-        s2, s3 = s * s, s * s * s
-        s4, s5 = s3 * s, s3 * s * s
-        h0 = 1 - 10 * s3 + 15 * s4 - 6 * s5
-        h1 = s - 6 * s3 + 8 * s4 - 3 * s5
-        h2 = 0.5 * (s2 - 3 * s3 + 3 * s4 - s5)
-        h3 = 10 * s3 - 15 * s4 + 6 * s5
-        h4 = -4 * s3 + 7 * s4 - 3 * s5
-        h5 = 0.5 * (s3 - 2 * s4 + s5)
-        return (h0 * self._values[:, i] + h3 * self._values[:, i + 1]
-             + h * (h1 * self._derivs[:, i] + h4 * self._derivs[:, i + 1])
-             + h * h * (h2 * self._derivs2[:, i] + h5 * self._derivs2[:, i + 1]))
+        return _quintic(s, h, self._values[:, i], self._values[:, i + 1], self._derivs[:, i],
+                        self._derivs[:, i + 1], self._derivs2[:, i], self._derivs2[:, i + 1])
 
     def evaluate_derivative(self, t) -> np.ndarray:
         """Time derivative of the interpolant at ``t`` (for residual checks), shaped as evaluate."""
@@ -227,21 +229,10 @@ def _initial_step(t0: float, y0, f0, t_end: float, cfg: FieldConfig, tol: float)
 
 def _find_crossing(t0: float, h: float, y0, f0, g0, y1, f1, g1, threshold: float) -> float:
     # Bisection on |mu_plus| of the quintic interpolant inside the blown step.
-    def mag(s: float) -> float:
-        s2, s3 = s * s, s * s * s
-        s4, s5 = s3 * s, s3 * s * s
-        v = ((1 - 10 * s3 + 15 * s4 - 6 * s5) * y0[0]
-             + (10 * s3 - 15 * s4 + 6 * s5) * y1[0]
-             + h * ((s - 6 * s3 + 8 * s4 - 3 * s5) * f0[0]
-                    + (-4 * s3 + 7 * s4 - 3 * s5) * f1[0])
-             + h * h * (0.5 * (s2 - 3 * s3 + 3 * s4 - s5) * g0[0]
-                        + 0.5 * (s3 - 2 * s4 + s5) * g1[0]))
-        return abs(v)
-
     lo, hi = 0.0, 1.0
     for _ in range(60):
         mid = 0.5 * (lo + hi)
-        if mag(mid) >= threshold:
+        if abs(_quintic(mid, h, y0[0], y1[0], f0[0], f1[0], g0[0], g1[0])) >= threshold:
             hi = mid
         else:
             lo = mid

@@ -4,7 +4,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from trilevel import algebra, cli, config
+from trilevel import algebra, cli, config, propagator
 
 
 def read_csv(path):
@@ -98,6 +98,19 @@ def test_run_writes_expected_csv(tmp_path):
     assert "-0.00000000000e" not in csv.read_text()
 
 
+def test_csv_formats_signed_zeros_subnormals_and_extremes(tmp_path):
+    row = [0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308, 1e300, -1e300, 1.0 / 3.0,
+           -2.5, 1e-5, 123456789.0, 0.1, -1e-300, 7.0, 1.7976931348623157e308, -0.0]
+    table = np.array([row])
+    cli.write_csv(tmp_path / "edge.csv",
+                  propagator.Trajectory(table[:, 0], np.zeros((1, 3, 3)), np.zeros((1, 8)), table))
+    assert (tmp_path / "edge.csv").read_text().splitlines()[1].split(",") == [
+        "0.00000000000e+00", "0.00000000000e+00", "4.94065645841e-324", "-4.94065645841e-324",
+        "2.22507385851e-308", "1.00000000000e+300", "-1.00000000000e+300", "3.33333333333e-01",
+        "-2.50000000000e+00", "1.00000000000e-05", "1.23456789000e+08", "1.00000000000e-01",
+        "-1.00000000000e-300", "7.00000000000e+00", "1.79769313486e+308", "0.00000000000e+00"]
+
+
 def test_run_is_deterministic(tmp_path):
     csv = tmp_path / "out.csv"
     cfg = write_cfg(tmp_path / "run.cfg", FIG1_CONFIG.format(csv=csv))
@@ -122,6 +135,13 @@ def test_run_rejects_negative_gamma(tmp_path, capsys):
                     "t_end = 1\ndt_out = 0.5\ncsv = x.csv\n")
     assert cli.main(["run", cfg]) == 2
     assert "Gamma must be >= 0" in capsys.readouterr().err
+
+
+def test_run_rejects_a_sign_other_than_plus_or_minus_one(tmp_path, capsys):
+    cfg = write_cfg(tmp_path / "bad.cfg", "preset = fig1\ncsv = x.csv\nsign = 2\n")
+    assert cli.main(["run", cfg]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error: sign")
 
 
 def test_run_rejects_unknown_keys_and_bad_tol(tmp_path, capsys):

@@ -46,6 +46,23 @@ def test_eta_and_rho_integrators_agree(name):
         assert np.max(np.abs(algebra.rho_to_eta(rho_traj.rho[k]) - eta_traj.eta[k])) <= 1e-8
 
 
+@pytest.mark.parametrize("name", ["fig16", "fig17"])
+@pytest.mark.parametrize("tol", [1e-8, 1e-10])
+def test_oracles_meet_tol_on_a_stationary_state(name, tol):
+    # A Stark eigenstate commutes with the drive, so rho(t) = I/3 +
+    # exp(-Gamma t) (rho0 - I/3) exactly; the step cap keeps both oracles from
+    # stepping over whole drive periods (up to 337 tol without it).
+    ps = fields.preset(name)
+    rho0 = ps.initial.density()
+    eta_path = oracle.integrate_eta_direct(ps.config, algebra.rho_to_eta(rho0),
+                                           ps.t_end, ps.dt_out, tol)
+    rho_path = oracle.integrate_rho_direct(ps.config, rho0, ps.t_end, ps.dt_out, tol)
+    decay = np.exp(-ps.config.Gamma * eta_path.grid)[:, None, None]
+    law = np.eye(3) / 3.0 + decay * (rho0 - np.eye(3) / 3.0)
+    assert np.max(np.abs(eta_path.rho - law)) <= 5.0 * tol
+    assert np.max(np.abs(rho_path.rho - law)) <= 5.0 * tol
+
+
 def test_decoherence_drives_toward_maximal_mixing():
     ps = fields.preset("fig1")
     traj = oracle.integrate_rho_direct(ps.config, ps.initial.density(), 200.0, 50.0, 1e-10)

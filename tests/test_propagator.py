@@ -1,3 +1,4 @@
+import functools
 import math
 import tracemalloc
 
@@ -145,13 +146,52 @@ def test_trajectory_trace_and_hermiticity_invariants():
             assert algebra.hermiticity_deviation(rho) <= 1e-9
 
 
-def test_segmented_restart_is_a_cocycle():
+def record_charts(monkeypatch):
+    """Route run's solve_mu through a recorder; returns the list of
+    (chart, blew_up) pairs it fills, in order."""
+    charts = []
+
+    def recording_solve_mu(*args, **kwargs):
+        try:
+            charts.append((riccati.solve_mu(*args, **kwargs), False))
+        except riccati.SingularityError as exc:
+            charts.append((exc.partial, True))
+            raise
+        return charts[-1][0]
+
+    monkeypatch.setattr(propagator, "solve_mu", recording_solve_mu)
+    return charts
+
+
+def test_segmented_restart_is_a_cocycle(monkeypatch):
+    # A lower chart limit restarts fig9 many times over (27 charts, against
+    # 1 at the default limit); the composed state must not notice.
     ps = fields.preset("fig9")
     rho0 = ps.initial.density()
     plain = propagator.run(ps.config, rho0, 20.0, 0.5, 1e-12)
-    forced = propagator.run(ps.config, rho0, 20.0, 0.5, 1e-12,
-                            checkpoints=[3.7, 8.13, 11.0, 15.5])
+    monkeypatch.setattr(propagator, "CHART_LIMIT", 0.25)
+    charts = record_charts(monkeypatch)
+    forced = propagator.run(ps.config, rho0, 20.0, 0.5, 1e-12)
+    assert len(charts) >= 20
     assert np.max(np.abs(plain.eta - forced.eta)) <= 1e-8
+
+
+@functools.lru_cache(maxsize=None)
+def _default_limit_run(name):
+    ps = fields.preset(name)
+    return propagator.run(ps.config, ps.initial.density(), 20.0, 0.5, 1e-12)
+
+
+@settings(derandomize=True, deadline=None, max_examples=25)
+@given(name=st.sampled_from(["fig3", "fig9", "fig13"]), limit=st.floats(0.2, 1.0))
+def test_result_does_not_depend_on_where_charts_end(name, limit):
+    # the cocycle property under random segmentations (measured at most
+    # 8.5e-12 from the default one)
+    ps = fields.preset(name)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(propagator, "CHART_LIMIT", limit)
+        traj = propagator.run(ps.config, ps.initial.density(), 20.0, 0.5, 1e-12)
+    assert np.max(np.abs(traj.rho - _default_limit_run(name).rho)) <= 1e-8
 
 
 def test_run_continues_through_chart_singularity():
@@ -165,38 +205,39 @@ def test_run_continues_through_chart_singularity():
     assert np.max(np.abs(traj.eta - direct.eta)) <= 1e-6
 
 
-def test_run_with_restarts_disabled_still_handles_the_singularity():
+def test_run_composes_through_repeated_blowups(monkeypatch):
+    # A blow-up threshold below CHART_LIMIT ends every chart but the last in
+    # a blow-up, so each restart composes a blow-up's partial chart.
     j0 = 0.5
     cfg = fields.FieldConfig(A=0.0, Omega=0.0, B=2 * j0, omega=0.0)
     rho0 = np.diag([1.0, 0.0, 0.0]).astype(complex)
-    traj = propagator.run(cfg, rho0, 8.0, 0.5, 1e-10, chart_limit=None)
+    monkeypatch.setattr(riccati, "BLOWUP_THRESHOLD", 0.9)
+    charts = record_charts(monkeypatch)
+    traj = propagator.run(cfg, rho0, 8.0, 0.5, 1e-10)
+    assert len(charts) >= 3
+    assert [blew_up for _, blew_up in charts] == [True] * (len(charts) - 1) + [False]
     direct = oracle.integrate_eta_direct(cfg, algebra.rho_to_eta(rho0), 8.0, 0.5, 1e-12)
     assert np.max(np.abs(traj.eta - direct.eta)) <= 1e-6
 
 
-@pytest.mark.parametrize("cfg, chart_limit", [
-    (fields.preset("fig3").config, propagator.CHART_LIMIT),           # charts halted by health
-    (fields.FieldConfig(A=0.0, Omega=0.0, B=1.0, omega=0.0), None),   # charts ended by blow-ups
+@pytest.mark.parametrize("cfg, blowup_threshold, ends_in_blowup", [
+    (fields.preset("fig3").config, riccati.BLOWUP_THRESHOLD, False),
+    (fields.FieldConfig(A=0.0, Omega=0.0, B=1.0, omega=0.0), 0.9, True),
 ], ids=["halted", "blow-up"])
-def test_restarts_compose_at_the_last_healthy_node(monkeypatch, cfg, chart_limit):
-    charts = []
-
-    def recording_solve_mu(*args, **kwargs):
-        try:
-            charts.append(riccati.solve_mu(*args, **kwargs))
-        except riccati.SingularityError as exc:
-            charts.append(exc.partial)
-            raise
-        return charts[-1]
-
-    monkeypatch.setattr(propagator, "solve_mu", recording_solve_mu)
+def test_restarts_compose_at_the_last_healthy_node(monkeypatch, cfg, blowup_threshold,
+                                                    ends_in_blowup):
+    monkeypatch.setattr(riccati, "BLOWUP_THRESHOLD", blowup_threshold)
+    charts = record_charts(monkeypatch)
     rho0 = np.diag([1.0, 0.0, 0.0]).astype(complex)
-    propagator.run(cfg, rho0, 20.0, 0.5, 1e-10, chart_limit=chart_limit)
+    propagator.run(cfg, rho0, 20.0, 0.5, 1e-10)
     assert len(charts) >= 3
-    for chart, following in zip(charts, charts[1:]):
+    assert all(blew_up == ends_in_blowup for _, blew_up in charts[:-1])
+    for (chart, blew_up), (following, _) in zip(charts, charts[1:]):
         health = np.maximum(np.maximum(abs(chart.mu_plus), abs(chart.mu_minus)), abs(chart.mu.imag))
         last_healthy = np.flatnonzero(health <= propagator.CHART_LIMIT)[-1]
-        assert last_healthy < len(chart.grid) - 1   # the chart ended past the limit
+        # a halted chart ends at its first node past the limit; a blow-up's
+        # partial chart holds only nodes inside it
+        assert last_healthy == len(chart.grid) - (1 if blew_up else 2)
         assert following.t_start == chart.grid[max(1, last_healthy)]
 
 
