@@ -18,12 +18,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-# Structural tolerances. Callers can override per call; these are the defaults
-# used by validators and by verify_algebra().
+# Structural tolerances of the validators and of verify_algebra().
 HERMITICITY_TOL = 1e-10
 TRACE_TOL = 1e-10
 POSITIVITY_TOL = 1e-9
-PATTERN_TOL = 1e-10
 COMMUTATOR_TOL = 1e-14
 NILPOTENCY_TOL = 1e-12
 
@@ -141,10 +139,7 @@ def hermiticity_deviation(rho: np.ndarray) -> float:
     return float(np.max(np.abs(r - r.conj().T)))
 
 
-def validate_density_matrix(rho: np.ndarray,
-                            hermiticity_tol: float = HERMITICITY_TOL,
-                            trace_tol: float = TRACE_TOL,
-                            positivity_tol: float = POSITIVITY_TOL) -> np.ndarray:
+def validate_density_matrix(rho: np.ndarray) -> np.ndarray:
     """Check hermiticity, unit trace and positivity; return rho as an array.
 
     Raises ValueError naming the violated property.
@@ -153,13 +148,13 @@ def validate_density_matrix(rho: np.ndarray,
     if r.shape != (3, 3):
         raise ValueError(f"density matrix must be 3x3, got shape {r.shape}")
     dev = hermiticity_deviation(r)
-    if dev > hermiticity_tol:
+    if dev > HERMITICITY_TOL:
         raise ValueError(f"density matrix not Hermitian (deviation {dev:.3e})")
     tr = complex(np.trace(r))
-    if abs(tr - 1.0) > trace_tol:
+    if abs(tr - 1.0) > TRACE_TOL:
         raise ValueError(f"density matrix trace must be 1, got {tr}")
     lo = float(np.min(np.linalg.eigvalsh(0.5 * (r + r.conj().T))))
-    if lo < -positivity_tol:
+    if lo < -POSITIVITY_TOL:
         raise ValueError(f"density matrix not positive semidefinite (min eigenvalue {lo:.3e})")
     return r
 
@@ -183,8 +178,8 @@ def random_density_matrix(rng: np.random.Generator) -> np.ndarray:
     return m / np.trace(m).real
 
 
-def nilpotency_degree(m: np.ndarray, tol: float = NILPOTENCY_TOL) -> int:
-    """Smallest k with max|m^k| <= tol, searching k = 1..8.
+def nilpotency_degree(m: np.ndarray) -> int:
+    """Smallest k with max|m^k| <= NILPOTENCY_TOL, searching k = 1..8.
 
     Raises ValueError if the matrix is not nilpotent within the search range.
     """
@@ -192,7 +187,7 @@ def nilpotency_degree(m: np.ndarray, tol: float = NILPOTENCY_TOL) -> int:
     power = np.eye(p.shape[0], dtype=complex)
     for k in range(1, 9):
         power = power @ p
-        if np.max(np.abs(power)) <= tol:
+        if np.max(np.abs(power)) <= NILPOTENCY_TOL:
             return k
     raise ValueError("matrix is not nilpotent up to the 8th power")
 
@@ -221,7 +216,7 @@ class AlgebraReport:
         return "\n".join(lines)
 
 
-def verify_algebra(tol: float = COMMUTATOR_TOL) -> AlgebraReport:
+def verify_algebra() -> AlgebraReport:
     """Check the commutator and hermiticity relations of all generators.
 
     Reads the module-level matrices at call time, so a corrupted generator is
@@ -238,14 +233,14 @@ def verify_algebra(tol: float = COMMUTATOR_TOL) -> AlgebraReport:
     ]
     for name, x, y, z in triples:
         dev = float(np.max(np.abs(commutator(x, y) - 1j * z)))
-        checks.append(AlgebraCheck(name, dev <= tol, dev))
+        checks.append(AlgebraCheck(name, dev <= COMMUTATOR_TOL, dev))
     for name, m in [("A_x Hermitian", A_X), ("A_y Hermitian", A_Y), ("A_z Hermitian", A_Z),
                     ("B_x Hermitian", B_X), ("B_y Hermitian", B_Y), ("B_z Hermitian", B_Z)]:
         dev = hermiticity_deviation(m)
-        checks.append(AlgebraCheck(name, dev <= tol, dev))
+        checks.append(AlgebraCheck(name, dev <= COMMUTATOR_TOL, dev))
     ladder_dev = float(max(np.max(np.abs(B_PLUS - (B_X + 1j * B_Y))),
                            np.max(np.abs(B_MINUS - (B_X - 1j * B_Y)))))
     checks.append(AlgebraCheck("B_plus/B_minus consistent with B_x, B_y",
-                               ladder_dev <= tol, ladder_dev))
+                               ladder_dev <= COMMUTATOR_TOL, ladder_dev))
     nil = {"B_plus": nilpotency_degree(B_PLUS), "B_minus": nilpotency_degree(B_MINUS)}
     return AlgebraReport(tuple(checks), nil)

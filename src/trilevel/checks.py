@@ -15,6 +15,9 @@ import numpy as np
 
 from . import algebra, fields, observables, oracle, propagator, riccati
 
+# Random draws per identity check.
+SAMPLES = 300
+
 
 @dataclass(frozen=True)
 class CheckResult:
@@ -38,18 +41,18 @@ def check_algebra() -> list[CheckResult]:
     return out
 
 
-def check_round_trip(samples: int = 300) -> CheckResult:
+def check_round_trip() -> CheckResult:
     rng = np.random.default_rng(7)
-    rho = rng.standard_normal((samples, 3, 3)) + 1j * rng.standard_normal((samples, 3, 3))
+    rho = rng.standard_normal((SAMPLES, 3, 3)) + 1j * rng.standard_normal((SAMPLES, 3, 3))
     back = algebra.eta_to_rho(algebra.rho_to_eta(rho), np.trace(rho, axis1=1, axis2=2))
     worst = float(np.max(np.abs(back - rho)))
     return _result("rho <-> eta round trip (random complex matrices)", worst, 1e-14)
 
 
-def check_purity_identity(samples: int = 300) -> CheckResult:
+def check_purity_identity() -> CheckResult:
     rng = np.random.default_rng(11)
     worst = 0.0
-    for _ in range(samples):
+    for _ in range(SAMPLES):
         rho = algebra.random_density_matrix(rng)
         eta = algebra.rho_to_eta(rho)
         lhs = observables.purity(rho)

@@ -31,9 +31,7 @@ _PANEL_SERIES = {
     "entropy": (("entropy", "entropy"),),
 }
 
-_RUN_KEYS = frozenset(fields.FIELD_KEYS) | {
-    "preset", "initial", "solver", "t_end", "dt_out", "tol", "csv", "svg", "quantities",
-}
+_RUN_KEYS = fields.PRESET_KEYS | {"preset", "solver", "tol", "csv", "svg", "quantities"}
 
 
 @dataclass
@@ -69,7 +67,7 @@ def write_svg_panels(base_path, trajectory: propagator.Trajectory,
         out = base.with_name(f"{base.stem}_{q}{base.suffix or '.svg'}") if multi else base
         series = [(label, columns[col]) for label, col in _PANEL_SERIES[q]]
         svg.line_chart(out, trajectory.grid, series,
-                       title=f"{title_prefix}{q}".strip(), xlabel="t", ylabel=q)
+                       title=f"{title_prefix}{q}".strip(), ylabel=q)
         written.append(out)
     return written
 
@@ -81,10 +79,9 @@ def _parse_quantities(raw: str) -> tuple[str, ...]:
     for item in items:
         if item not in QUANTITIES:
             raise config.ConfigError(
-                f"quantities must be drawn from {', '.join(QUANTITIES)} or 'all'; got {item!r}",
-                key="quantities")
+                f"quantities must be drawn from {', '.join(QUANTITIES)} or 'all'; got {item!r}")
     if not items:
-        raise config.ConfigError("quantities must not be empty", key="quantities")
+        raise config.ConfigError("quantities must not be empty")
     return items
 
 
@@ -92,8 +89,7 @@ def load_run_spec(path, overrides: argparse.Namespace) -> RunSpec:
     entries = config.parse_flat(Path(path).read_text(encoding="utf-8"))
     unknown = set(entries) - _RUN_KEYS
     if unknown:
-        raise config.ConfigError(f"unknown config key {sorted(unknown)[0]!r}",
-                                 key=sorted(unknown)[0])
+        raise config.ConfigError(f"unknown config key {min(unknown)!r}")
 
     preset_defaults = None
     if "preset" in entries:
@@ -142,9 +138,9 @@ def _validate_spec(spec: RunSpec) -> None:
     for key in ("t_end", "dt_out"):
         value = getattr(spec, key)
         if not (math.isfinite(value) and value > 0):
-            raise config.ConfigError(f"{key} must be finite and > 0, got {value!r}", key=key)
+            raise config.ConfigError(f"{key} must be finite and > 0, got {value!r}")
     if not (0 < spec.tol <= 1e-3):
-        raise config.ConfigError("tol must be in (0, 1e-3]", key="tol")
+        raise config.ConfigError("tol must be in (0, 1e-3]")
     if spec.solver == "hydrogen_analytic":
         cfg = spec.field
         hydrogen_like = (cfg.Omega == cfg.omega and cfg.delta == 0.0
@@ -153,11 +149,11 @@ def _validate_spec(spec: RunSpec) -> None:
         if not hydrogen_like:
             raise config.ConfigError(
                 "solver hydrogen_analytic requires the hydrogen field configuration "
-                "(Omega = omega, delta = 0, sign = -1, A/B = sqrt(2))", key="solver")
+                "(Omega = omega, delta = 0, sign = -1, A/B = sqrt(2))")
         rho0 = spec.initial.density()
         if abs(observables.purity(rho0) - 1.0) > 1e-9:
             raise config.ConfigError(
-                "solver hydrogen_analytic requires a pure initial state", key="initial")
+                "solver hydrogen_analytic requires a pure initial state")
 
 
 def solve(spec: RunSpec) -> propagator.Trajectory:
@@ -172,13 +168,13 @@ def solve(spec: RunSpec) -> propagator.Trajectory:
     if spec.solver == "hydrogen_analytic":
         return oracle.hydrogen_trajectory(spec.field.A, spec.field.omega, spec.field.Gamma,
                                           rho0, spec.t_end, spec.dt_out)
-    raise config.ConfigError(f"unknown solver {spec.solver!r}", key="solver")
+    raise config.ConfigError(f"unknown solver {spec.solver!r}")
 
 
 def cmd_run(args: argparse.Namespace) -> int:
     spec = load_run_spec(args.config, args)
     if spec.csv_path is None:
-        raise config.ConfigError("csv is required", key="csv")
+        raise config.ConfigError("csv is required")
     trajectory = solve(spec)
     write_csv(spec.csv_path, trajectory)
     if spec.svg_path:
@@ -205,28 +201,24 @@ def cmd_figure(args: argparse.Namespace) -> int:
 def cmd_sweep(args: argparse.Namespace) -> int:
     if args.param not in fields.FIELD_KEYS:
         raise config.ConfigError(
-            f"--param must be a field key ({', '.join(fields.FIELD_KEYS)}); got {args.param!r}",
-            key=args.param)
+            f"--param must be a field key ({', '.join(fields.FIELD_KEYS)}); got {args.param!r}")
     tokens = [tok.strip() for tok in args.values.split(",") if tok.strip()]
     if not tokens:
-        raise config.ConfigError("--values must list at least one value", key=args.param)
+        raise config.ConfigError(f"--values for {args.param} must list at least one value")
     values = []
     for token in tokens:
         try:
             values.append(float(token))
         except ValueError:
-            raise config.ConfigError(f"sweep value {token!r} is not a number",
-                                     key=args.param) from None
+            raise config.ConfigError(
+                f"sweep value {token!r} for {args.param} is not a number") from None
     base = load_run_spec(args.config, args)
     if base.csv_path is None:
-        raise config.ConfigError("csv is required", key="csv")
+        raise config.ConfigError("csv is required")
     csv_base = Path(base.csv_path)
     attr = "sign_convention" if args.param == "sign" else args.param
     for token, value in zip(tokens, values):
-        try:
-            cfg = base.field.with_updates(**{attr: value})
-        except ValueError as exc:
-            raise config.ConfigError(str(exc), key=args.param) from None
+        cfg = base.field.with_updates(**{attr: value})  # a ValueError exits 2
         spec = RunSpec(field=cfg, initial=base.initial, solver=base.solver,
                        t_end=base.t_end, dt_out=base.dt_out, tol=base.tol,
                        csv_path=None, svg_path=None, quantities=base.quantities)

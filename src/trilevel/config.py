@@ -11,11 +11,7 @@ import math
 
 
 class ConfigError(ValueError):
-    """Malformed configuration; ``key`` names the offending entry when known."""
-
-    def __init__(self, message: str, key: str | None = None):
-        super().__init__(message)
-        self.key = key
+    """Malformed configuration; the message names the offending key when known."""
 
 
 def _lines(text: str):
@@ -45,7 +41,7 @@ def parse_flat(text: str) -> dict[str, str]:
             raise ConfigError(f"line {lineno}: block header {line!r} not allowed here")
         key, value = entry
         if key in out:
-            raise ConfigError(f"line {lineno}: duplicate key {key!r}", key=key)
+            raise ConfigError(f"line {lineno}: duplicate key {key!r}")
         out[key] = value
     return out
 
@@ -71,7 +67,7 @@ def parse_blocks(text: str) -> dict[str, dict[str, str]]:
             raise ConfigError(f"line {lineno}: entry before any [name] header")
         key, value = entry
         if key in current:
-            raise ConfigError(f"line {lineno}: duplicate key {key!r} in [{name}]", key=key)
+            raise ConfigError(f"line {lineno}: duplicate key {key!r} in [{name}]")
         current[key] = value
     return blocks
 
@@ -92,21 +88,21 @@ def serialize_flat(mapping: dict) -> str:
 def get_float(entries: dict[str, str], key: str, default: float | None = None) -> float:
     if key not in entries:
         if default is None:
-            raise ConfigError(f"{key} is required", key=key)
+            raise ConfigError(f"{key} is required")
         return default
     try:
         value = float(entries[key])
     except ValueError:
-        raise ConfigError(f"{key} must be a number, got {entries[key]!r}", key=key) from None
+        raise ConfigError(f"{key} must be a number, got {entries[key]!r}") from None
     if not math.isfinite(value):
-        raise ConfigError(f"{key} must be finite, got {entries[key]!r}", key=key)
+        raise ConfigError(f"{key} must be finite, got {entries[key]!r}")
     return value
 
 
 def get_str(entries: dict[str, str], key: str, default: str | None = None) -> str:
     if key not in entries:
         if default is None:
-            raise ConfigError(f"{key} is required", key=key)
+            raise ConfigError(f"{key} is required")
         return default
     return entries[key]
 
@@ -115,16 +111,5 @@ def get_choice(entries: dict[str, str], key: str, choices: tuple[str, ...],
                default: str | None = None) -> str:
     value = get_str(entries, key, default)
     if value not in choices:
-        raise ConfigError(f"{key} must be one of {', '.join(choices)}; got {value!r}", key=key)
+        raise ConfigError(f"{key} must be one of {', '.join(choices)}; got {value!r}")
     return value
-
-
-def get_bool(entries: dict[str, str], key: str, default: bool = False) -> bool:
-    if key not in entries:
-        return default
-    value = entries[key].lower()
-    if value in ("true", "yes", "1"):
-        return True
-    if value in ("false", "no", "0"):
-        return False
-    raise ConfigError(f"{key} must be true or false, got {entries[key]!r}", key=key)

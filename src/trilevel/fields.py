@@ -22,6 +22,9 @@ _SQRT2 = math.sqrt(2.0)
 
 FIELD_KEYS = ("A", "Omega", "B", "omega", "delta", "Gamma", "sign")
 
+# The keys a preset block may set; anything else is a ConfigError.
+PRESET_KEYS = frozenset(FIELD_KEYS) | {"initial", "t_end", "dt_out"}
+
 INITIAL_KINDS = ("level1", "level2", "level3",
                  "stark_plus", "stark_minus", "stark_zero", "custom")
 
@@ -35,10 +38,7 @@ for _v in (STARK_PLUS_VECTOR, STARK_MINUS_VECTOR, STARK_ZERO_VECTOR):
 
 
 class UnknownPresetError(ValueError):
-    def __init__(self, name: str, valid: tuple[str, ...]):
-        super().__init__(f"unknown preset {name!r}; valid names: {', '.join(valid)}")
-        self.name = name
-        self.valid = valid
+    """No bundled preset has this name; the message lists the valid names."""
 
 
 @dataclass(frozen=True)
@@ -163,8 +163,6 @@ class Preset:
     initial: InitialState
     t_end: float
     dt_out: float
-    desk_scale: bool = True
-    note: str = ""
 
 
 def hydrogen_config(amplitude: float, omega: float = 1.0, Gamma: float = 0.0) -> FieldConfig:
@@ -180,9 +178,16 @@ def hydrogen_config(amplitude: float, omega: float = 1.0, Gamma: float = 0.0) ->
 
 @lru_cache(maxsize=1)
 def _preset_table() -> dict[str, Preset]:
-    text = resources.files("trilevel").joinpath("presets.cfg").read_text(encoding="utf-8")
+    return _parse_presets(
+        resources.files("trilevel").joinpath("presets.cfg").read_text(encoding="utf-8"))
+
+
+def _parse_presets(text: str) -> dict[str, Preset]:
     table = {}
     for name, entries in config.parse_blocks(text).items():
+        unknown = set(entries) - PRESET_KEYS
+        if unknown:
+            raise config.ConfigError(f"unknown key {min(unknown)!r} in preset [{name}]")
         cfg = field_config_from_entries(entries)
         initial = InitialState(config.get_choice(entries, "initial", INITIAL_KINDS[:-1]))
         table[name] = Preset(
@@ -191,8 +196,6 @@ def _preset_table() -> dict[str, Preset]:
             initial=initial,
             t_end=config.get_float(entries, "t_end"),
             dt_out=config.get_float(entries, "dt_out"),
-            desk_scale=config.get_bool(entries, "desk_scale", True),
-            note=config.get_str(entries, "note", ""),
         )
     return table
 
@@ -205,5 +208,5 @@ def preset(name: str) -> Preset:
     """Look up a bundled preset by name (fig1..fig17, hydrogen)."""
     table = _preset_table()
     if name not in table:
-        raise UnknownPresetError(name, tuple(table))
+        raise UnknownPresetError(f"unknown preset {name!r}; valid names: {', '.join(table)}")
     return table[name]

@@ -42,9 +42,6 @@ class AmplitudeTriple(NamedTuple):
     def populations(self) -> np.ndarray:
         return np.array([abs(self.s) ** 2, abs(self.p) ** 2, abs(self.d) ** 2])
 
-    def as_vector(self) -> np.ndarray:
-        return np.array([self.s, self.p, self.d], dtype=complex)
-
 
 def _max_step(cfg: FieldConfig) -> float:
     """A quarter of the shortest drive period, or inf for a static drive.

@@ -113,9 +113,9 @@ def _build_trajectory(grid: np.ndarray, rhos) -> Trajectory:
     return Trajectory(grid, rho_out, eta_out, observables.table(grid, rho_out, eta_out))
 
 
-def trajectory_from_etas(grid: np.ndarray, etas: np.ndarray, trace: float = 1.0) -> Trajectory:
-    """Build a trajectory from coherence vectors, hermitized as in trajectory_from_rhos."""
-    return _build_trajectory(grid, algebra.eta_to_rho(etas, trace))
+def trajectory_from_etas(grid: np.ndarray, etas: np.ndarray) -> Trajectory:
+    """Build a trajectory from unit-trace coherence vectors, as trajectory_from_rhos does."""
+    return _build_trajectory(grid, algebra.eta_to_rho(etas))
 
 
 def trajectory_from_rhos(grid: np.ndarray, rhos: np.ndarray) -> Trajectory:

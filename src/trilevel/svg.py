@@ -8,6 +8,8 @@ from __future__ import annotations
 import math
 from pathlib import Path
 
+import numpy as np
+
 _PALETTE = ("#1f77b4", "#d62728", "#2ca02c", "#9467bd",
             "#ff7f0e", "#8c564b", "#17becf", "#7f7f7f")
 
@@ -15,13 +17,16 @@ _MARGIN_LEFT = 64
 _MARGIN_RIGHT = 16
 _MARGIN_TOP = 36
 _MARGIN_BOTTOM = 46
+_WIDTH = 720
+_HEIGHT = 440
+_TICKS = 6
 
 
-def _nice_ticks(lo: float, hi: float, target: int = 6) -> list[float]:
+def _nice_ticks(lo: float, hi: float) -> list[float]:
     if hi <= lo:
         hi = lo + 1.0
     span = hi - lo
-    raw = span / target
+    raw = span / _TICKS
     mag = 10.0 ** math.floor(math.log10(raw))
     for mult in (1.0, 2.0, 5.0, 10.0):
         if raw <= mult * mag:
@@ -40,17 +45,16 @@ def _fmt(x: float) -> str:
     return f"{x:.6g}"
 
 
-def line_chart(path, x, series, *, title: str = "", xlabel: str = "t",
-               ylabel: str = "", width: int = 720, height: int = 440) -> None:
-    """Write a line chart of several named series against a shared x axis.
+def line_chart(path, x, series, *, title: str = "", ylabel: str = "") -> None:
+    """Write a line chart of several named series against a shared x axis ``t``.
 
-    ``series`` is a sequence of (label, values) pairs.
+    ``series`` is a sequence of (label, values) pairs, each as long as ``x``.
     """
-    x = list(map(float, x))
-    series = [(label, list(map(float, ys))) for label, ys in series]
-    x_lo, x_hi = min(x), max(x)
-    all_y = [v for _, ys in series for v in ys]
-    y_lo, y_hi = min(all_y), max(all_y)
+    x = np.asarray(x, dtype=float)
+    series = [(label, np.asarray(ys, dtype=float)) for label, ys in series]
+    x_lo, x_hi = float(x.min()), float(x.max())
+    y_lo = float(min(ys.min() for _, ys in series))
+    y_hi = float(max(ys.max() for _, ys in series))
     if y_hi == y_lo:
         y_lo -= 0.5
         y_hi += 0.5
@@ -58,21 +62,22 @@ def line_chart(path, x, series, *, title: str = "", xlabel: str = "t",
     y_lo -= pad
     y_hi += pad
 
-    plot_w = width - _MARGIN_LEFT - _MARGIN_RIGHT
-    plot_h = height - _MARGIN_TOP - _MARGIN_BOTTOM
+    plot_w = _WIDTH - _MARGIN_LEFT - _MARGIN_RIGHT
+    plot_h = _HEIGHT - _MARGIN_TOP - _MARGIN_BOTTOM
 
-    def px(v: float) -> float:
-        return _MARGIN_LEFT + (v - x_lo) / (x_hi - x_lo) * plot_w if x_hi > x_lo else _MARGIN_LEFT
+    # both take a float or an array of floats
+    def px(v):
+        return _MARGIN_LEFT + ((v - x_lo) / (x_hi - x_lo) * plot_w if x_hi > x_lo else 0.0 * v)
 
-    def py(v: float) -> float:
+    def py(v):
         return _MARGIN_TOP + (y_hi - v) / (y_hi - y_lo) * plot_h
 
     parts = []
     parts.append(f'<svg xmlns="http://www.w3.org/2000/svg" version="1.1" '
-                 f'width="{width}" height="{height}" viewBox="0 0 {width} {height}">')
-    parts.append(f'<rect width="{width}" height="{height}" fill="white"/>')
+                 f'width="{_WIDTH}" height="{_HEIGHT}" viewBox="0 0 {_WIDTH} {_HEIGHT}">')
+    parts.append(f'<rect width="{_WIDTH}" height="{_HEIGHT}" fill="white"/>')
     if title:
-        parts.append(f'<text x="{width / 2:.1f}" y="20" text-anchor="middle" '
+        parts.append(f'<text x="{_WIDTH / 2:.1f}" y="20" text-anchor="middle" '
                      f'font-family="sans-serif" font-size="14">{title}</text>')
 
     for tick in _nice_ticks(x_lo, x_hi):
@@ -90,17 +95,19 @@ def line_chart(path, x, series, *, title: str = "", xlabel: str = "t",
 
     parts.append(f'<rect x="{_MARGIN_LEFT}" y="{_MARGIN_TOP}" width="{plot_w}" '
                  f'height="{plot_h}" fill="none" stroke="#333333" stroke-width="1"/>')
-    parts.append(f'<text x="{_MARGIN_LEFT + plot_w / 2:.1f}" y="{height - 8}" '
-                 f'text-anchor="middle" font-family="sans-serif" font-size="12">{xlabel}</text>')
+    parts.append(f'<text x="{_MARGIN_LEFT + plot_w / 2:.1f}" y="{_HEIGHT - 8}" '
+                 f'text-anchor="middle" font-family="sans-serif" font-size="12">t</text>')
     if ylabel:
         cy = _MARGIN_TOP + plot_h / 2
         parts.append(f'<text x="16" y="{cy:.1f}" text-anchor="middle" '
                      f'font-family="sans-serif" font-size="12" '
                      f'transform="rotate(-90 16 {cy:.1f})">{ylabel}</text>')
 
+    xs = px(x)
+    template = " ".join(["%.2f,%.2f"] * len(x))
     for i, (label, ys) in enumerate(series):
         color = _PALETTE[i % len(_PALETTE)]
-        points = " ".join(f"{px(a):.2f},{py(b):.2f}" for a, b in zip(x, ys))
+        points = template % tuple(np.column_stack((xs, py(ys))).ravel().tolist())
         parts.append(f'<polyline points="{points}" fill="none" stroke="{color}" '
                      f'stroke-width="1.3"/>')
 

@@ -59,9 +59,6 @@ def test_coercion_helpers_name_the_key():
         config.get_float({"tol": "nan"}, "tol")
     with pytest.raises(config.ConfigError, match="solver"):
         config.get_choice({"solver": "magic"}, "solver", ("product",))
-    assert config.get_bool({"x": "true"}, "x") is True
-    with pytest.raises(config.ConfigError, match="x"):
-        config.get_bool({"x": "maybe"}, "x")
 
 
 # --- run -------------------------------------------------------------------
@@ -301,9 +298,17 @@ def test_sweep_gamma_controls_the_entropy_rise(tmp_path):
 def test_sweep_rejects_empty_values_and_bad_param(tmp_path, capsys):
     cfg = write_cfg(tmp_path / "sw.cfg", "preset = fig5\ncsv = sw.csv\n")
     assert cli.main(["sweep", cfg, "--param", "delta", "--values", ""]) == 2
+    assert "delta" in capsys.readouterr().err
     assert cli.main(["sweep", cfg, "--param", "bogus", "--values", "1"]) == 2
+    assert "bogus" in capsys.readouterr().err
     assert cli.main(["sweep", cfg, "--param", "delta", "--values", "1,up"]) == 2
+    assert "delta" in capsys.readouterr().err
     assert cli.main(["sweep", cfg, "--param", "Gamma", "--values", "nan"]) == 2
+    assert "Gamma" in capsys.readouterr().err
+    bad = write_cfg(tmp_path / "q.cfg", "preset = fig5\ncsv = sw.csv\nquantities = pops\n")
+    assert cli.main(["sweep", bad, "--param", "delta", "--values", "1"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error: quantities") and "'pops'" in err
 
 
 def test_unwritable_csv_path_maps_to_io_exit_code(tmp_path, capsys):

@@ -1,4 +1,5 @@
 import math
+from importlib import resources
 
 import numpy as np
 import pytest
@@ -106,7 +107,6 @@ def test_preset_parameters(name):
     assert ps.config.sign_convention == sign
     assert ps.initial.kind == kind
     assert ps.t_end > 0 and ps.dt_out > 0
-    assert ps.desk_scale
 
 
 def test_preset_names_and_unknown_error():
@@ -115,6 +115,19 @@ def test_preset_names_and_unknown_error():
     with pytest.raises(fields.UnknownPresetError) as err:
         fields.preset("fig99")
     assert "fig1" in str(err.value) and "hydrogen" in str(err.value)
+
+
+def test_preset_blocks_reject_unknown_keys():
+    text = resources.files("trilevel").joinpath("presets.cfg").read_text(encoding="utf-8")
+    table = fields._parse_presets(text)
+    assert table == {name: fields.preset(name) for name in fields.preset_names()}
+    # a misspelled key must not silently fall back to the default Gamma = 0
+    misspelled = text.replace("Gamma = 0.02", "Gama = 0.02", 1)
+    with pytest.raises(config.ConfigError, match=r"'Gama' in preset \[fig1\]"):
+        fields._parse_presets(misspelled)
+    with pytest.raises(config.ConfigError, match=r"'note' in preset \[x\]"):
+        fields._parse_presets("[x]\nA = 1\nOmega = 1\nB = 1\nomega = 1\ninitial = level1\n"
+                              "t_end = 1\ndt_out = 0.5\nnote = text\n")
 
 
 def test_presets_round_trip_through_config_format():
