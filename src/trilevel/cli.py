@@ -1,8 +1,9 @@
 """Command line interface: run, figure, sweep, check.
 
-Run configs are flat ``key = value`` files; command line flags override file
-keys.  CSV output is the normative record (12 significant digits, fixed
-column schema); SVG plots are convenience displays.
+Run configs are flat ``key = value`` files; file keys override the preset a
+file names, and command line flags override file keys.  CSV output is the
+normative record (12 significant digits, fixed column schema); SVG plots are
+convenience displays.
 """
 
 from __future__ import annotations
@@ -32,6 +33,9 @@ _PANEL_SERIES = {
 }
 
 _RUN_KEYS = fields.PRESET_KEYS | {"preset", "solver", "tol", "csv", "svg", "quantities"}
+
+# Run keys that a command line flag of the same name overrides.
+_FLAG_KEYS = ("tol", "t_end", "dt_out", "solver")
 
 
 @dataclass
@@ -85,60 +89,34 @@ def _parse_quantities(raw: str) -> tuple[str, ...]:
     return items
 
 
-def load_run_spec(path, overrides: argparse.Namespace) -> RunSpec:
-    entries = config.parse_flat(Path(path).read_text(encoding="utf-8"))
+def _read_config(path) -> dict[str, str]:
+    return config.parse_flat(Path(path).read_text(encoding="utf-8"))
+
+
+def load_run_spec(entries: dict[str, str], args: argparse.Namespace) -> RunSpec:
+    """Parse a RunSpec once from raw ``key = value`` strings, layered from
+    lowest to highest priority: the block of the preset that ``entries``
+    names, ``entries`` themselves, then the command line flags in ``args``."""
     unknown = set(entries) - _RUN_KEYS
     if unknown:
         raise config.ConfigError(f"unknown config key {min(unknown)!r}")
+    merged = fields.preset_entries(entries["preset"]) if "preset" in entries else {}
+    merged.update(entries)
+    merged.update((key, getattr(args, key)) for key in _FLAG_KEYS
+                  if getattr(args, key) is not None)
 
-    preset_defaults = None
-    if "preset" in entries:
-        preset_defaults = fields.preset(entries["preset"])
-
-    if preset_defaults is not None:
-        base = preset_defaults.config.as_entries()
-        merged = {k: config.format_value(v) for k, v in base.items()}
-        merged["initial"] = preset_defaults.initial.kind
-        merged["t_end"] = config.format_value(preset_defaults.t_end)
-        merged["dt_out"] = config.format_value(preset_defaults.dt_out)
-        merged.update({k: v for k, v in entries.items() if k != "preset"})
-        entries = merged
-
-    field = fields.field_config_from_entries(entries)
-    initial = fields.InitialState(
-        config.get_choice(entries, "initial", fields.INITIAL_KINDS[:-1], "level1"))
     spec = RunSpec(
-        field=field,
-        initial=initial,
-        solver=config.get_choice(entries, "solver", SOLVERS, "product"),
-        t_end=config.get_float(entries, "t_end"),
-        dt_out=config.get_float(entries, "dt_out"),
-        tol=config.get_float(entries, "tol", 1e-8),
-        csv_path=entries.get("csv"),
-        svg_path=entries.get("svg"),
-        quantities=_parse_quantities(config.get_str(entries, "quantities", "populations")),
+        field=fields.field_config_from_entries(merged),
+        initial=fields.InitialState(
+            config.get_choice(merged, "initial", fields.INITIAL_KINDS[:-1], "level1")),
+        solver=config.get_choice(merged, "solver", SOLVERS, "product"),
+        t_end=config.get_float(merged, "t_end"),
+        dt_out=config.get_float(merged, "dt_out"),
+        tol=config.get_float(merged, "tol", 1e-8),
+        csv_path=merged.get("csv"),
+        svg_path=merged.get("svg"),
+        quantities=_parse_quantities(config.get_str(merged, "quantities", "populations")),
     )
-    _apply_overrides(spec, overrides)
-    _validate_spec(spec)
-    return spec
-
-
-def _apply_overrides(spec: RunSpec, args: argparse.Namespace) -> None:
-    if getattr(args, "tol", None) is not None:
-        spec.tol = args.tol
-    if getattr(args, "t_end", None) is not None:
-        spec.t_end = args.t_end
-    if getattr(args, "dt_out", None) is not None:
-        spec.dt_out = args.dt_out
-    if getattr(args, "solver", None) is not None:
-        spec.solver = args.solver
-
-
-def _validate_spec(spec: RunSpec) -> None:
-    for key in ("t_end", "dt_out"):
-        value = getattr(spec, key)
-        if not (math.isfinite(value) and value > 0):
-            raise config.ConfigError(f"{key} must be finite and > 0, got {value!r}")
     if not (0 < spec.tol <= 1e-3):
         raise config.ConfigError("tol must be in (0, 1e-3]")
     if spec.solver == "hydrogen_analytic":
@@ -154,6 +132,7 @@ def _validate_spec(spec: RunSpec) -> None:
         if abs(observables.purity(rho0) - 1.0) > 1e-9:
             raise config.ConfigError(
                 "solver hydrogen_analytic requires a pure initial state")
+    return spec
 
 
 def solve(spec: RunSpec) -> propagator.Trajectory:
@@ -172,7 +151,7 @@ def solve(spec: RunSpec) -> propagator.Trajectory:
 
 
 def cmd_run(args: argparse.Namespace) -> int:
-    spec = load_run_spec(args.config, args)
+    spec = load_run_spec(_read_config(args.config), args)
     if spec.csv_path is None:
         raise config.ConfigError("csv is required")
     trajectory = solve(spec)
@@ -183,17 +162,13 @@ def cmd_run(args: argparse.Namespace) -> int:
 
 
 def cmd_figure(args: argparse.Namespace) -> int:
-    ps = fields.preset(args.name)
-    spec = RunSpec(field=ps.config, initial=ps.initial, solver="product",
-                   t_end=ps.t_end, dt_out=ps.dt_out, tol=1e-10,
-                   csv_path=None, svg_path=None, quantities=QUANTITIES)
-    _apply_overrides(spec, args)
-    _validate_spec(spec)
+    spec = load_run_spec({"preset": args.name, "tol": "1e-10", "quantities": "all"}, args)
+    trajectory = solve(spec)
+    # created only after a successful solve, so a rejected run leaves nothing behind
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
-    trajectory = solve(spec)
     write_csv(out_dir / f"{args.name}.csv", trajectory)
-    write_svg_panels(out_dir / f"{args.name}.svg", trajectory, QUANTITIES,
+    write_svg_panels(out_dir / f"{args.name}.svg", trajectory, spec.quantities,
                      title_prefix=f"{args.name}: ")
     return EXIT_OK
 
@@ -205,27 +180,15 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     tokens = [tok.strip() for tok in args.values.split(",") if tok.strip()]
     if not tokens:
         raise config.ConfigError(f"--values for {args.param} must list at least one value")
-    values = []
-    for token in tokens:
-        try:
-            values.append(float(token))
-        except ValueError:
-            raise config.ConfigError(
-                f"sweep value {token!r} for {args.param} is not a number") from None
-    base = load_run_spec(args.config, args)
-    if base.csv_path is None:
+    entries = _read_config(args.config)
+    # every value's spec is checked before the first solve
+    specs = [load_run_spec({**entries, args.param: token}, args) for token in tokens]
+    if specs[0].csv_path is None:
         raise config.ConfigError("csv is required")
-    csv_base = Path(base.csv_path)
-    attr = "sign_convention" if args.param == "sign" else args.param
-    for token, value in zip(tokens, values):
-        cfg = base.field.with_updates(**{attr: value})  # a ValueError exits 2
-        spec = RunSpec(field=cfg, initial=base.initial, solver=base.solver,
-                       t_end=base.t_end, dt_out=base.dt_out, tol=base.tol,
-                       csv_path=None, svg_path=None, quantities=base.quantities)
-        _validate_spec(spec)
-        trajectory = solve(spec)
+    csv_base = Path(specs[0].csv_path)
+    for token, spec in zip(tokens, specs):
         out = csv_base.with_name(f"{csv_base.stem}__{args.param}={token}{csv_base.suffix}")
-        write_csv(out, trajectory)
+        write_csv(out, solve(spec))
     return EXIT_OK
 
 
@@ -241,14 +204,10 @@ def cmd_check(_args: argparse.Namespace) -> int:
 
 def build_parser() -> argparse.ArgumentParser:
     shared = argparse.ArgumentParser(add_help=False)
-    shared.add_argument("--tol", type=float, default=None,
-                        help="local error tolerance override")
-    shared.add_argument("--t-end", dest="t_end", type=float, default=None,
-                        help="simulation end time override")
-    shared.add_argument("--dt-out", dest="dt_out", type=float, default=None,
-                        help="output sampling interval override")
-    shared.add_argument("--solver", choices=SOLVERS, default=None,
-                        help="solution path override")
+    shared.add_argument("--tol", help="local error tolerance override")
+    shared.add_argument("--t-end", dest="t_end", help="simulation end time override")
+    shared.add_argument("--dt-out", dest="dt_out", help="output sampling interval override")
+    shared.add_argument("--solver", choices=SOLVERS, help="solution path override")
 
     parser = argparse.ArgumentParser(
         prog="trilevel",

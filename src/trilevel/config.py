@@ -72,19 +72,6 @@ def parse_blocks(text: str) -> dict[str, dict[str, str]]:
     return blocks
 
 
-def format_value(value) -> str:
-    """Serialize one value; floats use repr so they round-trip bit-exactly."""
-    if isinstance(value, bool):
-        return "true" if value else "false"
-    if isinstance(value, float):
-        return repr(value)
-    return str(value)
-
-
-def serialize_flat(mapping: dict) -> str:
-    return "".join(f"{k} = {format_value(v)}\n" for k, v in mapping.items())
-
-
 def get_float(entries: dict[str, str], key: str, default: float | None = None) -> float:
     if key not in entries:
         if default is None:

@@ -73,10 +73,6 @@ class FieldConfig:
     def with_updates(self, **changes) -> "FieldConfig":
         return replace(self, **changes)
 
-    def as_entries(self) -> dict[str, float]:
-        return {"A": self.A, "Omega": self.Omega, "B": self.B, "omega": self.omega,
-                "delta": self.delta, "Gamma": self.Gamma, "sign": self.sign_convention}
-
 
 def field_config_from_entries(entries: dict[str, str]) -> FieldConfig:
     """Build a FieldConfig from raw config entries; invalid values are a ConfigError."""
@@ -177,14 +173,19 @@ def hydrogen_config(amplitude: float, omega: float = 1.0, Gamma: float = 0.0) ->
 
 
 @lru_cache(maxsize=1)
-def _preset_table() -> dict[str, Preset]:
-    return _parse_presets(
+def _preset_blocks() -> dict[str, dict[str, str]]:
+    return config.parse_blocks(
         resources.files("trilevel").joinpath("presets.cfg").read_text(encoding="utf-8"))
 
 
-def _parse_presets(text: str) -> dict[str, Preset]:
+@lru_cache(maxsize=1)
+def _preset_table() -> dict[str, Preset]:
+    return _parse_presets(_preset_blocks())
+
+
+def _parse_presets(blocks: dict[str, dict[str, str]]) -> dict[str, Preset]:
     table = {}
-    for name, entries in config.parse_blocks(text).items():
+    for name, entries in blocks.items():
         unknown = set(entries) - PRESET_KEYS
         if unknown:
             raise config.ConfigError(f"unknown key {min(unknown)!r} in preset [{name}]")
@@ -210,3 +211,9 @@ def preset(name: str) -> Preset:
     if name not in table:
         raise UnknownPresetError(f"unknown preset {name!r}; valid names: {', '.join(table)}")
     return table[name]
+
+
+def preset_entries(name: str) -> dict[str, str]:
+    """The raw ``key = value`` block of a bundled preset, as in presets.cfg."""
+    preset(name)  # an unknown name raises here
+    return dict(_preset_blocks()[name])

@@ -131,7 +131,11 @@ def trajectory_from_rhos(grid: np.ndarray, rhos: np.ndarray) -> Trajectory:
 
 def output_grid(t_end: float, dt_out: float) -> np.ndarray:
     """Uniform output times 0, dt, 2dt, ... with the last sample at t_end; a grid
-    of more than MAX_SAMPLES rows is a ValueError, raised before any allocation."""
+    of more than MAX_SAMPLES rows, or a bound that is not finite and > 0, is a
+    ValueError, raised before any allocation."""
+    for key, value in (("t_end", t_end), ("dt_out", dt_out)):
+        if not (math.isfinite(value) and value > 0):
+            raise ValueError(f"{key} must be finite and > 0, got {value!r}")
     rows = t_end / dt_out + 1.0
     if not rows <= MAX_SAMPLES:
         raise ValueError(f"dt_out = {dt_out!r} gives {rows:.3g} output rows up to "
@@ -167,14 +171,12 @@ def run(cfg: FieldConfig, rho0: np.ndarray, t_end: float, dt_out: float, tol: fl
     its first node past CHART_LIMIT, or ends at a blow-up; the state is then
     composed at the last node inside the limit and a new chart starts there.
     """
-    for name, value in (("t_end", t_end), ("dt_out", dt_out), ("tol", tol)):
-        if not (math.isfinite(value) and value > 0):
-            raise ValueError(f"{name} must be positive and finite, got {value!r}")
+    if not (math.isfinite(tol) and tol > 0):
+        raise ValueError(f"tol must be positive and finite, got {tol!r}")
+    grid = output_grid(t_end, dt_out)
     rho0 = algebra.validate_density_matrix(rho0)
     # the maximally mixed state at the trace of rho0, which decay approaches
     mixed = float(np.trace(rho0).real) / 3.0 * np.eye(3)
-
-    grid = output_grid(t_end, dt_out)
     rhos = np.empty((len(grid), 3, 3), dtype=complex)
 
     halt = lambda _t, vals: _chart_health(vals) > CHART_LIMIT

@@ -1,10 +1,11 @@
 import math
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from trilevel import algebra, cli, config, propagator
+from trilevel import algebra, cli, config, fields, propagator
 
 
 def read_csv(path):
@@ -45,11 +46,6 @@ def test_parse_blocks():
         config.parse_blocks("a = 1\n")
     with pytest.raises(config.ConfigError, match="line 2: empty key"):
         config.parse_blocks("[x]\n = 1\n")
-
-
-def test_float_serialization_round_trips():
-    for value in (1 / math.sqrt(2), math.pi / 6, 0.1, 5 * math.sqrt(2)):
-        assert float(config.format_value(value)) == value
 
 
 def test_coercion_helpers_name_the_key():
@@ -296,19 +292,80 @@ def test_sweep_gamma_controls_the_entropy_rise(tmp_path):
 
 
 def test_sweep_rejects_empty_values_and_bad_param(tmp_path, capsys):
-    cfg = write_cfg(tmp_path / "sw.cfg", "preset = fig5\ncsv = sw.csv\n")
+    cfg = write_cfg(tmp_path / "sw.cfg", f"preset = fig5\ncsv = {tmp_path / 'sw.csv'}\n")
     assert cli.main(["sweep", cfg, "--param", "delta", "--values", ""]) == 2
     assert "delta" in capsys.readouterr().err
     assert cli.main(["sweep", cfg, "--param", "bogus", "--values", "1"]) == 2
     assert "bogus" in capsys.readouterr().err
+    # every value is checked before the first one runs
     assert cli.main(["sweep", cfg, "--param", "delta", "--values", "1,up"]) == 2
     assert "delta" in capsys.readouterr().err
+    assert not list(tmp_path.glob("*.csv"))
     assert cli.main(["sweep", cfg, "--param", "Gamma", "--values", "nan"]) == 2
     assert "Gamma" in capsys.readouterr().err
-    bad = write_cfg(tmp_path / "q.cfg", "preset = fig5\ncsv = sw.csv\nquantities = pops\n")
+    bad = write_cfg(tmp_path / "q.cfg",
+                    f"preset = fig5\ncsv = {tmp_path / 'sw.csv'}\nquantities = pops\n")
     assert cli.main(["sweep", bad, "--param", "delta", "--values", "1"]) == 2
     err = capsys.readouterr().err
     assert err.startswith("config error: quantities") and "'pops'" in err
+
+
+def test_sweep_over_sign_flips_the_coherences_but_not_the_populations(tmp_path):
+    csv = tmp_path / "s.csv"
+    cfg = write_cfg(tmp_path / "s.cfg",
+                    f"preset = fig9\ncsv = {csv}\nt_end = 20\ndt_out = 0.5\ntol = 1e-9\n")
+    assert cli.main(["sweep", cfg, "--param", "sign", "--values=-1,1"]) == 0
+    assert sorted(p.name for p in tmp_path.glob("*.csv")) == ["s__sign=-1.csv", "s__sign=1.csv"]
+    _, minus = read_csv(tmp_path / "s__sign=-1.csv")
+    _, plus = read_csv(tmp_path / "s__sign=1.csv")
+    assert np.max(np.abs(minus[:, 1:4] - plus[:, 1:4])) <= 1e-12
+    assert np.max(np.abs(minus[:, 4:10] - plus[:, 4:10])) > 0.1
+
+
+# --- one route to a RunSpec ------------------------------------------------
+
+@pytest.mark.parametrize("name", ["fig3", "hydrogen"])
+def test_run_of_a_preset_matches_figure_and_layers_take_precedence(tmp_path, name):
+    csv = tmp_path / "run.csv"
+    cfg = write_cfg(tmp_path / "p.cfg", f"preset = {name}\ntol = 1e-10\ncsv = {csv}\n")
+    assert cli.main(["run", cfg]) == 0
+    assert cli.main(["figure", name, "--out", str(tmp_path / "fig")]) == 0
+    assert csv.read_bytes() == (tmp_path / "fig" / f"{name}.csv").read_bytes()
+
+    # a file key beats the preset value, and a flag beats the file key
+    dt_out = fields.preset(name).dt_out
+    cfg = write_cfg(tmp_path / "p.cfg", f"preset = {name}\nt_end = {4 * dt_out}\ncsv = {csv}\n")
+    assert cli.main(["run", cfg]) == 0
+    assert read_csv(csv)[1][:, 0].tolist() == pytest.approx([k * dt_out for k in range(5)])
+    assert cli.main(["run", cfg, "--t-end", str(2 * dt_out)]) == 0
+    assert read_csv(csv)[1][:, 0].tolist() == pytest.approx([k * dt_out for k in range(3)])
+
+
+@pytest.mark.parametrize("flag, value, message", [
+    ("--tol", "abc", "tol must be a number"),
+    ("--tol", "0.1", "tol must be in"),
+    ("--t-end", "-1", "t_end must be finite and > 0"),
+    ("--dt-out", "0", "dt_out must be finite and > 0"),
+    ("--t-end", "1e300", "dt_out = 0.1 gives 1e+301 output rows"),
+])
+def test_bad_flag_values_are_config_errors_that_leave_no_output(tmp_path, capsys, flag, value,
+                                                                message):
+    out = tmp_path / "figs"
+    assert cli.main(["figure", "fig1", "--out", str(out), flag, value]) == 2
+    assert capsys.readouterr().err.startswith(f"config error: {message}")
+    assert not out.exists()
+
+
+def test_readme_example_config_runs(tmp_path, monkeypatch):
+    readme = (Path(__file__).parents[1] / "README.md").read_text(encoding="utf-8")
+    block = readme.split("```\n# sim.cfg\n", 1)[1].split("```", 1)[0]
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "sim.cfg").write_text(block)
+    assert cli.main(["run", "sim.cfg", "--t-end", "2"]) == 0
+    assert (tmp_path / "out.csv").is_file()
+    assert sorted(p.name for p in tmp_path.glob("out_*.svg")) == [
+        "out_coherences_im.svg", "out_coherences_re.svg",
+        "out_entropy.svg", "out_populations.svg"]
 
 
 def test_unwritable_csv_path_maps_to_io_exit_code(tmp_path, capsys):

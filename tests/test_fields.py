@@ -119,23 +119,16 @@ def test_preset_names_and_unknown_error():
 
 def test_preset_blocks_reject_unknown_keys():
     text = resources.files("trilevel").joinpath("presets.cfg").read_text(encoding="utf-8")
-    table = fields._parse_presets(text)
+    table = fields._parse_presets(config.parse_blocks(text))
     assert table == {name: fields.preset(name) for name in fields.preset_names()}
     # a misspelled key must not silently fall back to the default Gamma = 0
     misspelled = text.replace("Gamma = 0.02", "Gama = 0.02", 1)
     with pytest.raises(config.ConfigError, match=r"'Gama' in preset \[fig1\]"):
-        fields._parse_presets(misspelled)
+        fields._parse_presets(config.parse_blocks(misspelled))
     with pytest.raises(config.ConfigError, match=r"'note' in preset \[x\]"):
-        fields._parse_presets("[x]\nA = 1\nOmega = 1\nB = 1\nomega = 1\ninitial = level1\n"
-                              "t_end = 1\ndt_out = 0.5\nnote = text\n")
-
-
-def test_presets_round_trip_through_config_format():
-    for name in fields.preset_names():
-        cfg = fields.preset(name).config
-        text = config.serialize_flat(cfg.as_entries())
-        back = fields.field_config_from_entries(config.parse_flat(text))
-        assert back == cfg  # bit-identical floats
+        fields._parse_presets(config.parse_blocks(
+            "[x]\nA = 1\nOmega = 1\nB = 1\nomega = 1\ninitial = level1\n"
+            "t_end = 1\ndt_out = 0.5\nnote = text\n"))
 
 
 def test_initial_state_densities():

@@ -285,6 +285,29 @@ def test_oversized_output_grid_fails_before_allocating():
     assert len(propagator.output_grid(99.0, 1e-4)) == 990_001 <= propagator.MAX_SAMPLES
 
 
+_HYDROGEN = fields.preset("hydrogen")
+_RHO0 = _HYDROGEN.initial.density()
+GRID_CONSUMERS = {
+    "output_grid": propagator.output_grid,
+    "run": lambda t_end, dt_out: propagator.run(_HYDROGEN.config, _RHO0, t_end, dt_out, 1e-9),
+    "integrate_eta_direct": lambda t_end, dt_out: oracle.integrate_eta_direct(
+        _HYDROGEN.config, algebra.rho_to_eta(_RHO0), t_end, dt_out, 1e-9),
+    "integrate_rho_direct": lambda t_end, dt_out: oracle.integrate_rho_direct(
+        _HYDROGEN.config, _RHO0, t_end, dt_out, 1e-9),
+    "hydrogen_trajectory": lambda t_end, dt_out: oracle.hydrogen_trajectory(
+        _HYDROGEN.config.A, _HYDROGEN.config.omega, 0.0, _RHO0, t_end, dt_out),
+}
+
+
+@pytest.mark.parametrize("t_end, dt_out, key", [
+    (1.0, 0.0, "dt_out"), (1.0, -0.1, "dt_out"), (1.0, math.inf, "dt_out"), (-1.0, 0.1, "t_end"),
+], ids=["dt_out=0", "dt_out=-0.1", "dt_out=inf", "t_end=-1"])
+@pytest.mark.parametrize("consumer", GRID_CONSUMERS)
+def test_every_grid_consumer_rejects_a_bad_grid_naming_the_key(consumer, t_end, dt_out, key):
+    with pytest.raises(ValueError, match=f"^{key} must be finite and > 0, got "):
+        GRID_CONSUMERS[consumer](t_end, dt_out)
+
+
 def test_transient_memory_of_a_long_chart_is_bounded():
     # One chart of 10^5 output samples (fig11 stays healthy to t = 100): the
     # samples are filled in blocks of SAMPLE_BLOCK, so the peak is the result
