@@ -13,7 +13,7 @@ from .algebra import (A_X, A_Y, A_Z, B_MINUS, B_PLUS, B_X, B_Y, B_Z,
 from .fields import (FieldConfig, InitialState, Preset, UnknownPresetError,
                      epsilon, hydrogen_config, j_coupling, liouvillian, preset,
                      preset_names)
-from .observables import ObservableRecord, coherence_norm, entropy, purity, spectrum
+from .observables import coherence_norm, entropy, purity, spectrum
 from .oracle import (AmplitudeTriple, ZeroFrequencyError, hydrogen_amplitudes,
                      hydrogen_density, hydrogen_stark_basis, hydrogen_trajectory,
                      integrate_eta_direct, integrate_rho_direct)
@@ -26,7 +26,7 @@ __version__ = "0.1.0"
 __all__ = [
     "A_X", "A_Y", "A_Z", "B_X", "B_Y", "B_Z", "B_PLUS", "B_MINUS",
     "AmplitudeTriple", "FieldConfig", "InitialState", "MuTrajectory",
-    "ObservableRecord", "Preset", "PropagationError", "SingularityError",
+    "Preset", "PropagationError", "SingularityError",
     "Trajectory", "UnknownPresetError", "ZeroFrequencyError",
     "coherence_norm", "commutator", "entropy", "epsilon", "eta_to_rho",
     "hydrogen_amplitudes", "hydrogen_config",

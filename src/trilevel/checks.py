@@ -90,7 +90,7 @@ def check_product_vs_direct() -> CheckResult:
     rho0 = ps.initial.density()
     prod = propagator.run(ps.config, rho0, 50.0, 0.5, 1e-10)
     direct = oracle.integrate_eta_direct(ps.config, algebra.rho_to_eta(rho0), 50.0, 0.5, 1e-10)
-    dev = float(np.max(np.abs(prod.eta - direct.eta)))
+    dev = float(np.max(np.abs(algebra.rho_to_eta(prod.rho) - algebra.rho_to_eta(direct.rho))))
     return _result("product propagator vs direct integration (fig1)", dev, 1e-6)
 
 

@@ -51,11 +51,11 @@ class RunSpec:
     quantities: tuple[str, ...]
 
 
-_CSV_ROW = ",".join(["%.11e"] * len(observables.ObservableRecord.CSV_FIELDS))
+_CSV_ROW = ",".join(["%.11e"] * len(observables.CSV_FIELDS))
 
 
 def write_csv(path, trajectory: propagator.Trajectory) -> None:
-    lines = [",".join(observables.ObservableRecord.CSV_FIELDS)]
+    lines = [",".join(observables.CSV_FIELDS)]
     # + 0.0 turns -0.0 into +0.0
     lines.extend(_CSV_ROW % tuple(row) for row in (trajectory.table + 0.0).tolist())
     Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
@@ -64,7 +64,7 @@ def write_csv(path, trajectory: propagator.Trajectory) -> None:
 def write_svg_panels(base_path, trajectory: propagator.Trajectory,
                      quantities, title_prefix: str = "") -> list[Path]:
     base = Path(base_path)
-    columns = dict(zip(observables.ObservableRecord.CSV_FIELDS, trajectory.table.T))
+    columns = dict(zip(observables.CSV_FIELDS, trajectory.table.T))
     written = []
     multi = len(quantities) > 1
     for q in quantities:
@@ -183,6 +183,12 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     entries = _read_config(args.config)
     # every value's spec is checked before the first solve
     specs = [load_run_spec({**entries, args.param: token}, args) for token in tokens]
+    first: dict[float, str] = {}
+    for token in tokens:
+        if float(token) in first:
+            raise config.ConfigError(f"--values for {args.param} repeats a value: "
+                                     f"{first[float(token)]!r} and {token!r}")
+        first[float(token)] = token
     if specs[0].csv_path is None:
         raise config.ConfigError("csv is required")
     csv_base = Path(specs[0].csv_path)

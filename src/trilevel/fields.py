@@ -10,7 +10,7 @@ vector.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from functools import lru_cache
 from importlib import resources
 
@@ -69,9 +69,6 @@ class FieldConfig:
             raise ValueError("Gamma must be >= 0")
         if self.sign_convention not in (1.0, -1.0, 1, -1):
             raise ValueError("sign_convention must be +1 or -1")
-
-    def with_updates(self, **changes) -> "FieldConfig":
-        return replace(self, **changes)
 
 
 def field_config_from_entries(entries: dict[str, str]) -> FieldConfig:

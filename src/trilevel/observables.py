@@ -8,9 +8,10 @@ is reported in nats; the maximally mixed three-level value is ln 3.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
+
+from . import algebra
 
 LN3 = math.log(3.0)
 
@@ -43,33 +44,12 @@ def coherence_norm(eta: np.ndarray) -> np.ndarray | float:
     return np.sqrt(np.sum(np.abs(np.asarray(eta)) ** 2, axis=-1))
 
 
-@dataclass(frozen=True)
-class ObservableRecord:
-    """One output sample of a simulated trajectory."""
-
-    t: float
-    pop1: float
-    pop2: float
-    pop3: float
-    re12: float
-    im12: float
-    re13: float
-    im13: float
-    re23: float
-    im23: float
-    entropy: float
-    purity: float
-    eig1: float
-    eig2: float
-    eig3: float
-    eta_norm: float
-
-    CSV_FIELDS = ("t", "pop1", "pop2", "pop3", "re12", "im12", "re13", "im13",
-                  "re23", "im23", "entropy", "purity", "eig1", "eig2", "eig3",
-                  "eta_norm")
+#: The columns of ``table`` and of the CSV, in order.
+CSV_FIELDS = ("t", "pop1", "pop2", "pop3", "re12", "im12", "re13", "im13",
+              "re23", "im23", "entropy", "purity", "eig1", "eig2", "eig3", "eta_norm")
 
 
-def table(grid: np.ndarray, rho: np.ndarray, eta: np.ndarray) -> np.ndarray:
+def table(grid: np.ndarray, rho: np.ndarray) -> np.ndarray:
     """The observables of n samples as an (n, 16) array, columns in CSV_FIELDS order."""
     lam = spectrum(rho)
     return np.column_stack([
@@ -78,5 +58,5 @@ def table(grid: np.ndarray, rho: np.ndarray, eta: np.ndarray) -> np.ndarray:
         rho[:, 0, 1].real, rho[:, 0, 1].imag,
         rho[:, 0, 2].real, rho[:, 0, 2].imag,
         rho[:, 1, 2].real, rho[:, 1, 2].imag,
-        _entropy_of_spectrum(lam), purity(rho), lam, coherence_norm(eta),
+        _entropy_of_spectrum(lam), purity(rho), lam, coherence_norm(algebra.rho_to_eta(rho)),
     ])

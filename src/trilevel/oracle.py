@@ -53,6 +53,18 @@ def _max_step(cfg: FieldConfig) -> float:
     return math.pi / (2.0 * fastest) if fastest > 0 else math.inf
 
 
+def _integrate(rhs, y0: np.ndarray, cfg: FieldConfig, grid: np.ndarray,
+               tol: float, what: str) -> np.ndarray:
+    """The solution of ``y' = rhs(t, y)`` at the times of ``grid``, one row per time."""
+    if not (math.isfinite(tol) and tol > 0):
+        raise ValueError(f"tol must be finite and > 0, got {tol!r}")
+    sol = solve_ivp(rhs, (0.0, grid[-1]), y0, t_eval=grid, rtol=tol, atol=tol,
+                    method=_IVP_METHOD, max_step=_max_step(cfg))
+    if not sol.success:
+        raise RuntimeError(f"direct {what} integration failed: {sol.message}")
+    return sol.y.T
+
+
 def integrate_eta_direct(cfg: FieldConfig, eta0: np.ndarray, t_end: float,
                          dt_out: float, tol: float) -> Trajectory:
     """Adaptive direct integration of the coherence-vector equation."""
@@ -64,12 +76,8 @@ def integrate_eta_direct(cfg: FieldConfig, eta0: np.ndarray, t_end: float,
     def rhs(t, y):
         return -1j * (epsilon(t, cfg) * (bz @ y) + 2.0 * j_coupling(t, cfg) * (bx @ y)) - gamma * y
 
-    sol = solve_ivp(rhs, (0.0, t_end), np.asarray(eta0, dtype=complex),
-                    t_eval=grid, rtol=tol, atol=tol, method=_IVP_METHOD,
-                    max_step=_max_step(cfg))
-    if not sol.success:
-        raise RuntimeError(f"direct eta integration failed: {sol.message}")
-    return trajectory_from_etas(grid, sol.y.T)
+    etas = _integrate(rhs, np.asarray(eta0, dtype=complex), cfg, grid, tol, "eta")
+    return trajectory_from_etas(grid, etas)
 
 
 def integrate_rho_direct(cfg: FieldConfig, rho0: np.ndarray, t_end: float,
@@ -96,12 +104,8 @@ def integrate_rho_direct(cfg: FieldConfig, rho0: np.ndarray, t_end: float,
             drho -= gamma * (rho - (np.trace(rho) / 3.0) * eye)
         return drho.reshape(-1)
 
-    sol = solve_ivp(rhs, (0.0, t_end), rho0.reshape(-1),
-                    t_eval=grid, rtol=tol, atol=tol, method=_IVP_METHOD,
-                    max_step=_max_step(cfg))
-    if not sol.success:
-        raise RuntimeError(f"direct rho integration failed: {sol.message}")
-    return trajectory_from_rhos(grid, sol.y.T.reshape(-1, 3, 3))
+    rhos = _integrate(rhs, rho0.reshape(-1), cfg, grid, tol, "rho")
+    return trajectory_from_rhos(grid, rhos.reshape(-1, 3, 3))
 
 
 def hydrogen_amplitudes(A: float, omega: float, t: float) -> AmplitudeTriple:

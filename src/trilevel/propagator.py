@@ -24,7 +24,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cached_property
 
 import numpy as np
 
@@ -86,20 +85,12 @@ def chart_matrix(mu_plus, mu_minus, mu) -> tuple[np.ndarray, np.ndarray]:
 
 @dataclass
 class Trajectory:
-    """Output grid with density matrices, coherence vectors and observables.
-
-    ``table`` holds the observables as (n, 16) columns in ``CSV_FIELDS`` order;
-    ``observables`` builds one ``ObservableRecord`` per row on first access.
-    """
+    """Output grid, density matrices (n, 3, 3) and the observables ``table``:
+    (n, 16) columns in ``observables.CSV_FIELDS`` order."""
 
     grid: np.ndarray
     rho: np.ndarray
-    eta: np.ndarray
     table: np.ndarray
-
-    @cached_property
-    def observables(self) -> list[observables.ObservableRecord]:
-        return [observables.ObservableRecord(*row) for row in self.table.tolist()]
 
     def __len__(self) -> int:
         return len(self.grid)
@@ -108,9 +99,11 @@ class Trajectory:
 def _build_trajectory(grid: np.ndarray, rhos) -> Trajectory:
     grid = np.asarray(grid, dtype=float)
     rhos = np.asarray(rhos, dtype=complex)
-    rho_out = 0.5 * (rhos + rhos.conj().transpose(0, 2, 1))
-    eta_out = algebra.rho_to_eta(rho_out)
-    return Trajectory(grid, rho_out, eta_out, observables.table(grid, rho_out, eta_out))
+    # the Hermitian part 0.5 (rhos + rhos^H), formed in one new stack
+    rho_out = np.conj(rhos.transpose(0, 2, 1), order="C")
+    rho_out += rhos
+    rho_out *= 0.5
+    return Trajectory(grid, rho_out, observables.table(grid, rho_out))
 
 
 def trajectory_from_etas(grid: np.ndarray, etas: np.ndarray) -> Trajectory:
@@ -124,7 +117,7 @@ def trajectory_from_rhos(grid: np.ndarray, rhos: np.ndarray) -> Trajectory:
     Each matrix is replaced by its Hermitian part.  That removes the
     anti-Hermitian residue of order the solver tolerance that approximate
     exponents (or an oracle's integration error) leave, so trace and
-    hermiticity hold structurally at any tolerance.
+    hermiticity hold structurally at any tolerance.  ``rhos`` is not written.
     """
     return _build_trajectory(grid, rhos)
 
@@ -171,8 +164,6 @@ def run(cfg: FieldConfig, rho0: np.ndarray, t_end: float, dt_out: float, tol: fl
     its first node past CHART_LIMIT, or ends at a blow-up; the state is then
     composed at the last node inside the limit and a new chart starts there.
     """
-    if not (math.isfinite(tol) and tol > 0):
-        raise ValueError(f"tol must be positive and finite, got {tol!r}")
     grid = output_grid(t_end, dt_out)
     rho0 = algebra.validate_density_matrix(rho0)
     # the maximally mixed state at the trace of rho0, which decay approaches

@@ -254,8 +254,8 @@ def solve_mu(cfg: FieldConfig, t_end: float, tol: float, *,
     """
     if t_end <= t_start:
         raise ValueError("t_end must exceed t_start")
-    if tol <= 0:
-        raise ValueError("tol must be positive")
+    if not (math.isfinite(tol) and tol > 0):
+        raise ValueError(f"tol must be finite and > 0, got {tol!r}")
 
     if cfg.A == 0.0 and cfg.B == 0.0:
         # Degenerate drive: all exponents stay identically zero.

@@ -96,7 +96,7 @@ def test_csv_formats_signed_zeros_subnormals_and_extremes(tmp_path):
            -2.5, 1e-5, 123456789.0, 0.1, -1e-300, 7.0, 1.7976931348623157e308, -0.0]
     table = np.array([row])
     cli.write_csv(tmp_path / "edge.csv",
-                  propagator.Trajectory(table[:, 0], np.zeros((1, 3, 3)), np.zeros((1, 8)), table))
+                  propagator.Trajectory(table[:, 0], np.zeros((1, 3, 3)), table))
     assert (tmp_path / "edge.csv").read_text().splitlines()[1].split(",") == [
         "0.00000000000e+00", "0.00000000000e+00", "4.94065645841e-324", "-4.94065645841e-324",
         "2.22507385851e-308", "1.00000000000e+300", "-1.00000000000e+300", "3.33333333333e-01",
@@ -310,6 +310,19 @@ def test_sweep_rejects_empty_values_and_bad_param(tmp_path, capsys):
     assert err.startswith("config error: quantities") and "'pops'" in err
 
 
+def test_sweep_rejects_a_repeated_value_before_the_first_solve(tmp_path, monkeypatch, capsys):
+    solves = []
+    monkeypatch.setattr(cli, "solve", solves.append)
+    cfg = write_cfg(tmp_path / "d.cfg", f"preset = fig9\ncsv = {tmp_path / 'd.csv'}\n")
+    for values, second in (("0.5,0.5,5e-1", "'0.5'"), ("0.5,1,5e-1", "'5e-1'")):
+        assert cli.main(["sweep", cfg, "--param", "delta", f"--values={values}"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error: --values for delta repeats a value: '0.5' and ")
+        assert err.rstrip().endswith(second)
+    assert solves == []
+    assert not list(tmp_path.glob("*.csv"))
+
+
 def test_sweep_over_sign_flips_the_coherences_but_not_the_populations(tmp_path):
     csv = tmp_path / "s.csv"
     cfg = write_cfg(tmp_path / "s.cfg",
@@ -366,6 +379,15 @@ def test_readme_example_config_runs(tmp_path, monkeypatch):
     assert sorted(p.name for p in tmp_path.glob("out_*.svg")) == [
         "out_coherences_im.svg", "out_coherences_re.svg",
         "out_entropy.svg", "out_populations.svg"]
+
+
+def test_readme_library_quick_start_runs(capsys):
+    readme = (Path(__file__).parents[1] / "README.md").read_text(encoding="utf-8")
+    block = readme.split("## Library quick start\n\n```python\n", 1)[1].split("```", 1)[0]
+    exec(compile(block, "README.md", "exec"), {})
+    peak_pop3, deviation = map(float, capsys.readouterr().out.split())
+    assert abs(peak_pop3 - 0.9376979776104218) <= 1e-6   # FIG3_PEAK_POP3 in test_acceptance
+    assert deviation <= 1e-6
 
 
 def test_unwritable_csv_path_maps_to_io_exit_code(tmp_path, capsys):

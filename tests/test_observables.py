@@ -1,4 +1,3 @@
-import dataclasses
 import math
 
 import numpy as np
@@ -74,28 +73,26 @@ def test_table_rows_match_the_per_matrix_quantities():
     rho = np.array([algebra.random_density_matrix(rng) for _ in range(50)])
     eta = algebra.rho_to_eta(rho)
     grid = 1.5 + np.arange(len(rho))
-    tab = observables.table(grid, rho, eta)
-    assert tab.shape == (len(rho), len(observables.ObservableRecord.CSV_FIELDS)) == (50, 16)
+    tab = observables.table(grid, rho)
+    assert tab.shape == (len(rho), len(observables.CSV_FIELDS)) == (50, 16)
     for row, t, r, e in zip(tab, grid, rho, eta):
-        rec = observables.ObservableRecord(*row)
-        assert rec.t == t
-        assert [rec.pop1, rec.pop2, rec.pop3] == list(np.diag(r).real)
-        assert (rec.re12, rec.im12, rec.re13, rec.im13, rec.re23, rec.im23) == (
-            r[0, 1].real, r[0, 1].imag, r[0, 2].real, r[0, 2].imag, r[1, 2].real, r[1, 2].imag)
-        assert rec.entropy == observables.entropy(r)
-        assert rec.purity == observables.purity(r)
-        assert [rec.eig1, rec.eig2, rec.eig3] == list(observables.spectrum(r))
-        assert rec.eta_norm == observables.coherence_norm(e)
-        assert rec.pop1 + rec.pop2 + rec.pop3 == pytest.approx(1.0, abs=1e-9)
-        assert rec.purity == pytest.approx(rec.eig1 ** 2 + rec.eig2 ** 2 + rec.eig3 ** 2,
-                                           abs=1e-10)
-        assert rec.eig1 >= rec.eig2 >= rec.eig3
-        assert 0.0 <= rec.entropy <= observables.LN3 + 1e-9
-    # a trajectory keeps the table of its hermitized states and builds its records from it
+        rec = dict(zip(observables.CSV_FIELDS, row))
+        assert rec["t"] == t
+        assert [rec["pop1"], rec["pop2"], rec["pop3"]] == list(np.diag(r).real)
+        assert [rec[k] for k in ("re12", "im12", "re13", "im13", "re23", "im23")] == [
+            r[0, 1].real, r[0, 1].imag, r[0, 2].real, r[0, 2].imag, r[1, 2].real, r[1, 2].imag]
+        assert rec["entropy"] == observables.entropy(r)
+        assert rec["purity"] == observables.purity(r)
+        assert [rec["eig1"], rec["eig2"], rec["eig3"]] == list(observables.spectrum(r))
+        assert rec["eta_norm"] == observables.coherence_norm(e)
+        assert rec["pop1"] + rec["pop2"] + rec["pop3"] == pytest.approx(1.0, abs=1e-9)
+        assert rec["purity"] == pytest.approx(
+            rec["eig1"] ** 2 + rec["eig2"] ** 2 + rec["eig3"] ** 2, abs=1e-10)
+        assert rec["eig1"] >= rec["eig2"] >= rec["eig3"]
+        assert 0.0 <= rec["entropy"] <= observables.LN3 + 1e-9
+    # a trajectory keeps the table of its hermitized states
     traj = propagator.trajectory_from_rhos(grid, rho)
-    assert np.array_equal(traj.table, observables.table(grid, traj.rho, traj.eta))
-    assert traj.observables is traj.observables
-    assert [list(dataclasses.astuple(r)) for r in traj.observables] == traj.table.tolist()
+    assert np.array_equal(traj.table, observables.table(grid, traj.rho))
     # the stacked quantities are the per-matrix ones, bit for bit
     assert np.array_equal(observables.spectrum(rho), [observables.spectrum(r) for r in rho])
     assert np.array_equal(observables.entropy(rho), [observables.entropy(r) for r in rho])
@@ -107,7 +104,7 @@ def test_table_rows_match_the_per_matrix_quantities():
 def test_entropy_monotone_under_decoherence():
     ps = fields.preset("fig6")
     traj = propagator.run(ps.config, ps.initial.density(), 40.0, 0.5, 1e-10)
-    entropies = [r.entropy for r in traj.observables]
+    entropies = observables.entropy(traj.rho)
     for a, b in zip(entropies, entropies[1:]):
         assert b >= a - 1e-10
 
@@ -118,6 +115,6 @@ def test_entropy_depends_only_on_gamma_for_pure_starts():
     for name in ("fig1", "fig7", "fig9"):
         ps = fields.preset(name)
         traj = propagator.run(ps.config, ps.initial.density(), 30.0, 1.0, 1e-11)
-        runs.append([r.entropy for r in traj.observables])
+        runs.append(observables.entropy(traj.rho))
     for other in runs[1:]:
-        assert np.max(np.abs(np.array(runs[0]) - np.array(other))) <= 1e-7
+        assert np.max(np.abs(runs[0] - other)) <= 1e-7

@@ -90,7 +90,7 @@ def test_run_at_time_zero_returns_rho0():
     rho0 = np.diag([1.0, 0.0, 0.0]).astype(complex)
     traj = propagator.run(cfg, rho0, 5.0, 1.0, 1e-10)
     assert np.max(np.abs(traj.rho[0] - rho0)) == 0.0
-    assert np.max(np.abs(traj.eta[0] - algebra.rho_to_eta(rho0))) == 0.0
+    assert np.max(np.abs(algebra.rho_to_eta(traj.rho[0]) - algebra.rho_to_eta(rho0))) == 0.0
 
 
 def test_long_time_coherence_vector_vanishes():
@@ -98,7 +98,7 @@ def test_long_time_coherence_vector_vanishes():
     rho0 = ps.initial.density()
     traj = propagator.run(ps.config, rho0, 500.0, 250.0, 1e-9)
     n0 = observables.coherence_norm(algebra.rho_to_eta(rho0))
-    assert observables.coherence_norm(traj.eta[-1]) <= 1e-4 * n0 + 1e-8
+    assert observables.coherence_norm(algebra.rho_to_eta(traj.rho[-1])) <= 1e-4 * n0 + 1e-8
 
 
 def test_run_matches_direct_integration_on_fig1():
@@ -106,7 +106,7 @@ def test_run_matches_direct_integration_on_fig1():
     rho0 = ps.initial.density()
     prod = propagator.run(ps.config, rho0, 100.0, 1.0, 1e-10)
     direct = oracle.integrate_eta_direct(ps.config, algebra.rho_to_eta(rho0), 100.0, 1.0, 1e-10)
-    assert np.max(np.abs(prod.eta - direct.eta)) <= 1e-6
+    assert np.max(np.abs(algebra.rho_to_eta(prod.rho) - algebra.rho_to_eta(direct.rho))) <= 1e-6
     assert np.max(np.abs(prod.rho - direct.rho)) <= 1e-6
 
 
@@ -173,7 +173,7 @@ def test_segmented_restart_is_a_cocycle(monkeypatch):
     charts = record_charts(monkeypatch)
     forced = propagator.run(ps.config, rho0, 20.0, 0.5, 1e-12)
     assert len(charts) >= 20
-    assert np.max(np.abs(plain.eta - forced.eta)) <= 1e-8
+    assert np.max(np.abs(algebra.rho_to_eta(plain.rho) - algebra.rho_to_eta(forced.rho))) <= 1e-8
 
 
 @functools.lru_cache(maxsize=None)
@@ -202,7 +202,7 @@ def test_run_continues_through_chart_singularity():
     rho0 = np.diag([1.0, 0.0, 0.0]).astype(complex)
     traj = propagator.run(cfg, rho0, 8.0, 0.1, 1e-10)
     direct = oracle.integrate_eta_direct(cfg, algebra.rho_to_eta(rho0), 8.0, 0.1, 1e-12)
-    assert np.max(np.abs(traj.eta - direct.eta)) <= 1e-6
+    assert np.max(np.abs(algebra.rho_to_eta(traj.rho) - algebra.rho_to_eta(direct.rho))) <= 1e-6
 
 
 def test_run_composes_through_repeated_blowups(monkeypatch):
@@ -217,7 +217,7 @@ def test_run_composes_through_repeated_blowups(monkeypatch):
     assert len(charts) >= 3
     assert [blew_up for _, blew_up in charts] == [True] * (len(charts) - 1) + [False]
     direct = oracle.integrate_eta_direct(cfg, algebra.rho_to_eta(rho0), 8.0, 0.5, 1e-12)
-    assert np.max(np.abs(traj.eta - direct.eta)) <= 1e-6
+    assert np.max(np.abs(algebra.rho_to_eta(traj.rho) - algebra.rho_to_eta(direct.rho))) <= 1e-6
 
 
 @pytest.mark.parametrize("cfg, blowup_threshold, ends_in_blowup", [
@@ -249,7 +249,7 @@ def test_purity_law_along_a_run():
     traj = propagator.run(ps.config, rho0, 40.0, 1.0, 1e-10)
     for k, t in enumerate(traj.grid):
         expected = 1.0 / 3.0 + 0.5 * math.exp(-2 * ps.config.Gamma * t) * norm0_sq
-        assert traj.observables[k].purity == pytest.approx(expected, abs=1e-7)
+        assert observables.purity(traj.rho[k]) == pytest.approx(expected, abs=1e-7)
 
 
 def test_eigenvalue_law_for_pure_initial_state():
@@ -257,8 +257,7 @@ def test_eigenvalue_law_for_pure_initial_state():
     traj = propagator.run(ps.config, ps.initial.density(), 40.0, 2.0, 1e-10)
     for k, t in enumerate(traj.grid):
         x = math.exp(-ps.config.Gamma * t)
-        lam = np.array([traj.observables[k].eig1, traj.observables[k].eig2,
-                        traj.observables[k].eig3])
+        lam = observables.spectrum(traj.rho[k])
         law = np.array([(1 + 2 * x) / 3, (1 - x) / 3, (1 - x) / 3])
         assert np.max(np.abs(lam - law)) <= 1e-7
 
@@ -308,11 +307,32 @@ def test_every_grid_consumer_rejects_a_bad_grid_naming_the_key(consumer, t_end, 
         GRID_CONSUMERS[consumer](t_end, dt_out)
 
 
+TOL_CONSUMERS = {
+    "solve_mu": lambda tol: riccati.solve_mu(_HYDROGEN.config, 1.0, tol),
+    "run": lambda tol: propagator.run(_HYDROGEN.config, _RHO0, 1.0, 0.5, tol),
+    "integrate_eta_direct": lambda tol: oracle.integrate_eta_direct(
+        _HYDROGEN.config, algebra.rho_to_eta(_RHO0), 1.0, 0.5, tol),
+    "integrate_rho_direct": lambda tol: oracle.integrate_rho_direct(
+        _HYDROGEN.config, _RHO0, 1.0, 0.5, tol),
+}
+
+
+@pytest.mark.parametrize("tol", [0.0, -1e-9, math.nan, math.inf],
+                         ids=["tol=0", "tol=-1e-9", "tol=nan", "tol=inf"])
+@pytest.mark.parametrize("consumer", TOL_CONSUMERS)
+def test_every_tol_consumer_rejects_a_tol_that_is_not_finite_and_positive(consumer, tol):
+    # at a nan or inf tol the adaptive steppers never finish
+    with pytest.raises(ValueError, match="^tol must be finite and > 0, got "):
+        TOL_CONSUMERS[consumer](tol)
+
+
 def test_transient_memory_of_a_long_chart_is_bounded():
     # One chart of 10^5 output samples (fig11 stays healthy to t = 100): the
     # samples are filled in blocks of SAMPLE_BLOCK, so the peak is the result
-    # arrays (40.8 MB) plus a bounded transient.  Measured peak 61.9 MB; it
-    # was 155 MB when a whole chart was filled in one batch.
+    # arrays (28.0 MB: grid, rho and table) plus a bounded transient, set by
+    # the observables table build.  Measured peak 60.3 MB; it was 61.9 MB
+    # when a trajectory also stored eta, and 155 MB when a whole chart was
+    # filled in one batch.
     ps = fields.preset("fig11")
     tracemalloc.start()
     try:
@@ -339,6 +359,16 @@ def test_run_input_validation():
         propagator.run(cfg, rho0, 1.0, math.nan, 1e-9)
     with pytest.raises(ValueError):
         propagator.run(cfg, np.eye(3), 1.0, 0.1, 1e-9)  # trace 3
+
+
+def test_trajectory_from_rhos_keeps_the_hermitian_part_and_leaves_its_input_unchanged():
+    rng = np.random.default_rng(5)
+    rhos = rng.standard_normal((7, 3, 3)) + 1j * rng.standard_normal((7, 3, 3))
+    before = rhos.copy()
+    traj = propagator.trajectory_from_rhos(np.arange(7.0), rhos)
+    assert np.array_equal(rhos, before)
+    assert np.array_equal(traj.rho, 0.5 * (rhos + rhos.conj().transpose(0, 2, 1)))
+    assert traj.rho.flags.c_contiguous
 
 
 def test_trajectory_from_etas_projects_to_physical_states():
