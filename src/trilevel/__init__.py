@@ -9,7 +9,8 @@ hydrogen Stark solution serve as cross-validation oracles.
 
 from .algebra import (A_X, A_Y, A_Z, B_MINUS, B_PLUS, B_X, B_Y, B_Z,
                       commutator, eta_to_rho, random_density_matrix, rho_to_eta,
-                      validate_density_matrix, verify_algebra)
+                      validate_density_matrix)
+from .checks import verify_algebra
 from .fields import (FieldConfig, InitialState, Preset, UnknownPresetError,
                      epsilon, hydrogen_config, j_coupling, liouvillian, preset,
                      preset_names)

@@ -14,16 +14,12 @@ product-form propagator cheap to evaluate.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
-# Structural tolerances of the validators and of verify_algebra().
+# Structural tolerances of validate_density_matrix().
 HERMITICITY_TOL = 1e-10
 TRACE_TOL = 1e-10
 POSITIVITY_TOL = 1e-9
-COMMUTATOR_TOL = 1e-14
-NILPOTENCY_TOL = 1e-12
 
 _SQRT3 = np.sqrt(3.0)
 
@@ -159,88 +155,9 @@ def validate_density_matrix(rho: np.ndarray) -> np.ndarray:
     return r
 
 
-def coherence_pattern_deviation(eta: np.ndarray) -> float:
-    """Largest violation of the reality pattern of a physical coherence vector.
-
-    Components 1, 2, 3, 5, 7 (one-based) must be real, components 4, 6, 8 pure
-    imaginary.  Returns 0 for vectors built from a Hermitian matrix.
-    """
-    e = np.asarray(eta, dtype=complex)
-    real_part = np.max(np.abs(e[[0, 1, 2, 4, 6]].imag))
-    imag_part = np.max(np.abs(e[[3, 5, 7]].real))
-    return float(max(real_part, imag_part))
-
-
 def random_density_matrix(rng: np.random.Generator) -> np.ndarray:
     """Draw a random 3x3 density matrix (Ginibre construction)."""
     g = rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3))
     m = g @ g.conj().T
     return m / np.trace(m).real
 
-
-def nilpotency_degree(m: np.ndarray) -> int:
-    """Smallest k with max|m^k| <= NILPOTENCY_TOL, searching k = 1..8.
-
-    Raises ValueError if the matrix is not nilpotent within the search range.
-    """
-    p = np.asarray(m, dtype=complex)
-    power = np.eye(p.shape[0], dtype=complex)
-    for k in range(1, 9):
-        power = power @ p
-        if np.max(np.abs(power)) <= NILPOTENCY_TOL:
-            return k
-    raise ValueError("matrix is not nilpotent up to the 8th power")
-
-
-@dataclass(frozen=True)
-class AlgebraCheck:
-    name: str
-    passed: bool
-    deviation: float
-
-
-@dataclass(frozen=True)
-class AlgebraReport:
-    checks: tuple[AlgebraCheck, ...]
-    nilpotency: dict[str, int]
-
-    @property
-    def all_passed(self) -> bool:
-        return all(c.passed for c in self.checks)
-
-    def __str__(self) -> str:
-        lines = [f"{'PASS' if c.passed else 'FAIL'}  {c.name}  (deviation {c.deviation:.2e})"
-                 for c in self.checks]
-        lines.append(f"nilpotency degree: B_plus={self.nilpotency['B_plus']}, "
-                     f"B_minus={self.nilpotency['B_minus']}")
-        return "\n".join(lines)
-
-
-def verify_algebra() -> AlgebraReport:
-    """Check the commutator and hermiticity relations of all generators.
-
-    Reads the module-level matrices at call time, so a corrupted generator is
-    caught.  Also measures the nilpotency degree of the ladder matrices.
-    """
-    checks = []
-    triples = [
-        ("[A_x,A_y] = iA_z", A_X, A_Y, A_Z),
-        ("[A_y,A_z] = iA_x", A_Y, A_Z, A_X),
-        ("[A_z,A_x] = iA_y", A_Z, A_X, A_Y),
-        ("[B_x,B_y] = iB_z", B_X, B_Y, B_Z),
-        ("[B_y,B_z] = iB_x", B_Y, B_Z, B_X),
-        ("[B_z,B_x] = iB_y", B_Z, B_X, B_Y),
-    ]
-    for name, x, y, z in triples:
-        dev = float(np.max(np.abs(commutator(x, y) - 1j * z)))
-        checks.append(AlgebraCheck(name, dev <= COMMUTATOR_TOL, dev))
-    for name, m in [("A_x Hermitian", A_X), ("A_y Hermitian", A_Y), ("A_z Hermitian", A_Z),
-                    ("B_x Hermitian", B_X), ("B_y Hermitian", B_Y), ("B_z Hermitian", B_Z)]:
-        dev = hermiticity_deviation(m)
-        checks.append(AlgebraCheck(name, dev <= COMMUTATOR_TOL, dev))
-    ladder_dev = float(max(np.max(np.abs(B_PLUS - (B_X + 1j * B_Y))),
-                           np.max(np.abs(B_MINUS - (B_X - 1j * B_Y)))))
-    checks.append(AlgebraCheck("B_plus/B_minus consistent with B_x, B_y",
-                               ladder_dev <= COMMUTATOR_TOL, ladder_dev))
-    nil = {"B_plus": nilpotency_degree(B_PLUS), "B_minus": nilpotency_degree(B_MINUS)}
-    return AlgebraReport(tuple(checks), nil)

@@ -18,6 +18,11 @@ from . import algebra, fields, observables, oracle, propagator, riccati
 # Random draws per identity check.
 SAMPLES = 300
 
+# Bounds of the algebra rows; the generators are built from 0, +-1, +-2, i
+# and sqrt(3), so the identities hold to rounding.
+COMMUTATOR_TOL = 1e-14
+NILPOTENCY_TOL = 1e-12
+
 
 @dataclass(frozen=True)
 class CheckResult:
@@ -31,14 +36,44 @@ def _result(name: str, deviation: float, bound: float) -> CheckResult:
                        f"deviation {deviation:.3e} (allowed {bound:.1e})")
 
 
-def check_algebra() -> list[CheckResult]:
-    report = algebra.verify_algebra()
-    out = [CheckResult(f"algebra: {c.name}", c.passed, f"deviation {c.deviation:.3e}")
-           for c in report.checks]
-    out.append(CheckResult("algebra: ladder nilpotency degree",
-                           report.nilpotency["B_plus"] == 5 and report.nilpotency["B_minus"] == 5,
-                           f"measured {report.nilpotency}"))
-    return out
+def _max_abs(m) -> float:
+    return float(np.max(np.abs(m)))
+
+
+def verify_algebra() -> list[CheckResult]:
+    """The algebra rows: the angular-momentum commutators and hermiticity of
+    the generators, the ladder matrices against B_x +- iB_y, and their
+    nilpotency degree 5.
+
+    Reads the ``algebra`` module attributes at call time, so a rebound
+    generator fails its row instead of passing on a cached copy.
+    """
+    a = algebra
+    rows = []
+    for name, x, y, z in [("[A_x,A_y] = iA_z", a.A_X, a.A_Y, a.A_Z),
+                          ("[A_y,A_z] = iA_x", a.A_Y, a.A_Z, a.A_X),
+                          ("[A_z,A_x] = iA_y", a.A_Z, a.A_X, a.A_Y),
+                          ("[B_x,B_y] = iB_z", a.B_X, a.B_Y, a.B_Z),
+                          ("[B_y,B_z] = iB_x", a.B_Y, a.B_Z, a.B_X),
+                          ("[B_z,B_x] = iB_y", a.B_Z, a.B_X, a.B_Y)]:
+        rows.append(_result(f"algebra: {name}", _max_abs(a.commutator(x, y) - 1j * z),
+                            COMMUTATOR_TOL))
+    for name, m in [("A_x", a.A_X), ("A_y", a.A_Y), ("A_z", a.A_Z),
+                    ("B_x", a.B_X), ("B_y", a.B_Y), ("B_z", a.B_Z)]:
+        rows.append(_result(f"algebra: {name} Hermitian", a.hermiticity_deviation(m),
+                            COMMUTATOR_TOL))
+    ladder = max(_max_abs(a.B_PLUS - (a.B_X + 1j * a.B_Y)),
+                 _max_abs(a.B_MINUS - (a.B_X - 1j * a.B_Y)))
+    rows.append(_result("algebra: B_plus/B_minus consistent with B_x, B_y", ladder,
+                        COMMUTATOR_TOL))
+    # degree 5: the fifth power of each ladder matrix vanishes, the fourth does not
+    fifth = max(_max_abs(np.linalg.matrix_power(m, 5)) for m in (a.B_PLUS, a.B_MINUS))
+    fourth = min(_max_abs(np.linalg.matrix_power(m, 4)) for m in (a.B_PLUS, a.B_MINUS))
+    rows.append(CheckResult("algebra: ladder nilpotency degree",
+                            fifth <= NILPOTENCY_TOL < fourth,
+                            f"max|B^5| {fifth:.3e} (allowed {NILPOTENCY_TOL:.1e}), "
+                            f"max|B^4| {fourth:.3e}"))
+    return rows
 
 
 def check_round_trip() -> CheckResult:
@@ -128,7 +163,7 @@ def check_eigenvalue_law_and_entropy() -> list[CheckResult]:
 
 def run_all() -> list[CheckResult]:
     results: list[CheckResult] = []
-    results.extend(check_algebra())
+    results.extend(verify_algebra())
     results.append(check_round_trip())
     results.append(check_purity_identity())
     results.extend(check_riccati_constant_coupling())

@@ -25,8 +25,7 @@ FIELD_KEYS = ("A", "Omega", "B", "omega", "delta", "Gamma", "sign")
 # The keys a preset block may set; anything else is a ConfigError.
 PRESET_KEYS = frozenset(FIELD_KEYS) | {"initial", "t_end", "dt_out"}
 
-INITIAL_KINDS = ("level1", "level2", "level3",
-                 "stark_plus", "stark_minus", "stark_zero", "custom")
+INITIAL_KINDS = ("level1", "level2", "level3", "stark_plus", "stark_minus", "stark_zero")
 
 # Parabolic (Stark) eigenstates of the degenerate n=3 hydrogen manifold in the
 # (s, p, d) level ordering.
@@ -122,20 +121,15 @@ def liouvillian(t: float, cfg: FieldConfig) -> np.ndarray:
 
 @dataclass(frozen=True)
 class InitialState:
-    """Named initial density matrix, or a custom one."""
+    """Named pure initial density matrix."""
 
     kind: str
-    custom_rho: np.ndarray | None = None
 
     def __post_init__(self):
         if self.kind not in INITIAL_KINDS:
             raise ValueError(f"initial state kind must be one of {INITIAL_KINDS}, got {self.kind!r}")
-        if self.kind == "custom" and self.custom_rho is None:
-            raise ValueError("custom initial state requires custom_rho")
 
     def density(self) -> np.ndarray:
-        if self.kind == "custom":
-            return algebra.validate_density_matrix(self.custom_rho)
         if self.kind.startswith("level"):
             i = int(self.kind[-1]) - 1
             rho = np.zeros((3, 3), dtype=complex)
@@ -187,7 +181,7 @@ def _parse_presets(blocks: dict[str, dict[str, str]]) -> dict[str, Preset]:
         if unknown:
             raise config.ConfigError(f"unknown key {min(unknown)!r} in preset [{name}]")
         cfg = field_config_from_entries(entries)
-        initial = InitialState(config.get_choice(entries, "initial", INITIAL_KINDS[:-1]))
+        initial = InitialState(config.get_choice(entries, "initial", INITIAL_KINDS))
         table[name] = Preset(
             name=name,
             config=cfg,

@@ -252,16 +252,13 @@ def solve_mu(cfg: FieldConfig, t_end: float, tol: float, *,
     :data:`BLOWUP_THRESHOLD`; the exception carries the crossing time and the
     partial trajectory up to the last sample below the threshold.
     """
+    for key, value in (("t_start", t_start), ("t_end", t_end)):
+        if not math.isfinite(value):
+            raise ValueError(f"{key} must be finite, got {value!r}")
     if t_end <= t_start:
         raise ValueError("t_end must exceed t_start")
     if not (math.isfinite(tol) and tol > 0):
         raise ValueError(f"tol must be finite and > 0, got {tol!r}")
-
-    if cfg.A == 0.0 and cfg.B == 0.0:
-        # Degenerate drive: all exponents stay identically zero.
-        grid = np.array([t_start, t_end])
-        zeros = np.zeros((2, 3), complex)
-        return MuTrajectory(grid, zeros, zeros.copy(), zeros.copy())
 
     # Python scalars throughout the loop; nodes become arrays in MuTrajectory.
     t, t_end, tol = float(t_start), float(t_end), float(tol)

@@ -12,7 +12,7 @@ import time
 import numpy as np
 import pytest
 
-from trilevel import algebra, cli, fields, observables, oracle, propagator, riccati
+from trilevel import algebra, checks, cli, fields, observables, oracle, propagator, riccati
 
 LN3 = math.log(3.0)
 
@@ -37,10 +37,11 @@ def test_criterion_01_algebra_and_nilpotency():
                     (algebra.B_Y, algebra.B_Z, algebra.B_X),
                     (algebra.B_Z, algebra.B_X, algebra.B_Y)]:
         assert np.max(np.abs(algebra.commutator(x, y) - 1j * z)) <= 1e-14
-    report = algebra.verify_algebra()
-    assert report.all_passed
-    # regression constant: both ladder matrices vanish at the fifth power
-    assert report.nilpotency == {"B_plus": 5, "B_minus": 5}
+    rows = checks.verify_algebra()
+    assert len(rows) == 14 and all(r.passed for r in rows)
+    # regression constant: the nilpotency row passes only when both ladder
+    # matrices vanish at the fifth power and not at the fourth
+    assert "algebra: ladder nilpotency degree" in {r.name for r in rows}
     elapsed = time.perf_counter() - start
     assert elapsed < 1.0
     _pass(1, f"commutators to 1e-14, nilpotency degree 5, {elapsed:.2f}s")

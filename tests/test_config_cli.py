@@ -5,7 +5,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from trilevel import algebra, cli, config, fields, propagator
+from trilevel import algebra, checks, cli, config, fields, propagator
 
 
 def read_csv(path):
@@ -416,6 +416,7 @@ def test_check_passes_on_a_fresh_build(capsys):
     assert cli.main(["check"]) == 0
     out = capsys.readouterr().out
     assert "PASS" in out and "FAIL" not in out
+    assert "24/24 checks passed" in out
 
 
 def test_check_detects_tampered_generator(monkeypatch, capsys):
@@ -424,3 +425,18 @@ def test_check_detects_tampered_generator(monkeypatch, capsys):
     monkeypatch.setattr(algebra, "B_Z", tampered)
     assert cli.main(["check"]) == 1
     assert "FAIL" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("attr, corrupt, row", [
+    ("A_X", lambda a: a.A_X + np.triu(np.ones((3, 3)), 1) * 1e-3, "algebra: A_x Hermitian"),
+    ("B_X", lambda a: a.B_X * (1 + 1e-9), "algebra: B_plus/B_minus consistent with B_x, B_y"),
+    ("B_PLUS", lambda a: a.B_X + 1j * a.B_Y + 1e-3 * np.eye(8),
+     "algebra: ladder nilpotency degree"),
+])
+def test_corrupted_generator_fails_its_row(monkeypatch, capsys, attr, corrupt, row):
+    monkeypatch.setattr(algebra, attr, corrupt(algebra))
+    rows = {r.name: r for r in checks.verify_algebra()}
+    assert len(rows) == 14
+    assert not rows[row].passed
+    assert cli.main(["check"]) == 1
+    assert f"FAIL  {row}" in capsys.readouterr().out

@@ -144,10 +144,6 @@ def test_initial_state_densities():
 
     with pytest.raises(ValueError):
         fields.InitialState("level4")
-    with pytest.raises(ValueError):
-        fields.InitialState("custom")
-    custom = fields.InitialState("custom", custom_rho=np.eye(3) / 3.0)
-    assert np.allclose(custom.density(), np.eye(3) / 3.0)
 
 
 def test_stark_vectors_are_orthonormal():

@@ -11,10 +11,9 @@ def constant_coupling_config(j0: float) -> fields.FieldConfig:
     return fields.FieldConfig(A=0.0, Omega=0.0, B=2 * j0, omega=0.0, delta=0.0)
 
 
-def test_zero_drive_returns_zero_trajectory_without_integration():
+def test_zero_drive_gives_exactly_zero_exponents():
     cfg = fields.FieldConfig(A=0.0, Omega=0.0, B=0.0, omega=0.0)
     traj = riccati.solve_mu(cfg, 5.0, 1e-10)
-    assert len(traj.grid) == 2
     assert traj.t_final == 5.0
     for t in (0.0, 2.5, 5.0):
         assert np.max(np.abs(np.array(traj.evaluate(t)))) == 0.0
@@ -164,6 +163,12 @@ def test_solve_mu_input_validation():
         riccati.solve_mu(cfg, 0.0, 1e-9)
     with pytest.raises(ValueError):
         riccati.solve_mu(cfg, 1.0, -1e-9)
+    for t_end in (math.nan, math.inf):
+        with pytest.raises(ValueError, match="t_end must be finite"):
+            riccati.solve_mu(cfg, t_end, 1e-8)
+    for t_start in (math.nan, math.inf, -math.inf):
+        with pytest.raises(ValueError, match="t_start must be finite"):
+            riccati.solve_mu(cfg, 1.0, 1e-8, t_start=t_start)
 
 
 def test_restartable_from_arbitrary_start_time():
