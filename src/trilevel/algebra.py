@@ -136,13 +136,16 @@ def hermiticity_deviation(rho: np.ndarray) -> float:
 
 
 def validate_density_matrix(rho: np.ndarray) -> np.ndarray:
-    """Check hermiticity, unit trace and positivity; return rho as an array.
+    """Check finiteness, hermiticity, unit trace and positivity; return rho
+    as an array.
 
     Raises ValueError naming the violated property.
     """
     r = np.asarray(rho, dtype=complex)
     if r.shape != (3, 3):
         raise ValueError(f"density matrix must be 3x3, got shape {r.shape}")
+    if not np.all(np.isfinite(r)):
+        raise ValueError("density matrix has non-finite entries")
     dev = hermiticity_deviation(r)
     if dev > HERMITICITY_TOL:
         raise ValueError(f"density matrix not Hermitian (deviation {dev:.3e})")

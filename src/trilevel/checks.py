@@ -142,11 +142,13 @@ def check_hydrogen_closed_form() -> CheckResult:
 
 def check_stark_basis() -> list[CheckResult]:
     states, factors = oracle.hydrogen_stark_basis()
-    ortho = float(np.max(np.abs(states.conj().T @ states - np.eye(3))))
-    expected = np.array([-math.sqrt(1.5), math.sqrt(1.5), 0.0])
-    fac = float(np.max(np.abs(factors - expected)))
+    ortho = _max_abs(states.conj().T @ states - np.eye(3))
+    # the drive the product path integrates, at unit amplitude and t = 0
+    cfg = fields.hydrogen_config(1.0)
+    h = fields.epsilon(0.0, cfg) * algebra.A_Z + 2.0 * fields.j_coupling(0.0, cfg) * algebra.A_X
+    eig = _max_abs(h @ states - states * factors)
     return [_result("stark basis orthonormality", ortho, 1e-12),
-            _result("stark eigenvalue factors -sqrt(3/2), +sqrt(3/2), 0", fac, 1e-12)]
+            _result("stark basis diagonalizes the hydrogen drive", eig, 1e-12)]
 
 
 def check_eigenvalue_law_and_entropy() -> list[CheckResult]:

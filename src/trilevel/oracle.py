@@ -13,7 +13,6 @@ import math
 from typing import NamedTuple
 
 import numpy as np
-from scipy.integrate import solve_ivp
 
 from . import algebra
 from .fields import (FieldConfig, STARK_MINUS_VECTOR, STARK_PLUS_VECTOR,
@@ -41,6 +40,14 @@ class AmplitudeTriple(NamedTuple):
 
     def populations(self) -> np.ndarray:
         return np.array([abs(self.s) ** 2, abs(self.p) ** 2, abs(self.d) ** 2])
+
+
+def solve_ivp(*args, **kwargs):
+    """``scipy.integrate.solve_ivp``, imported on the first call: the product
+    path never integrates directly, and importing scipy.integrate would take
+    most of the time of ``import trilevel``."""
+    from scipy.integrate import solve_ivp as scipy_solve_ivp
+    return scipy_solve_ivp(*args, **kwargs)
 
 
 def _max_step(cfg: FieldConfig) -> float:
@@ -125,31 +132,18 @@ def hydrogen_amplitudes(A: float, omega: float, t: float) -> AmplitudeTriple:
     )
 
 
-def _unit_coupling_matrix() -> np.ndarray:
-    # Constant coefficient matrix of the hydrogen Schroedinger system at unit
-    # amplitude: couplings -1 (s-p) and -1/sqrt(2) (p-d).
-    return np.array([[0.0, -1.0, 0.0],
-                     [-1.0, 0.0, -1.0 / _SQRT2],
-                     [0.0, -1.0 / _SQRT2, 0.0]], dtype=complex)
-
-
 def hydrogen_stark_basis() -> tuple[np.ndarray, np.ndarray]:
     """Parabolic eigenstates and eigenvalue factors of the hydrogen manifold.
 
     Returns ``(states, factors)`` where the columns of ``states`` are the
     eigenvectors (plus, minus, zero) and ``factors`` are the corresponding
-    eigenvalues of the unit-amplitude coupling matrix:
+    eigenvalues of the drive at unit amplitude:
     (-sqrt(3/2), +sqrt(3/2), 0); multiply by the field amplitude for the
-    physical energies.  The analytic states are cross-checked against a
-    numerical diagonalization on every call.
+    physical energies.  ``trilevel check`` verifies the eigen-equation
+    against the drive of :func:`trilevel.fields.hydrogen_config`.
     """
     states = np.column_stack([STARK_PLUS_VECTOR, STARK_MINUS_VECTOR, STARK_ZERO_VECTOR])
-    factors = np.array([-_SQRT32, _SQRT32, 0.0])
-    m = _unit_coupling_matrix()
-    dev = float(np.max(np.abs(m @ states - states * factors)))
-    if dev > 1e-12:
-        raise AssertionError(f"analytic Stark basis disagrees with diagonalization ({dev:.3e})")
-    return states, factors
+    return states, np.array([-_SQRT32, _SQRT32, 0.0])
 
 
 def _pure_state_vector(rho0: np.ndarray) -> np.ndarray:
@@ -157,23 +151,6 @@ def _pure_state_vector(rho0: np.ndarray) -> np.ndarray:
     if abs(lam[-1] - 1.0) > 1e-9:
         raise ValueError("initial state must be pure for the closed-form evolution")
     return vec[:, -1]
-
-
-def hydrogen_schroedinger(A: float, omega: float, psi0: np.ndarray, t) -> np.ndarray:
-    """Unitary evolution of a pure state in the oscillating Stark field.
-
-    ``t`` is a time or an array of times; the states come back with shape
-    shape(t) + (3,).
-    """
-    if omega == 0.0:
-        raise ZeroFrequencyError("omega must be nonzero for the oscillating-field closed form")
-    states, factors = hydrogen_stark_basis()
-    coeffs = states.conj().T @ np.asarray(psi0, dtype=complex)
-    # Energy A*factor integrated over the cosine drive gives the phase
-    # exp(-i A factor sin(omega t)/omega) per eigenstate.
-    sin = np.sin(omega * np.asarray(t, dtype=float))[..., None]
-    phases = np.exp(-1j * A * factors * sin / omega)
-    return (phases * coeffs) @ states.T
 
 
 def hydrogen_density(A: float, omega: float, Gamma: float, rho0: np.ndarray,
@@ -184,8 +161,15 @@ def hydrogen_density(A: float, omega: float, Gamma: float, rho0: np.ndarray,
     decoherence-free evolution of the (pure) initial state.  ``t`` is a time
     or an array of times; the matrices come back with shape shape(t) + (3, 3).
     """
+    if omega == 0.0:
+        raise ZeroFrequencyError("omega must be nonzero for the oscillating-field closed form")
     t = np.asarray(t, dtype=float)
-    psi = hydrogen_schroedinger(A, omega, _pure_state_vector(rho0), t)
+    states, factors = hydrogen_stark_basis()
+    coeffs = states.conj().T @ _pure_state_vector(rho0)
+    # Energy A*factor integrated over the cosine drive gives the phase
+    # exp(-i A factor sin(omega t)/omega) per eigenstate.
+    phases = np.exp(-1j * A * factors * np.sin(omega * t)[..., None] / omega)
+    psi = (phases * coeffs) @ states.T
     eye3 = np.eye(3, dtype=complex) / 3.0
     proj = np.einsum("...i,...j->...ij", psi, psi.conj())
     return eye3 + np.exp(-Gamma * t)[..., None, None] * (proj - eye3)

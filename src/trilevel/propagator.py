@@ -103,7 +103,13 @@ def _build_trajectory(grid: np.ndarray, rhos) -> Trajectory:
     rho_out = np.conj(rhos.transpose(0, 2, 1), order="C")
     rho_out += rhos
     rho_out *= 0.5
-    return Trajectory(grid, rho_out, observables.table(grid, rho_out))
+    # filled SAMPLE_BLOCK rows at a time, so the build's temporaries (spectrum,
+    # eta stack, column inputs) stay bounded whatever the number of samples
+    table = np.empty((len(grid), len(observables.CSV_FIELDS)))
+    for lo in range(0, len(grid), SAMPLE_BLOCK):
+        hi = lo + SAMPLE_BLOCK
+        table[lo:hi] = observables.table(grid[lo:hi], rho_out[lo:hi])
+    return Trajectory(grid, rho_out, table)
 
 
 def trajectory_from_etas(grid: np.ndarray, etas: np.ndarray) -> Trajectory:

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from trilevel import algebra, checks
+from trilevel import algebra, checks, fields, oracle, propagator
 
 SQRT3 = np.sqrt(3.0)
 
@@ -134,3 +134,17 @@ def test_validate_density_matrix_rejects_bad_input():
         algebra.validate_density_matrix(np.diag([1.1, 0.0, -0.1]).astype(complex))
     with pytest.raises(ValueError, match="3x3"):
         algebra.validate_density_matrix(np.eye(2))
+
+
+def test_non_finite_density_matrix_is_rejected():
+    # NaN and inf pass the hermiticity, trace and positivity tests unnoticed
+    inf_pair = np.diag([0.5, 0.3, 0.2]).astype(complex)
+    inf_pair[0, 1] = inf_pair[1, 0] = np.inf
+    cfg = fields.preset("fig1").config
+    for rho0 in (np.diag([np.nan, 0.0, 0.0]), inf_pair):
+        with pytest.raises(ValueError, match="finite"):
+            algebra.validate_density_matrix(rho0)
+        with pytest.raises(ValueError, match="finite"):
+            propagator.run(cfg, rho0, 1.0, 0.5, 1e-9)
+        with pytest.raises(ValueError, match="finite"):
+            oracle.integrate_rho_direct(cfg, rho0, 1.0, 0.5, 1e-9)

@@ -5,7 +5,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from trilevel import algebra, checks, cli, config, fields, propagator
+from trilevel import algebra, checks, cli, config, fields, oracle, propagator
 
 
 def read_csv(path):
@@ -425,6 +425,15 @@ def test_check_detects_tampered_generator(monkeypatch, capsys):
     monkeypatch.setattr(algebra, "B_Z", tampered)
     assert cli.main(["check"]) == 1
     assert "FAIL" in capsys.readouterr().out
+
+
+def test_check_fails_the_stark_row_on_a_swapped_basis(monkeypatch, capsys):
+    monkeypatch.setattr(oracle, "STARK_PLUS_VECTOR", fields.STARK_MINUS_VECTOR)
+    monkeypatch.setattr(oracle, "STARK_MINUS_VECTOR", fields.STARK_PLUS_VECTOR)
+    assert cli.main(["check"]) == 1
+    out = capsys.readouterr().out
+    assert "FAIL  stark basis diagonalizes the hydrogen drive" in out
+    assert "23/24 checks passed" in out
 
 
 @pytest.mark.parametrize("attr, corrupt, row", [

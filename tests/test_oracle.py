@@ -1,9 +1,15 @@
 import math
+import os
+import subprocess
+import sys
+import textwrap
+from pathlib import Path
 
 import numpy as np
 import pytest
 from scipy.linalg import expm
 
+import trilevel
 from trilevel import algebra, fields, oracle, propagator
 
 
@@ -125,6 +131,10 @@ def test_stark_basis_eigenvalues_and_orthonormality():
     states, factors = oracle.hydrogen_stark_basis()
     assert np.max(np.abs(states.conj().T @ states - np.eye(3))) <= 1e-12
     assert factors == pytest.approx([-math.sqrt(1.5), math.sqrt(1.5), 0.0], abs=1e-12)
+    # the basis diagonalizes the drive the product path integrates, at unit amplitude
+    cfg = fields.hydrogen_config(1.0)
+    h = fields.epsilon(0.0, cfg) * algebra.A_Z + 2.0 * fields.j_coupling(0.0, cfg) * algebra.A_X
+    assert np.max(np.abs(h @ states - states * factors)) <= 1e-12
     # the zero-eigenvalue state mixes s and d only
     zero_state = states[:, 2]
     expected = np.array([1.0, 0.0, -math.sqrt(2.0)]) / math.sqrt(3.0)
@@ -189,3 +199,24 @@ def test_hydrogen_trajectory_grid_and_observables():
     traj = oracle.hydrogen_trajectory(1.0, 1.0, 0.1, rho0, 5.0, 1.0)
     assert len(traj.grid) == 6
     assert traj.rho[0, 0, 0].real == pytest.approx(1.0, abs=1e-12)
+
+
+def test_scipy_integrate_is_imported_on_the_first_direct_integration():
+    # a fresh interpreter: importing the package and a product run leave
+    # scipy.integrate unloaded, a direct integration loads it
+    code = textwrap.dedent("""
+        import sys
+        import numpy as np
+        import trilevel
+        cfg, rho0 = trilevel.preset("fig1").config, np.diag([1.0, 0.0, 0.0])
+        trilevel.run(cfg, rho0, 1.0, 0.5, 1e-9)
+        print("scipy.integrate" in sys.modules)
+        trilevel.integrate_rho_direct(cfg, rho0, 1.0, 0.5, 1e-9)
+        print("scipy.integrate" in sys.modules)
+    """)
+    src = str(Path(trilevel.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                         text=True, check=True).stdout.split()
+    assert out == ["False", "True"]

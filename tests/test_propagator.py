@@ -328,11 +328,12 @@ def test_every_tol_consumer_rejects_a_tol_that_is_not_finite_and_positive(consum
 
 def test_transient_memory_of_a_long_chart_is_bounded():
     # One chart of 10^5 output samples (fig11 stays healthy to t = 100): the
-    # samples are filled in blocks of SAMPLE_BLOCK, so the peak is the result
-    # arrays (28.0 MB: grid, rho and table) plus a bounded transient, set by
-    # the observables table build.  Measured peak 60.3 MB; it was 61.9 MB
-    # when a trajectory also stored eta, and 155 MB when a whole chart was
-    # filled in one batch.
+    # samples and the observables table are filled in blocks of SAMPLE_BLOCK,
+    # so the peak is the result arrays (28.0 MB: grid, rho and table), the
+    # sample stack the Hermitian part is formed from, and a bounded
+    # transient.  Measured peak 43.9 MB; it was 60.3 MB when the table was
+    # built in one batch, 61.9 MB when a trajectory also stored eta, and
+    # 155 MB when a whole chart was filled in one batch.
     ps = fields.preset("fig11")
     tracemalloc.start()
     try:
@@ -342,6 +343,22 @@ def test_transient_memory_of_a_long_chart_is_bounded():
         tracemalloc.stop()
     assert len(traj) == 100_001
     assert peak < 70e6
+
+
+def test_trajectory_build_transient_is_bounded():
+    # the observables table of 10^5 samples is built SAMPLE_BLOCK rows at a
+    # time; measured 1.2 MB above the result, 17.6 MB in one batch
+    rng = np.random.default_rng(2)
+    n = 100_000
+    rhos = rng.standard_normal((n, 3, 3)) + 1j * rng.standard_normal((n, 3, 3))
+    grid = np.arange(n, dtype=float)
+    tracemalloc.start()
+    try:
+        traj = propagator.trajectory_from_rhos(grid, rhos)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak - traj.rho.nbytes - traj.table.nbytes < 5e6
 
 
 def test_run_input_validation():
