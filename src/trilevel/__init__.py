@@ -12,11 +12,9 @@ from .algebra import (A_X, A_Y, A_Z, B_MINUS, B_PLUS, B_X, B_Y, B_Z,
                       validate_density_matrix)
 from .checks import verify_algebra
 from .fields import (FieldConfig, InitialState, Preset, UnknownPresetError,
-                     epsilon, hydrogen_config, j_coupling, liouvillian, preset,
-                     preset_names)
+                     epsilon, hydrogen_config, j_coupling, preset, preset_names)
 from .observables import coherence_norm, entropy, purity, spectrum
-from .oracle import (AmplitudeTriple, ZeroFrequencyError, hydrogen_amplitudes,
-                     hydrogen_density, hydrogen_stark_basis, hydrogen_trajectory,
+from .oracle import (hydrogen_density, hydrogen_stark_basis, hydrogen_trajectory,
                      integrate_eta_direct, integrate_rho_direct)
 from .propagator import (PropagationError, Trajectory, run, trajectory_from_etas,
                          trajectory_from_rhos)
@@ -26,14 +24,12 @@ __version__ = "0.1.0"
 
 __all__ = [
     "A_X", "A_Y", "A_Z", "B_X", "B_Y", "B_Z", "B_PLUS", "B_MINUS",
-    "AmplitudeTriple", "FieldConfig", "InitialState", "MuTrajectory",
-    "Preset", "PropagationError", "SingularityError",
-    "Trajectory", "UnknownPresetError", "ZeroFrequencyError",
+    "FieldConfig", "InitialState", "MuTrajectory", "Preset", "PropagationError",
+    "SingularityError", "Trajectory", "UnknownPresetError",
     "coherence_norm", "commutator", "entropy", "epsilon", "eta_to_rho",
-    "hydrogen_amplitudes", "hydrogen_config",
-    "hydrogen_density", "hydrogen_stark_basis", "hydrogen_trajectory",
+    "hydrogen_config", "hydrogen_density", "hydrogen_stark_basis", "hydrogen_trajectory",
     "integrate_eta_direct", "integrate_rho_direct", "j_coupling",
-    "liouvillian", "preset", "preset_names", "purity", "random_density_matrix",
+    "preset", "preset_names", "purity", "random_density_matrix",
     "rho_to_eta", "run", "solve_mu", "spectrum", "trajectory_from_etas",
     "trajectory_from_rhos", "validate_density_matrix", "verify_algebra",
 ]

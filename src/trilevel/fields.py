@@ -1,10 +1,8 @@
-"""Driving-field configurations, the coherence-vector generator, and presets.
+"""Driving-field configurations and presets.
 
 The two fields are ``epsilon(t) = A cos(Omega t)`` on the 1-2 coupling and
 ``J(t) = (B/2) cos(omega t + delta)`` on the 2-3 coupling.  A uniform
-decoherence rate ``Gamma`` enters the 8x8 generator as ``-i Gamma`` times the
-identity, so the dissipative part is a plain scalar decay of the coherence
-vector.
+decoherence rate ``Gamma`` is a plain scalar decay of the coherence vector.
 """
 
 from __future__ import annotations
@@ -16,7 +14,7 @@ from importlib import resources
 
 import numpy as np
 
-from . import algebra, config
+from . import config
 
 _SQRT2 = math.sqrt(2.0)
 
@@ -105,18 +103,6 @@ def epsilon_dot(t: float, cfg: FieldConfig) -> float:
 def j_coupling_dot(t: float, cfg: FieldConfig) -> float:
     """Time derivative of the 2-3 coupling."""
     return -cfg.sign_convention * 0.5 * cfg.B * cfg.omega * math.sin(cfg.omega * t + cfg.delta)
-
-
-def liouvillian(t: float, cfg: FieldConfig) -> np.ndarray:
-    """8x8 generator of the coherence-vector equation of motion.
-
-    ``i d(eta)/dt = liouvillian(t) eta``; the field part is Hermitian, the
-    decoherence part is ``-i Gamma`` times the identity.
-    """
-    out = (epsilon(t, cfg) * algebra.B_Z + 2.0 * j_coupling(t, cfg) * algebra.B_X).astype(complex)
-    if cfg.Gamma != 0.0:
-        out -= 1j * cfg.Gamma * np.eye(8)
-    return out
 
 
 @dataclass(frozen=True)

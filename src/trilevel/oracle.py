@@ -10,36 +10,17 @@ so agreement with :func:`trilevel.propagator.run` validates both routes.
 from __future__ import annotations
 
 import math
-from typing import NamedTuple
 
 import numpy as np
 
 from . import algebra
 from .fields import (FieldConfig, STARK_MINUS_VECTOR, STARK_PLUS_VECTOR,
-                     STARK_ZERO_VECTOR, epsilon, j_coupling)
+                     STARK_ZERO_VECTOR, epsilon, hydrogen_config, j_coupling)
 from .propagator import Trajectory, output_grid, trajectory_from_etas, trajectory_from_rhos
 
-_SQRT2 = math.sqrt(2.0)
 _SQRT32 = math.sqrt(1.5)
 
 _IVP_METHOD = "DOP853"
-
-
-class ZeroFrequencyError(ValueError):
-    """The closed form is written for an oscillating field; omega = 0 has no
-    (A/omega) sin(omega t) phase and is rejected rather than silently
-    replaced by its limit."""
-
-
-class AmplitudeTriple(NamedTuple):
-    """Complex amplitudes of the 3s, 3p, 3d states."""
-
-    s: complex
-    p: complex
-    d: complex
-
-    def populations(self) -> np.ndarray:
-        return np.array([abs(self.s) ** 2, abs(self.p) ** 2, abs(self.d) ** 2])
 
 
 def solve_ivp(*args, **kwargs):
@@ -74,7 +55,14 @@ def _integrate(rhs, y0: np.ndarray, cfg: FieldConfig, grid: np.ndarray,
 
 def integrate_eta_direct(cfg: FieldConfig, eta0: np.ndarray, t_end: float,
                          dt_out: float, tol: float) -> Trajectory:
-    """Adaptive direct integration of the coherence-vector equation."""
+    """Adaptive direct integration of the coherence-vector equation.
+
+    ``eta0`` must be the coherence vector of a unit-trace density matrix.
+    """
+    eta0 = np.asarray(eta0, dtype=complex)
+    if eta0.shape != (8,):
+        raise ValueError(f"coherence vector must have shape (8,), got {eta0.shape}")
+    algebra.validate_density_matrix(algebra.eta_to_rho(eta0))
     grid = output_grid(t_end, dt_out)
     bz = algebra.B_Z
     bx = algebra.B_X
@@ -83,7 +71,7 @@ def integrate_eta_direct(cfg: FieldConfig, eta0: np.ndarray, t_end: float,
     def rhs(t, y):
         return -1j * (epsilon(t, cfg) * (bz @ y) + 2.0 * j_coupling(t, cfg) * (bx @ y)) - gamma * y
 
-    etas = _integrate(rhs, np.asarray(eta0, dtype=complex), cfg, grid, tol, "eta")
+    etas = _integrate(rhs, eta0, cfg, grid, tol, "eta")
     return trajectory_from_etas(grid, etas)
 
 
@@ -115,23 +103,6 @@ def integrate_rho_direct(cfg: FieldConfig, rho0: np.ndarray, t_end: float,
     return trajectory_from_rhos(grid, rhos.reshape(-1, 3, 3))
 
 
-def hydrogen_amplitudes(A: float, omega: float, t: float) -> AmplitudeTriple:
-    """Closed-form amplitudes for initial 3s population, no decoherence.
-
-    With theta(t) = sqrt(3/2) (A/omega) sin(omega t):
-    s = (1 + 2 cos theta)/3, p = i sqrt(2/3) sin theta,
-    d = sqrt(2)/3 (cos theta - 1).
-    """
-    if omega == 0.0:
-        raise ZeroFrequencyError("omega must be nonzero for the oscillating-field closed form")
-    theta = _SQRT32 * (A / omega) * math.sin(omega * t)
-    return AmplitudeTriple(
-        s=(1.0 + 2.0 * math.cos(theta)) / 3.0,
-        p=1j * math.sqrt(2.0 / 3.0) * math.sin(theta),
-        d=(_SQRT2 / 3.0) * (math.cos(theta) - 1.0),
-    )
-
-
 def hydrogen_stark_basis() -> tuple[np.ndarray, np.ndarray]:
     """Parabolic eigenstates and eigenvalue factors of the hydrogen manifold.
 
@@ -146,33 +117,30 @@ def hydrogen_stark_basis() -> tuple[np.ndarray, np.ndarray]:
     return states, np.array([-_SQRT32, _SQRT32, 0.0])
 
 
-def _pure_state_vector(rho0: np.ndarray) -> np.ndarray:
-    lam, vec = np.linalg.eigh(np.asarray(rho0, dtype=complex))
-    if abs(lam[-1] - 1.0) > 1e-9:
-        raise ValueError("initial state must be pure for the closed-form evolution")
-    return vec[:, -1]
-
-
 def hydrogen_density(A: float, omega: float, Gamma: float, rho0: np.ndarray,
                      t) -> np.ndarray:
     """Closed-form density matrix under uniform decoherence.
 
-    rho(t) = I/3 + exp(-Gamma t) (|psi(t)><psi(t)| - I/3) with |psi(t)> the
-    decoherence-free evolution of the (pure) initial state.  ``t`` is a time
-    or an array of times; the matrices come back with shape shape(t) + (3, 3).
+    rho(t) = I/3 + exp(-Gamma t) (U(t) rho0 U(t)^H - I/3), where
+    U(t) = S diag(exp(-i A f sin(omega t)/omega)) S^H is the decoherence-free
+    propagator in the Stark basis ``S`` with factors ``f`` of
+    :func:`hydrogen_stark_basis`.  ``rho0`` is any density matrix.  ``t`` is
+    a time or an array of times; the matrices come back with shape
+    shape(t) + (3, 3).
     """
+    hydrogen_config(A, omega, Gamma)  # finite A, omega, Gamma and Gamma >= 0
     if omega == 0.0:
-        raise ZeroFrequencyError("omega must be nonzero for the oscillating-field closed form")
+        raise ValueError("omega must be nonzero for the oscillating-field closed form")
+    rho0 = algebra.validate_density_matrix(rho0)
     t = np.asarray(t, dtype=float)
     states, factors = hydrogen_stark_basis()
-    coeffs = states.conj().T @ _pure_state_vector(rho0)
     # Energy A*factor integrated over the cosine drive gives the phase
     # exp(-i A factor sin(omega t)/omega) per eigenstate.
     phases = np.exp(-1j * A * factors * np.sin(omega * t)[..., None] / omega)
-    psi = (phases * coeffs) @ states.T
+    u = (states * phases[..., None, :]) @ states.conj().T
     eye3 = np.eye(3, dtype=complex) / 3.0
-    proj = np.einsum("...i,...j->...ij", psi, psi.conj())
-    return eye3 + np.exp(-Gamma * t)[..., None, None] * (proj - eye3)
+    return eye3 + np.exp(-Gamma * t)[..., None, None] * (
+        u @ rho0 @ np.swapaxes(u.conj(), -1, -2) - eye3)
 
 
 def hydrogen_trajectory(A: float, omega: float, Gamma: float, rho0: np.ndarray,

@@ -73,19 +73,16 @@ def test_criterion_03_hydrogen_closed_form():
     rho0 = ps.initial.density()  # population starts in the s level
     t_end = 4 * math.pi / ps.config.omega  # two drive periods
     traj = propagator.run(ps.config, rho0, t_end, t_end / 200, 1e-13)
-    worst = 0.0
-    for k, t in enumerate(traj.grid):
-        pops = oracle.hydrogen_amplitudes(ps.config.A, ps.config.omega,
-                                          float(t)).populations()
-        sim = traj.rho[k].diagonal().real
-        worst = max(worst, float(np.max(np.abs(sim - pops))))
+    exact = oracle.hydrogen_density(ps.config.A, ps.config.omega, ps.config.Gamma, rho0,
+                                    traj.grid)
+    worst = float(np.max(np.abs(traj.rho - exact)))
     assert worst <= 1e-8
 
     _, factors = oracle.hydrogen_stark_basis()
     assert np.max(np.abs(np.sort(factors) - np.sort(
         np.array([-math.sqrt(1.5), math.sqrt(1.5), 0.0])))) <= 1e-12
     assert abs(math.sqrt(1.5) - 1.224745) <= 5e-7
-    _pass(3, f"populations vs closed form <= 1e-8 (worst {worst:.2e}), "
+    _pass(3, f"rho vs closed form <= 1e-8 (worst {worst:.2e}), "
              f"eigenvalue factors +-sqrt(3/2), 0")
 
 

@@ -4,7 +4,7 @@ from importlib import resources
 import numpy as np
 import pytest
 
-from trilevel import algebra, config, fields
+from trilevel import config, fields
 
 SQRT2 = math.sqrt(2.0)
 
@@ -41,24 +41,6 @@ def test_hydrogen_coupling_ratio():
         j2 = 2.0 * fields.j_coupling(t, cfg)
         if abs(j2) > 1e-12:
             assert fields.epsilon(t, cfg) / j2 == pytest.approx(SQRT2, abs=1e-12)
-
-
-def test_liouvillian_limiting_cases():
-    zero = fields.FieldConfig(A=0.0, Omega=0.0, B=0.0, omega=0.0, Gamma=0.0)
-    assert np.max(np.abs(fields.liouvillian(1.3, zero))) == 0.0
-
-    decay = fields.FieldConfig(A=0.0, Omega=0.0, B=0.0, omega=0.0, Gamma=0.02)
-    assert np.allclose(fields.liouvillian(5.0, decay), -0.02j * np.eye(8), atol=1e-16)
-
-    unit_eps = fields.FieldConfig(A=1.0, Omega=0.0, B=0.0, omega=0.0, Gamma=0.0)
-    assert np.allclose(fields.liouvillian(0.0, unit_eps), algebra.B_Z, atol=1e-16)
-
-
-def test_liouvillian_field_part_is_hermitian():
-    cfg = fields.FieldConfig(A=1.5, Omega=0.7, B=0.8, omega=1.0, delta=0.3, Gamma=0.05)
-    for t in np.linspace(0.0, 10.0, 13):
-        field_part = fields.liouvillian(t, cfg) + 1j * cfg.Gamma * np.eye(8)
-        assert algebra.hermiticity_deviation(field_part) <= 1e-15
 
 
 def test_field_config_validation():

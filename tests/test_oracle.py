@@ -7,10 +7,29 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.linalg import expm
 
 import trilevel
-from trilevel import algebra, fields, oracle, propagator
+from trilevel import algebra, fields, observables, oracle, propagator
+
+S_START = np.diag([1.0, 0.0, 0.0]).astype(complex)
+
+
+def _paper_amplitudes(A, omega, t):
+    """The paper's 3s, 3p, 3d amplitudes for the 3s start without decoherence:
+    with theta = sqrt(3/2) (A/omega) sin(omega t), s = (1 + 2 cos theta)/3,
+    p = i sqrt(2/3) sin theta, d = sqrt(2)/3 (cos theta - 1)."""
+    theta = math.sqrt(1.5) * (A / omega) * math.sin(omega * t)
+    return np.array([(1.0 + 2.0 * math.cos(theta)) / 3.0,
+                     1j * math.sqrt(2.0 / 3.0) * math.sin(theta),
+                     (math.sqrt(2.0) / 3.0) * (math.cos(theta) - 1.0)])
+
+
+def _s_start_populations(A, omega, t):
+    return np.real(np.diagonal(oracle.hydrogen_density(A, omega, 0.0, S_START, t),
+                               axis1=-2, axis2=-1))
 
 
 def test_free_evolution_is_constant():
@@ -38,6 +57,17 @@ def test_rho_direct_matches_unitary_conjugation_for_constant_hamiltonian():
     for k, t in enumerate(traj.grid):
         u = expm(-1j * h * t)
         assert np.max(np.abs(traj.rho[k] - u @ rho0 @ u.conj().T)) <= 1e-8
+
+
+@pytest.mark.parametrize("eta0, match", [
+    (5.0 * np.ones(8), "density matrix not Hermitian"),
+    (np.zeros(7), r"shape \(8,\), got \(7,\)"),
+    (np.array([math.nan] + [0.0] * 7), "non-finite"),
+], ids=["five_ones", "seven_vector", "nan_component"])
+def test_eta_direct_rejects_a_start_that_is_no_density_matrix(eta0, match):
+    cfg = fields.preset("fig1").config
+    with pytest.raises(ValueError, match=match):
+        oracle.integrate_eta_direct(cfg, eta0, 1.0, 0.5, 1e-8)
 
 
 @pytest.mark.parametrize("name", ["fig1", "fig8", "fig17"])
@@ -76,37 +106,35 @@ def test_decoherence_drives_toward_maximal_mixing():
     assert np.max(np.abs(traj.rho[-1] - np.eye(3) / 3.0)) <= 2e-2
 
 
-def test_hydrogen_amplitudes_special_values():
-    amp0 = oracle.hydrogen_amplitudes(1.0, 1.0, 0.0)
-    assert (amp0.s, amp0.p, amp0.d) == (1.0, 0.0, 0.0)
+def test_hydrogen_s_start_special_values():
+    assert np.max(np.abs(_s_start_populations(1.0, 1.0, 0.0) - [1.0, 0.0, 0.0])) <= 1e-15
 
     # exact revival after every half period of the drive
-    amp_pi = oracle.hydrogen_amplitudes(2.7, 1.0, math.pi)
-    assert abs(amp_pi.s - 1.0) <= 1e-12
-    assert abs(amp_pi.p) <= 1e-12
-    assert abs(amp_pi.d) <= 1e-12
+    assert np.max(np.abs(_s_start_populations(2.7, 1.0, math.pi) - [1.0, 0.0, 0.0])) <= 1e-12
 
 
-def test_hydrogen_amplitudes_at_theta_pi():
+def test_hydrogen_s_start_at_theta_pi():
     # choose amplitude so the phase angle reaches pi at the sine peak
     a = math.pi / math.sqrt(1.5)
-    amp = oracle.hydrogen_amplitudes(a, 1.0, math.pi / 2)
-    assert amp.s == pytest.approx(-1.0 / 3.0, abs=1e-12)
-    assert abs(amp.p) <= 1e-12
-    assert amp.d == pytest.approx(-2.0 * math.sqrt(2.0) / 3.0, abs=1e-12)
-    pops = amp.populations()
+    amp = _paper_amplitudes(a, 1.0, math.pi / 2)
+    assert amp[0] == pytest.approx(-1.0 / 3.0, abs=1e-12)
+    assert abs(amp[1]) <= 1e-12
+    assert amp[2] == pytest.approx(-2.0 * math.sqrt(2.0) / 3.0, abs=1e-12)
+    pops = _s_start_populations(a, 1.0, math.pi / 2)
     assert pops[0] == pytest.approx(1.0 / 9.0, abs=1e-12)
+    assert abs(pops[1]) <= 1e-12
     assert pops[2] == pytest.approx(8.0 / 9.0, abs=1e-12)
 
 
-def test_hydrogen_amplitudes_norm_is_conserved():
+def test_hydrogen_s_start_norm_is_conserved():
     rng = np.random.default_rng(2)
     for _ in range(50):
         a = 10 ** rng.uniform(-1, 1)
         om = 10 ** rng.uniform(-0.5, 0.5)
         t = rng.uniform(0, 20)
-        amp = oracle.hydrogen_amplitudes(a, om, t)
-        assert abs(np.sum(amp.populations()) - 1.0) <= 1e-12
+        assert abs(np.sum(_s_start_populations(a, om, t)) - 1.0) <= 1e-12
+        assert abs(observables.purity(oracle.hydrogen_density(a, om, 0.0, S_START, t))
+                   - 1.0) <= 1e-12
 
 
 def test_hydrogen_populations_are_periodic_in_the_drive():
@@ -115,16 +143,26 @@ def test_hydrogen_populations_are_periodic_in_the_drive():
     period = 2 * math.pi / om
     for _ in range(10):
         t = rng.uniform(0, 10)
-        p1 = oracle.hydrogen_amplitudes(a, om, t).populations()
-        p2 = oracle.hydrogen_amplitudes(a, om, t + period).populations()
+        p1 = _s_start_populations(a, om, t)
+        p2 = _s_start_populations(a, om, t + period)
         assert np.max(np.abs(p1 - p2)) <= 1e-10
 
 
 def test_zero_frequency_is_rejected():
-    with pytest.raises(oracle.ZeroFrequencyError):
-        oracle.hydrogen_amplitudes(1.0, 0.0, 1.0)
-    with pytest.raises(oracle.ZeroFrequencyError):
-        oracle.hydrogen_density(1.0, 0.0, 0.0, np.diag([1.0, 0, 0]).astype(complex), 1.0)
+    with pytest.raises(ValueError, match="omega"):
+        oracle.hydrogen_density(1.0, 0.0, 0.0, S_START, 1.0)
+
+
+@pytest.mark.parametrize("A, omega, Gamma, rho0, match", [
+    (1.0, 1.0, -0.5, S_START, "Gamma must be >= 0"),
+    (math.nan, 1.0, 0.0, S_START, "A must be finite"),
+    (1.0, math.nan, 0.0, S_START, "(?i)omega must be finite"),
+    (1.0, 1.0, math.nan, S_START, "Gamma must be finite"),
+    (1.0, 1.0, 0.0, S_START + np.triu(np.ones((3, 3)), 1) * 0.1, "not Hermitian"),
+], ids=["negative_Gamma", "nan_A", "nan_omega", "nan_Gamma", "non_hermitian_rho0"])
+def test_hydrogen_density_rejects_bad_inputs(A, omega, Gamma, rho0, match):
+    with pytest.raises(ValueError, match=match):
+        oracle.hydrogen_density(A, omega, Gamma, rho0, 10.0)
 
 
 def test_stark_basis_eigenvalues_and_orthonormality():
@@ -141,12 +179,11 @@ def test_stark_basis_eigenvalues_and_orthonormality():
     assert np.max(np.abs(zero_state - expected)) <= 1e-12
 
 
-def test_hydrogen_density_matches_amplitudes_for_s_start():
-    rho0 = np.diag([1.0, 0.0, 0.0]).astype(complex)
+def test_hydrogen_density_matches_the_paper_amplitudes_for_s_start():
     for t in np.linspace(0.0, 10.0, 11):
-        rho = oracle.hydrogen_density(2.0, 1.0, 0.0, rho0, float(t))
-        pops = oracle.hydrogen_amplitudes(2.0, 1.0, float(t)).populations()
-        assert np.max(np.abs(np.real(np.diagonal(rho)) - pops)) <= 1e-12
+        rho = oracle.hydrogen_density(2.0, 1.0, 0.0, S_START, float(t))
+        amp = _paper_amplitudes(2.0, 1.0, float(t))
+        assert np.max(np.abs(rho - np.outer(amp, amp.conj()))) <= 1e-12
 
 
 def test_hydrogen_density_stark_start_decays_monotonically():
@@ -168,9 +205,38 @@ def test_hydrogen_trajectory_equals_the_per_time_densities(kind):
     assert np.max(np.abs(stacked.reshape(12, 3, 3) - per_time[:12])) <= 1e-15
 
 
-def test_hydrogen_density_rejects_mixed_initial_states():
-    with pytest.raises(ValueError, match="pure"):
-        oracle.hydrogen_density(1.0, 1.0, 0.0, np.eye(3) / 3.0, 1.0)
+def test_hydrogen_density_takes_mixed_initial_states():
+    mixed = np.eye(3, dtype=complex) / 3.0
+    assert np.max(np.abs(oracle.hydrogen_density(1.0, 1.0, 0.0, mixed, 7.0) - mixed)) <= 1e-15
+    # the closed form is linear in rho0, so a mixture evolves as its parts
+    rho_a = fields.InitialState("level1").density()
+    rho_b = fields.InitialState("stark_zero").density()
+    grid = np.linspace(0.0, 20.0, 41)
+    mix = oracle.hydrogen_density(1.3, 0.7, 0.05, 0.3 * rho_a + 0.7 * rho_b, grid)
+    parts = (0.3 * oracle.hydrogen_density(1.3, 0.7, 0.05, rho_a, grid)
+             + 0.7 * oracle.hydrogen_density(1.3, 0.7, 0.05, rho_b, grid))
+    assert np.max(np.abs(mix - parts)) <= 1e-15
+    # and a random mixed start agrees with the product path (8.0e-12 measured)
+    rho0 = algebra.random_density_matrix(np.random.default_rng(5))
+    traj = propagator.run(fields.hydrogen_config(1.3, 0.7, 0.05), rho0, 20.0, 0.25, 1e-11)
+    exact = oracle.hydrogen_density(1.3, 0.7, 0.05, rho0, traj.grid)
+    assert np.max(np.abs(traj.rho - exact)) <= 1e-8
+
+
+@settings(derandomize=True, deadline=None, max_examples=30)
+@given(seed=st.integers(0, 2**32 - 1), A=st.floats(0.1, 5.0), omega=st.floats(0.3, 3.0),
+       Gamma=st.floats(0.0, 0.2))
+def test_hydrogen_density_on_mixed_starts_meets_the_spectrum_law_and_the_master_equation(
+        seed, A, omega, Gamma):
+    rho0 = algebra.random_density_matrix(np.random.default_rng(seed))
+    direct = oracle.integrate_rho_direct(fields.hydrogen_config(A, omega, Gamma), rho0,
+                                         10.0, 0.5, 1e-10)
+    exact = oracle.hydrogen_density(A, omega, Gamma, rho0, direct.grid)
+    # eig rho(t) = 1/3 + exp(-Gamma t) (eig rho0 - 1/3), exactly
+    law = 1.0 / 3.0 + np.exp(-Gamma * direct.grid)[:, None] * (np.linalg.eigvalsh(rho0) - 1.0 / 3.0)
+    assert np.max(np.abs(np.linalg.eigvalsh(exact) - law)) <= 1e-12
+    # worst case over these 30 derandomized draws: 5.0e-10
+    assert np.max(np.abs(direct.rho - exact)) <= 2e-9
 
 
 def test_hydrogen_closed_form_matches_product_solver():
@@ -186,8 +252,7 @@ def test_hydrogen_closed_form_matches_product_solver():
 def test_stronger_driving_produces_higher_harmonics():
     # count crossings of the s population through 2/3 over one drive period
     def crossings(a):
-        ts = np.linspace(0.0, 2 * math.pi, 4001)
-        pops = np.array([oracle.hydrogen_amplitudes(a, 1.0, t).populations()[0] for t in ts])
+        pops = _s_start_populations(a, 1.0, np.linspace(0.0, 2 * math.pi, 4001))[:, 0]
         signs = np.sign(pops - 2.0 / 3.0)
         return int(np.sum(signs[:-1] * signs[1:] < 0))
 
@@ -195,8 +260,7 @@ def test_stronger_driving_produces_higher_harmonics():
 
 
 def test_hydrogen_trajectory_grid_and_observables():
-    rho0 = np.diag([1.0, 0.0, 0.0]).astype(complex)
-    traj = oracle.hydrogen_trajectory(1.0, 1.0, 0.1, rho0, 5.0, 1.0)
+    traj = oracle.hydrogen_trajectory(1.0, 1.0, 0.1, S_START, 5.0, 1.0)
     assert len(traj.grid) == 6
     assert traj.rho[0, 0, 0].real == pytest.approx(1.0, abs=1e-12)
 
