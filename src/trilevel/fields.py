@@ -145,6 +145,9 @@ def hydrogen_config(amplitude: float, omega: float = 1.0, Gamma: float = 0.0) ->
     frequencies, zero relative phase, and the sign convention that matches the
     Stark closed form at amplitude level.
     """
+    # checked here, so that a bad omega is named as passed, not as the Omega it is copied to
+    if not math.isfinite(omega):
+        raise ValueError(f"omega must be finite, got {omega!r}")
     return FieldConfig(A=amplitude, Omega=omega, B=amplitude / _SQRT2, omega=omega,
                        delta=0.0, Gamma=Gamma, sign_convention=-1.0)
 

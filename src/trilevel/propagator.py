@@ -17,7 +17,8 @@ nilpotent of degree 3 and A_z^3 = A_z.  The exponent functions come from
 :mod:`trilevel.riccati`.  When they grow (or blow up at a chart singularity of
 the factorization), the propagator composes the state reached so far and
 restarts the exponents from zero at that time; the evolution operator is a
-cocycle, so segmentation is exact.
+cocycle, so segmentation is exact.  By the same cocycle, a drive with period
+T is solved over [0, T] only: U(nT + s) = U(s) U(T)^n (Floquet).
 """
 
 from __future__ import annotations
@@ -152,67 +153,114 @@ def _chart_health(vals: tuple[complex, complex, complex]) -> float:
     return max(abs(mp), abs(mm), abs(mu.imag))
 
 
-def _fill(out: np.ndarray, t: np.ndarray, chart, rho: np.ndarray, gamma: float,
-          mixed: np.ndarray) -> None:
-    """out[k] = the state at time t[k] on ``chart`` from its start value ``rho``,
-    SAMPLE_BLOCK samples at a time."""
-    for lo in range(0, len(t), SAMPLE_BLOCK):
-        tb = t[lo:lo + SAMPLE_BLOCK]
-        g, g_inv = chart_matrix(*chart.evaluate(tb))
-        decay = np.exp(-gamma * tb)[:, None, None]
-        out[lo:lo + SAMPLE_BLOCK] = decay * (g @ rho @ g_inv) + (1.0 - decay) * mixed
+def _drive_period(cfg: FieldConfig) -> float | None:
+    """The common period T of the two drives, or None for a static drive and
+    for frequencies whose ratio is no fraction p/q with q <= 64 (in binary64)."""
+    rate_a, rate_b = abs(cfg.Omega), abs(cfg.omega)
+    if rate_a == 0.0 or rate_b == 0.0:
+        fastest = max(rate_a, rate_b)
+        return 2.0 * math.pi / fastest if fastest > 0.0 else None
+    from fractions import Fraction  # imported here: it adds 4 ms to import trilevel
+
+    ratio = rate_a / rate_b
+    frac = Fraction(ratio).limit_denominator(64)
+    if frac.numerator / frac.denominator != ratio:
+        return None
+    # Omega = (p/q) omega: T = 2 pi q / omega holds p periods of one drive, q of the other
+    return 2.0 * math.pi * frac.denominator / rate_b
 
 
-def run(cfg: FieldConfig, rho0: np.ndarray, t_end: float, dt_out: float, tol: float) -> Trajectory:
-    """Propagate ``rho0`` over [0, t_end], sampling every ``dt_out``.
+def _solve_charts(cfg: FieldConfig, span: float, tol: float):
+    """Charts over [0, span] as (chart, cover, W, W^-1) rows, W the propagator
+    composed up to the chart's start; and U(span), U(span)^-1.
 
-    The exponent functions are solved on consecutive charts.  A chart halts at
-    its first node past CHART_LIMIT, or ends at a blow-up; the state is then
-    composed at the last node inside the limit and a new chart starts there.
+    A chart halts at its first node past CHART_LIMIT, or ends at a blow-up;
+    the next chart starts from zero at the last node inside the limit.
     """
-    grid = output_grid(t_end, dt_out)
-    rho0 = algebra.validate_density_matrix(rho0)
-    # the maximally mixed state at the trace of rho0, which decay approaches
-    mixed = float(np.trace(rho0).real) / 3.0 * np.eye(3)
-    rhos = np.empty((len(grid), 3, 3), dtype=complex)
-
     halt = lambda _t, vals: _chart_health(vals) > CHART_LIMIT
-
-    accumulated = rho0   # chart-start value of the non-decaying part
-    t_base = 0.0
-    oi = 0
-    guard = 0
-    while oi < len(grid):
+    charts = []
+    w, w_inv = _I3, _I3
+    start = 0.0
+    while True:
         try:
-            chart = solve_mu(cfg, t_end, tol, t_start=t_base, halt=halt)
+            chart = solve_mu(cfg, span, tol, t_start=start, halt=halt)
             complete = not chart.halted
             # A halted chart's last node is its first past the limit, so the
             # one before it is the last inside; node 1 (the first step) is the
             # fallback, so that a restart always advances.
-            cover = t_end if complete else float(chart.grid[max(1, len(chart.grid) - 2)])
+            cover = span if complete else float(chart.grid[max(1, len(chart.grid) - 2)])
         except SingularityError as exc:
             # every node of a blow-up's partial chart passed the limit
             chart = exc.partial
             complete = False
             cover = chart.t_final
 
-        if not complete and cover <= t_base + MIN_SEGMENT:
+        if not complete and cover <= start + MIN_SEGMENT:
             raise PropagationError(
-                f"restart at t = {t_base:.9g} advanced less than {MIN_SEGMENT}")
-
-        # every output time up to the cover, clipped onto it
-        stop = int(np.searchsorted(grid, cover + 1e-12 * max(1.0, abs(cover)), side="right"))
-        _fill(rhos[oi:stop], np.minimum(grid[oi:stop], cover), chart, accumulated,
-              cfg.Gamma, mixed)
-        oi = stop
-        if oi >= len(grid):
-            break
-
+                f"restart at t = {start:.9g} advanced less than {MIN_SEGMENT}")
+        charts.append((chart, cover, w, w_inv))
         g, g_inv = chart_matrix(*chart.evaluate(cover))
-        accumulated = g @ accumulated @ g_inv
-        t_base = cover
-        guard += 1
-        if guard > 10_000_000:
+        w, w_inv = g @ w, w_inv @ g_inv
+        # a chart whose reach takes in span serves the rest of it
+        if complete or span <= _reach(cover):
+            return charts, w, w_inv
+        start = cover
+        if len(charts) > 10_000_000:
             raise PropagationError("too many chart restarts")
+
+
+def _reach(cover):
+    """The last time a chart ending at ``cover`` serves, clipped onto its cover."""
+    return cover + 1e-12 * np.maximum(1.0, np.abs(cover))
+
+
+def _fill(out: np.ndarray, t: np.ndarray, s: np.ndarray, chart, rho: np.ndarray,
+          gamma: float, mixed: np.ndarray) -> None:
+    """out[k] = the state at time t[k], with ``chart`` evaluated at s[k] from its
+    start value ``rho`` and the decay taken over t[k], SAMPLE_BLOCK samples at a time."""
+    for lo in range(0, len(t), SAMPLE_BLOCK):
+        hi = lo + SAMPLE_BLOCK
+        g, g_inv = chart_matrix(*chart.evaluate(s[lo:hi]))
+        decay = np.exp(-gamma * t[lo:hi])[:, None, None]
+        out[lo:hi] = decay * (g @ rho @ g_inv) + (1.0 - decay) * mixed
+
+
+def run(cfg: FieldConfig, rho0: np.ndarray, t_end: float, dt_out: float, tol: float) -> Trajectory:
+    """Propagate ``rho0`` over [0, t_end], sampling every ``dt_out``.
+
+    The exponent functions are solved on consecutive charts over one span:
+    the drive period T when the drive has one and t_end > T, else [0, t_end].
+    The propagator is a cocycle, U(nT + s) = U(s) U(T)^n, so a sample at
+    t = nT + s is the chart at s started from U(T)^n rho0 U(T)^-n.
+    """
+    grid = output_grid(t_end, dt_out)
+    rho0 = algebra.validate_density_matrix(rho0)
+    # the maximally mixed state at the trace of rho0, which decay approaches
+    mixed = float(np.trace(rho0).real) / 3.0 * np.eye(3)
+    period = _drive_period(cfg)
+    span = period if period is not None and t_end > period else t_end
+    charts, u, u_inv = _solve_charts(cfg, span, tol)
+
+    # period index n and in-span time s of every sample; n is 0 on one span
+    n = np.floor(grid / span) if span < t_end else np.zeros_like(grid)
+    s = np.clip(grid - n * span, 0.0, span)
+    reach = _reach(np.array([cover for _, cover, _, _ in charts]))
+    rhos = np.empty((len(grid), 3, 3), dtype=complex)
+    rho_n, n_at = rho0, 0
+    breaks = np.flatnonzero(np.diff(n)) + 1
+    for lo, hi in zip(np.r_[0, breaks], np.r_[breaks, len(grid)]):
+        steps = int(n[lo]) - n_at
+        if steps:
+            step = np.linalg.matrix_power(u, steps)
+            rho_n = step @ rho_n @ np.linalg.matrix_power(u_inv, steps)
+            n_at += steps
+        # each chart takes the samples up to its reach, clipped onto its cover
+        ends = lo + np.searchsorted(s[lo:hi], reach, side="right")
+        a = lo
+        for (chart, cover, w, w_inv), b in zip(charts, ends):
+            if b > a:
+                _fill(rhos[a:b], grid[a:b], np.minimum(s[a:b], cover), chart,
+                      w @ rho_n @ w_inv, cfg.Gamma, mixed)
+                a = b
 
     return trajectory_from_rhos(grid, rhos)

@@ -156,7 +156,7 @@ def test_zero_frequency_is_rejected():
 @pytest.mark.parametrize("A, omega, Gamma, rho0, match", [
     (1.0, 1.0, -0.5, S_START, "Gamma must be >= 0"),
     (math.nan, 1.0, 0.0, S_START, "A must be finite"),
-    (1.0, math.nan, 0.0, S_START, "(?i)omega must be finite"),
+    (1.0, math.nan, 0.0, S_START, "omega must be finite"),
     (1.0, 1.0, math.nan, S_START, "Gamma must be finite"),
     (1.0, 1.0, 0.0, S_START + np.triu(np.ones((3, 3)), 1) * 0.1, "not Hermitian"),
 ], ids=["negative_Gamma", "nan_A", "nan_omega", "nan_Gamma", "non_hermitian_rho0"])

@@ -1,5 +1,7 @@
+import dataclasses
 import functools
 import math
+import time
 import tracemalloc
 
 import numpy as np
@@ -163,17 +165,100 @@ def record_charts(monkeypatch):
     return charts
 
 
+# fig9 with an off-period 1-2 drive: no common period, so the charts run over
+# the whole window
+_OFF_PERIOD_FIG9 = dataclasses.replace(fields.preset("fig9").config, Omega=math.sqrt(2.0) - 1.0)
+
+
 def test_segmented_restart_is_a_cocycle(monkeypatch):
-    # A lower chart limit restarts fig9 many times over (27 charts, against
-    # 1 at the default limit); the composed state must not notice.
-    ps = fields.preset("fig9")
-    rho0 = ps.initial.density()
-    plain = propagator.run(ps.config, rho0, 20.0, 0.5, 1e-12)
+    # A lower chart limit restarts the off-period fig9 drive many times over
+    # (36 charts to t = 20, against 1 at the default limit); the composed
+    # state must not notice.
+    rho0 = fields.preset("fig9").initial.density()
+    plain = propagator.run(_OFF_PERIOD_FIG9, rho0, 20.0, 0.5, 1e-12)
     monkeypatch.setattr(propagator, "CHART_LIMIT", 0.25)
     charts = record_charts(monkeypatch)
-    forced = propagator.run(ps.config, rho0, 20.0, 0.5, 1e-12)
+    forced = propagator.run(_OFF_PERIOD_FIG9, rho0, 20.0, 0.5, 1e-12)
     assert len(charts) >= 20
     assert np.max(np.abs(algebra.rho_to_eta(plain.rho) - algebra.rho_to_eta(forced.rho))) <= 1e-8
+
+
+@pytest.mark.parametrize("cfg, period", [
+    (fields.preset("fig1").config, 2.0 * math.pi),
+    (fields.preset("fig3").config, 20.0 * math.pi),
+    (fields.FieldConfig(A=1.0, Omega=2.0, B=1.0, omega=0.0), math.pi),
+    (fields.FieldConfig(A=1.0, Omega=-1.5, B=1.0, omega=1.0), 4.0 * math.pi),
+    (_OFF_PERIOD_FIG9, None),
+    (fields.FieldConfig(A=1.0, Omega=0.0, B=1.0, omega=0.0), None),
+], ids=["fig1", "fig3", "omega=0", "Omega:omega=-3:2", "incommensurate", "static"])
+def test_drive_period(cfg, period):
+    found = propagator._drive_period(cfg)
+    assert found == (None if period is None else pytest.approx(period, rel=1e-15))
+
+
+@pytest.mark.parametrize("name", fields.preset_names())
+def test_one_period_solve_matches_the_plain_chart_path(monkeypatch, name):
+    # Every preset's drive is periodic and its window longer than the period,
+    # so the charts stop at T and later samples compose U(T)^n.  Against
+    # charts over the whole window, at the tol of `trilevel figure`: largest
+    # difference 3.1 tol (fig6), 0 to 1.7 tol on the others.
+    ps = fields.preset(name)
+    rho0 = ps.initial.density()
+    period = propagator._drive_period(ps.config)
+    assert period < ps.t_end
+    charts = record_charts(monkeypatch)
+    floquet = propagator.run(ps.config, rho0, ps.t_end, ps.dt_out, 1e-10)
+    assert charts[-1][0].t_final == pytest.approx(period, rel=1e-12)
+    monkeypatch.setattr(propagator, "_drive_period", lambda cfg: None)
+    plain = propagator.run(ps.config, rho0, ps.t_end, ps.dt_out, 1e-10)
+    assert charts[-1][0].t_final == ps.t_end
+    assert np.max(np.abs(floquet.rho - plain.rho)) <= 5e-10
+
+
+@pytest.mark.parametrize("cfg, t_end", [
+    (_OFF_PERIOD_FIG9, 20.0),
+    (fields.preset("fig1").config, 2.0 * math.pi),
+], ids=["incommensurate", "t_end=T"])
+def test_drives_without_a_shorter_period_stay_on_the_chart_path(monkeypatch, cfg, t_end):
+    rho0 = np.diag([1.0, 0.0, 0.0]).astype(complex)
+    charts = record_charts(monkeypatch)
+    traj = propagator.run(cfg, rho0, t_end, 0.5, 1e-10)
+    solved = len(charts)
+    assert charts[-1][0].t_final == t_end
+    # the same solve_mu calls, and the same numbers, as with no period at all
+    monkeypatch.setattr(propagator, "_drive_period", lambda cfg: None)
+    plain = propagator.run(cfg, rho0, t_end, 0.5, 1e-10)
+    assert len(charts) == 2 * solved
+    assert np.array_equal(traj.rho, plain.rho)
+    # measured 2.2e-10 (incommensurate) and 6.0e-12 (t_end = T)
+    direct = oracle.integrate_rho_direct(cfg, rho0, t_end, 0.5, 1e-12)
+    assert np.max(np.abs(traj.rho - direct.rho)) <= 1e-8
+
+
+def test_a_million_periods_cost_one(monkeypatch):
+    # fig5's drive to t = 2 pi 10^6 on 1,001 rows: one period of charts, and
+    # U(T)^n stepped over the distinct n on the grid.  Measured 1.7 s and a
+    # 0.94 MB peak under tracemalloc (0.5 s without); charts over the whole
+    # window would take hours.  Without decay the state stays pure: purity
+    # drifted 1.9e-10 over the 10^6 periods.
+    ps = fields.preset("fig5")
+    cfg = dataclasses.replace(ps.config, Gamma=0.0)
+    t_end = 2.0 * math.pi * 1e6
+    charts = record_charts(monkeypatch)
+    tracemalloc.start()
+    try:
+        start = time.perf_counter()
+        traj = propagator.run(cfg, ps.initial.density(), t_end, t_end / 1000, 1e-10)
+        elapsed = time.perf_counter() - start
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(traj) == 1001
+    assert charts[-1][0].t_final == pytest.approx(2.0 * math.pi, rel=1e-12)
+    assert elapsed < 10.0
+    assert peak < 4e6
+    purity = np.einsum("nij,nji->n", traj.rho, traj.rho).real
+    assert np.max(np.abs(purity - 1.0)) <= 1e-8
 
 
 @functools.lru_cache(maxsize=None)
@@ -327,13 +412,15 @@ def test_every_tol_consumer_rejects_a_tol_that_is_not_finite_and_positive(consum
 
 
 def test_transient_memory_of_a_long_chart_is_bounded():
-    # One chart of 10^5 output samples (fig11 stays healthy to t = 100): the
-    # samples and the observables table are filled in blocks of SAMPLE_BLOCK,
-    # so the peak is the result arrays (28.0 MB: grid, rho and table), the
-    # sample stack the Hermitian part is formed from, and a bounded
-    # transient.  Measured peak 43.9 MB; it was 60.3 MB when the table was
-    # built in one batch, 61.9 MB when a trajectory also stored eta, and
-    # 155 MB when a whole chart was filled in one batch.
+    # 10^5 output samples from one chart (fig11 stays healthy over its drive
+    # period 2 pi, which serves all 16 periods to t = 100): the samples and
+    # the observables table are filled in blocks of SAMPLE_BLOCK, so the peak
+    # is the result arrays (28.0 MB: grid, rho and table), the sample stack
+    # the Hermitian part is formed from, the period index and in-period time
+    # of every sample (1.6 MB), and a bounded transient.  Measured peak
+    # 45.3 MB; it was 43.9 MB when the chart ran over the whole window, 60.3 MB
+    # when the table was built in one batch, 61.9 MB when a trajectory also
+    # stored eta, and 155 MB when a whole chart was filled in one batch.
     ps = fields.preset("fig11")
     tracemalloc.start()
     try:
