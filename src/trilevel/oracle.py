@@ -16,11 +16,14 @@ import numpy as np
 from . import algebra
 from .fields import (FieldConfig, STARK_MINUS_VECTOR, STARK_PLUS_VECTOR,
                      STARK_ZERO_VECTOR, epsilon, hydrogen_config, j_coupling)
-from .propagator import Trajectory, output_grid, trajectory_from_etas, trajectory_from_rhos
+from .propagator import (MAX_SAMPLES, Trajectory, output_grid, trajectory_from_etas,
+                         trajectory_from_rhos)
 
 _SQRT32 = math.sqrt(1.5)
 
 _IVP_METHOD = "DOP853"
+
+_I3 = np.eye(3, dtype=complex)
 
 
 def solve_ivp(*args, **kwargs):
@@ -41,13 +44,46 @@ def _max_step(cfg: FieldConfig) -> float:
     return math.pi / (2.0 * fastest) if fastest > 0 else math.inf
 
 
+# Superoperators on the row-major vec of a 3x3 matrix: -i [h, .] is
+# -i (h (x) I - I (x) h^T), and the uniform decoherence per unit Gamma,
+# Tr(rho) I/3 - rho, is vec(I) vec(I)^T / 3 - I_9.
+_RHO_OPS = tuple(-1j * (np.kron(h, _I3) - np.kron(_I3, h.T)) for h in (algebra.A_Z, algebra.A_X))
+_RHO_DECAY = np.outer(_I3.reshape(-1), _I3.reshape(-1)) / 3.0 - np.eye(9)
+_ETA_OPS = (-1j * algebra.B_Z, -1j * algebra.B_X)
+
+
+def _linear_rhs(cfg: FieldConfig, ops: tuple[np.ndarray, np.ndarray], decay: np.ndarray):
+    """``y' = eps(t) ops[0] y + 2 J(t) ops[1] y + decay y`` as one stacked matvec.
+
+    The stack K = [ops[0]; ops[1]; decay] is built once per solve, so a call is
+    K @ y and one product with the coefficient vector (eps, 2J, 1).
+    """
+    n = decay.shape[0]
+    stack = np.vstack((*ops, decay))
+
+    def rhs(t, y):
+        coeffs = np.array((epsilon(t, cfg), 2.0 * j_coupling(t, cfg), 1.0), dtype=complex)
+        return coeffs @ (stack @ y).reshape(3, n)
+
+    return rhs
+
+
 def _integrate(rhs, y0: np.ndarray, cfg: FieldConfig, grid: np.ndarray,
                tol: float, what: str) -> np.ndarray:
-    """The solution of ``y' = rhs(t, y)`` at the times of ``grid``, one row per time."""
+    """The solution of ``y' = rhs(t, y)`` at the times of ``grid``, one row per time.
+
+    A window that needs more than MAX_SAMPLES steps of the capped size is a
+    ValueError, raised before scipy is imported: it would run for hours.
+    """
     if not (math.isfinite(tol) and tol > 0):
         raise ValueError(f"tol must be finite and > 0, got {tol!r}")
-    sol = solve_ivp(rhs, (0.0, grid[-1]), y0, t_eval=grid, rtol=tol, atol=tol,
-                    method=_IVP_METHOD, max_step=_max_step(cfg))
+    t_end, max_step = float(grid[-1]), _max_step(cfg)
+    if t_end / max_step > MAX_SAMPLES:
+        raise ValueError(f"t_end = {t_end!r} needs at least {t_end / max_step:.3g} direct "
+                         f"integration steps of at most {max_step:.3g} (a quarter of the "
+                         f"shortest drive period); at most {MAX_SAMPLES} are allowed")
+    sol = solve_ivp(rhs, (0.0, t_end), y0, t_eval=grid, rtol=tol, atol=tol,
+                    method=_IVP_METHOD, max_step=max_step)
     if not sol.success:
         raise RuntimeError(f"direct {what} integration failed: {sol.message}")
     return sol.y.T
@@ -64,13 +100,7 @@ def integrate_eta_direct(cfg: FieldConfig, eta0: np.ndarray, t_end: float,
         raise ValueError(f"coherence vector must have shape (8,), got {eta0.shape}")
     algebra.validate_density_matrix(algebra.eta_to_rho(eta0))
     grid = output_grid(t_end, dt_out)
-    bz = algebra.B_Z
-    bx = algebra.B_X
-    gamma = cfg.Gamma
-
-    def rhs(t, y):
-        return -1j * (epsilon(t, cfg) * (bz @ y) + 2.0 * j_coupling(t, cfg) * (bx @ y)) - gamma * y
-
+    rhs = _linear_rhs(cfg, _ETA_OPS, -cfg.Gamma * np.eye(8))
     etas = _integrate(rhs, eta0, cfg, grid, tol, "eta")
     return trajectory_from_etas(grid, etas)
 
@@ -86,19 +116,7 @@ def integrate_rho_direct(cfg: FieldConfig, rho0: np.ndarray, t_end: float,
     """
     rho0 = algebra.validate_density_matrix(rho0)
     grid = output_grid(t_end, dt_out)
-    az = algebra.A_Z
-    ax = algebra.A_X
-    eye = np.eye(3, dtype=complex)
-    gamma = cfg.Gamma
-
-    def rhs(t, y):
-        rho = y.reshape(3, 3)
-        h = epsilon(t, cfg) * az + 2.0 * j_coupling(t, cfg) * ax
-        drho = -1j * (h @ rho - rho @ h)
-        if gamma != 0.0:
-            drho -= gamma * (rho - (np.trace(rho) / 3.0) * eye)
-        return drho.reshape(-1)
-
+    rhs = _linear_rhs(cfg, _RHO_OPS, cfg.Gamma * _RHO_DECAY)
     rhos = _integrate(rhs, rho0.reshape(-1), cfg, grid, tol, "rho")
     return trajectory_from_rhos(grid, rhos.reshape(-1, 3, 3))
 

@@ -97,20 +97,21 @@ class Trajectory:
         return len(self.grid)
 
 
-def _build_trajectory(grid: np.ndarray, rhos) -> Trajectory:
+def _build_trajectory(grid: np.ndarray, rhos: np.ndarray) -> Trajectory:
+    """The trajectory of ``rhos``, a complex (n, 3, 3) stack owned by the
+    caller, which is replaced by its Hermitian part in place."""
     grid = np.asarray(grid, dtype=float)
-    rhos = np.asarray(rhos, dtype=complex)
-    # the Hermitian part 0.5 (rhos + rhos^H), formed in one new stack
-    rho_out = np.conj(rhos.transpose(0, 2, 1), order="C")
-    rho_out += rhos
-    rho_out *= 0.5
     # filled SAMPLE_BLOCK rows at a time, so the build's temporaries (spectrum,
     # eta stack, column inputs) stay bounded whatever the number of samples
     table = np.empty((len(grid), len(observables.CSV_FIELDS)))
     for lo in range(0, len(grid), SAMPLE_BLOCK):
         hi = lo + SAMPLE_BLOCK
-        table[lo:hi] = observables.table(grid[lo:hi], rho_out[lo:hi])
-    return Trajectory(grid, rho_out, table)
+        block = rhos[lo:hi]
+        # the Hermitian part 0.5 (rho + rho^H)
+        block += np.conj(block.transpose(0, 2, 1))
+        block *= 0.5
+        table[lo:hi] = observables.table(grid[lo:hi], block)
+    return Trajectory(grid, rhos, table)
 
 
 def trajectory_from_etas(grid: np.ndarray, etas: np.ndarray) -> Trajectory:
@@ -126,7 +127,7 @@ def trajectory_from_rhos(grid: np.ndarray, rhos: np.ndarray) -> Trajectory:
     exponents (or an oracle's integration error) leave, so trace and
     hermiticity hold structurally at any tolerance.  ``rhos`` is not written.
     """
-    return _build_trajectory(grid, rhos)
+    return _build_trajectory(grid, np.array(rhos, dtype=complex, order="C"))
 
 
 def output_grid(t_end: float, dt_out: float) -> np.ndarray:
@@ -263,4 +264,5 @@ def run(cfg: FieldConfig, rho0: np.ndarray, t_end: float, dt_out: float, tol: fl
                       w @ rho_n @ w_inv, cfg.Gamma, mixed)
                 a = b
 
-    return trajectory_from_rhos(grid, rhos)
+    # rhos is run's own, so its Hermitian part is formed in place
+    return _build_trajectory(grid, rhos)

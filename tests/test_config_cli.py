@@ -174,6 +174,24 @@ def test_oversized_output_is_a_config_error_naming_dt_out(tmp_path, capsys):
     assert err.startswith("config error: dt_out = 0.1 ") and "t_end = 1e+300" in err
 
 
+@pytest.mark.parametrize("solver", ["direct_eta", "direct_rho"])
+def test_a_direct_window_that_can_never_finish_is_a_config_error_naming_t_end(
+        tmp_path, capsys, monkeypatch, solver):
+    # 10^5 rows pass the grid check, but fig1's step cap of pi/2 forces at
+    # least 6.4e8 steps: hours of integration, refused before it starts
+    def never(*_args, **_kwargs):
+        raise AssertionError("the integration started")
+
+    monkeypatch.setattr(oracle, "solve_ivp", never)
+    argv = ["figure", "fig1", "--solver", solver, "--t-end", "1e9", "--dt-out", "1e4",
+            "--out", str(tmp_path / "out")]
+    assert cli.main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error: t_end = 1000000000.0 needs at least 6.37e+08 ")
+    assert f"at most {propagator.MAX_SAMPLES} are allowed" in err
+    assert not (tmp_path / "out").exists()
+
+
 def test_run_requires_csv(tmp_path, capsys):
     cfg = write_cfg(tmp_path / "nocsv.cfg", "preset = fig1\nt_end = 1\ndt_out = 0.5\n")
     assert cli.main(["run", cfg]) == 2

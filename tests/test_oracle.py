@@ -4,6 +4,7 @@ import subprocess
 import sys
 import textwrap
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -81,6 +82,61 @@ def test_eta_and_rho_integrators_agree(name):
     for k in range(len(eta_traj.grid)):
         assert np.max(np.abs(algebra.rho_to_eta(rho_traj.rho[k])
                              - algebra.rho_to_eta(eta_traj.rho[k]))) <= 1e-8
+
+
+class _Captured(Exception):
+    pass
+
+
+def _right_hand_side(integrate, cfg, y0):
+    """The right-hand side that ``integrate`` hands to the ODE solver."""
+    def capture(rhs, *_args, **_kwargs):
+        raise _Captured(rhs)
+
+    with mock.patch.object(oracle, "solve_ivp", capture), pytest.raises(_Captured) as exc:
+        integrate(cfg, y0, 1.0, 0.5, 1e-8)
+    return exc.value.args[0]
+
+
+_DRIVE = st.floats(-5.0, 5.0)
+
+
+@settings(derandomize=True, deadline=None, max_examples=60)
+@given(seed=st.integers(0, 2**32 - 1), A=_DRIVE, Omega=_DRIVE, B=_DRIVE, omega=_DRIVE,
+       delta=st.floats(-math.pi, math.pi), Gamma=st.floats(0.0, 2.0),
+       sign=st.sampled_from([1.0, -1.0]), t=st.floats(0.0, 100.0))
+def test_both_oracles_integrate_the_master_equation(seed, A, Omega, B, omega, delta, Gamma,
+                                                    sign, t):
+    cfg = fields.FieldConfig(A=A, Omega=Omega, B=B, omega=omega, delta=delta, Gamma=Gamma,
+                             sign_convention=sign)
+    rho = algebra.random_density_matrix(np.random.default_rng(seed))
+    h = fields.epsilon(t, cfg) * algebra.A_Z + 2.0 * fields.j_coupling(t, cfg) * algebra.A_X
+    law = -1j * algebra.commutator(h, rho) - Gamma * (rho - np.trace(rho) / 3.0 * np.eye(3))
+    rho_rhs = _right_hand_side(oracle.integrate_rho_direct, cfg, rho)
+    drho = rho_rhs(t, rho.reshape(-1)).reshape(3, 3)
+    assert np.max(np.abs(drho - law)) <= 1e-13 * np.max(np.abs(law))
+    # the eta equation is the image of the same equation on the coherence vector
+    eta_rhs = _right_hand_side(oracle.integrate_eta_direct, cfg, algebra.rho_to_eta(rho))
+    deta = eta_rhs(t, algebra.rho_to_eta(rho))
+    want = algebra.rho_to_eta(drho)
+    assert np.max(np.abs(deta - want)) <= 1e-13 * np.max(np.abs(want))
+
+
+@pytest.mark.parametrize("integrate, y0", [
+    (oracle.integrate_eta_direct, algebra.rho_to_eta(S_START)),
+    (oracle.integrate_rho_direct, S_START),
+], ids=["eta", "rho"])
+def test_a_window_the_step_cap_cannot_finish_is_rejected_before_integrating(integrate, y0):
+    # fig1's step cap is pi/2: t_end = 1e9 needs 6.4e8 steps, more than
+    # MAX_SAMPLES, on a grid of 10^5 rows that is itself allowed
+    cfg = fields.preset("fig1").config
+    with mock.patch.object(oracle, "solve_ivp", side_effect=AssertionError("integrated")):
+        with pytest.raises(ValueError, match=r"^t_end = 1000000000\.0 needs at least 6\.37e\+08 "):
+            integrate(cfg, y0, 1e9, 1e4, 1e-8)
+        # the largest window the cap allows is integrated (here: reaches the solver)
+        t_end = propagator.MAX_SAMPLES * oracle._max_step(cfg)
+        with pytest.raises(AssertionError, match="integrated"):
+            integrate(cfg, y0, t_end, t_end / 10.0, 1e-8)
 
 
 @pytest.mark.parametrize("name", ["fig16", "fig17"])
