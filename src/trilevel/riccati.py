@@ -16,8 +16,11 @@ coupling), and is reported as :class:`SingularityError` so the caller can
 restart the factorization from a fresh reference point.
 
 The integrator is an explicit embedded Dormand-Prince 5(4) pair, stepped on
-tuples of Python complex: with three components, array arithmetic would cost
-more in per-call overhead than the arithmetic itself.  Dense output is
+Python complex: with three components, array arithmetic would cost more in
+per-call overhead than the arithmetic itself.  As in Hairer and Wanner's
+DOPRI5, the step is written out stage by stage rather than looped over the
+tableau, and since the right-hand side does not depend on mu, the stage
+states carry only (mu_plus, mu_minus).  Dense output is
 quintic Hermite interpolation from the exact first and second derivatives at
 the accepted nodes (the cosine drives differentiate in closed form), so
 interpolated values and ODE residuals stay at the accuracy of the accepted
@@ -26,8 +29,8 @@ steps at any tolerance.
 
 from __future__ import annotations
 
-import cmath
 import math
+from cmath import isfinite
 
 import numpy as np
 
@@ -40,21 +43,6 @@ _SAFETY = 0.9
 _MIN_FACTOR = 0.2
 _MAX_FACTOR = 5.0
 _ORDER_EXP = 0.2  # error exponent for the 5(4) pair
-
-# Dormand-Prince 5(4) tableau, as Python floats: the stepper works on tuples of
-# Python complex, and one numpy scalar in a stage would make every stage that
-# touches it numpy arithmetic, about ten times slower.
-_C = (0.0, 1 / 5, 3 / 10, 4 / 5, 8 / 9, 1.0)
-_A = (
-    (),
-    (1 / 5,),
-    (3 / 40, 9 / 40),
-    (44 / 45, -56 / 15, 32 / 9),
-    (19372 / 6561, -25360 / 2187, 64448 / 6561, -212 / 729),
-    (9017 / 3168, -355 / 33, 46732 / 5247, 49 / 176, -5103 / 18656),
-)
-_B5 = (35 / 384, 0.0, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84)
-_B4 = (5179 / 57600, 0.0, 7571 / 16695, 393 / 640, -92097 / 339200, 187 / 2100, 1 / 40)
 
 
 class SingularityError(RuntimeError):
@@ -74,6 +62,8 @@ def mu_rhs(t: float, y, cfg: FieldConfig) -> tuple[complex, complex, complex]:
     """Right-hand side of the coupled exponent-function system.
 
     ``y`` is (mu_plus, mu_minus, mu); the derivatives come back as a tuple.
+    The system does not depend on mu, so ``y[2]`` is never read: the stepper
+    passes 0j in its place at the inner stages.
     """
     eps = epsilon(t, cfg)
     j = j_coupling(t, cfg)
@@ -196,19 +186,11 @@ def residuals(traj: MuTrajectory, cfg: FieldConfig, times: np.ndarray) -> np.nda
     return traj.evaluate_derivative(times).T - rhs
 
 
-def _combine(y, h: float, coeffs, ks) -> tuple[complex, complex, complex]:
-    """y + h * sum_j coeffs[j] * ks[j], componentwise on 3-tuples."""
-    s0 = s1 = s2 = 0j
-    for c, (k0, k1, k2) in zip(coeffs, ks):
-        s0 += c * k0
-        s1 += c * k1
-        s2 += c * k2
-    return (y[0] + h * s0, y[1] + h * s1, y[2] + h * s2)
-
-
 def _scaled_rms(v, scale) -> float:
-    """Root mean square of |v_i| / scale_i over the three components."""
-    return math.sqrt(sum((abs(x) / s) ** 2 for x, s in zip(v, scale)) / 3.0)
+    """Root mean square of |v_i| / scale_i over the three components, summed
+    left to right from 0 on every Python (``sum`` compensates from 3.12 on)."""
+    (a, b, c), (sa, sb, sc) = v, scale
+    return math.sqrt((0 + (abs(a) / sa) ** 2 + (abs(b) / sb) ** 2 + (abs(c) / sc) ** 2) / 3.0)
 
 
 def _initial_step(t0: float, y0, f0, t_end: float, cfg: FieldConfig, tol: float) -> float:
@@ -271,25 +253,58 @@ def solve_mu(cfg: FieldConfig, t_end: float, tol: float, *,
     gs = [g]
 
     h = _initial_step(t, y, f, t_end, cfg, tol)
+    yp, ym, yu = y
+    fp, fm, fu = f
 
     while t < t_end:
         h = min(h, t_end - t)
         if h < 1e-14 * max(1.0, abs(t)):
             raise RuntimeError(f"step size collapsed at t = {t:.9g}")
 
-        k = [f]
-        for c, row in zip(_C[1:], _A[1:]):
-            k.append(mu_rhs(t + c * h, _combine(y, h, row, k), cfg))
-        y_new = _combine(y, h, _B5, k)
-        f_new = mu_rhs(t + h, y_new, cfg)
-        k.append(f_new)
-        y4 = _combine(y, h, _B4, k)
+        # One Dormand-Prince 5(4) step written out stage by stage.  Each stage
+        # sum runs in tableau order from a 0j start, 0.0 * k2 included, so the
+        # step is bit for bit that of a loop over the tableau.  mu_rhs does not
+        # read mu, so the stage states pass 0j in its place.
+        p2, m2, u2 = mu_rhs(t + 1 / 5 * h, (yp + h * (0j + 1 / 5 * fp),
+                                            ym + h * (0j + 1 / 5 * fm), 0j), cfg)
+        p3, m3, u3 = mu_rhs(t + 3 / 10 * h, (yp + h * (0j + 3 / 40 * fp + 9 / 40 * p2),
+                                             ym + h * (0j + 3 / 40 * fm + 9 / 40 * m2), 0j), cfg)
+        p4, m4, u4 = mu_rhs(t + 4 / 5 * h,
+                            (yp + h * (0j + 44 / 45 * fp + -56 / 15 * p2 + 32 / 9 * p3),
+                             ym + h * (0j + 44 / 45 * fm + -56 / 15 * m2 + 32 / 9 * m3), 0j), cfg)
+        p5, m5, u5 = mu_rhs(t + 8 / 9 * h,
+                            (yp + h * (0j + 19372 / 6561 * fp + -25360 / 2187 * p2
+                                       + 64448 / 6561 * p3 + -212 / 729 * p4),
+                             ym + h * (0j + 19372 / 6561 * fm + -25360 / 2187 * m2
+                                       + 64448 / 6561 * m3 + -212 / 729 * m4), 0j), cfg)
+        p6, m6, u6 = mu_rhs(t + h,
+                            (yp + h * (0j + 9017 / 3168 * fp + -355 / 33 * p2 + 46732 / 5247 * p3
+                                       + 49 / 176 * p4 + -5103 / 18656 * p5),
+                             ym + h * (0j + 9017 / 3168 * fm + -355 / 33 * m2 + 46732 / 5247 * m3
+                                       + 49 / 176 * m4 + -5103 / 18656 * m5), 0j), cfg)
+        yp5 = yp + h * (0j + 35 / 384 * fp + 0.0 * p2 + 500 / 1113 * p3 + 125 / 192 * p4
+                        + -2187 / 6784 * p5 + 11 / 84 * p6)
+        ym5 = ym + h * (0j + 35 / 384 * fm + 0.0 * m2 + 500 / 1113 * m3 + 125 / 192 * m4
+                        + -2187 / 6784 * m5 + 11 / 84 * m6)
+        yu5 = yu + h * (0j + 35 / 384 * fu + 0.0 * u2 + 500 / 1113 * u3 + 125 / 192 * u4
+                        + -2187 / 6784 * u5 + 11 / 84 * u6)
+        y_new = (yp5, ym5, yu5)
+        f_new = p7, m7, u7 = mu_rhs(t + h, y_new, cfg)
+        yp4 = yp + h * (0j + 5179 / 57600 * fp + 0.0 * p2 + 7571 / 16695 * p3 + 393 / 640 * p4
+                        + -92097 / 339200 * p5 + 187 / 2100 * p6 + 1 / 40 * p7)
+        ym4 = ym + h * (0j + 5179 / 57600 * fm + 0.0 * m2 + 7571 / 16695 * m3 + 393 / 640 * m4
+                        + -92097 / 339200 * m5 + 187 / 2100 * m6 + 1 / 40 * m7)
+        yu4 = yu + h * (0j + 5179 / 57600 * fu + 0.0 * u2 + 7571 / 16695 * u3 + 393 / 640 * u4
+                        + -92097 / 339200 * u5 + 187 / 2100 * u6 + 1 / 40 * u7)
 
-        if not all(map(cmath.isfinite, y_new + y4)):
+        if not (isfinite(yp5) and isfinite(ym5) and isfinite(yu5)
+                and isfinite(yp4) and isfinite(ym4) and isfinite(yu4)):
             h *= 0.25
             continue
-        err = _scaled_rms([a - b for a, b in zip(y_new, y4)],
-                          [tol + tol * max(abs(a), abs(b)) for a, b in zip(y, y_new)])
+        # _scaled_rms of (y5 - y4) over tol + tol * max(|y|, |y5|), written out
+        err = math.sqrt((0 + (abs(yp5 - yp4) / (tol + tol * max(abs(yp), abs(yp5)))) ** 2
+                         + (abs(ym5 - ym4) / (tol + tol * max(abs(ym), abs(ym5)))) ** 2
+                         + (abs(yu5 - yu4) / (tol + tol * max(abs(yu), abs(yu5)))) ** 2) / 3.0)
         if err > 1.0:
             h *= max(_MIN_FACTOR, _SAFETY * err ** -_ORDER_EXP)
             continue
@@ -301,6 +316,7 @@ def solve_mu(cfg: FieldConfig, t_end: float, tol: float, *,
             raise SingularityError(t_star, _trajectory(ts, ys, fs, gs))
 
         t, y, f, g = t_new, y_new, f_new, g_new
+        yp, ym, yu, fp, fm, fu = yp5, ym5, yu5, p7, m7, u7
         ts.append(t)
         ys.append(y)
         fs.append(f)

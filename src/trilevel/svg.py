@@ -103,11 +103,14 @@ def line_chart(path, x, series, *, title: str = "", ylabel: str = "") -> None:
                      f'font-family="sans-serif" font-size="12" '
                      f'transform="rotate(-90 16 {cy:.1f})">{ylabel}</text>')
 
-    xs = px(x)
-    template = " ".join(["%.2f,%.2f"] * len(x))
+    # x pixels are formatted once and shared by every series' polyline
+    coords = [None] * (2 * len(x))
+    coords[::2] = ["%.2f" % v for v in px(x).tolist()]
+    template = " ".join(["%s,%.2f"] * len(x))
     for i, (label, ys) in enumerate(series):
         color = _PALETTE[i % len(_PALETTE)]
-        points = template % tuple(np.column_stack((xs, py(ys))).ravel().tolist())
+        coords[1::2] = py(ys).tolist()
+        points = template % tuple(coords)
         parts.append(f'<polyline points="{points}" fill="none" stroke="{color}" '
                      f'stroke-width="1.3"/>')
 

@@ -1,7 +1,10 @@
+import cmath
 import math
 
 import numpy as np
 import pytest
+from hypothesis import Phase, given, settings
+from hypothesis import strategies as st
 
 from trilevel import algebra, fields, riccati
 
@@ -216,3 +219,127 @@ def test_every_stage_calls_mu_rhs_through_the_module(monkeypatch):
     assert accepted > 0
     assert (len(calls) - 2) % 6 == 0
     assert len(calls) - 2 >= 6 * accepted
+
+
+# The Dormand-Prince 5(4) tableau and the generic stage loop over it that
+# solve_mu's written-out step replaces; the reference the fused step must
+# match bit for bit.  Its stage states carry all three components.
+_C = (0.0, 1 / 5, 3 / 10, 4 / 5, 8 / 9, 1.0)
+_A = (
+    (),
+    (1 / 5,),
+    (3 / 40, 9 / 40),
+    (44 / 45, -56 / 15, 32 / 9),
+    (19372 / 6561, -25360 / 2187, 64448 / 6561, -212 / 729),
+    (9017 / 3168, -355 / 33, 46732 / 5247, 49 / 176, -5103 / 18656),
+)
+_B5 = (35 / 384, 0.0, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84)
+_B4 = (5179 / 57600, 0.0, 7571 / 16695, 393 / 640, -92097 / 339200, 187 / 2100, 1 / 40)
+
+
+def _combine(y, h, coeffs, ks):
+    s0 = s1 = s2 = 0j
+    for c, (k0, k1, k2) in zip(coeffs, ks):
+        s0 += c * k0
+        s1 += c * k1
+        s2 += c * k2
+    return (y[0] + h * s0, y[1] + h * s1, y[2] + h * s2)
+
+
+def tableau_solve_mu(cfg, t_end, tol, *, t_start=0.0, halt=None):
+    t, t_end, tol = float(t_start), float(t_end), float(tol)
+    y = (0j, 0j, 0j)
+    f = riccati.mu_rhs(t, y, cfg)
+    g = riccati._mu_rhs2(t, y, f, cfg)
+    ts, ys, fs, gs = [t], [y], [f], [g]
+    h = riccati._initial_step(t, y, f, t_end, cfg, tol)
+    while t < t_end:
+        h = min(h, t_end - t)
+        k = [f]
+        for c, row in zip(_C[1:], _A[1:]):
+            k.append(riccati.mu_rhs(t + c * h, _combine(y, h, row, k), cfg))
+        y_new = _combine(y, h, _B5, k)
+        f_new = riccati.mu_rhs(t + h, y_new, cfg)
+        k.append(f_new)
+        y4 = _combine(y, h, _B4, k)
+        if not all(map(cmath.isfinite, y_new + y4)):
+            h *= 0.25
+            continue
+        err = riccati._scaled_rms([a - b for a, b in zip(y_new, y4)],
+                                  [tol + tol * max(abs(a), abs(b)) for a, b in zip(y, y_new)])
+        if err > 1.0:
+            h *= max(riccati._MIN_FACTOR, riccati._SAFETY * err ** -riccati._ORDER_EXP)
+            continue
+        t_new = t + h
+        g_new = riccati._mu_rhs2(t_new, y_new, f_new, cfg)
+        if abs(y_new[0]) >= riccati.BLOWUP_THRESHOLD:
+            t_star = riccati._find_crossing(t, h, y, f, g, y_new, f_new, g_new,
+                                            riccati.BLOWUP_THRESHOLD)
+            raise riccati.SingularityError(t_star, riccati._trajectory(ts, ys, fs, gs))
+        t, y, f, g = t_new, y_new, f_new, g_new
+        ts.append(t)
+        ys.append(y)
+        fs.append(f)
+        gs.append(g)
+        factor = (riccati._MAX_FACTOR if err == 0.0
+                  else min(riccati._MAX_FACTOR, riccati._SAFETY * err ** -riccati._ORDER_EXP))
+        h *= max(riccati._MIN_FACTOR, factor)
+        if halt is not None and halt(t, y):
+            return riccati._trajectory(ts, ys, fs, gs, halted=True)
+    return riccati._trajectory(ts, ys, fs, gs)
+
+
+def assert_same_trajectory(a, b):
+    assert a.halted == b.halted
+    for name in ("grid", "_values", "_derivs", "_derivs2"):
+        x, y = getattr(a, name), getattr(b, name)
+        assert x.shape == y.shape
+        assert np.array_equal(x, y)
+        assert x.tobytes() == y.tobytes()   # signed zeros too
+
+
+def assert_same_solve(cfg, t_end, tol, **kwargs):
+    try:
+        fused = riccati.solve_mu(cfg, t_end, tol, **kwargs)
+    except riccati.SingularityError as err:
+        with pytest.raises(riccati.SingularityError) as ref:
+            tableau_solve_mu(cfg, t_end, tol, **kwargs)
+        assert err.t_star == ref.value.t_star
+        assert_same_trajectory(err.partial, ref.value.partial)
+        return err
+    assert_same_trajectory(fused, tableau_solve_mu(cfg, t_end, tol, **kwargs))
+    return fused
+
+
+# no shrinking: any failing drive shows the fault, and shrinking one takes minutes
+@settings(derandomize=True, deadline=None, max_examples=40,
+          phases=(Phase.explicit, Phase.generate))
+@given(a=st.floats(0.0, 3.0), omega_a=st.floats(0.0, 2.0), b=st.floats(0.0, 3.0),
+       omega=st.floats(0.0, 2.0), delta=st.floats(-math.pi, math.pi),
+       sign=st.sampled_from([1.0, -1.0]), log_tol=st.floats(-12.0, -6.0),
+       t_start=st.floats(-10.0, 10.0), span=st.floats(0.5, 8.0))
+def test_fused_step_is_the_tableau_loop(a, omega_a, b, omega, delta, sign, log_tol,
+                                        t_start, span):
+    cfg = fields.FieldConfig(A=a, Omega=omega_a, B=b, omega=omega, delta=delta,
+                             sign_convention=sign)
+    assert_same_solve(cfg, t_start + span, 10.0 ** log_tol, t_start=t_start)
+
+
+def test_fused_step_is_the_tableau_loop_on_a_halted_chart():
+    traj = assert_same_solve(fields.preset("fig4").config, 100.0, 1e-9,
+                             halt=lambda t, vals: abs(vals[0]) > 1.0)
+    assert traj.halted
+
+
+def test_fused_step_is_the_tableau_loop_through_a_blowup():
+    j0 = 0.5
+    err = assert_same_solve(constant_coupling_config(j0), 1.5 * math.pi / (2 * j0), 1e-10)
+    assert isinstance(err, riccati.SingularityError)
+
+
+@settings(derandomize=True, deadline=None, max_examples=100)
+@given(t=st.floats(-50.0, 50.0), mp=st.complex_numbers(max_magnitude=1e3),
+       mm=st.complex_numbers(max_magnitude=1e3), mu=st.complex_numbers(allow_nan=True))
+def test_mu_rhs_does_not_read_mu(t, mp, mm, mu):
+    cfg = fields.preset("fig3").config
+    assert riccati.mu_rhs(t, (mp, mm, mu), cfg) == riccati.mu_rhs(t, (mp, mm, 0j), cfg)
