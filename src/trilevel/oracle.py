@@ -9,7 +9,10 @@ so agreement with :func:`trilevel.propagator.run` validates both routes.
 
 from __future__ import annotations
 
+import functools
 import math
+import warnings
+from typing import NamedTuple
 
 import numpy as np
 
@@ -21,17 +24,170 @@ from .propagator import (MAX_SAMPLES, Trajectory, output_grid, trajectory_from_e
 
 _SQRT32 = math.sqrt(1.5)
 
-_IVP_METHOD = "DOP853"
-
 _I3 = np.eye(3, dtype=complex)
 
+# scipy.integrate's DOP853 step control (Hairer, Norsett & Wanner, Solving
+# ODEs I, II.4-6), which solve_ivp below mirrors step for step.
+_SAFETY, _MIN_FACTOR, _MAX_FACTOR = 0.9, 0.2, 10.0
+_ERROR_EXPONENT = -1.0 / 8.0     # the embedded error estimate is of order 7
+_MIN_RTOL = 100.0 * np.finfo(float).eps
 
-def solve_ivp(*args, **kwargs):
-    """``scipy.integrate.solve_ivp``, imported on the first call: the product
-    path never integrates directly, and importing scipy.integrate would take
-    most of the time of ``import trilevel``."""
-    from scipy.integrate import solve_ivp as scipy_solve_ivp
-    return scipy_solve_ivp(*args, **kwargs)
+
+class _Solution(NamedTuple):
+    y: np.ndarray        # shape (n, len(t_eval)), as scipy's solve_ivp returns it
+    nfev: int
+    success: bool
+    message: str
+
+
+class _LinearRHS:
+    """The direct oracles' right-hand side ``y' = L(t) y``, with the generator
+    ``L(t) = sum_k coeffs(t)[k] stack[k]`` for real coefficients.  Calling it
+    gives ``L(t) y``; :func:`solve_ivp` asks for the generators at all stage
+    times of a step at once.
+    """
+
+    def __init__(self, stack: np.ndarray, coeffs):
+        self.stack = stack = np.ascontiguousarray(stack, dtype=complex)
+        self.coeffs = coeffs
+        self._flat = stack.reshape(len(stack), -1).view(float)
+
+    def generators(self, times) -> np.ndarray:
+        """``L(t)`` for each ``t`` of ``times``, shape ``(len(times), n, n)``."""
+        n = self.stack.shape[-1]
+        coeffs = np.array([self.coeffs(t) for t in times], dtype=float)
+        return (coeffs @ self._flat).view(complex).reshape(-1, n, n)
+
+    def __call__(self, t, y):
+        return self.generators((t,))[0] @ y
+
+
+@functools.cache
+def _tableau():
+    """DOP853's coefficients, read from scipy on the first direct integration.
+
+    Returns ``(c, a, err, dense)``: the stage times ``c`` and the stage matrix
+    ``a`` of 16 stages, where stages 0-11 are the method's, stage 12 is the
+    derivative at the new point (its row is the solution weights B, its time
+    1) and stages 13-15 feed the dense output; ``err`` stacks the E5 and E3
+    error rows and ``dense`` is the dense-output matrix D.
+    """
+    from scipy.integrate import DOP853
+    s = len(DOP853.B)
+    a = np.zeros((s + 4, s + 4))
+    a[:s, :s], a[s, :s], a[s + 1:] = DOP853.A, DOP853.B, DOP853.A_EXTRA
+    c = np.concatenate((DOP853.C, [1.0], DOP853.C_EXTRA))
+    return c, a, np.stack((DOP853.E5, DOP853.E3)), DOP853.D
+
+
+def _rms(x: np.ndarray) -> float:
+    return float(np.linalg.norm(x)) / math.sqrt(x.size)
+
+
+def _initial_step(fun, t0, y0, f0, t_bound, max_step, rtol, atol) -> float:
+    """scipy's ``select_initial_step`` for an error estimate of order 7."""
+    interval = abs(t_bound - t0)
+    scale = atol + np.abs(y0) * rtol
+    d0, d1 = _rms(y0 / scale), _rms(f0 / scale)
+    h0 = 1e-6 if d0 < 1e-5 or d1 < 1e-5 else 0.01 * d0 / d1
+    h0 = min(h0, interval)
+    d2 = _rms((fun(t0 + h0, y0 + h0 * f0) - f0) / scale) / h0
+    if d1 <= 1e-15 and d2 <= 1e-15:
+        h1 = max(1e-6, h0 * 1e-3)
+    else:
+        h1 = (0.01 / max(d1, d2)) ** (-_ERROR_EXPONENT)
+    return min(100 * h0, h1, interval, max_step)
+
+
+def solve_ivp(fun: _LinearRHS, t_span, y0, t_eval, rtol, atol, max_step) -> _Solution:
+    """``scipy.integrate.solve_ivp(fun, t_span, y0, t_eval=t_eval, rtol=rtol,
+    atol=atol, max_step=max_step, method="DOP853")`` for a linear right-hand side.
+
+    The same method and step control, so the same steps and the same ``nfev``:
+    1 at the start, 1 for the initial step, 12 per attempted step and 3 per
+    dense output.  The generators of a whole step come from one product, each
+    stage is ``hL @ (y + a @ hK)`` on stages ``hK`` scaled by the step, and
+    dense output is built only for steps that hold times of ``t_eval``
+    (ascending, within ``t_span``, which runs forward).  The tableau is read
+    from scipy.integrate on the first call: the product path never integrates
+    directly, and the import would take most of the time of ``import trilevel``.
+    """
+    c, a, err, dense = _tableau()
+    t, t_bound = float(t_span[0]), float(t_span[1])
+    if rtol < _MIN_RTOL:
+        warnings.warn(f"At least one element of `rtol` is too small. "
+                      f"Setting `rtol = np.maximum(rtol, {_MIN_RTOL})`.", stacklevel=2)
+        rtol = _MIN_RTOL
+    y = np.asarray(y0, dtype=complex)
+    f = fun(t, y)
+    h_abs = _initial_step(fun, t, y, f, t_bound, max_step, rtol, atol)
+    n, stages, grid = y.size, len(err[0]), np.asarray(t_eval, dtype=float).tolist()
+    out = np.empty((len(grid), n), dtype=complex)
+    # z = [y; h K_0; ...; h K_15]: stage s is hL_s @ ((1, a[s, :s]) @ z[:s + 1]),
+    # the sum taken as one real product on the interleaved real and imaginary parts
+    z = np.empty((len(c) + 1, n), dtype=complex)
+    z_rows, z_flat = list(z), z.view(float)
+    sums = [(np.concatenate(([1.0], a[s, :s])), z_flat[:s + 1]) for s in range(len(c))]
+    nfev, done = 2, 0
+    while t < t_bound:
+        min_step = 10.0 * math.ulp(t)
+        if h_abs > max_step:
+            h_abs = max_step
+        elif h_abs < min_step:
+            h_abs = min_step
+        rejected = False
+        while True:
+            if h_abs < min_step:
+                from scipy.integrate import OdeSolver
+                return _Solution(out[:done].T, nfev, False, OdeSolver.TOO_SMALL_STEP)
+            t_new = min(t + h_abs, t_bound)
+            h = t_new - t
+            h_abs = abs(h)
+            hgens = h * fun.generators((t + h * c[1:stages]).tolist())
+            z[0], z[1] = y, h * f
+            for s in range(1, stages):
+                row, earlier = sums[s]
+                y_new = (row @ earlier).view(complex)
+                np.matmul(hgens[s - 1], y_new, out=z_rows[s + 1])
+            nfev += stages - 1
+            # scipy's error norm |h| e5 / sqrt((e5 + e3 / 100) n), for e5 and e3 the
+            # squared norms of E5 @ K / scale and E3 @ K / scale, on the stages h K
+            scale = atol + np.maximum(np.abs(y), np.abs(y_new)) * rtol
+            w = (err @ z_flat[1:stages + 1]).reshape(2, n, 2) / scale[:, None]
+            e5, e3 = np.einsum("ijk,ijk->i", w, w).tolist()
+            if e5 == 0 and e3 == 0:
+                error_norm = 0.0
+            else:
+                error_norm = e5 / math.sqrt((e5 + 0.01 * e3) * n)
+            if error_norm < 1:
+                factor = _MAX_FACTOR if error_norm == 0 else min(
+                    _MAX_FACTOR, _SAFETY * error_norm ** _ERROR_EXPONENT)
+                h_abs *= min(1.0, factor) if rejected else factor
+                break
+            h_abs *= max(_MIN_FACTOR, _SAFETY * error_norm ** _ERROR_EXPONENT)
+            rejected = True
+        t_old, y_old, t, y, f = t, y, t_new, y_new, z[stages] / h
+        stop = done
+        while stop < len(grid) and grid[stop] <= t:
+            stop += 1
+        if stop > done:
+            hgens = h * fun.generators((t_old + h * c[stages:]).tolist())
+            for s in range(stages, len(c)):
+                row, earlier = sums[s]
+                np.matmul(hgens[s - stages], (row @ earlier).view(complex), out=z_rows[s + 1])
+            nfev += len(c) - stages
+            dy = y - y_old
+            poly = np.concatenate(((dy, z[1] - dy, 2.0 * dy - z[stages] - z[1]),
+                                   dense @ z[1:]))
+            x = ((np.array(grid[done:stop]) - t_old) / h)[:, None]
+            rows = np.zeros((stop - done, n), dtype=complex)
+            for i, coeff in enumerate(poly[::-1]):
+                rows += coeff
+                rows *= x if i % 2 == 0 else 1.0 - x
+            out[done:stop] = rows + y_old
+            done = stop
+    return _Solution(out.T, nfev, True,
+                     "The solver successfully reached the end of the integration interval.")
 
 
 def _max_step(cfg: FieldConfig) -> float:
@@ -52,20 +208,13 @@ _RHO_DECAY = np.outer(_I3.reshape(-1), _I3.reshape(-1)) / 3.0 - np.eye(9)
 _ETA_OPS = (-1j * algebra.B_Z, -1j * algebra.B_X)
 
 
-def _linear_rhs(cfg: FieldConfig, ops: tuple[np.ndarray, np.ndarray], decay: np.ndarray):
-    """``y' = eps(t) ops[0] y + 2 J(t) ops[1] y + decay y`` as one stacked matvec.
-
-    The stack K = [ops[0]; ops[1]; decay] is built once per solve, so a call is
-    K @ y and one product with the coefficient vector (eps, 2J, 1).
-    """
-    n = decay.shape[0]
-    stack = np.vstack((*ops, decay))
-
-    def rhs(t, y):
-        coeffs = np.array((epsilon(t, cfg), 2.0 * j_coupling(t, cfg), 1.0), dtype=complex)
-        return coeffs @ (stack @ y).reshape(3, n)
-
-    return rhs
+def _linear_rhs(cfg: FieldConfig, ops: tuple[np.ndarray, np.ndarray],
+                decay: np.ndarray) -> _LinearRHS:
+    """``y' = (eps(t) ops[0] + 2 J(t) ops[1] + decay) y``: the stack
+    [ops[0]; ops[1]; decay] is built once per solve, with the coefficients
+    (eps, 2J, 1) of the drive."""
+    return _LinearRHS(np.stack((*ops, decay)),
+                      lambda t: (epsilon(t, cfg), 2.0 * j_coupling(t, cfg), 1.0))
 
 
 def _integrate(rhs, y0: np.ndarray, cfg: FieldConfig, grid: np.ndarray,
@@ -83,7 +232,7 @@ def _integrate(rhs, y0: np.ndarray, cfg: FieldConfig, grid: np.ndarray,
                          f"integration steps of at most {max_step:.3g} (a quarter of the "
                          f"shortest drive period); at most {MAX_SAMPLES} are allowed")
     sol = solve_ivp(rhs, (0.0, t_end), y0, t_eval=grid, rtol=tol, atol=tol,
-                    method=_IVP_METHOD, max_step=max_step)
+                    max_step=max_step)
     if not sol.success:
         raise RuntimeError(f"direct {what} integration failed: {sol.message}")
     return sol.y.T

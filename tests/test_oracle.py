@@ -122,6 +122,79 @@ def test_both_oracles_integrate_the_master_equation(seed, A, Omega, B, omega, de
     assert np.max(np.abs(deta - want)) <= 1e-13 * np.max(np.abs(want))
 
 
+def _scipy_dop853(rhs, *args, **kwargs):
+    from scipy.integrate import solve_ivp
+    return solve_ivp(rhs, *args, method="DOP853", **kwargs)
+
+
+_RATE = st.floats(0.05, 5.0)
+
+
+@settings(derandomize=True, deadline=None, max_examples=40)
+@given(seed=st.integers(0, 2**32 - 1), A=_DRIVE, Omega=_RATE, B=_DRIVE, omega=_RATE,
+       rates=st.sampled_from(["drawn", "static", "equal"]), delta=st.floats(-math.pi, math.pi),
+       Gamma=st.floats(0.0, 2.0), log_tol=st.floats(-12.0, -6.0),
+       start=st.sampled_from(["rho", "eta"]), t_end=st.floats(0.05, 12.0),
+       rows=st.integers(1, 40))
+def test_the_direct_stepper_takes_scipys_dop853_steps(seed, A, Omega, B, omega, rates, delta,
+                                                      Gamma, log_tol, start, t_end, rows):
+    # static drives, Omega = omega and decay included; t_end / rows puts the
+    # output times, and the end of the window, anywhere within a step
+    Omega, omega = {"drawn": (Omega, omega), "static": (0.0, 0.0), "equal": (Omega, Omega)}[rates]
+    cfg = fields.FieldConfig(A=A, Omega=Omega, B=B, omega=omega, delta=delta, Gamma=Gamma)
+    rho = algebra.random_density_matrix(np.random.default_rng(seed))
+    eta = algebra.rho_to_eta(rho)
+    integrate, state, y0 = ((oracle.integrate_rho_direct, rho, rho.reshape(-1)) if start == "rho"
+                            else (oracle.integrate_eta_direct, eta, eta))
+    rhs = _right_hand_side(integrate, cfg, state)
+    tol = 10.0 ** log_tol
+    args = (rhs, (0.0, t_end), y0)
+    kwargs = dict(t_eval=np.linspace(0.0, t_end, rows + 1), rtol=tol, atol=tol,
+                  max_step=oracle._max_step(cfg))
+    got, want = oracle.solve_ivp(*args, **kwargs), _scipy_dop853(*args, **kwargs)
+    assert got.success and want.success
+    assert got.nfev == want.nfev
+    assert got.y.shape == want.y.shape
+    assert np.all(np.abs(got.y - want.y) <= 1e-12 * np.maximum(1.0, np.abs(want.y)))
+
+
+def test_a_tol_below_100_eps_is_raised_to_it_as_scipy_does():
+    cfg = fields.preset("fig3").config
+    rhs = _right_hand_side(oracle.integrate_rho_direct, cfg, S_START)
+    args = (rhs, (0.0, 1.0), S_START.reshape(-1))
+    kwargs = dict(t_eval=np.linspace(0.0, 1.0, 3), rtol=1e-16, atol=1e-16,
+                  max_step=oracle._max_step(cfg))
+    with pytest.warns(UserWarning, match=r"`rtol` is too small"):
+        got = oracle.solve_ivp(*args, **kwargs)
+    with pytest.warns(UserWarning, match=r"`rtol` is too small"):
+        want = _scipy_dop853(*args, **kwargs)
+    assert got.nfev == want.nfev
+    assert np.max(np.abs(got.y - want.y)) <= 1e-14
+
+
+@pytest.mark.parametrize("onset", [0.3, 0.5, 0.75])
+def test_a_generator_that_turns_nan_fails_as_scipys_dop853_does(onset):
+    # zero up to the onset and NaN after: every accepted step grows by exactly
+    # MAX_FACTOR (or 1 after a rejection) and every rejected one shrinks by
+    # MIN_FACTOR, until the step is below 10 ulp of t just short of the onset
+    # (20 ulp would end 0.3 and 0.75 after fewer evaluations)
+    stack = np.stack((*oracle._RHO_OPS, oracle._RHO_DECAY))
+    rhs = oracle._LinearRHS(stack, lambda t: (math.nan if t > onset else 0.0, 0.0, 0.0))
+    y0 = S_START.reshape(-1)
+    args = (rhs, (0.0, 1.0), y0)
+    kwargs = dict(t_eval=np.linspace(0.0, 1.0, 5), rtol=1e-8, atol=1e-8, max_step=math.inf)
+    with np.errstate(invalid="ignore"):   # NaN arithmetic in both steppers
+        got, want = oracle.solve_ivp(*args, **kwargs), _scipy_dop853(*args, **kwargs)
+    assert not got.success and not want.success
+    assert got.message == want.message == "Required step size is less than spacing between numbers."
+    assert got.nfev == want.nfev
+    assert np.array_equal(got.y, want.y)   # the rows written before the failure
+    static = fields.FieldConfig(A=0.0, Omega=0.0, B=0.0, omega=0.0)
+    with pytest.raises(RuntimeError, match=r"^direct rho integration failed: Required step size "), \
+            np.errstate(invalid="ignore"):
+        oracle._integrate(rhs, y0, static, np.linspace(0.0, 1.0, 5), 1e-8, "rho")
+
+
 @pytest.mark.parametrize("integrate, y0", [
     (oracle.integrate_eta_direct, algebra.rho_to_eta(S_START)),
     (oracle.integrate_rho_direct, S_START),
