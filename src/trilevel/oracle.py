@@ -32,6 +32,14 @@ _SAFETY, _MIN_FACTOR, _MAX_FACTOR = 0.9, 0.2, 10.0
 _ERROR_EXPONENT = -1.0 / 8.0     # the embedded error estimate is of order 7
 _MIN_RTOL = 100.0 * np.finfo(float).eps
 
+# Accepted steps that hold output times are buffered, and their dense output
+# is built for the whole block at once when it holds _DENSE_BLOCK steps or
+# _DENSE_ROWS output rows: for the 9-component rho equation, the step buffers
+# and the generators of a block take 0.4 MB, and the interpolation of 1024
+# rows about as much.
+_DENSE_BLOCK = 64
+_DENSE_ROWS = 1024
+
 
 class _Solution(NamedTuple):
     y: np.ndarray        # shape (n, len(t_eval)), as scipy's solve_ivp returns it
@@ -108,8 +116,10 @@ def solve_ivp(fun: _LinearRHS, t_span, y0, t_eval, rtol, atol, max_step) -> _Sol
     dense output.  The generators of a whole step come from one product, each
     stage is ``hL @ (y + a @ hK)`` on stages ``hK`` scaled by the step, and
     dense output is built only for steps that hold times of ``t_eval``
-    (ascending, within ``t_span``, which runs forward).  The tableau is read
-    from scipy.integrate on the first call: the product path never integrates
+    (ascending, within ``t_span``, which runs forward): such steps are buffered
+    and their extra stages and interpolants evaluated a block at a time, with
+    the same floating-point operations per step.  The tableau is read from
+    scipy.integrate on the first call: the product path never integrates
     directly, and the import would take most of the time of ``import trilevel``.
     """
     c, a, err, dense = _tableau()
@@ -121,13 +131,47 @@ def solve_ivp(fun: _LinearRHS, t_span, y0, t_eval, rtol, atol, max_step) -> _Sol
     y = np.asarray(y0, dtype=complex)
     f = fun(t, y)
     h_abs = _initial_step(fun, t, y, f, t_bound, max_step, rtol, atol)
-    n, stages, grid = y.size, len(err[0]), np.asarray(t_eval, dtype=float).tolist()
+    times = np.asarray(t_eval, dtype=float)
+    n, stages, grid = y.size, len(err[0]), times.tolist()
     out = np.empty((len(grid), n), dtype=complex)
     # z = [y; h K_0; ...; h K_15]: stage s is hL_s @ ((1, a[s, :s]) @ z[:s + 1]),
     # the sum taken as one real product on the interleaved real and imaginary parts
     z = np.empty((len(c) + 1, n), dtype=complex)
     z_rows, z_flat = list(z), z.view(float)
     sums = [(np.concatenate(([1.0], a[s, :s])), z_flat[:s + 1]) for s in range(len(c))]
+    # the buffered steps: z[:stages + 1] of each with room for its dense-output
+    # stages, its new y, and (t_old, h, first row, end row) of its output rows
+    zs = np.empty((_DENSE_BLOCK, len(c) + 1, n), dtype=complex)
+    ends = np.empty((_DENSE_BLOCK, n), dtype=complex)
+    steps = []
+
+    def flush():
+        # the buffered steps' extra stages, their interpolants and the output
+        # rows they hold, each operation taken on the whole block at once
+        m = len(steps)
+        t_old, h, lo, hi = (np.array(col) for col in zip(*steps))
+        zb, zb_flat = zs[:m], zs[:m].view(float)
+        hgens = fun.generators((t_old[:, None] + h[:, None] * c[stages:]).ravel().tolist())
+        hgens = hgens.reshape(m, -1, n, n)
+        hgens *= h[:, None, None, None]
+        for s in range(stages, len(c)):
+            v = (sums[s][0] @ zb_flat[:, :s + 1]).view(complex)
+            np.matmul(hgens[:, s - stages], v[..., None], out=zb[:, s + 1, :, None])
+        y_old, dy = zb[:, 0], ends[:m] - zb[:, 0]
+        poly = np.concatenate((dy[:, None], (zb[:, 1] - dy)[:, None],
+                               (2.0 * dy - zb[:, stages] - zb[:, 1])[:, None],
+                               dense @ zb[:, 1:]), axis=1)
+        first, end = int(lo[0]), int(hi[-1])
+        step = np.repeat(np.arange(m), hi - lo)     # the step of each output row
+        x = ((times[first:end] - t_old[step]) / h[step])[:, None]
+        rows = out[first:end]
+        rows.fill(0.0)
+        for i in range(poly.shape[1] - 1, -1, -1):
+            rows += poly[step, i]
+            rows *= x if i % 2 == 0 else 1.0 - x
+        rows += y_old[step]
+        steps.clear()
+
     nfev, done = 2, 0
     while t < t_bound:
         min_step = 10.0 * math.ulp(t)
@@ -138,6 +182,8 @@ def solve_ivp(fun: _LinearRHS, t_span, y0, t_eval, rtol, atol, max_step) -> _Sol
         rejected = False
         while True:
             if h_abs < min_step:
+                if steps:
+                    flush()
                 from scipy.integrate import OdeSolver
                 return _Solution(out[:done].T, nfev, False, OdeSolver.TOO_SMALL_STEP)
             t_new = min(t + h_abs, t_bound)
@@ -166,26 +212,20 @@ def solve_ivp(fun: _LinearRHS, t_span, y0, t_eval, rtol, atol, max_step) -> _Sol
                 break
             h_abs *= max(_MIN_FACTOR, _SAFETY * error_norm ** _ERROR_EXPONENT)
             rejected = True
-        t_old, y_old, t, y, f = t, y, t_new, y_new, z[stages] / h
+        t_old, t, y, f = t, t_new, y_new, z[stages] / h
         stop = done
         while stop < len(grid) and grid[stop] <= t:
             stop += 1
         if stop > done:
-            hgens = h * fun.generators((t_old + h * c[stages:]).tolist())
-            for s in range(stages, len(c)):
-                row, earlier = sums[s]
-                np.matmul(hgens[s - stages], (row @ earlier).view(complex), out=z_rows[s + 1])
+            zs[len(steps), :stages + 1] = z[:stages + 1]
+            ends[len(steps)] = y
+            steps.append((t_old, h, done, stop))
             nfev += len(c) - stages
-            dy = y - y_old
-            poly = np.concatenate(((dy, z[1] - dy, 2.0 * dy - z[stages] - z[1]),
-                                   dense @ z[1:]))
-            x = ((np.array(grid[done:stop]) - t_old) / h)[:, None]
-            rows = np.zeros((stop - done, n), dtype=complex)
-            for i, coeff in enumerate(poly[::-1]):
-                rows += coeff
-                rows *= x if i % 2 == 0 else 1.0 - x
-            out[done:stop] = rows + y_old
             done = stop
+            if len(steps) == _DENSE_BLOCK or done - steps[0][2] >= _DENSE_ROWS:
+                flush()
+    if steps:
+        flush()
     return _Solution(out.T, nfev, True,
                      "The solver successfully reached the end of the integration interval.")
 

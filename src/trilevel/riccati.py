@@ -163,28 +163,6 @@ class MuTrajectory:
         return _quintic(s, h, self._values[:, i], self._values[:, i + 1], self._derivs[:, i],
                         self._derivs[:, i + 1], self._derivs2[:, i], self._derivs2[:, i + 1])
 
-    def evaluate_derivative(self, t) -> np.ndarray:
-        """Time derivative of the interpolant at ``t`` (for residual checks), shaped as evaluate."""
-        if len(self.grid) == 1:
-            return self._derivs[:, np.zeros(np.shape(t), dtype=int)]
-        i, h, s = self._interval(t)
-        s2, s3, s4 = s * s, s * s * s, s * s * s * s
-        d0 = (-30 * s2 + 60 * s3 - 30 * s4) / h
-        d1 = 1 - 18 * s2 + 32 * s3 - 15 * s4
-        d2 = 0.5 * (2 * s - 9 * s2 + 12 * s3 - 5 * s4)
-        d3 = (30 * s2 - 60 * s3 + 30 * s4) / h
-        d4 = -12 * s2 + 28 * s3 - 15 * s4
-        d5 = 0.5 * (3 * s2 - 8 * s3 + 5 * s4)
-        return (d0 * self._values[:, i] + d3 * self._values[:, i + 1]
-             + d1 * self._derivs[:, i] + d4 * self._derivs[:, i + 1]
-             + h * (d2 * self._derivs2[:, i] + d5 * self._derivs2[:, i + 1]))
-
-
-def residuals(traj: MuTrajectory, cfg: FieldConfig, times: np.ndarray) -> np.ndarray:
-    """ODE residuals of the dense interpolant at the given times, shape (n, 3)."""
-    rhs = [mu_rhs(float(t), vals, cfg) for t, vals in zip(times, traj.evaluate(times).T)]
-    return traj.evaluate_derivative(times).T - rhs
-
 
 def _scaled_rms(v, scale) -> float:
     """Root mean square of |v_i| / scale_i over the three components, summed

@@ -3,6 +3,7 @@ import os
 import subprocess
 import sys
 import textwrap
+import tracemalloc
 from pathlib import Path
 from unittest import mock
 
@@ -156,6 +157,149 @@ def test_the_direct_stepper_takes_scipys_dop853_steps(seed, A, Omega, B, omega, 
     assert got.nfev == want.nfev
     assert got.y.shape == want.y.shape
     assert np.all(np.abs(got.y - want.y) <= 1e-12 * np.maximum(1.0, np.abs(want.y)))
+
+
+def _per_step_dop853(fun, t_span, y0, t_eval, rtol, atol, max_step):
+    """The reference for ``oracle.solve_ivp``'s block dense output: the same
+    stepper with each accepted step's dense output built inside the step loop.
+    Returns the solution and, per accepted step, the number of output times it
+    holds."""
+    c, a, err, dense = oracle._tableau()
+    t, t_bound = float(t_span[0]), float(t_span[1])
+    y = np.asarray(y0, dtype=complex)
+    f = fun(t, y)
+    h_abs = oracle._initial_step(fun, t, y, f, t_bound, max_step, rtol, atol)
+    n, stages, grid = y.size, len(err[0]), np.asarray(t_eval, dtype=float).tolist()
+    out = np.empty((len(grid), n), dtype=complex)
+    z = np.empty((len(c) + 1, n), dtype=complex)
+    z_rows, z_flat = list(z), z.view(float)
+    sums = [(np.concatenate(([1.0], a[s, :s])), z_flat[:s + 1]) for s in range(len(c))]
+    nfev, done, held = 2, 0, []
+    while t < t_bound:
+        min_step = 10.0 * math.ulp(t)
+        if h_abs > max_step:
+            h_abs = max_step
+        elif h_abs < min_step:
+            h_abs = min_step
+        rejected = False
+        while True:
+            assert h_abs >= min_step, "the reference stepper is not meant to fail"
+            t_new = min(t + h_abs, t_bound)
+            h = t_new - t
+            h_abs = abs(h)
+            hgens = h * fun.generators((t + h * c[1:stages]).tolist())
+            z[0], z[1] = y, h * f
+            for s in range(1, stages):
+                row, earlier = sums[s]
+                y_new = (row @ earlier).view(complex)
+                np.matmul(hgens[s - 1], y_new, out=z_rows[s + 1])
+            nfev += stages - 1
+            scale = atol + np.maximum(np.abs(y), np.abs(y_new)) * rtol
+            w = (err @ z_flat[1:stages + 1]).reshape(2, n, 2) / scale[:, None]
+            e5, e3 = np.einsum("ijk,ijk->i", w, w).tolist()
+            error_norm = 0.0 if e5 == 0 and e3 == 0 else e5 / math.sqrt((e5 + 0.01 * e3) * n)
+            if error_norm < 1:
+                factor = oracle._MAX_FACTOR if error_norm == 0 else min(
+                    oracle._MAX_FACTOR, oracle._SAFETY * error_norm ** oracle._ERROR_EXPONENT)
+                h_abs *= min(1.0, factor) if rejected else factor
+                break
+            h_abs *= max(oracle._MIN_FACTOR,
+                         oracle._SAFETY * error_norm ** oracle._ERROR_EXPONENT)
+            rejected = True
+        t_old, y_old, t, y, f = t, y, t_new, y_new, z[stages] / h
+        stop = done
+        while stop < len(grid) and grid[stop] <= t:
+            stop += 1
+        held.append(stop - done)
+        if stop > done:
+            hgens = h * fun.generators((t_old + h * c[stages:]).tolist())
+            for s in range(stages, len(c)):
+                row, earlier = sums[s]
+                np.matmul(hgens[s - stages], (row @ earlier).view(complex), out=z_rows[s + 1])
+            nfev += len(c) - stages
+            dy = y - y_old
+            poly = np.concatenate(((dy, z[1] - dy, 2.0 * dy - z[stages] - z[1]),
+                                   dense @ z[1:]))
+            x = ((np.array(grid[done:stop]) - t_old) / h)[:, None]
+            rows = np.zeros((stop - done, n), dtype=complex)
+            for i, coeff in enumerate(poly[::-1]):
+                rows += coeff
+                rows *= x if i % 2 == 0 else 1.0 - x
+            out[done:stop] = rows + y_old
+            done = stop
+    return oracle._Solution(out.T, nfev, True, ""), held
+
+
+def _same_bytes(got, want):
+    return got.y.shape == want.y.shape and got.y.tobytes() == want.y.tobytes()
+
+
+@settings(derandomize=True, deadline=None, max_examples=40)
+@given(seed=st.integers(0, 2**32 - 1), A=_DRIVE, Omega=_RATE, B=_DRIVE, omega=_RATE,
+       delta=st.floats(-math.pi, math.pi), Gamma=st.floats(0.0, 2.0),
+       log_tol=st.floats(-12.0, -6.0), start=st.sampled_from(["rho", "eta"]),
+       t_end=st.floats(0.05, 40.0), rows=st.integers(1, 2000),
+       block=st.sampled_from([1, 2, 5, oracle._DENSE_BLOCK]),
+       block_rows=st.sampled_from([1, 7, oracle._DENSE_ROWS]))
+def test_block_dense_output_equals_the_per_step_one_bit_for_bit(
+        seed, A, Omega, B, omega, delta, Gamma, log_tol, start, t_end, rows, block, block_rows):
+    # blocks of a few steps or rows put many flushes in one window; grids of
+    # one row to many rows a step, and t_end, the last output time, anywhere
+    cfg = fields.FieldConfig(A=A, Omega=Omega, B=B, omega=omega, delta=delta, Gamma=Gamma)
+    rho = algebra.random_density_matrix(np.random.default_rng(seed))
+    integrate, state, y0 = ((oracle.integrate_rho_direct, rho, rho.reshape(-1)) if start == "rho"
+                            else (oracle.integrate_eta_direct, algebra.rho_to_eta(rho),
+                                  algebra.rho_to_eta(rho)))
+    rhs = _right_hand_side(integrate, cfg, state)
+    tol = 10.0 ** log_tol
+    args = (rhs, (0.0, t_end), y0, np.linspace(0.0, t_end, rows + 1), tol, tol,
+            oracle._max_step(cfg))
+    with mock.patch.object(oracle, "_DENSE_BLOCK", block), \
+            mock.patch.object(oracle, "_DENSE_ROWS", block_rows):
+        got = oracle.solve_ivp(*args)
+    want, _ = _per_step_dop853(*args)
+    assert got.success and got.nfev == want.nfev
+    assert _same_bytes(got, want)
+
+
+@pytest.mark.parametrize("rows", [601, 6001, 60001])
+def test_block_dense_output_over_many_blocks_equals_the_per_step_one(rows):
+    # fig10's drive to t = 60 (1,750 steps) at the package's block
+    # sizes: 601 rows leave most steps without an output time, 6001 put one
+    # to a few in each, and 60001 put dozens in each, so that blocks are
+    # flushed on their row count before they hold _DENSE_BLOCK steps
+    cfg = fields.preset("fig10").config
+    rhs = _right_hand_side(oracle.integrate_rho_direct, cfg, S_START)
+    args = (rhs, (0.0, 60.0), S_START.reshape(-1), np.linspace(0.0, 60.0, rows), 1e-9, 1e-9,
+            oracle._max_step(cfg))
+    got = oracle.solve_ivp(*args)
+    want, held = _per_step_dop853(*args)
+    assert got.success and got.nfev == want.nfev
+    assert _same_bytes(got, want)
+    dense = [k for k in held if k]
+    assert len(dense) > 2 * oracle._DENSE_BLOCK
+    if rows == 601:
+        assert len(held) > 2 * len(dense)
+    else:
+        assert max(dense) > 1
+    if rows == 60001:
+        assert np.median(dense) * oracle._DENSE_BLOCK > oracle._DENSE_ROWS
+
+
+def test_the_direct_rho_oracles_transient_memory_stays_bounded():
+    # fig1's drive to t = 400 on 101 rows: 858 steps, 101 of them with dense
+    # output, 1.3 s under tracemalloc.  With the dense output built a step at
+    # a time the peak was 0.086 MB; the block buffers may add at most 1 MB to
+    # that (0.62 MB measured).
+    ps = fields.preset("fig1")
+    oracle.integrate_rho_direct(ps.config, S_START, 1.0, 0.5, 1e-10)   # imports, caches
+    tracemalloc.start()
+    try:
+        oracle.integrate_rho_direct(ps.config, S_START, 400.0, 4.0, 1e-10)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 0.086e6 + 1e6
 
 
 def test_a_tol_below_100_eps_is_raised_to_it_as_scipy_does():
