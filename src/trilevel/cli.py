@@ -37,6 +37,11 @@ _RUN_KEYS = fields.PRESET_KEYS | {"preset", "solver", "tol", "csv", "svg", "quan
 # Run keys that a command line flag of the same name overrides.
 _FLAG_KEYS = ("tol", "t_end", "dt_out", "solver")
 
+# The value of each key a run may leave unset: the lowest layer of a run's
+# settings, below the preset, the file and the flags.
+_DEFAULTS = {"delta": "0.0", "Gamma": "0.0", "sign": "1.0", "initial": "level1",
+             "solver": "product", "tol": "1e-8", "quantities": "populations"}
+
 
 @dataclass
 class RunSpec:
@@ -95,27 +100,30 @@ def _read_config(path) -> dict[str, str]:
 
 def load_run_spec(entries: dict[str, str], args: argparse.Namespace) -> RunSpec:
     """Parse a RunSpec once from raw ``key = value`` strings, layered from
-    lowest to highest priority: the block of the preset that ``entries``
-    names, ``entries`` themselves, then the command line flags in ``args``."""
+    lowest to highest priority: ``_DEFAULTS``, the block of the preset that
+    ``entries`` names, ``entries`` themselves, then the command line flags in
+    ``args``."""
     unknown = set(entries) - _RUN_KEYS
     if unknown:
         raise config.ConfigError(f"unknown config key {min(unknown)!r}")
-    merged = fields.preset_entries(entries["preset"]) if "preset" in entries else {}
+    merged = dict(_DEFAULTS)
+    if "preset" in entries:
+        merged.update(fields.preset_entries(entries["preset"]))
     merged.update(entries)
     merged.update((key, getattr(args, key)) for key in _FLAG_KEYS
                   if getattr(args, key) is not None)
 
+    field, initial, t_end, dt_out = fields.run_settings(merged)
     spec = RunSpec(
-        field=fields.field_config_from_entries(merged),
-        initial=fields.InitialState(
-            config.get_choice(merged, "initial", fields.INITIAL_KINDS, "level1")),
-        solver=config.get_choice(merged, "solver", SOLVERS, "product"),
-        t_end=config.get_float(merged, "t_end"),
-        dt_out=config.get_float(merged, "dt_out"),
-        tol=config.get_float(merged, "tol", 1e-8),
+        field=field,
+        initial=initial,
+        solver=config.get_choice(merged, "solver", SOLVERS),
+        t_end=t_end,
+        dt_out=dt_out,
+        tol=config.get_float(merged, "tol"),
         csv_path=merged.get("csv"),
         svg_path=merged.get("svg"),
-        quantities=_parse_quantities(config.get_str(merged, "quantities", "populations")),
+        quantities=_parse_quantities(merged["quantities"]),
     )
     if not (0 < spec.tol <= 1e-3):
         raise config.ConfigError("tol must be in (0, 1e-3]")
@@ -140,10 +148,9 @@ def solve(spec: RunSpec) -> propagator.Trajectory:
         return oracle.integrate_eta_direct(spec.field, eta0, spec.t_end, spec.dt_out, spec.tol)
     if spec.solver == "direct_rho":
         return oracle.integrate_rho_direct(spec.field, rho0, spec.t_end, spec.dt_out, spec.tol)
-    if spec.solver == "hydrogen_analytic":
-        return oracle.hydrogen_trajectory(spec.field.A, spec.field.omega, spec.field.Gamma,
-                                          rho0, spec.t_end, spec.dt_out)
-    raise config.ConfigError(f"unknown solver {spec.solver!r}")
+    # hydrogen_analytic: load_run_spec admits no other solver name
+    return oracle.hydrogen_trajectory(spec.field.A, spec.field.omega, spec.field.Gamma,
+                                      rho0, spec.t_end, spec.dt_out)
 
 
 def cmd_run(args: argparse.Namespace) -> int:
@@ -169,6 +176,13 @@ def cmd_figure(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
+def _swept(path, param: str, token: str, default_suffix: str = "") -> Path:
+    """``path`` with ``__param=token`` added to its stem, so each swept value
+    writes its own files; a path without a suffix takes ``default_suffix``."""
+    base = Path(path)
+    return base.with_name(f"{base.stem}__{param}={token}{base.suffix or default_suffix}")
+
+
 def cmd_sweep(args: argparse.Namespace) -> int:
     if args.param not in fields.FIELD_KEYS:
         raise config.ConfigError(
@@ -187,10 +201,12 @@ def cmd_sweep(args: argparse.Namespace) -> int:
         first[float(token)] = token
     if specs[0].csv_path is None:
         raise config.ConfigError("csv is required")
-    csv_base = Path(specs[0].csv_path)
     for token, spec in zip(tokens, specs):
-        out = csv_base.with_name(f"{csv_base.stem}__{args.param}={token}{csv_base.suffix}")
-        write_csv(out, solve(spec))
+        trajectory = solve(spec)
+        write_csv(_swept(spec.csv_path, args.param, token), trajectory)
+        if spec.svg_path:
+            write_svg_panels(_swept(spec.svg_path, args.param, token, ".svg"), trajectory,
+                             spec.quantities)
     return EXIT_OK
 
 

@@ -72,11 +72,9 @@ def parse_blocks(text: str) -> dict[str, dict[str, str]]:
     return blocks
 
 
-def get_float(entries: dict[str, str], key: str, default: float | None = None) -> float:
+def get_float(entries: dict[str, str], key: str) -> float:
     if key not in entries:
-        if default is None:
-            raise ConfigError(f"{key} is required")
-        return default
+        raise ConfigError(f"{key} is required")
     try:
         value = float(entries[key])
     except ValueError:
@@ -86,17 +84,10 @@ def get_float(entries: dict[str, str], key: str, default: float | None = None) -
     return value
 
 
-def get_str(entries: dict[str, str], key: str, default: str | None = None) -> str:
+def get_choice(entries: dict[str, str], key: str, choices: tuple[str, ...]) -> str:
     if key not in entries:
-        if default is None:
-            raise ConfigError(f"{key} is required")
-        return default
-    return entries[key]
-
-
-def get_choice(entries: dict[str, str], key: str, choices: tuple[str, ...],
-               default: str | None = None) -> str:
-    value = get_str(entries, key, default)
+        raise ConfigError(f"{key} is required")
+    value = entries[key]
     if value not in choices:
         raise ConfigError(f"{key} must be one of {', '.join(choices)}; got {value!r}")
     return value

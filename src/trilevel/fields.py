@@ -18,9 +18,10 @@ from . import config
 
 _SQRT2 = math.sqrt(2.0)
 
+# The config key of each FieldConfig field, in field order.
 FIELD_KEYS = ("A", "Omega", "B", "omega", "delta", "Gamma", "sign")
 
-# The keys a preset block may set; anything else is a ConfigError.
+# The keys a preset block sets, every one of them and no other.
 PRESET_KEYS = frozenset(FIELD_KEYS) | {"initial", "t_end", "dt_out"}
 
 INITIAL_KINDS = ("level1", "level2", "level3", "stark_plus", "stark_minus", "stark_zero")
@@ -68,21 +69,16 @@ class FieldConfig:
             raise ValueError("sign_convention must be +1 or -1")
 
 
-def field_config_from_entries(entries: dict[str, str]) -> FieldConfig:
-    """Build a FieldConfig from raw config entries; invalid values are a ConfigError."""
-    cfg_kwargs = dict(
-        A=config.get_float(entries, "A"),
-        Omega=config.get_float(entries, "Omega"),
-        B=config.get_float(entries, "B"),
-        omega=config.get_float(entries, "omega"),
-        delta=config.get_float(entries, "delta", 0.0),
-        Gamma=config.get_float(entries, "Gamma", 0.0),
-        sign_convention=config.get_float(entries, "sign", 1.0),
-    )
+def run_settings(entries: dict[str, str]) -> tuple[FieldConfig, InitialState, float, float]:
+    """The drive, initial state, t_end and dt_out that raw config entries
+    set; a missing or invalid value is a ConfigError."""
+    values = [config.get_float(entries, key) for key in FIELD_KEYS]
     try:
-        return FieldConfig(**cfg_kwargs)
+        field = FieldConfig(*values)
     except ValueError as exc:
         raise config.ConfigError(str(exc)) from None
+    initial = InitialState(config.get_choice(entries, "initial", INITIAL_KINDS))
+    return field, initial, config.get_float(entries, "t_end"), config.get_float(entries, "dt_out")
 
 
 def epsilon(t: float, cfg: FieldConfig) -> float:
@@ -158,42 +154,27 @@ def _preset_blocks() -> dict[str, dict[str, str]]:
         resources.files("trilevel").joinpath("presets.cfg").read_text(encoding="utf-8"))
 
 
-@lru_cache(maxsize=1)
-def _preset_table() -> dict[str, Preset]:
-    return _parse_presets(_preset_blocks())
-
-
-def _parse_presets(blocks: dict[str, dict[str, str]]) -> dict[str, Preset]:
-    table = {}
-    for name, entries in blocks.items():
-        unknown = set(entries) - PRESET_KEYS
-        if unknown:
-            raise config.ConfigError(f"unknown key {min(unknown)!r} in preset [{name}]")
-        cfg = field_config_from_entries(entries)
-        initial = InitialState(config.get_choice(entries, "initial", INITIAL_KINDS))
-        table[name] = Preset(
-            name=name,
-            config=cfg,
-            initial=initial,
-            t_end=config.get_float(entries, "t_end"),
-            dt_out=config.get_float(entries, "dt_out"),
-        )
-    return table
-
-
 def preset_names() -> tuple[str, ...]:
-    return tuple(_preset_table())
-
-
-def preset(name: str) -> Preset:
-    """Look up a bundled preset by name (fig1..fig17, hydrogen)."""
-    table = _preset_table()
-    if name not in table:
-        raise UnknownPresetError(f"unknown preset {name!r}; valid names: {', '.join(table)}")
-    return table[name]
+    return tuple(_preset_blocks())
 
 
 def preset_entries(name: str) -> dict[str, str]:
-    """The raw ``key = value`` block of a bundled preset, as in presets.cfg."""
-    preset(name)  # an unknown name raises here
-    return dict(_preset_blocks()[name])
+    """The raw ``key = value`` block of a bundled preset, as in presets.cfg;
+    the block must set exactly the PRESET_KEYS."""
+    blocks = _preset_blocks()
+    if name not in blocks:
+        raise UnknownPresetError(f"unknown preset {name!r}; valid names: {', '.join(blocks)}")
+    entries = blocks[name]
+    unknown = set(entries) - PRESET_KEYS
+    if unknown:
+        raise config.ConfigError(f"unknown key {min(unknown)!r} in preset [{name}]")
+    missing = PRESET_KEYS - set(entries)
+    if missing:
+        raise config.ConfigError(f"missing key {min(missing)!r} in preset [{name}]")
+    return dict(entries)
+
+
+@lru_cache(maxsize=None)
+def preset(name: str) -> Preset:
+    """Look up a bundled preset by name (fig1..fig17, hydrogen)."""
+    return Preset(name, *run_settings(preset_entries(name)))

@@ -59,6 +59,16 @@ def test_coercion_helpers_name_the_key():
 
 # --- run -------------------------------------------------------------------
 
+def test_a_run_file_may_leave_seven_keys_to_their_defaults(tmp_path):
+    entries = config.parse_flat(f"A = 0.3\nOmega = 0.5\nB = 0.7\nomega = 1.0\nt_end = 2\n"
+                                f"dt_out = 0.5\ncsv = {tmp_path / 'out.csv'}\n")
+    spec = cli.load_run_spec(entries, cli.build_parser().parse_args(["run", "min.cfg"]))
+    field = spec.field
+    assert (field.delta, field.Gamma, field.sign_convention) == (0.0, 0.0, 1.0)
+    assert spec.initial == fields.InitialState("level1")
+    assert (spec.solver, spec.tol, spec.quantities) == ("product", 1e-8, ("populations",))
+
+
 FIG1_CONFIG = """
 A = 0.05
 Omega = 0.0
@@ -351,6 +361,35 @@ def test_sweep_over_sign_flips_the_coherences_but_not_the_populations(tmp_path):
     _, plus = read_csv(tmp_path / "s__sign=1.csv")
     assert np.max(np.abs(minus[:, 1:4] - plus[:, 1:4])) <= 1e-12
     assert np.max(np.abs(minus[:, 4:10] - plus[:, 4:10])) > 0.1
+
+
+def test_sweep_writes_each_values_panels_next_to_its_csv(tmp_path, monkeypatch):
+    # the README's sim.cfg shape: every value's SVG panels are written through
+    # the same writer as a run's, and match a run of that value
+    panels = []
+    write_svg_panels = cli.write_svg_panels
+
+    def spy(base, *rest, **kwargs):
+        panels.append(base)
+        return write_svg_panels(base, *rest, **kwargs)
+
+    monkeypatch.setattr(cli, "write_svg_panels", spy)
+    monkeypatch.chdir(tmp_path)
+    text = "preset = fig9\nt_end = 4\ndt_out = 0.5\ncsv = out.csv\nsvg = out.svg\n"
+    write_cfg(tmp_path / "sim.cfg", text + "quantities = all\n")
+    assert cli.main(["sweep", "sim.cfg", "--param", "delta", "--values=0.5,-0.5"]) == 0
+    assert len(panels) == 2
+    assert sorted(p.name for p in tmp_path.glob("*.svg")) == sorted(
+        f"out__delta={v}_{q}.svg" for v in ("-0.5", "0.5") for q in cli.QUANTITIES)
+    write_cfg(tmp_path / "one.cfg", text.replace("out.", "one.") + "delta = 0.5\nquantities = all\n")
+    assert cli.main(["run", "one.cfg"]) == 0
+    for q in cli.QUANTITIES:
+        assert (tmp_path / f"one_{q}.svg").read_bytes() == (
+            tmp_path / f"out__delta=0.5_{q}.svg").read_bytes()
+    # one quantity: one panel per value, named like its CSV
+    write_cfg(tmp_path / "pop.cfg", text.replace("out.", "pop."))
+    assert cli.main(["sweep", "pop.cfg", "--param", "Gamma", "--values=0.1"]) == 0
+    assert (tmp_path / "pop__Gamma=0.1.svg").is_file()
 
 
 # --- one route to a RunSpec ------------------------------------------------

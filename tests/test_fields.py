@@ -99,18 +99,40 @@ def test_preset_names_and_unknown_error():
     assert "fig1" in str(err.value) and "hydrogen" in str(err.value)
 
 
-def test_preset_blocks_reject_unknown_keys():
+@pytest.fixture
+def preset_text(monkeypatch):
+    """Serve the bundled presets from the given text instead of presets.cfg."""
+    def use(text):
+        monkeypatch.setattr(fields, "_preset_blocks", lambda: config.parse_blocks(text))
+        fields.preset.cache_clear()
+    yield use
+    fields.preset.cache_clear()
+
+
+def test_preset_blocks_reject_unknown_keys(preset_text):
     text = resources.files("trilevel").joinpath("presets.cfg").read_text(encoding="utf-8")
-    table = fields._parse_presets(config.parse_blocks(text))
-    assert table == {name: fields.preset(name) for name in fields.preset_names()}
+    bundled = {name: fields.preset(name) for name in fields.preset_names()}
+    preset_text(text)
+    assert {name: fields.preset(name) for name in fields.preset_names()} == bundled
     # a misspelled key must not silently fall back to the default Gamma = 0
-    misspelled = text.replace("Gamma = 0.02", "Gama = 0.02", 1)
+    preset_text(text.replace("Gamma = 0.02", "Gama = 0.02", 1))
     with pytest.raises(config.ConfigError, match=r"'Gama' in preset \[fig1\]"):
-        fields._parse_presets(config.parse_blocks(misspelled))
+        fields.preset("fig1")
+    preset_text("[x]\nA = 1\nOmega = 1\nB = 1\nomega = 1\ninitial = level1\n"
+                "t_end = 1\ndt_out = 0.5\nnote = text\n")
     with pytest.raises(config.ConfigError, match=r"'note' in preset \[x\]"):
-        fields._parse_presets(config.parse_blocks(
-            "[x]\nA = 1\nOmega = 1\nB = 1\nomega = 1\ninitial = level1\n"
-            "t_end = 1\ndt_out = 0.5\nnote = text\n"))
+        fields.preset("x")
+
+
+@pytest.mark.parametrize("key", sorted(fields.PRESET_KEYS))
+def test_a_preset_block_must_set_all_ten_keys(preset_text, key):
+    # presets take no defaults: the run file defaults sit below them in
+    # cli.load_run_spec, and preset_entries is what it reads a block through
+    block = {k: v for k, v in fields.preset_entries("fig1").items() if k != key}
+    preset_text("[fig1]\n" + "".join(f"{k} = {v}\n" for k, v in block.items()))
+    for lookup in (fields.preset, fields.preset_entries):
+        with pytest.raises(config.ConfigError, match=rf"'{key}' in preset \[fig1\]"):
+            lookup("fig1")
 
 
 def test_initial_state_densities():

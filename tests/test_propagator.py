@@ -411,32 +411,17 @@ def test_every_tol_consumer_rejects_a_tol_that_is_not_finite_and_positive(consum
         TOL_CONSUMERS[consumer](tol)
 
 
-def test_transient_memory_of_a_long_chart_is_bounded():
+def test_a_long_run_holds_no_second_sample_stack():
     # 10^5 output samples from one chart (fig11 stays healthy over its drive
     # period 2 pi, which serves all 16 periods to t = 100): the samples and
-    # the observables table are filled in blocks of SAMPLE_BLOCK, so the peak
-    # is the result arrays (28.0 MB: grid, rho and table), the period index
-    # and in-period time of every sample (1.6 MB), and a bounded transient.
+    # the observables table are filled in blocks of SAMPLE_BLOCK, and run
+    # forms the Hermitian part in its own sample stack, so the peak is the
+    # result arrays (28.0 MB: grid, rho and table), the period index and
+    # in-period time of every sample (1.6 MB), and a bounded transient.
     # Measured peak 30.9 MB; it was 45.3 MB when the Hermitian part was a copy
     # of the sample stack, 43.9 MB when the chart ran over the whole window,
     # 60.3 MB when the table was built in one batch, 61.9 MB when a trajectory
     # also stored eta, and 155 MB when a whole chart was filled in one batch.
-    ps = fields.preset("fig11")
-    tracemalloc.start()
-    try:
-        traj = propagator.run(ps.config, ps.initial.density(), 100.0, 1e-3, 1e-10)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert len(traj) == 100_001
-    assert peak < 70e6
-
-
-def test_a_long_run_holds_no_second_sample_stack():
-    # run forms the Hermitian part in its own sample stack: the peak of the
-    # 10^5-row fig11 run is the result arrays (28.0 MB), the period index and
-    # in-period time of every sample (1.6 MB) and a bounded transient.
-    # Measured 30.9 MB; it was 45.3 MB when the Hermitian part was a copy.
     ps = fields.preset("fig11")
     tracemalloc.start()
     try:
