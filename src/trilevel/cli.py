@@ -56,14 +56,19 @@ class RunSpec:
     quantities: tuple[str, ...]
 
 
-_CSV_ROW = ",".join(["%.11e"] * len(observables.CSV_FIELDS))
+_CSV_ROW = ",".join(["%.11e"] * len(observables.CSV_FIELDS)) + "\n"
 
 
 def write_csv(path, trajectory: propagator.Trajectory) -> None:
-    lines = [",".join(observables.CSV_FIELDS)]
-    # + 0.0 turns -0.0 into +0.0
-    lines.extend(_CSV_ROW % tuple(row) for row in (trajectory.table + 0.0).tolist())
-    Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
+    """Write the observables table, formatted SAMPLE_BLOCK rows at a time so
+    that the text held at once stays bounded whatever the number of rows."""
+    table = trajectory.table
+    with open(path, "w", encoding="utf-8") as out:
+        out.write(",".join(observables.CSV_FIELDS) + "\n")
+        for lo in range(0, len(table), propagator.SAMPLE_BLOCK):
+            # + 0.0 turns -0.0 into +0.0
+            rows = (table[lo:lo + propagator.SAMPLE_BLOCK] + 0.0).tolist()
+            out.write("".join([_CSV_ROW % tuple(row) for row in rows]))
 
 
 def write_svg_panels(base_path, trajectory: propagator.Trajectory,

@@ -19,8 +19,8 @@ import numpy as np
 from . import algebra
 from .fields import (FieldConfig, STARK_MINUS_VECTOR, STARK_PLUS_VECTOR,
                      STARK_ZERO_VECTOR, epsilon, hydrogen_config, j_coupling)
-from .propagator import (MAX_SAMPLES, Trajectory, output_grid, trajectory_from_etas,
-                         trajectory_from_rhos)
+from .propagator import (MAX_SAMPLES, Trajectory, _build_trajectory, output_grid,
+                         trajectory_from_etas)
 
 _SQRT32 = math.sqrt(1.5)
 
@@ -307,7 +307,8 @@ def integrate_rho_direct(cfg: FieldConfig, rho0: np.ndarray, t_end: float,
     grid = output_grid(t_end, dt_out)
     rhs = _linear_rhs(cfg, _RHO_OPS, cfg.Gamma * _RHO_DECAY)
     rhos = _integrate(rhs, rho0.reshape(-1), cfg, grid, tol, "rho")
-    return trajectory_from_rhos(grid, rhos.reshape(-1, 3, 3))
+    # the solution rows are this call's own, so the build works on them in place
+    return _build_trajectory(grid, rhos.reshape(-1, 3, 3))
 
 
 def hydrogen_stark_basis() -> tuple[np.ndarray, np.ndarray]:
@@ -343,15 +344,22 @@ def hydrogen_density(A: float, omega: float, Gamma: float, rho0: np.ndarray,
     states, factors = hydrogen_stark_basis()
     # Energy A*factor integrated over the cosine drive gives the phase
     # exp(-i A factor sin(omega t)/omega) per eigenstate.
-    phases = np.exp(-1j * A * factors * np.sin(omega * t)[..., None] / omega)
-    u = (states * phases[..., None, :]) @ states.conj().T
+    u = states * np.exp(-1j * A * factors * np.sin(omega * t)[..., None] / omega)[..., None, :]
+    u = u @ states.conj().T
+    # in place where it can be, so that at most three stacks (U, U rho0 and
+    # rho) are held at once
+    u_rho0 = u @ rho0
+    rho = u_rho0 @ np.swapaxes(np.conj(u, out=u), -1, -2)
+    del u, u_rho0
     eye3 = np.eye(3, dtype=complex) / 3.0
-    return eye3 + np.exp(-Gamma * t)[..., None, None] * (
-        u @ rho0 @ np.swapaxes(u.conj(), -1, -2) - eye3)
+    rho -= eye3
+    rho *= np.exp(-Gamma * t)[..., None, None]
+    rho += eye3
+    return rho
 
 
 def hydrogen_trajectory(A: float, omega: float, Gamma: float, rho0: np.ndarray,
                         t_end: float, dt_out: float) -> Trajectory:
     """Closed-form trajectory sampled on the standard output grid."""
     grid = output_grid(t_end, dt_out)
-    return trajectory_from_rhos(grid, hydrogen_density(A, omega, Gamma, rho0, grid))
+    return _build_trajectory(grid, hydrogen_density(A, omega, Gamma, rho0, grid))

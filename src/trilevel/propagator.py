@@ -176,9 +176,22 @@ def _solve_charts(cfg: FieldConfig, span: float, tol: float):
     composed up to the chart's start; and U(span), U(span)^-1.
 
     A chart halts at its first node past CHART_LIMIT, or ends at a blow-up;
-    the next chart starts from zero at the last node inside the limit.
+    the next chart starts from zero at the last node inside the limit.  A
+    solve whose charts take more than MAX_SAMPLES accepted steps in all is a
+    ValueError, raised at the step past the cap: a drive with no common
+    period is solved over the whole window, which could otherwise take hours
+    and all of memory, in one chart when the drive is weak.
     """
-    halt = lambda _t, vals: _chart_health(vals) > CHART_LIMIT
+    steps = 0
+
+    def halt(t, vals):
+        nonlocal steps
+        steps += 1   # one call per accepted step
+        if steps > MAX_SAMPLES:
+            raise ValueError(f"the exponents to t = {span!r} need more than {MAX_SAMPLES} "
+                             f"Riccati steps (t = {t:.9g} reached); shorten t_end")
+        return _chart_health(vals) > CHART_LIMIT
+
     charts = []
     w, w_inv = _I3, _I3
     start = 0.0
@@ -206,8 +219,6 @@ def _solve_charts(cfg: FieldConfig, span: float, tol: float):
         if complete or span <= _reach(cover):
             return charts, w, w_inv
         start = cover
-        if len(charts) > 10_000_000:
-            raise PropagationError("too many chart restarts")
 
 
 def _reach(cover):

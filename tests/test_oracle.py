@@ -302,6 +302,44 @@ def test_the_direct_rho_oracles_transient_memory_stays_bounded():
     assert peak < 0.086e6 + 1e6
 
 
+def _kept_bytes(traj) -> int:
+    return traj.grid.nbytes + traj.rho.nbytes + traj.table.nbytes
+
+
+def test_the_direct_rho_oracle_builds_on_its_own_solution_without_a_copy():
+    # fig1 to t = 100 on 10^4 rows.  The observables are built on the
+    # integrator's own solution rows, so nothing but the result (2.80 MB) and
+    # bounded transients is held at the peak: measured 1.26 MB above the
+    # result, against 2.70 MB when the 1.44 MB rho stack was copied first.
+    ps = fields.preset("fig1")
+    oracle.integrate_rho_direct(ps.config, S_START, 1.0, 0.5, 1e-8)   # imports, caches
+    tracemalloc.start()
+    try:
+        traj = oracle.integrate_rho_direct(ps.config, S_START, 100.0, 0.01, 1e-8)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(traj) == 10_001
+    assert peak - _kept_bytes(traj) < 2e6
+
+
+def test_the_hydrogen_closed_form_holds_at_most_three_stacks():
+    # 10^4 rows: the closed form holds U, U rho0 and rho at once (one rho
+    # stack is 1.44 MB) and the trajectory is built on rho in place.
+    # Measured 1.11 stacks above the result; 2.50 when the closed form held
+    # four stacks at once and the build copied rho.
+    ps = fields.preset("hydrogen")
+    tracemalloc.start()
+    try:
+        traj = oracle.hydrogen_trajectory(ps.config.A, ps.config.omega, ps.config.Gamma,
+                                          ps.initial.density(), 9.999, 1e-3)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(traj) == 10_000
+    assert peak - _kept_bytes(traj) < 1.5 * traj.rho.nbytes
+
+
 def test_a_tol_below_100_eps_is_raised_to_it_as_scipy_does():
     cfg = fields.preset("fig3").config
     rhs = _right_hand_side(oracle.integrate_rho_direct, cfg, S_START)

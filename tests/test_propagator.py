@@ -411,6 +411,36 @@ def test_every_tol_consumer_rejects_a_tol_that_is_not_finite_and_positive(consum
         TOL_CONSUMERS[consumer](tol)
 
 
+def test_a_solve_past_the_step_cap_is_a_value_error(monkeypatch):
+    # With Omega = sqrt(2) - 1 fig9's drives have no common period, so the
+    # charts run over the whole window: to t = 2000 at tol 1e-10 that took 642
+    # charts and 68,843 steps, so t_end = 1e6 would take hours and gigabytes.
+    # At most MAX_SAMPLES accepted Riccati steps, over all charts, are allowed.
+    ps = fields.preset("fig9")
+    cfg = dataclasses.replace(ps.config, Omega=math.sqrt(2.0) - 1.0)
+    assert propagator._drive_period(cfg) is None
+    rho0 = ps.initial.density()
+    charts = record_charts(monkeypatch)
+    propagator.run(cfg, rho0, 60.0, 10.0, 1e-8)
+    steps = sum(len(chart.grid) - 1 for chart, _ in charts)
+    assert len(charts) > 2
+    monkeypatch.setattr(propagator, "MAX_SAMPLES", steps)
+    propagator.run(cfg, rho0, 60.0, 10.0, 1e-8)
+    monkeypatch.setattr(propagator, "MAX_SAMPLES", steps - 1)
+    with pytest.raises(ValueError, match=rf"^the exponents to t = 60\.0 need more than "
+                                         rf"{steps - 1} Riccati steps .*; shorten t_end$"):
+        propagator.run(cfg, rho0, 60.0, 10.0, 1e-8)
+    # A weak drive stays inside CHART_LIMIT, so it is one chart over the whole
+    # window (69,061 steps to t = 2e4 at tol 1e-10): the cap stops it inside
+    # that chart, which never returns.
+    weak = dataclasses.replace(cfg, A=0.01, B=0.01)
+    monkeypatch.setattr(propagator, "MAX_SAMPLES", 1000)
+    charts.clear()
+    with pytest.raises(ValueError, match=r"need more than 1000 Riccati steps"):
+        propagator.run(weak, rho0, 2e4, 1e4, 1e-10)
+    assert charts == []
+
+
 def test_a_long_run_holds_no_second_sample_stack():
     # 10^5 output samples from one chart (fig11 stays healthy over its drive
     # period 2 pi, which serves all 16 periods to t = 100): the samples and

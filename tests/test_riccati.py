@@ -6,7 +6,7 @@ import pytest
 from hypothesis import Phase, given, settings
 from hypothesis import strategies as st
 
-from trilevel import algebra, fields, riccati
+from trilevel import algebra, fields, propagator, riccati
 
 
 def constant_coupling_config(j0: float) -> fields.FieldConfig:
@@ -133,14 +133,19 @@ def test_self_consistency_under_tolerance_refinement():
         assert np.max(np.abs(a - b) / scale) <= 10 * tol
 
 
+def between_nodes(traj: riccati.MuTrajectory) -> np.ndarray:
+    """Four evenly spaced times inside each step of ``traj``."""
+    times = []
+    for i in range(len(traj.grid) - 1):
+        times.extend(np.linspace(traj.grid[i], traj.grid[i + 1], 6)[1:-1])
+    return np.array(times)
+
+
 @pytest.mark.parametrize("tol", [1e-6, 1e-8, 1e-10])
 def test_residuals_on_refined_grid(tol):
     cfg = fields.preset("fig3").config
     traj = riccati.solve_mu(cfg, 30.0, tol)
-    times = []
-    for i in range(len(traj.grid) - 1):
-        times.extend(np.linspace(traj.grid[i], traj.grid[i + 1], 6)[1:-1])
-    res = residuals(traj, cfg, np.array(times))
+    res = residuals(traj, cfg, between_nodes(traj))
     assert np.max(np.abs(res)) <= 100 * tol
 
 
@@ -228,9 +233,9 @@ def test_stepper_runs_on_python_scalars():
         assert len(vals) == 3 and all(type(v) is complex for v in vals)
 
 
-def test_every_stage_calls_mu_rhs_through_the_module(monkeypatch):
-    # An RHS counter that wraps riccati.mu_rhs sees every evaluation: one at
-    # the start, one in the starting-step estimate, six per attempted step.
+def record_rhs_times(monkeypatch) -> list[float]:
+    """Route riccati.mu_rhs through a recorder; returns the list of the times
+    it is called at, in order."""
     calls = []
     real = riccati.mu_rhs
 
@@ -239,11 +244,71 @@ def test_every_stage_calls_mu_rhs_through_the_module(monkeypatch):
         return real(*args)
 
     monkeypatch.setattr(riccati, "mu_rhs", counting)
+    return calls
+
+
+def test_every_stage_calls_mu_rhs_through_the_module(monkeypatch):
+    # An RHS counter that wraps riccati.mu_rhs sees every evaluation: one at
+    # the start and six per attempted step, of which the last two (the sixth
+    # stage and the derivative at the new point) are both at t + h.
+    calls = record_rhs_times(monkeypatch)
     traj = riccati.solve_mu(fields.preset("fig3").config, 30.0, 1e-9)
     accepted = len(traj.grid) - 1
     assert accepted > 0
-    assert (len(calls) - 2) % 6 == 0
-    assert len(calls) - 2 >= 6 * accepted
+    assert calls[0] == 0.0
+    assert (len(calls) - 1) % 6 == 0
+    attempts = [calls[k:k + 6] for k in range(1, len(calls), 6)]
+    assert len(attempts) >= accepted
+    assert all(stages[4] == stages[5] for stages in attempts)
+    # the accepted steps end at the nodes
+    ends = {stages[5] for stages in attempts}
+    assert set(traj.grid[1:].tolist()) <= ends
+
+
+@pytest.mark.parametrize("tol", [1e-6, 1e-10])
+def test_every_chart_starts_with_the_same_first_step(monkeypatch, tol):
+    # The exponents start from zero on every chart, so the starting-step
+    # estimate of Hairer, Norsett & Wanner would return 100 * 1e-6 there (or
+    # the whole window, if shorter) for every preset: solve_mu takes that step.
+    calls = record_rhs_times(monkeypatch)
+    firsts = []
+
+    def first_step(cfg, t_end, tol, *, t_start=0.0, halt=None):
+        calls.clear()
+        try:
+            return riccati.solve_mu(cfg, t_end, tol, t_start=t_start, halt=halt)
+        finally:
+            # the start, then the first attempt's stage times t + h/5 ... t + h
+            firsts.append((t_start, min(100 * 1e-6, t_end - t_start), calls[1], calls[5]))
+
+    monkeypatch.setattr(propagator, "solve_mu", first_step)
+    for name in fields.preset_names():
+        ps = fields.preset(name)
+        propagator.run(ps.config, ps.initial.density(), ps.t_end, ps.dt_out, tol)
+    assert len(firsts) > len(fields.preset_names())
+    for t_start, h, stage2, stage6 in firsts:
+        assert stage2 == t_start + 1 / 5 * h
+        assert stage6 == t_start + h
+
+
+def test_a_drive_above_1e18_tol_still_solves_from_the_fixed_first_step():
+    # At A = 1e9 and tol 1e-10 the starting-step estimate gives 7.04e-5, not
+    # 100 * 1e-6.  Without the 2-3 coupling mu = A sin(Omega t) / Omega and
+    # the other two exponents stay zero.  Measured: 2.9 tol from the closed
+    # form on the solver's mixed scale and residuals at 0.69 of the residual
+    # bound of 100 tol on that scale (2.2 tol and 0.56 from the estimate).
+    a, tol = 1e9, 1e-10
+    cfg = fields.FieldConfig(A=a, Omega=1.0, B=0.0, omega=1.0)
+    traj = riccati.solve_mu(cfg, 2.0, tol)
+    assert traj.t_final == 2.0
+    assert traj.grid[1] == 100 * 1e-6
+    times = between_nodes(traj)
+    mp, mm, mu = traj.evaluate(times)
+    assert np.max(np.abs(mp)) == 0.0 and np.max(np.abs(mm)) == 0.0
+    exact = a * np.sin(times)
+    assert np.max(np.abs(mu - exact) / (1.0 + np.abs(exact))) <= 5 * tol
+    res = residuals(traj, cfg, times)
+    assert np.max(np.abs(res)) <= 100 * tol * (1.0 + np.max(np.abs(exact)))
 
 
 # The Dormand-Prince 5(4) tableau and the generic stage loop over it that
@@ -277,7 +342,7 @@ def tableau_solve_mu(cfg, t_end, tol, *, t_start=0.0, halt=None):
     f = riccati.mu_rhs(t, y, cfg)
     g = riccati._mu_rhs2(t, y, f, cfg)
     ts, ys, fs, gs = [t], [y], [f], [g]
-    h = riccati._initial_step(t, y, f, t_end, cfg, tol)
+    h = 100 * 1e-6
     while t < t_end:
         h = min(h, t_end - t)
         k = [f]
@@ -290,8 +355,12 @@ def tableau_solve_mu(cfg, t_end, tol, *, t_start=0.0, halt=None):
         if not all(map(cmath.isfinite, y_new + y4)):
             h *= 0.25
             continue
-        err = riccati._scaled_rms([a - b for a, b in zip(y_new, y4)],
-                                  [tol + tol * max(abs(a), abs(b)) for a, b in zip(y, y_new)])
+        # the rms of |y5 - y4| / (tol + tol * max(|y|, |y5|)), summed left to
+        # right from 0 (sum() compensates from Python 3.12 on)
+        sq = 0
+        for y5_i, y4_i, y_i in zip(y_new, y4, y):
+            sq += (abs(y5_i - y4_i) / (tol + tol * max(abs(y_i), abs(y5_i)))) ** 2
+        err = math.sqrt(sq / 3.0)
         if err > 1.0:
             h *= max(riccati._MIN_FACTOR, riccati._SAFETY * err ** -riccati._ORDER_EXP)
             continue
