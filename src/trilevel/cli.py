@@ -14,6 +14,8 @@ import sys
 from dataclasses import dataclass
 from pathlib import Path
 
+import numpy as np
+
 from . import algebra, checks, config, fields, observables, oracle, propagator, svg
 
 EXIT_OK = 0
@@ -268,12 +270,13 @@ def main(argv=None) -> int:
         return int(exc.code or 0)
     try:
         return args.func(args)
+    # first: numpy's LinAlgError subclasses ValueError, but it is a failed solve
+    except (propagator.PropagationError, RuntimeError, np.linalg.LinAlgError) as exc:
+        print(f"solver error: {exc}", file=sys.stderr)
+        return EXIT_SOLVER
     except (config.ConfigError, fields.UnknownPresetError, ValueError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
-    except (propagator.PropagationError, RuntimeError) as exc:
-        print(f"solver error: {exc}", file=sys.stderr)
-        return EXIT_SOLVER
     except OSError as exc:
         print(f"i/o error: {exc}", file=sys.stderr)
         return EXIT_IO

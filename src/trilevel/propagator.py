@@ -44,9 +44,9 @@ MIN_SEGMENT = 1e-6
 #: Largest output grid, in rows.
 MAX_SAMPLES = 1_000_000
 
-#: Output samples filled per batch: the batch's G and G^-1 stacks and the
-#: dense-output temporaries (about 1.5 KB a sample) are what bounds run's
-#: transient memory, whatever the number of samples in one chart.
+#: Output samples filled per block: the block's G and G^-1 stacks, start
+#: states and dense-output temporaries (about 3 KB a sample) are what bounds
+#: run's transient memory, whatever the length of the grid.
 SAMPLE_BLOCK = 4096
 
 _I3 = np.eye(3, dtype=complex)
@@ -226,24 +226,15 @@ def _reach(cover):
     return cover + 1e-12 * np.maximum(1.0, np.abs(cover))
 
 
-def _fill(out: np.ndarray, t: np.ndarray, s: np.ndarray, chart, rho: np.ndarray,
-          gamma: float, mixed: np.ndarray) -> None:
-    """out[k] = the state at time t[k], with ``chart`` evaluated at s[k] from its
-    start value ``rho`` and the decay taken over t[k], SAMPLE_BLOCK samples at a time."""
-    for lo in range(0, len(t), SAMPLE_BLOCK):
-        hi = lo + SAMPLE_BLOCK
-        g, g_inv = chart_matrix(*chart.evaluate(s[lo:hi]))
-        decay = np.exp(-gamma * t[lo:hi])[:, None, None]
-        out[lo:hi] = decay * (g @ rho @ g_inv) + (1.0 - decay) * mixed
-
-
 def run(cfg: FieldConfig, rho0: np.ndarray, t_end: float, dt_out: float, tol: float) -> Trajectory:
     """Propagate ``rho0`` over [0, t_end], sampling every ``dt_out``.
 
     The exponent functions are solved on consecutive charts over one span:
     the drive period T when the drive has one and t_end > T, else [0, t_end].
     The propagator is a cocycle, U(nT + s) = U(s) U(T)^n, so a sample at
-    t = nT + s is the chart at s started from U(T)^n rho0 U(T)^-n.
+    t = nT + s is the chart at s started from U(T)^n rho0 U(T)^-n.  The grid
+    is filled SAMPLE_BLOCK samples at a time, each chart evaluated once per
+    block for every period it serves there.
     """
     grid = output_grid(t_end, dt_out)
     rho0 = algebra.validate_density_matrix(rho0)
@@ -253,27 +244,33 @@ def run(cfg: FieldConfig, rho0: np.ndarray, t_end: float, dt_out: float, tol: fl
     span = period if period is not None and t_end > period else t_end
     charts, u, u_inv = _solve_charts(cfg, span, tol)
 
-    # period index n and in-span time s of every sample; n is 0 on one span
-    n = np.floor(grid / span) if span < t_end else np.zeros_like(grid)
-    s = np.clip(grid - n * span, 0.0, span)
     reach = _reach(np.array([cover for _, cover, _, _ in charts]))
     rhos = np.empty((len(grid), 3, 3), dtype=complex)
     rho_n, n_at = rho0, 0
-    breaks = np.flatnonzero(np.diff(n)) + 1
-    for lo, hi in zip(np.r_[0, breaks], np.r_[breaks, len(grid)]):
-        steps = int(n[lo]) - n_at
-        if steps:
-            step = np.linalg.matrix_power(u, steps)
-            rho_n = step @ rho_n @ np.linalg.matrix_power(u_inv, steps)
-            n_at += steps
-        # each chart takes the samples up to its reach, clipped onto its cover
-        ends = lo + np.searchsorted(s[lo:hi], reach, side="right")
-        a = lo
-        for (chart, cover, w, w_inv), b in zip(charts, ends):
-            if b > a:
-                _fill(rhos[a:b], grid[a:b], np.minimum(s[a:b], cover), chart,
-                      w @ rho_n @ w_inv, cfg.Gamma, mixed)
-                a = b
+    for lo in range(0, len(grid), SAMPLE_BLOCK):
+        t = grid[lo:lo + SAMPLE_BLOCK]
+        # period index n and in-span time s of each sample; n is 0 on one span
+        n = np.floor(t / span) if span < t_end else np.zeros_like(t)
+        s = np.clip(t - n * span, 0.0, span)
+        # U(T)^m rho0 U(T)^-m for each period m of the block, stepped in order
+        periods, period_of = np.unique(n, return_inverse=True)
+        starts = np.empty((len(periods), 3, 3), dtype=complex)
+        for j, m in enumerate(periods):
+            steps = int(m) - n_at
+            if steps:
+                step = np.linalg.matrix_power(u, steps)
+                rho_n = step @ rho_n @ np.linalg.matrix_power(u_inv, steps)
+                n_at += steps
+            starts[j] = rho_n
+        decay = np.exp(-cfg.Gamma * t)[:, None, None]
+        # each sample takes the first chart whose reach holds it, clipped onto its cover
+        chart_of = np.searchsorted(reach, s)
+        for c in np.unique(chart_of):
+            chart, cover, w, w_inv = charts[c]
+            k = np.flatnonzero(chart_of == c)
+            g, g_inv = chart_matrix(*chart.evaluate(np.minimum(s[k], cover)))
+            start = (w @ starts @ w_inv)[period_of[k]]
+            rhos[lo + k] = decay[k] * (g @ start @ g_inv) + (1.0 - decay[k]) * mixed
 
     # rhos is run's own, so its Hermitian part is formed in place
     return _build_trajectory(grid, rhos)

@@ -527,6 +527,20 @@ def test_solver_failure_maps_to_exit_code_3(tmp_path, monkeypatch, capsys):
     assert "solver error" in capsys.readouterr().err
 
 
+@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning",
+                            "ignore:invalid value encountered:RuntimeWarning")
+def test_a_linear_algebra_failure_is_a_solver_error(tmp_path, capsys):
+    # Without decay, U(T)^n over about 1.6e12 periods of fig5's drive
+    # overflows to nan, and the observables' eigenvalue solve fails with a
+    # numpy LinAlgError.  That subclasses ValueError, but the input is valid.
+    csv = tmp_path / "far.csv"
+    cfg = write_cfg(tmp_path / "far.cfg",
+                    f"preset = fig5\nGamma = 0\nt_end = 1e13\ndt_out = 1e10\ncsv = {csv}\n")
+    assert cli.main(["run", cfg]) == 3
+    assert capsys.readouterr().err.startswith("solver error: ")
+    assert not csv.exists()
+
+
 # --- check -----------------------------------------------------------------
 
 def test_check_passes_on_a_fresh_build(capsys):

@@ -237,10 +237,14 @@ def test_drives_without_a_shorter_period_stay_on_the_chart_path(monkeypatch, cfg
 
 def test_a_million_periods_cost_one(monkeypatch):
     # fig5's drive to t = 2 pi 10^6 on 1,001 rows: one period of charts, and
-    # U(T)^n stepped over the distinct n on the grid.  Measured 1.7 s and a
-    # 0.94 MB peak under tracemalloc (0.5 s without); charts over the whole
-    # window would take hours.  Without decay the state stays pure: purity
-    # drifted 1.9e-10 over the 10^6 periods.
+    # U(T)^n stepped over the distinct n on the grid.  Measured 0.7 s and a
+    # 3.0 MB peak under tracemalloc (0.14 s without): each of the 1,001 rows
+    # is its own period, and the one chart is evaluated for all of them at
+    # once.  Charts over the whole window would take hours.  Purity drifted
+    # 1.9e-10 over the 10^6 periods, but that says nothing of accuracy:
+    # U(T)^n rho U(T)^-n is a similarity, so it keeps the spectrum whatever
+    # the error of U(T).  The error itself grows linearly with n (see
+    # test_floquet_error_grows_linearly_with_the_periods).
     ps = fields.preset("fig5")
     cfg = dataclasses.replace(ps.config, Gamma=0.0)
     t_end = 2.0 * math.pi * 1e6
@@ -259,6 +263,66 @@ def test_a_million_periods_cost_one(monkeypatch):
     assert peak < 4e6
     purity = np.einsum("nij,nji->n", traj.rho, traj.rho).real
     assert np.max(np.abs(purity - 1.0)) <= 1e-8
+
+
+def test_floquet_error_grows_linearly_with_the_periods():
+    # U(T) is not re-unitarized, so its error compounds over the periods.
+    # Against the hydrogen closed form (Gamma = 0) at tol 1e-10 the error was
+    # 2.43e-8 at 10^2 periods, 2.43e-6 at 10^4 and 2.43e-4 at 10^6; at tol
+    # 1e-8 it was 1.87e-6 at 10^2 periods and 1.04 at 10^8.  Linear growth
+    # is 100x from 10^2 to 10^4 periods.
+    ps = fields.preset("hydrogen")
+    cfg, rho0 = ps.config, ps.initial.density()
+    assert cfg.Gamma == 0.0 and propagator._drive_period(cfg) == 2.0 * math.pi
+
+    def error(periods):
+        t_end = 2.0 * math.pi * periods
+        traj = propagator.run(cfg, rho0, t_end, t_end / 10, 1e-10)
+        exact = oracle.hydrogen_density(cfg.A, cfg.omega, cfg.Gamma, rho0, traj.grid)
+        return np.max(np.abs(traj.rho - exact))
+
+    assert error(1e4) <= 150 * error(1e2)
+
+
+@pytest.mark.parametrize("name, Omega, t_end, dt_out", [
+    ("fig3", None, 100.0, 0.1),
+    ("fig9", None, 100.0, 0.1),
+    ("fig1", None, 1000.0, 7.3),
+    ("fig9", math.sqrt(2.0) - 1.0, 100.0, 0.1),
+], ids=["fig3", "fig9", "fig1-dt_out>T", "incommensurate"])
+def test_run_does_not_depend_on_where_sample_blocks_end(monkeypatch, name, Omega, t_end, dt_out):
+    # run fills the grid SAMPLE_BLOCK samples at a time, each chart evaluated
+    # once per block for every period it serves there.  fig3 has 20 charts
+    # over its period 20 pi, fig1 at dt_out 7.3 > 2 pi puts each sample in its
+    # own period, and fig9 with Omega = sqrt(2) - 1 has no period at all.
+    ps = fields.preset(name)
+    cfg = ps.config if Omega is None else dataclasses.replace(ps.config, Omega=Omega)
+    rho0 = ps.initial.density()
+    reference = propagator.run(cfg, rho0, t_end, dt_out, 1e-10).rho.tobytes()
+    for block in (1, 7, 64):
+        monkeypatch.setattr(propagator, "SAMPLE_BLOCK", block)
+        assert propagator.run(cfg, rho0, t_end, dt_out, 1e-10).rho.tobytes() == reference
+
+
+def test_each_chart_is_evaluated_once_for_every_period_it_serves(monkeypatch):
+    # fig3's 1,001 rows are one block, and its charts over the period 20 pi
+    # serve the periods 0 and 1.  chart_matrix is called once to compose each
+    # chart and once to fill it, whatever the number of periods it serves.
+    ps = fields.preset("fig3")
+    assert len(propagator.output_grid(ps.t_end, ps.dt_out)) <= propagator.SAMPLE_BLOCK
+    assert ps.t_end > propagator._drive_period(ps.config)
+    charts = record_charts(monkeypatch)
+    calls = []
+    chart_matrix = propagator.chart_matrix
+
+    def counting_chart_matrix(*mus):
+        calls.append(mus)
+        return chart_matrix(*mus)
+
+    monkeypatch.setattr(propagator, "chart_matrix", counting_chart_matrix)
+    propagator.run(ps.config, ps.initial.density(), ps.t_end, ps.dt_out, 1e-10)
+    assert len(charts) > 1
+    assert len(calls) == 2 * len(charts)
 
 
 @functools.lru_cache(maxsize=None)
@@ -446,12 +510,13 @@ def test_a_long_run_holds_no_second_sample_stack():
     # period 2 pi, which serves all 16 periods to t = 100): the samples and
     # the observables table are filled in blocks of SAMPLE_BLOCK, and run
     # forms the Hermitian part in its own sample stack, so the peak is the
-    # result arrays (28.0 MB: grid, rho and table), the period index and
-    # in-period time of every sample (1.6 MB), and a bounded transient.
-    # Measured peak 30.9 MB; it was 45.3 MB when the Hermitian part was a copy
-    # of the sample stack, 43.9 MB when the chart ran over the whole window,
-    # 60.3 MB when the table was built in one batch, 61.9 MB when a trajectory
-    # also stored eta, and 155 MB when a whole chart was filled in one batch.
+    # result arrays (28.0 MB: grid, rho and table) and a bounded transient.
+    # Measured peak 30.1 MB; it was 30.9 MB when run held the period index
+    # and in-period time of every sample (1.6 MB), 45.3 MB when the Hermitian
+    # part was a copy of the sample stack, 43.9 MB when the chart ran over the
+    # whole window, 60.3 MB when the table was built in one batch, 61.9 MB
+    # when a trajectory also stored eta, and 155 MB when a whole chart was
+    # filled in one batch.
     ps = fields.preset("fig11")
     tracemalloc.start()
     try:
