@@ -18,7 +18,7 @@ import numpy as np
 
 from . import algebra
 from .fields import (FieldConfig, STARK_MINUS_VECTOR, STARK_PLUS_VECTOR,
-                     STARK_ZERO_VECTOR, epsilon, hydrogen_config, j_coupling)
+                     STARK_ZERO_VECTOR, hydrogen_config)
 from .propagator import (MAX_SAMPLES, Trajectory, _build_trajectory, output_grid,
                          trajectory_from_etas)
 
@@ -139,6 +139,8 @@ def solve_ivp(fun: _LinearRHS, t_span, y0, t_eval, rtol, atol, max_step) -> _Sol
     z = np.empty((len(c) + 1, n), dtype=complex)
     z_rows, z_flat = list(z), z.view(float)
     sums = [(np.concatenate(([1.0], a[s, :s])), z_flat[:s + 1]) for s in range(len(c))]
+    # the step's stages 1 .. stages - 1: their sums and the rows they fill
+    step_stages = list(zip(sums[1:stages], z_rows[2:stages + 1]))
     # the buffered steps: z[:stages + 1] of each with room for its dense-output
     # stages, its new y, and (t_old, h, first row, end row) of its output rows
     zs = np.empty((_DENSE_BLOCK, len(c) + 1, n), dtype=complex)
@@ -172,7 +174,7 @@ def solve_ivp(fun: _LinearRHS, t_span, y0, t_eval, rtol, atol, max_step) -> _Sol
         rows += y_old[step]
         steps.clear()
 
-    nfev, done = 2, 0
+    nfev, done, abs_y = 2, 0, np.abs(y)
     while t < t_bound:
         min_step = 10.0 * math.ulp(t)
         if h_abs > max_step:
@@ -189,16 +191,17 @@ def solve_ivp(fun: _LinearRHS, t_span, y0, t_eval, rtol, atol, max_step) -> _Sol
             t_new = min(t + h_abs, t_bound)
             h = t_new - t
             h_abs = abs(h)
-            hgens = h * fun.generators((t + h * c[1:stages]).tolist())
+            hgens = fun.generators((t + h * c[1:stages]).tolist())
+            hgens *= h
             z[0], z[1] = y, h * f
-            for s in range(1, stages):
-                row, earlier = sums[s]
+            for ((row, earlier), z_row), hgen in zip(step_stages, list(hgens)):
                 y_new = (row @ earlier).view(complex)
-                np.matmul(hgens[s - 1], y_new, out=z_rows[s + 1])
+                np.matmul(hgen, y_new, out=z_row)
             nfev += stages - 1
             # scipy's error norm |h| e5 / sqrt((e5 + e3 / 100) n), for e5 and e3 the
             # squared norms of E5 @ K / scale and E3 @ K / scale, on the stages h K
-            scale = atol + np.maximum(np.abs(y), np.abs(y_new)) * rtol
+            abs_new = np.abs(y_new)
+            scale = atol + np.maximum(abs_y, abs_new) * rtol
             w = (err @ z_flat[1:stages + 1]).reshape(2, n, 2) / scale[:, None]
             e5, e3 = np.einsum("ijk,ijk->i", w, w).tolist()
             if e5 == 0 and e3 == 0:
@@ -212,7 +215,7 @@ def solve_ivp(fun: _LinearRHS, t_span, y0, t_eval, rtol, atol, max_step) -> _Sol
                 break
             h_abs *= max(_MIN_FACTOR, _SAFETY * error_norm ** _ERROR_EXPONENT)
             rejected = True
-        t_old, t, y, f = t, t_new, y_new, z[stages] / h
+        t_old, t, y, f, abs_y = t, t_new, y_new, z[stages] / h, abs_new
         stop = done
         while stop < len(grid) and grid[stop] <= t:
             stop += 1
@@ -252,9 +255,15 @@ def _linear_rhs(cfg: FieldConfig, ops: tuple[np.ndarray, np.ndarray],
                 decay: np.ndarray) -> _LinearRHS:
     """``y' = (eps(t) ops[0] + 2 J(t) ops[1] + decay) y``: the stack
     [ops[0]; ops[1]; decay] is built once per solve, with the coefficients
-    (eps, 2J, 1) of the drive."""
+    (eps, 2J, 1) of the drive.  They are :func:`~trilevel.fields.epsilon` and
+    :func:`~trilevel.fields.j_coupling` with the same operations in the same
+    order, on factors taken from ``cfg`` once."""
+    sign_a, big_omega = cfg.sign_convention * cfg.A, cfg.Omega
+    sign_half_b, omega, delta = cfg.sign_convention * 0.5 * cfg.B, cfg.omega, cfg.delta
+    cos = math.cos
     return _LinearRHS(np.stack((*ops, decay)),
-                      lambda t: (epsilon(t, cfg), 2.0 * j_coupling(t, cfg), 1.0))
+                      lambda t: (sign_a * cos(big_omega * t),
+                                 2.0 * (sign_half_b * cos(omega * t + delta)), 1.0))
 
 
 def _integrate(rhs, y0: np.ndarray, cfg: FieldConfig, grid: np.ndarray,

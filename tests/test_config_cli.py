@@ -4,6 +4,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from trilevel import algebra, checks, cli, config, fields, observables, oracle, propagator
 
@@ -143,9 +145,10 @@ def test_csv_written_a_block_at_a_time_has_the_one_shot_bytes(tmp_path):
 
 
 def test_csv_writer_holds_a_bounded_text(tmp_path):
-    # Six blocks of rows (a 3.1 MB table): measured 5.2 MB at the peak, and
-    # the same for 10^5 rows.  Formatted in one piece, the text and its row
-    # lists took 23.2 MB here and 94.4 MB for 10^5 rows.
+    # Six blocks of rows (a 3.1 MB table): measured 0.6 MB at the peak, and
+    # the same for 10^5 rows (5.2 MB when each block's rows were formatted
+    # with '%').  Formatted in one piece, the text and its row lists took
+    # 23.2 MB here and 94.4 MB for 10^5 rows.
     table = np.random.default_rng(4).standard_normal((6 * propagator.SAMPLE_BLOCK, 16))
     traj = propagator.Trajectory(table[:, 0], np.zeros((1, 3, 3)), table)
     tracemalloc.start()
@@ -155,6 +158,70 @@ def test_csv_writer_holds_a_bounded_text(tmp_path):
     finally:
         tracemalloc.stop()
     assert peak < 8e6
+
+
+def write_table(path, table: np.ndarray) -> bytes:
+    cli.write_csv(path, propagator.Trajectory(table[:, 0], np.zeros((1, 3, 3)), table))
+    return path.read_bytes()
+
+
+# Any float64: the edges hypothesis draws (nan, +-inf, +-0, subnormals, the
+# largest values) and 17-digit decimals of magnitude 1e-320 to 1e308, read
+# from text so that drawing them raises no overflow warning.
+_ANY_FLOAT = st.one_of(
+    st.floats(allow_nan=True, allow_infinity=True, allow_subnormal=True),
+    st.builds(lambda digits, k: float(f"{digits}e{k}"),
+              st.integers(-10 ** 17, 10 ** 17), st.integers(-337, 291)))
+
+
+@settings(derandomize=True, deadline=None, max_examples=80,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(st.lists(st.lists(_ANY_FLOAT, min_size=16, max_size=16), min_size=1, max_size=12))
+def test_csv_bytes_are_the_percent_format_of_any_float64(tmp_path, rows):
+    table = np.array(rows)
+    assert write_table(tmp_path / "any.csv", table) == one_shot_csv(table)
+
+
+def with_neighbours(values) -> np.ndarray:
+    values = np.asarray(values, dtype=float)
+    return np.concatenate((values, np.nextafter(values, 0.0), np.nextafter(values, np.inf)))
+
+
+def test_csv_bytes_at_ties_carries_and_powers_of_ten(tmp_path):
+    # Values where the 12-digit mantissa is decided by the last bits: exact
+    # decimal ties, mantissas that carry to the next power of ten, and every
+    # power of ten the two-digit exponent spans, each with both neighbours
+    ties = with_neighbours([123456789012.5, 1234567890125.0])
+    carries = with_neighbours([float(f"{m}e{k}") for m in ("999999999999.5", "9.999999999995")
+                               for k in range(-112, 100)])
+    powers = with_neighbours([float(f"1e{k}") for k in range(-99, 100)])
+    values = np.concatenate((ties, carries, powers))
+    values = np.concatenate((values, -values))
+    table = np.resize(values, (-(-len(values) // 16), 16))
+    # a 3-digit exponent mid-row, one that fits its field and one that does not
+    table[0, 7], table[1, 7] = 1.5e-150, -1.5e-150
+    # a row of fast-path values, values near a tie and every kind of fallback
+    table[2] = [0.1, 123456789012.5, 5e-324, -2.5, 1e100, 9.999999999995e99, -0.0, np.nan,
+                1.0 / 3.0, -np.inf, 1e-100, 7.0, -1e-99, 2.2250738585072014e-308, 0.0, 1.0]
+    assert write_table(tmp_path / "edges.csv", table) == one_shot_csv(table)
+
+
+@pytest.mark.parametrize("name", [*fields.preset_names(), "fig1 decaying to 0"])
+def test_csv_bytes_of_every_preset_are_the_percent_format_of_its_table(tmp_path, name):
+    # the product path at the tol of `trilevel figure`; the decaying fig1's
+    # coherences fall through 3-digit exponents and subnormals to 0 (223 rows
+    # hold a 3-digit exponent), so its rows take every fallback of the writer
+    text = ("preset = fig1\nGamma = 5\nt_end = 200\ndt_out = 0.5\n"
+            if name == "fig1 decaying to 0" else f"preset = {name}\n")
+    csv = tmp_path / "out.csv"
+    cfg = write_cfg(tmp_path / "run.cfg", text + f"tol = 1e-10\ncsv = {csv}\n")
+    assert cli.main(["run", cfg]) == 0
+    spec = cli.load_run_spec(cli._read_config(cfg), cli.build_parser().parse_args(["run", cfg]))
+    assert csv.read_bytes() == one_shot_csv(cli.solve(spec).table)
+    if name == "fig1 decaying to 0":
+        values = csv.read_text().replace("\n", ",").split(",")[16:-1]
+        exponents = [int(value.split("e")[1]) for value in values]
+        assert "0.00000000000e+00" in values and min(exponents) < -307
 
 
 def test_a_drive_without_a_period_past_the_step_cap_is_a_config_error(tmp_path, capsys,
