@@ -11,14 +11,14 @@ values drive the 3x3 factor
     G = exp(-i mu_plus A_plus) exp(-i mu_minus A_minus) exp(-i mu A_z)
 
 and the density matrix evolves as rho(t) = I/3 + exp(-Gamma t) (G rho(0) G^-1 - I/3):
-decoherence is a real scalar decay toward the maximally mixed state.  Each
-factor is an exact quadratic in its generator, because A_plus and A_minus are
-nilpotent of degree 3 and A_z^3 = A_z.  The exponent functions come from
-:mod:`trilevel.riccati`.  When they grow (or blow up at a chart singularity of
-the factorization), the propagator composes the state reached so far and
-restarts the exponents from zero at that time; the evolution operator is a
-cocycle, so segmentation is exact.  By the same cocycle, a drive with period
-T is solved over [0, T] only: U(nT + s) = U(s) U(T)^n (Floquet).
+decoherence is a real scalar decay toward the maximally mixed state.  A_X, A_Y
+and A_Z are the spin-1 representation of su(2), so propagators are composed as
+2x2 matrices of determinant 1, and each sample lifts its own to G.  Exponents
+come from :mod:`trilevel.riccati`.  When they grow (or blow up at a chart
+singularity of the factorization), the propagator composes the state reached so
+far and restarts the exponents from zero at that time; the evolution operator is
+a cocycle, so segmentation is exact.  By the same cocycle, a drive with period T
+is solved over [0, T] only: U(nT + s) = U(s) U(T)^n, U(T)^n in closed form.
 """
 
 from __future__ import annotations
@@ -44,44 +44,57 @@ MIN_SEGMENT = 1e-6
 #: Largest output grid, in rows.
 MAX_SAMPLES = 1_000_000
 
-#: Output samples filled per block: the block's G and G^-1 stacks, start
-#: states and dense-output temporaries (about 3 KB a sample) are what bounds
-#: run's transient memory, whatever the length of the grid.
+#: Output samples filled per block: the block's 2x2 products, G and G^-1
+#: stacks and dense-output temporaries (measured 0.7 KB a sample) are what
+#: bounds run's transient memory, whatever the length of the grid.
 SAMPLE_BLOCK = 4096
-
-_I3 = np.eye(3, dtype=complex)
-_A_PLUS_SQ = algebra.A_PLUS @ algebra.A_PLUS
-_A_MINUS_SQ = algebra.A_MINUS @ algebra.A_MINUS
-_A_Z_SQ = algebra.A_Z @ algebra.A_Z
 
 
 class PropagationError(RuntimeError):
     """Propagation could not continue (restart failed to advance)."""
 
 
-def _exp_pair(gen: np.ndarray, gen_sq: np.ndarray, odd: np.ndarray, even: np.ndarray):
-    """exp(c gen) and exp(-c gen) as I +- odd gen + even gen^2.
-
-    (odd, even) is (c, c^2/2) for a generator with gen^3 = 0 and
-    (sinh c, cosh c - 1) for one with gen^3 = gen.
-    """
-    even_part = _I3 + even * gen_sq
-    odd_part = odd * gen
-    return even_part + odd_part, even_part - odd_part
+def _matrix(*rows) -> np.ndarray:
+    """Matrices of shape S + (rows, columns) from ``rows`` of broadcasting entries."""
+    entries = np.broadcast_arrays(*(x for row in rows for x in row))
+    return np.stack(entries, axis=-1).reshape(entries[0].shape + (len(rows), len(rows[0])))
 
 
-def chart_matrix(mu_plus, mu_minus, mu) -> tuple[np.ndarray, np.ndarray]:
-    """The 3x3 factor G and its inverse for given exponent values.
+def chart_matrix(mu_plus, mu_minus, mu) -> np.ndarray:
+    """The 2x2 factor exp(-i mu_plus a_+) exp(-i mu_minus a_-) exp(-i mu diag(1/2, -1/2)),
+    a_+- the 2x2 ladder matrices; exponents of shape S give shape S + (2, 2)."""
+    e = np.exp(-0.5j * mu)
+    return _matrix(((1.0 - mu_plus * mu_minus) * e, -1j * mu_plus / e),
+                   (-1j * mu_minus * e, 1.0 / e))
 
-    The exponents broadcast: arrays of shape S give G and G^-1 of shape
-    S + (3, 3).  The inverse is the reversed product with the signs of the
-    exponents flipped, so it costs no matrix inversion.
-    """
-    cp, cm, cz = (-1j * np.asarray(m)[..., None, None] for m in (mu_plus, mu_minus, mu))
-    p, p_inv = _exp_pair(algebra.A_PLUS, _A_PLUS_SQ, cp, 0.5 * cp * cp)
-    m, m_inv = _exp_pair(algebra.A_MINUS, _A_MINUS_SQ, cm, 0.5 * cm * cm)
-    z, z_inv = _exp_pair(algebra.A_Z, _A_Z_SQ, np.sinh(cz), np.cosh(cz) - 1.0)
-    return p @ m @ z, z_inv @ m_inv @ p_inv
+
+def _spin1(a, b, c, d) -> np.ndarray:
+    aa, bb, cc, dd = a * a, b * b, c * c, d * d
+    return _matrix((0.5 * (aa - bb - cc + dd), 0.5 * (aa + bb - cc - dd), a * b - c * d),
+                   (0.5 * (aa - bb + cc - dd), 0.5 * (aa + bb + cc + dd), a * b + c * d),
+                   (a * c - b * d, a * c + b * d, a * d + b * c))
+
+
+def lift(u: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """G, the spin-1 image on A_X, A_Y, A_Z of 2x2 ``u`` of determinant 1, and G^-1 from
+    u's adjugate, shape S + (3, 3).  Quadratic, so lift(-u) = lift(u); its coefficients
+    are 0, +-1/2 and +-1, so lift(I) is exactly I."""
+    a, b, c, d = u[..., 0, 0], u[..., 0, 1], u[..., 1, 0], u[..., 1, 1]
+    return _spin1(a, b, c, d), _spin1(d, -b, -c, a)
+
+
+def _power(u: np.ndarray, n: np.ndarray) -> np.ndarray:
+    """u^n = cos(n theta) I + sin(n theta)/sin(theta) k up to sign, for every integer of
+    the float array ``n``, with cos(theta) = tr(u)/2, k = u - cos(theta) I and det u = 1;
+    -u stands in for u when Re tr u < 0, so that theta stays near 0 rather than pi."""
+    u = -u if u.trace().real < 0.0 else u
+    cos = 0.5 * u.trace()
+    k = u - cos * np.eye(2)
+    # sin(theta)^2 = -det(k), which does not cancel near theta = 0 as 1 - cos^2 does
+    sin = np.sqrt(-(k[0, 0] * k[0, 0] + k[0, 1] * k[1, 0]))
+    n = np.asarray(n)[..., None, None]
+    n_theta = n * (-1j * np.log(cos + 1j * sin))
+    return np.cos(n_theta) * np.eye(2) + (np.sin(n_theta) / sin if sin != 0.0 else n) * k
 
 
 @dataclass
@@ -149,11 +162,6 @@ def output_grid(t_end: float, dt_out: float) -> np.ndarray:
     return grid
 
 
-def _chart_health(vals: tuple[complex, complex, complex]) -> float:
-    mp, mm, mu = vals
-    return max(abs(mp), abs(mm), abs(mu.imag))
-
-
 def _drive_period(cfg: FieldConfig) -> float | None:
     """The common period T of the two drives, or None for a static drive and
     for frequencies whose ratio is no fraction p/q with q <= 64 (in binary64)."""
@@ -172,8 +180,8 @@ def _drive_period(cfg: FieldConfig) -> float | None:
 
 
 def _solve_charts(cfg: FieldConfig, span: float, tol: float):
-    """Charts over [0, span] as (chart, cover, W, W^-1) rows, W the propagator
-    composed up to the chart's start; and U(span), U(span)^-1.
+    """Charts over [0, span] as (chart, cover, W) rows, W the 2x2 propagator
+    composed up to the chart's start; and U(span), also 2x2.
 
     A chart halts at its first node past CHART_LIMIT, or ends at a blow-up;
     the next chart starts from zero at the last node inside the limit.  A
@@ -190,10 +198,11 @@ def _solve_charts(cfg: FieldConfig, span: float, tol: float):
         if steps > MAX_SAMPLES:
             raise ValueError(f"the exponents to t = {span!r} need more than {MAX_SAMPLES} "
                              f"Riccati steps (t = {t:.9g} reached); shorten t_end")
-        return _chart_health(vals) > CHART_LIMIT
+        mu_plus, mu_minus, mu = vals
+        return max(abs(mu_plus), abs(mu_minus), abs(mu.imag)) > CHART_LIMIT
 
     charts = []
-    w, w_inv = _I3, _I3
+    w = np.eye(2, dtype=complex)
     start = 0.0
     while True:
         try:
@@ -212,12 +221,11 @@ def _solve_charts(cfg: FieldConfig, span: float, tol: float):
         if not complete and cover <= start + MIN_SEGMENT:
             raise PropagationError(
                 f"restart at t = {start:.9g} advanced less than {MIN_SEGMENT}")
-        charts.append((chart, cover, w, w_inv))
-        g, g_inv = chart_matrix(*chart.evaluate(cover))
-        w, w_inv = g @ w, w_inv @ g_inv
+        charts.append((chart, cover, w))
+        w = chart_matrix(*chart.evaluate(cover)) @ w
         # a chart whose reach takes in span serves the rest of it
         if complete or span <= _reach(cover):
-            return charts, w, w_inv
+            return charts, w
         start = cover
 
 
@@ -232,9 +240,9 @@ def run(cfg: FieldConfig, rho0: np.ndarray, t_end: float, dt_out: float, tol: fl
     The exponent functions are solved on consecutive charts over one span:
     the drive period T when the drive has one and t_end > T, else [0, t_end].
     The propagator is a cocycle, U(nT + s) = U(s) U(T)^n, so a sample at
-    t = nT + s is the chart at s started from U(T)^n rho0 U(T)^-n.  The grid
-    is filled SAMPLE_BLOCK samples at a time, each chart evaluated once per
-    block for every period it serves there.
+    t = nT + s lifts the 2x2 product of the chart at s, the charts before it
+    and U(T)^n.  The grid is filled SAMPLE_BLOCK samples at a time, each
+    chart evaluated once per block for every period it serves there.
     """
     grid = output_grid(t_end, dt_out)
     rho0 = algebra.validate_density_matrix(rho0)
@@ -242,35 +250,24 @@ def run(cfg: FieldConfig, rho0: np.ndarray, t_end: float, dt_out: float, tol: fl
     mixed = float(np.trace(rho0).real) / 3.0 * np.eye(3)
     period = _drive_period(cfg)
     span = period if period is not None and t_end > period else t_end
-    charts, u, u_inv = _solve_charts(cfg, span, tol)
+    charts, u = _solve_charts(cfg, span, tol)
 
-    reach = _reach(np.array([cover for _, cover, _, _ in charts]))
+    reach = _reach(np.array([cover for _, cover, _ in charts]))
     rhos = np.empty((len(grid), 3, 3), dtype=complex)
-    rho_n, n_at = rho0, 0
     for lo in range(0, len(grid), SAMPLE_BLOCK):
         t = grid[lo:lo + SAMPLE_BLOCK]
         # period index n and in-span time s of each sample; n is 0 on one span
         n = np.floor(t / span) if span < t_end else np.zeros_like(t)
         s = np.clip(t - n * span, 0.0, span)
-        # U(T)^m rho0 U(T)^-m for each period m of the block, stepped in order
-        periods, period_of = np.unique(n, return_inverse=True)
-        starts = np.empty((len(periods), 3, 3), dtype=complex)
-        for j, m in enumerate(periods):
-            steps = int(m) - n_at
-            if steps:
-                step = np.linalg.matrix_power(u, steps)
-                rho_n = step @ rho_n @ np.linalg.matrix_power(u_inv, steps)
-                n_at += steps
-            starts[j] = rho_n
+        u_n = _power(u, n)
         decay = np.exp(-cfg.Gamma * t)[:, None, None]
         # each sample takes the first chart whose reach holds it, clipped onto its cover
         chart_of = np.searchsorted(reach, s)
         for c in np.unique(chart_of):
-            chart, cover, w, w_inv = charts[c]
+            chart, cover, w = charts[c]
             k = np.flatnonzero(chart_of == c)
-            g, g_inv = chart_matrix(*chart.evaluate(np.minimum(s[k], cover)))
-            start = (w @ starts @ w_inv)[period_of[k]]
-            rhos[lo + k] = decay[k] * (g @ start @ g_inv) + (1.0 - decay[k]) * mixed
+            g, g_inv = lift(chart_matrix(*chart.evaluate(np.minimum(s[k], cover))) @ w @ u_n[k])
+            rhos[lo + k] = decay[k] * (g @ rho0 @ g_inv) + (1.0 - decay[k]) * mixed
 
     # rhos is run's own, so its Hermitian part is formed in place
     return _build_trajectory(grid, rhos)
