@@ -17,6 +17,7 @@ from pathlib import Path
 import numpy as np
 
 from . import algebra, checks, config, fields, observables, oracle, propagator, svg
+from .svg import _words
 
 EXIT_OK = 0
 EXIT_CHECK_FAILED = 1
@@ -63,13 +64,6 @@ _CSV_ROW = ",".join(["%.11e"] * len(observables.CSV_FIELDS)) + "\n"
 # Rows formatted at once.  The working arrays of 256 rows (about 0.4 MB)
 # stay in cache: 1024-row slices took 1.7 times as long a row.
 _CSV_SLICE = 256
-
-
-def _words(*columns) -> np.ndarray:
-    """Four ASCII codes a word, one from each column (broadcast together),
-    packed into uint32 words that lay the four bytes out in order."""
-    codes = np.stack(np.broadcast_arrays(*columns), axis=-1).astype(np.uint8)
-    return codes.view(np.uint32)[..., 0].ravel()
 
 
 # A value's text is written as five words, "-d.d" "dddd" "dddd" "dde+" "dd,\0",

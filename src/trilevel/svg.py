@@ -1,12 +1,15 @@
 """Minimal self-contained SVG 1.1 line charts for simulation output.
 
-Convenience display only; the CSV files are the normative output.
+Convenience display only; the CSV files are the normative output.  The
+polyline points are the '%.2f' text of their pixel values; numpy makes their
+digits from word tables, as ``cli.write_csv`` makes its '%.11e' digits, and a
+series it cannot prove right takes Python's '%' instead.  A chart is written
+as bytes, so a line ends in "\n" on every platform.
 """
 
 from __future__ import annotations
 
 import math
-from pathlib import Path
 
 import numpy as np
 
@@ -20,6 +23,50 @@ _MARGIN_BOTTOM = 46
 _WIDTH = 720
 _HEIGHT = 440
 _TICKS = 6
+
+
+def _words(*columns) -> np.ndarray:
+    """Four ASCII codes a word, one from each column (broadcast together),
+    packed into uint32 words that lay the four bytes out in order."""
+    codes = np.stack(np.broadcast_arrays(*columns), axis=-1).astype(np.uint8)
+    return codes.view(np.uint32)[..., 0].ravel()
+
+
+# '%.2f' of a value v in [0, 999.995) is written as two words, "ddd." from
+# _UNITS[m // 100] and "dd," (an x) or "dd " (a y) from _CENTS[m % 100 + 100 y],
+# m = rint(100 v); a byte 0 (a leading digit of a short integer part and the
+# last byte) is deleted.
+_N = np.arange(1000)
+_UNITS = _words(np.where(_N >= 100, ord("0") + _N // 100, 0),
+                np.where(_N >= 10, ord("0") + _N // 10 % 10, 0), ord("0") + _N % 10, ord("."))
+_CENTS = _words(ord("0") + _N[:100] // 10, ord("0") + _N[:100] % 10,
+                [[ord(",")], [ord(" ")]], 0)
+
+
+def _points(xy: np.ndarray) -> bytes:
+    """'%.2f,%.2f' of each (x, y) pixel pair of ``xy`` (n, 2), joined by spaces.
+
+    100 v is within 1e-11 of its exact value below 1e5, so where it is more
+    than 0.5 - 1e-6 from a tie, rint(100 v) holds the digits '%.2f' prints.
+    A series with a value near a tie, below +0.0 (-0.0 prints "-0.00"), from
+    999.995 up, nan or inf takes '%' for every point.
+    """
+    # 100 v only once every v is in range: a huge v would overflow
+    fast = not np.signbit(xy).any() and bool((xy < 999.995).all())
+    if fast:
+        s = xy * 100.0
+        m = np.rint(s)
+        fast = bool((np.abs(s - m) < 0.5 - 1e-6).all())
+    if not fast:
+        return (" ".join(["%.2f,%.2f"] * len(xy)) % tuple(xy.ravel().tolist())).encode()
+    cents = m.astype(np.intp)
+    units = cents // 100
+    cents -= 100 * units
+    words = np.empty(xy.shape + (2,), dtype=np.uint32)
+    words[..., 0] = _UNITS[units]
+    words[..., 1] = _CENTS[cents + [0, 100]]
+    # the last y's word ends in " "
+    return words.tobytes().translate(None, b"\0")[:-1]
 
 
 def _nice_ticks(lo: float, hi: float) -> list[float]:
@@ -37,6 +84,8 @@ def _nice_ticks(lo: float, hi: float) -> list[float]:
     value = first
     while value <= hi + 1e-12 * span:
         ticks.append(0.0 if value == 0 else value)
+        if value + step == value:           # a span of a few ulps: value cannot advance
+            break
         value += step
     return ticks
 
@@ -103,17 +152,16 @@ def line_chart(path, x, series, *, title: str = "", ylabel: str = "") -> None:
                      f'font-family="sans-serif" font-size="12" '
                      f'transform="rotate(-90 16 {cy:.1f})">{ylabel}</text>')
 
-    # x pixels are formatted once and shared by every series' polyline
-    coords = [None] * (2 * len(x))
-    coords[::2] = ["%.2f" % v for v in px(x).tolist()]
-    template = " ".join(["%s,%.2f"] * len(x))
-    for i, (label, ys) in enumerate(series):
-        color = _PALETTE[i % len(_PALETTE)]
-        coords[1::2] = py(ys).tolist()
-        points = template % tuple(coords)
-        parts.append(f'<polyline points="{points}" fill="none" stroke="{color}" '
-                     f'stroke-width="1.3"/>')
+    chart = ["\n".join(parts).encode()]
+    xy = np.empty((len(x), 2))
+    xy[:, 0] = px(x)
+    for i, (_, ys) in enumerate(series):
+        color = _PALETTE[i % len(_PALETTE)].encode()
+        xy[:, 1] = py(ys)
+        chart.append(b'<polyline points="%s" fill="none" stroke="%s" stroke-width="1.3"/>'
+                     % (_points(xy), color))
 
+    parts = []
     legend_y = _MARGIN_TOP + 8
     for i, (label, _) in enumerate(series):
         color = _PALETTE[i % len(_PALETTE)]
@@ -124,5 +172,7 @@ def line_chart(path, x, series, *, title: str = "", ylabel: str = "") -> None:
         parts.append(f'<text x="{lx + 28}" y="{ly + 4}" font-family="sans-serif" '
                      f'font-size="11">{label}</text>')
 
-    parts.append("</svg>")
-    Path(path).write_text("\n".join(parts) + "\n", encoding="utf-8")
+    parts.append("</svg>\n")
+    chart.append("\n".join(parts).encode())
+    with open(path, "wb") as out:
+        out.write(b"\n".join(chart))
