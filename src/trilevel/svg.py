@@ -33,9 +33,9 @@ def _words(*columns) -> np.ndarray:
 
 
 # '%.2f' of a value v in [0, 999.995) is written as two words, "ddd." from
-# _UNITS[m // 100] and "dd," (an x) or "dd " (a y) from _CENTS[m % 100 + 100 y],
-# m = rint(100 v); a byte 0 (a leading digit of a short integer part and the
-# last byte) is deleted.
+# _UNITS[m // 100] and "dd," from _CENTS[m % 100], m = rint(100 v); a y takes
+# "dd " from _CENTS[m % 100 + 100].  A byte 0 (a leading digit of a short
+# integer part and the last byte) is deleted.
 _N = np.arange(1000)
 _UNITS = _words(np.where(_N >= 100, ord("0") + _N // 100, 0),
                 np.where(_N >= 10, ord("0") + _N // 10 % 10, 0), ord("0") + _N % 10, ord("."))
@@ -65,7 +65,7 @@ def _points(xy: np.ndarray) -> bytes:
     words = np.empty(xy.shape + (2,), dtype=np.uint32)
     words[..., 0] = _UNITS[units]
     words[..., 1] = _CENTS[cents + [0, 100]]
-    # the last y's word ends in " "
+    # no space after the last y
     return words.tobytes().translate(None, b"\0")[:-1]
 
 
