@@ -12,6 +12,7 @@ from __future__ import annotations
 import functools
 import math
 import warnings
+from itertools import chain
 from typing import NamedTuple
 
 import numpy as np
@@ -60,11 +61,16 @@ class _LinearRHS:
         self.coeffs = coeffs
         self._flat = stack.reshape(len(stack), -1).view(float)
 
-    def generators(self, times) -> np.ndarray:
-        """``L(t)`` for each ``t`` of ``times``, shape ``(len(times), n, n)``."""
+    def generators(self, times, out=None) -> np.ndarray:
+        """``L(t)`` for each ``t`` of ``times``, shape ``(len(times), n, n)``;
+        written into ``out``, a C-contiguous complex array of that shape, if given."""
         n = self.stack.shape[-1]
-        coeffs = np.array([self.coeffs(t) for t in times], dtype=float)
-        return (coeffs @ self._flat).view(complex).reshape(-1, n, n)
+        coeffs = np.fromiter(chain.from_iterable(map(self.coeffs, times)), float,
+                             len(times) * len(self.stack)).reshape(len(times), -1)
+        if out is None:
+            return (coeffs @ self._flat).view(complex).reshape(-1, n, n)
+        np.dot(coeffs, self._flat, out=out.reshape(len(out), -1).view(float))
+        return out
 
     def __call__(self, t, y):
         return self.generators((t,))[0] @ y
@@ -139,8 +145,18 @@ def solve_ivp(fun: _LinearRHS, t_span, y0, t_eval, rtol, atol, max_step) -> _Sol
     z = np.empty((len(c) + 1, n), dtype=complex)
     z_rows, z_flat = list(z), z.view(float)
     sums = [(np.concatenate(([1.0], a[s, :s])), z_flat[:s + 1]) for s in range(len(c))]
-    # the step's stages 1 .. stages - 1: their sums and the rows they fill
-    step_stages = list(zip(sums[1:stages], z_rows[2:stages + 1]))
+    # the step's buffers, made once per solve: its generators hL_1 .. hL_{stages - 1};
+    # the sum of the stage at hand, which after the last stage is the new y; |y| and
+    # |y_new|, swapped on acceptance; the error scale and the E5 and E3 rows.  f, this
+    # call's own, is updated in place, and z[0] holds y from one accepted step to the next.
+    gens = np.empty((stages - 1, n, n), dtype=complex)
+    y_sum = np.empty(2 * n)
+    y_new = y_sum.view(complex)
+    abs_y, abs_new, scale, w = np.abs(y), np.empty(n), np.empty(n), np.empty((2, 2 * n))
+    w3, scale_col, err_stages = w.reshape(2, n, 2), scale[:, None], z_flat[1:stages + 1]
+    stage_times = c[1:stages].tolist()
+    # the step's stages 1 .. stages - 1: their sums, the rows they fill and their generators
+    step_stages = list(zip(sums[1:stages], z_rows[2:stages + 1], gens))
     # the buffered steps: z[:stages + 1] of each with room for its dense-output
     # stages, its new y, and (t_old, h, first row, end row) of its output rows
     zs = np.empty((_DENSE_BLOCK, len(c) + 1, n), dtype=complex)
@@ -174,7 +190,8 @@ def solve_ivp(fun: _LinearRHS, t_span, y0, t_eval, rtol, atol, max_step) -> _Sol
         rows += y_old[step]
         steps.clear()
 
-    nfev, done, abs_y = 2, 0, np.abs(y)
+    nfev, done = 2, 0
+    z[0] = y
     while t < t_bound:
         min_step = 10.0 * math.ulp(t)
         if h_abs > max_step:
@@ -191,19 +208,25 @@ def solve_ivp(fun: _LinearRHS, t_span, y0, t_eval, rtol, atol, max_step) -> _Sol
             t_new = min(t + h_abs, t_bound)
             h = t_new - t
             h_abs = abs(h)
-            hgens = fun.generators((t + h * c[1:stages]).tolist())
-            hgens *= h
-            z[0], z[1] = y, h * f
-            for ((row, earlier), z_row), hgen in zip(step_stages, list(hgens)):
-                y_new = (row @ earlier).view(complex)
-                np.matmul(hgen, y_new, out=z_row)
+            fun.generators([t + h * c_s for c_s in stage_times], out=gens)
+            gens *= h
+            np.multiply(h, f, out=z_rows[1])
+            # np.dot calls BLAS directly, where matmul's ufunc machinery costs
+            # more than these small products; it gives the same bits
+            for (row, earlier), z_row, gen in step_stages:
+                np.dot(row, earlier, out=y_sum)
+                np.dot(gen, y_new, out=z_row)
             nfev += stages - 1
             # scipy's error norm |h| e5 / sqrt((e5 + e3 / 100) n), for e5 and e3 the
-            # squared norms of E5 @ K / scale and E3 @ K / scale, on the stages h K
-            abs_new = np.abs(y_new)
-            scale = atol + np.maximum(abs_y, abs_new) * rtol
-            w = (err @ z_flat[1:stages + 1]).reshape(2, n, 2) / scale[:, None]
-            e5, e3 = np.einsum("ijk,ijk->i", w, w).tolist()
+            # squared norms of E5 @ K / scale and E3 @ K / scale, on the stages h K,
+            # with scale = atol + max(|y|, |y_new|) rtol
+            np.abs(y_new, out=abs_new)
+            np.maximum(abs_y, abs_new, out=scale)
+            scale *= rtol
+            scale += atol
+            np.dot(err, err_stages, out=w)
+            w3 /= scale_col
+            e5, e3 = np.einsum("ijk,ijk->i", w3, w3).tolist()
             if e5 == 0 and e3 == 0:
                 error_norm = 0.0
             else:
@@ -215,18 +238,21 @@ def solve_ivp(fun: _LinearRHS, t_span, y0, t_eval, rtol, atol, max_step) -> _Sol
                 break
             h_abs *= max(_MIN_FACTOR, _SAFETY * error_norm ** _ERROR_EXPONENT)
             rejected = True
-        t_old, t, y, f, abs_y = t, t_new, y_new, z[stages] / h, abs_new
+        t_old, t = t, t_new
+        np.divide(z_rows[stages], h, out=f)
+        abs_y, abs_new = abs_new, abs_y
         stop = done
         while stop < len(grid) and grid[stop] <= t:
             stop += 1
         if stop > done:
             zs[len(steps), :stages + 1] = z[:stages + 1]
-            ends[len(steps)] = y
+            ends[len(steps)] = y_new
             steps.append((t_old, h, done, stop))
             nfev += len(c) - stages
             done = stop
             if len(steps) == _DENSE_BLOCK or done - steps[0][2] >= _DENSE_ROWS:
                 flush()
+        z[0] = y_new
     if steps:
         flush()
     return _Solution(out.T, nfev, True,

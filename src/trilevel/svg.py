@@ -74,6 +74,8 @@ def _nice_ticks(lo: float, hi: float) -> list[float]:
         hi = lo + 1.0
     span = hi - lo
     raw = span / _TICKS
+    if lo + raw == lo:      # a span of a few ulps, or one that underflows to a 0 step
+        return [0.0 if lo == 0 else lo]
     mag = 10.0 ** math.floor(math.log10(raw))
     for mult in (1.0, 2.0, 5.0, 10.0):
         if raw <= mult * mag:

@@ -122,3 +122,18 @@ def test_ticks_of_a_span_of_one_ulp_end(tmp_path):
     lines, labels = _polylines_and_labels(tmp_path / "ulp.svg")
     assert lines == ['<polyline points="64.00,394.00 384.00,36.00 704.00,394.00"']
     assert labels == ["0", "0.5", "1", "1.5", "2", "1", "a"]
+
+
+@pytest.mark.parametrize("ys", [[0.0, 5e-324, 0.0], [1.0, 1.0 + 2**-52, 1.0]])
+def test_ticks_of_a_degenerate_span_lie_inside_it(tmp_path, ys):
+    # one subnormal, whose tick step span / 6 underflows to 0, and one ulp of
+    # 1.0, whose tick used to round below the range and be drawn under the plot
+    svg.line_chart(tmp_path / "a.svg", [0, 1, 2], [("a", ys)])
+    pad = 0.04 * (max(ys) - min(ys))
+    lo, hi = min(ys) - pad, max(ys) + pad
+    ticks = svg._nice_ticks(lo, hi)
+    assert ticks and all(lo <= tick <= hi for tick in ticks)
+    # the y grid lines span the plot's width; every one lies between its top and bottom edges
+    body = (tmp_path / "a.svg").read_text(encoding="utf-8")
+    rows = [float(y) for y in re.findall(r'<line x1="64" y1="([^"]*)" x2="704"', body)]
+    assert len(rows) == len(ticks) and all(36.0 <= y <= 394.0 for y in rows)
