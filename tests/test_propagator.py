@@ -123,6 +123,18 @@ def test_lift_is_even_and_exact_at_the_identity():
         assert np.array_equal(g, np.eye(3))
 
 
+def test_matmul2_is_the_matrix_product_on_broadcasting_stacks():
+    # run's per-sample products: a stack times one matrix, and stack times stack;
+    # each entry is a sum of two products, so it is within a few eps of matmul's
+    rng = np.random.default_rng(17)
+    a, b = rng.standard_normal((2, 50, 2, 2)) + 1j * rng.standard_normal((2, 50, 2, 2))
+    for x, y in ((a, b[0]), (a[0], b), (a, b), (a[3:4], b)):
+        got, want = propagator._matmul2(x, y), x @ y
+        assert got.shape == want.shape
+        bound = 4 * np.finfo(float).eps * (np.abs(x) @ np.abs(y))
+        assert np.all(np.abs(got - want) <= bound)
+
+
 def _su2(rng, angle):
     """A rotation by ``angle`` about a random axis, as a 2x2 matrix."""
     axis = rng.standard_normal(3)

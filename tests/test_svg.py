@@ -127,7 +127,7 @@ def test_ticks_of_a_span_of_one_ulp_end(tmp_path):
 @pytest.mark.parametrize("ys", [[0.0, 5e-324, 0.0], [1.0, 1.0 + 2**-52, 1.0]])
 def test_ticks_of_a_degenerate_span_lie_inside_it(tmp_path, ys):
     # one subnormal, whose tick step span / 6 underflows to 0, and one ulp of
-    # 1.0, whose tick used to round below the range and be drawn under the plot
+    # 1.0, on which ceil(lo / step) * step rounds a whole span below lo
     svg.line_chart(tmp_path / "a.svg", [0, 1, 2], [("a", ys)])
     pad = 0.04 * (max(ys) - min(ys))
     lo, hi = min(ys) - pad, max(ys) + pad
