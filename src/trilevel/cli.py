@@ -17,7 +17,7 @@ from pathlib import Path
 import numpy as np
 
 from . import algebra, checks, config, fields, observables, oracle, propagator, svg
-from .svg import _words
+from .svg import _ONES, _TENS, _words
 
 EXIT_OK = 0
 EXIT_CHECK_FAILED = 1
@@ -59,19 +59,15 @@ class RunSpec:
     quantities: tuple[str, ...]
 
 
-_CSV_ROW = ",".join(["%.11e"] * len(observables.CSV_FIELDS)) + "\n"
-
 # Rows formatted at once.  The working arrays of 256 rows (about 0.4 MB)
 # stay in cache: 1024-row slices took 1.7 times as long a row.
 _CSV_SLICE = 256
 
 
 # A value's text is written as five words, "-d.d" "dddd" "dddd" "dde+" "dd,\0",
-# from the tables below; a byte 0 (the sign of a value that is not negative
-# and the last byte) is deleted.  The tables take a pair of digits, or four,
+# from the tables below; a byte 0 (the sign of a value that is not negative,
+# the last byte, and the padding of a '%' field) is deleted.  The tables take a pair of digits, or four,
 # plus 100 for a negative value (_LEAD) or a negative exponent (_TAIL).
-_TENS = ord("0") + np.arange(100, dtype=np.uint8) // 10
-_ONES = ord("0") + np.arange(100, dtype=np.uint8) % 10
 _LEAD = _words([[0], [ord("-")]], _TENS, ord("."), _ONES)
 _QUADS = _words(_TENS[:, None], _ONES[:, None], _TENS, _ONES)
 _TAIL = _words(_TENS, _ONES, ord("e"), [[ord("+")], [ord("-")]])
@@ -84,8 +80,9 @@ _SCALE = np.array([float(10 ** k) if k >= 0 else 1 / 10 ** -k
                    for k in range(11 + _EXP_SPAN, 10 - _EXP_SPAN, -1)])
 
 
-def _csv_rows(rows: np.ndarray) -> list[bytes]:
-    """``_CSV_ROW``'s bytes for ``rows``, which hold no -0.0, in chunks.
+def _csv_rows(rows: np.ndarray) -> bytes:
+    """'%.11e' of each value of ``rows``, joined by "," and ending each row
+    in "\\n"; -0.0 prints as 0.00000000000e+00.  ``rows`` is not written.
 
     A value x with decimal exponent e in [-99, 99] is scaled to
     s = |x| 10^(11 - e) in [1e11, 1e12) by a correctly rounded power, so s is
@@ -93,8 +90,8 @@ def _csv_rows(rows: np.ndarray) -> list[bytes]:
     below 1e12.  Where s is more than 0.5 - 5e-4 from a tie, rint(s) is the
     exact 12-digit mantissa that '%.11e' prints.  Every other value (near a
     tie, a 3-digit exponent, a subnormal, nan, inf) takes '%.11e' itself,
-    spliced into its field if the text fits, else its whole row takes
-    ``_CSV_ROW``.
+    right-aligned in its 20-byte field before the field's separator: the text
+    is at most 19 bytes, as in -1.79769313486e+308.
     """
     a = np.abs(rows)
     zero = a == 0.0
@@ -132,19 +129,10 @@ def _csv_rows(rows: np.ndarray) -> list[bytes]:
     text = words.view(np.uint8)             # (rows, columns, 20)
     text[:, -1, 18] = ord("\n")
 
-    whole = []
     for r, c, x in zip(*np.nonzero(~ok), rows[~ok].tolist()):
-        value = ("%.11e" % x).encode()
-        if len(value) in (17, 18):
-            text[r, c, :18] = np.frombuffer(value.rjust(18, b"\0"), dtype=np.uint8)
-        elif not whole or whole[-1] != r:
-            whole.append(r)
-    chunks, start = [], 0
-    for r in whole:
-        chunks += [text[start:r].tobytes().translate(None, b"\0"),
-                   (_CSV_ROW % tuple(rows[r].tolist())).encode()]
-        start = r + 1
-    return chunks + [text[start:].tobytes().translate(None, b"\0")]
+        field = b"%.11e%c" % (x, text[r, c, 18])
+        text[r, c] = np.frombuffer(field.rjust(20, b"\0"), dtype=np.uint8)
+    return text.tobytes().translate(None, b"\0")
 
 
 def write_csv(path, trajectory: propagator.Trajectory) -> None:
@@ -155,8 +143,7 @@ def write_csv(path, trajectory: propagator.Trajectory) -> None:
     with open(path, "wb") as out:
         out.write((",".join(observables.CSV_FIELDS) + "\n").encode())
         for lo in range(0, len(table), _CSV_SLICE):
-            # + 0.0 turns -0.0 into +0.0
-            out.writelines(_csv_rows(table[lo:lo + _CSV_SLICE] + 0.0))
+            out.write(_csv_rows(table[lo:lo + _CSV_SLICE]))
 
 
 def write_svg_panels(base_path, trajectory: propagator.Trajectory,

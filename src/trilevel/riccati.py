@@ -217,9 +217,11 @@ def solve_mu(cfg: FieldConfig, t_end: float, tol: float, *,
     fp, fm, fu = f
 
     while t < t_end:
-        h = min(h, t_end - t)
+        # the floor holds the controller's step; a clipped step ends on t_end
         if h < 1e-14 * max(1.0, abs(t)):
             raise RuntimeError(f"step size collapsed at t = {t:.9g}")
+        last = h >= t_end - t
+        h = min(h, t_end - t)
 
         # One Dormand-Prince 5(4) step written out stage by stage.  Each stage
         # sum runs in tableau order from a 0j start, 0.0 * k2 included, so the
@@ -269,7 +271,7 @@ def solve_mu(cfg: FieldConfig, t_end: float, tol: float, *,
             h *= max(_MIN_FACTOR, _SAFETY * err ** -_ORDER_EXP)
             continue
 
-        t_new = t + h
+        t_new = t_end if last else t + h
         g_new = _mu_rhs2(t_new, y_new, f_new, cfg)
         if abs(y_new[0]) >= BLOWUP_THRESHOLD:
             t_star = _find_crossing(t, h, y, f, g, y_new, f_new, g_new, BLOWUP_THRESHOLD)

@@ -32,6 +32,10 @@ def _words(*columns) -> np.ndarray:
     return codes.view(np.uint32)[..., 0].ravel()
 
 
+# The ASCII codes of the tens and ones digits of 0..99.
+_TENS = ord("0") + np.arange(100, dtype=np.uint8) // 10
+_ONES = ord("0") + np.arange(100, dtype=np.uint8) % 10
+
 # '%.2f' of a value v in [0, 999.995) is written as two words, "ddd." from
 # _UNITS[m // 100] and "dd," from _CENTS[m % 100], m = rint(100 v); a y takes
 # "dd " from _CENTS[m % 100 + 100].  A byte 0 (a leading digit of a short
@@ -39,8 +43,7 @@ def _words(*columns) -> np.ndarray:
 _N = np.arange(1000)
 _UNITS = _words(np.where(_N >= 100, ord("0") + _N // 100, 0),
                 np.where(_N >= 10, ord("0") + _N // 10 % 10, 0), ord("0") + _N % 10, ord("."))
-_CENTS = _words(ord("0") + _N[:100] // 10, ord("0") + _N[:100] % 10,
-                [[ord(",")], [ord(" ")]], 0)
+_CENTS = _words(_TENS, _ONES, [[ord(",")], [ord(" ")]], 0)
 
 
 def _points(xy: np.ndarray) -> bytes:

@@ -116,6 +116,19 @@ def test_csv_formats_signed_zeros_subnormals_and_extremes(tmp_path):
         "-1.00000000000e-300", "7.00000000000e+00", "1.79769313486e+308", "0.00000000000e+00"]
 
 
+def test_write_csv_leaves_its_table_unchanged(tmp_path):
+    # every kind of value, -0.0 included, over three slices of rows
+    rng = np.random.default_rng(6)
+    table = rng.standard_normal((2 * cli._CSV_SLICE + 7, len(observables.CSV_FIELDS)))
+    table *= 10.0 ** rng.integers(-320, 300, size=table.shape)
+    picks = rng.random(table.shape) < 0.2
+    table[picks] = rng.choice([0.0, -0.0, 5e-324, -1.7976931348623157e308, -np.inf, np.nan,
+                               123456789012.5, -3e-200], size=int(picks.sum()))
+    before = table.tobytes()
+    write_table(tmp_path / "kept.csv", table)
+    assert table.tobytes() == before
+
+
 def one_shot_csv(table: np.ndarray) -> bytes:
     """The CSV bytes as the writer once formed them, the whole table at once:
     the reference for the block-wise writer."""
@@ -239,6 +252,23 @@ def test_a_drive_without_a_period_past_the_step_cap_is_a_config_error(tmp_path, 
     assert err.startswith("config error: the exponents to t = 2000.0 need more than 1000 "
                           "Riccati steps") and "t_end" in err
     assert not csv.exists()
+
+
+def test_pure_decay_to_a_t_end_the_last_step_rounds_short_of(tmp_path):
+    # no drive: the exponents stay zero and rho(t) = I/3 + e^(-Gamma t) (rho0 - I/3).
+    # The last Riccati step starts below t_end / 2, and t + (t_end - t) is one
+    # ulp short of t_end here.
+    csv = tmp_path / "decay.csv"
+    cfg = write_cfg(tmp_path / "decay.cfg",
+                    "A = 0\nOmega = 0\nB = 0\nomega = 0\nGamma = 0.1\n"
+                    f"t_end = 878.6902752024938\ndt_out = 1\ntol = 1e-10\ncsv = {csv}\n")
+    assert cli.main(["run", cfg]) == 0
+    _, data = read_csv(csv)
+    t = data[:, 0]
+    assert t[-1] == float("%.11e" % 878.6902752024938) and len(t) == 880
+    decay = np.exp(-0.1 * t)
+    exact = np.stack([1 / 3 + 2 / 3 * decay, 1 / 3 - decay / 3, 1 / 3 - decay / 3], axis=1)
+    assert np.allclose(data[:, 1:4], exact, rtol=1e-11, atol=0.0)
 
 
 def test_run_is_deterministic(tmp_path):

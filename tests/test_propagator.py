@@ -179,6 +179,16 @@ def test_run_at_time_zero_returns_rho0():
     assert np.max(np.abs(algebra.rho_to_eta(traj.rho[0]) - algebra.rho_to_eta(rho0))) == 0.0
 
 
+def test_run_over_a_window_below_the_step_floor_returns_rho0():
+    # 1e-15 is below the floor of 1e-14 on the Riccati step, which holds the
+    # step controller, not the rest of the window
+    ps = fields.preset("fig1")
+    rho0 = ps.initial.density()
+    traj = propagator.run(ps.config, rho0, 1e-15, 1e-15, 1e-10)
+    assert traj.grid.tolist() == [0.0, 1e-15]
+    assert np.max(np.abs(traj.rho - rho0)) < 1e-15
+
+
 def test_long_time_coherence_vector_vanishes():
     ps = fields.preset("fig1")
     rho0 = ps.initial.density()

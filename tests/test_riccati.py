@@ -204,6 +204,16 @@ def test_solve_mu_input_validation():
             riccati.solve_mu(cfg, 1.0, 1e-8, t_start=t_start)
 
 
+def test_a_clipped_step_lands_on_t_end_exactly():
+    # Without a drive the steps grow fivefold, so the last one starts far below
+    # t_end / 2, where t + (t_end - t) can round one ulp short of t_end (in 117
+    # of these 1000 windows); no step of one ulp may follow it
+    cfg = fields.FieldConfig(A=0.0, Omega=1.0, B=0.0, omega=1.0)
+    t_ends = np.random.default_rng(5).uniform(0.5, 5000.0, 1000).tolist()
+    for t_end in [878.6902752024938, *t_ends]:
+        assert riccati.solve_mu(cfg, t_end, 1e-10).t_final == t_end
+
+
 def test_restartable_from_arbitrary_start_time():
     cfg = fields.preset("fig3").config
     traj = riccati.solve_mu(cfg, 12.0, 1e-10, t_start=7.0)
@@ -344,6 +354,7 @@ def tableau_solve_mu(cfg, t_end, tol, *, t_start=0.0, halt=None):
     ts, ys, fs, gs = [t], [y], [f], [g]
     h = 100 * 1e-6
     while t < t_end:
+        last = h >= t_end - t
         h = min(h, t_end - t)
         k = [f]
         for c, row in zip(_C[1:], _A[1:]):
@@ -364,7 +375,7 @@ def tableau_solve_mu(cfg, t_end, tol, *, t_start=0.0, halt=None):
         if err > 1.0:
             h *= max(riccati._MIN_FACTOR, riccati._SAFETY * err ** -riccati._ORDER_EXP)
             continue
-        t_new = t + h
+        t_new = t_end if last else t + h   # a clipped step lands on t_end
         g_new = riccati._mu_rhs2(t_new, y_new, f_new, cfg)
         if abs(y_new[0]) >= riccati.BLOWUP_THRESHOLD:
             t_star = riccati._find_crossing(t, h, y, f, g, y_new, f_new, g_new,
