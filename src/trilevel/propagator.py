@@ -190,11 +190,12 @@ def _solve_charts(cfg: FieldConfig, span: float, tol: float):
     composed up to the chart's start; and U(span), also 2x2.
 
     A chart halts at its first node past CHART_LIMIT, or ends at a blow-up;
-    the next chart starts from zero at the last node inside the limit.  A
-    solve whose charts take more than MAX_SAMPLES accepted steps in all is a
-    ValueError, raised at the step past the cap: a drive with no common
-    period is solved over the whole window, which could otherwise take hours
-    and all of memory, in one chart when the drive is weak.
+    the next chart starts from zero at its cover, the last node inside the limit.
+    Chart c serves (cover of chart c - 1, cover of chart c], chart 0 also t = 0.
+    A solve whose charts take more than MAX_SAMPLES accepted steps in all is a
+    ValueError, raised at the step past the cap: a drive with no common period
+    is solved over the whole window, which could otherwise take hours and all
+    of memory, in one chart when the drive is weak.
     """
     steps = 0
 
@@ -213,31 +214,23 @@ def _solve_charts(cfg: FieldConfig, span: float, tol: float):
     while True:
         try:
             chart = solve_mu(cfg, span, tol, t_start=start, halt=halt)
-            complete = not chart.halted
             # A halted chart's last node is its first past the limit, so the
             # one before it is the last inside; node 1 (the first step) is the
-            # fallback, so that a restart always advances.
-            cover = span if complete else float(chart.grid[max(1, len(chart.grid) - 2)])
+            # fallback, so that a restart always advances.  Any other ends on span.
+            cover = float(chart.grid[max(1, len(chart.grid) - 2)]) if chart.halted else span
         except SingularityError as exc:
-            # every node of a blow-up's partial chart passed the limit
+            # a blow-up's partial chart ends at its last node, inside the limit
             chart = exc.partial
-            complete = False
             cover = chart.t_final
 
-        if not complete and cover <= start + MIN_SEGMENT:
+        if cover < span and cover <= start + MIN_SEGMENT:
             raise PropagationError(
                 f"restart at t = {start:.9g} advanced less than {MIN_SEGMENT}")
         charts.append((chart, cover, w))
         w = chart_matrix(*chart.evaluate(cover)) @ w
-        # a chart whose reach takes in span serves the rest of it
-        if complete or span <= _reach(cover):
+        if cover == span:
             return charts, w
         start = cover
-
-
-def _reach(cover):
-    """The last time a chart ending at ``cover`` serves, clipped onto its cover."""
-    return cover + 1e-12 * np.maximum(1.0, np.abs(cover))
 
 
 def run(cfg: FieldConfig, rho0: np.ndarray, t_end: float, dt_out: float, tol: float) -> Trajectory:
@@ -258,7 +251,7 @@ def run(cfg: FieldConfig, rho0: np.ndarray, t_end: float, dt_out: float, tol: fl
     span = period if period is not None and t_end > period else t_end
     charts, u = _solve_charts(cfg, span, tol)
 
-    reach = _reach(np.array([cover for _, cover, _ in charts]))
+    covers = np.array([cover for _, cover, _ in charts])
     rhos = np.empty((len(grid), 3, 3), dtype=complex)
     for lo in range(0, len(grid), SAMPLE_BLOCK):
         t = grid[lo:lo + SAMPLE_BLOCK]
@@ -267,12 +260,12 @@ def run(cfg: FieldConfig, rho0: np.ndarray, t_end: float, dt_out: float, tol: fl
         s = np.clip(t - n * span, 0.0, span)
         u_n = _power(u, n)
         decay = np.exp(-cfg.Gamma * t)[:, None, None]
-        # each sample takes the first chart whose reach holds it, clipped onto its cover
-        chart_of = np.searchsorted(reach, s)
+        # chart c serves (cover of chart c - 1, cover of chart c], chart 0 also s = 0
+        chart_of = np.searchsorted(covers, s)
         for c in np.unique(chart_of):
-            chart, cover, w = charts[c]
+            chart, _, w = charts[c]
             k = np.flatnonzero(chart_of == c)
-            u_k = chart_matrix(*chart.evaluate(np.minimum(s[k], cover)))
+            u_k = chart_matrix(*chart.evaluate(s[k]))
             g, g_inv = lift(_matmul2(_matmul2(u_k, w), u_n[k]))
             rhos[lo + k] = decay[k] * (g @ rho0 @ g_inv) + (1.0 - decay[k]) * mixed
 

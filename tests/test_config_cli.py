@@ -211,7 +211,7 @@ def test_csv_bytes_at_ties_carries_and_powers_of_ten(tmp_path):
     values = np.concatenate((ties, carries, powers))
     values = np.concatenate((values, -values))
     table = np.resize(values, (-(-len(values) // 16), 16))
-    # a 3-digit exponent mid-row, one that fits its field and one that does not
+    # a 3-digit exponent mid-row, each sign: both take the writer's one '%' fallback
     table[0, 7], table[1, 7] = 1.5e-150, -1.5e-150
     # a row of fast-path values, values near a tie and every kind of fallback
     table[2] = [0.1, 123456789012.5, 5e-324, -2.5, 1e100, 9.999999999995e99, -0.0, np.nan,
@@ -223,7 +223,7 @@ def test_csv_bytes_at_ties_carries_and_powers_of_ten(tmp_path):
 def test_csv_bytes_of_every_preset_are_the_percent_format_of_its_table(tmp_path, name):
     # the product path at the tol of `trilevel figure`; the decaying fig1's
     # coherences fall through 3-digit exponents and subnormals to 0 (223 rows
-    # hold a 3-digit exponent), so its rows take every fallback of the writer
+    # hold a 3-digit exponent), so its rows mix the fast path and the '%' fallback
     text = ("preset = fig1\nGamma = 5\nt_end = 200\ndt_out = 0.5\n"
             if name == "fig1 decaying to 0" else f"preset = {name}\n")
     csv = tmp_path / "out.csv"

@@ -422,6 +422,43 @@ def test_each_chart_is_evaluated_once_for_every_period_it_serves(monkeypatch):
     assert len(calls) == 2 * len(charts)
 
 
+def test_each_chart_serves_from_the_previous_cover_to_its_own(monkeypatch):
+    # Chart c serves (cover of chart c - 1, cover of chart c], chart 0 also
+    # s = 0, each sample at its own in-span time.  dt_out puts the sample at
+    # t = dt_out 5e-13 relative past the third of fig3's 20 period covers
+    # (10.35396053249789), so it belongs to the chart that starts there.
+    ps = fields.preset("fig3")
+    span = propagator._drive_period(ps.config)
+    assert ps.t_end > span
+    covers = [cover for _, cover, _ in propagator._solve_charts(ps.config, span, 1e-10)[0]]
+    dt_out = covers[2] * (1.0 + 5e-13)
+    assert dt_out > covers[2]
+    served = []
+    solve_charts, evaluate = propagator._solve_charts, riccati.MuTrajectory.evaluate
+
+    def recording_solve_charts(*args):
+        charts = solve_charts(*args)
+        served.clear()   # each chart's evaluation at its cover, to compose the next
+        return charts
+
+    def recording_evaluate(self, t):
+        served.append((self.t_start, np.array(t, dtype=float, ndmin=1)))
+        return evaluate(self, t)
+
+    monkeypatch.setattr(propagator, "_solve_charts", recording_solve_charts)
+    monkeypatch.setattr(riccati.MuTrajectory, "evaluate", recording_evaluate)
+    grid = propagator.run(ps.config, ps.initial.density(), ps.t_end, dt_out, 1e-10).grid
+
+    starts = [0.0] + covers[:-1]
+    for t_start, times in served:
+        c = starts.index(t_start)
+        assert np.all(((t_start < times) | ((c == 0) & (times == 0.0))) & (times <= covers[c]))
+    s = np.clip(grid - np.floor(grid / span) * span, 0.0, span)
+    passed = np.concatenate([times for _, times in served])
+    assert np.sort(passed).tolist() == np.sort(s).tolist()
+    assert (covers[2], [dt_out]) in [(t_start, times.tolist()) for t_start, times in served]
+
+
 @functools.lru_cache(maxsize=None)
 def _default_limit_run(name):
     ps = fields.preset(name)
