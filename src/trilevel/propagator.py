@@ -208,10 +208,9 @@ def _solve_charts(cfg: FieldConfig, span: float, tol: float):
         mu_plus, mu_minus, mu = vals
         return max(abs(mu_plus), abs(mu_minus), abs(mu.imag)) > CHART_LIMIT
 
-    charts = []
-    w = np.eye(2, dtype=complex)
+    solved = []
     start = 0.0
-    while True:
+    while start < span:
         try:
             chart = solve_mu(cfg, span, tol, t_start=start, halt=halt)
             # A halted chart's last node is its first past the limit, so the
@@ -226,11 +225,17 @@ def _solve_charts(cfg: FieldConfig, span: float, tol: float):
         if cover < span and cover <= start + MIN_SEGMENT:
             raise PropagationError(
                 f"restart at t = {start:.9g} advanced less than {MIN_SEGMENT}")
+        solved.append((chart, cover))
+        start = cover
+
+    # composed after the solves: past some numpy kernels, this complex 2x2 `@`
+    # among them, Python float arithmetic ran up to 4x slower (numpy 2.4 on a Xeon)
+    # until another kind ran, so a product between two solves slowed the next one
+    charts, w = [], np.eye(2, dtype=complex)
+    for chart, cover in solved:
         charts.append((chart, cover, w))
         w = chart_matrix(*chart.evaluate(cover)) @ w
-        if cover == span:
-            return charts, w
-        start = cover
+    return charts, w
 
 
 def run(cfg: FieldConfig, rho0: np.ndarray, t_end: float, dt_out: float, tol: float) -> Trajectory:
