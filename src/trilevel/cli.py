@@ -205,8 +205,9 @@ def load_run_spec(entries: dict[str, str], args: argparse.Namespace) -> RunSpec:
         svg_path=merged.get("svg"),
         quantities=_parse_quantities(merged["quantities"]),
     )
-    if not (0 < spec.tol <= 1e-3):
-        raise config.ConfigError("tol must be in (0, 1e-3]")
+    # below 1e-13 the solvers overflow, divide by zero or run for hours
+    if not (1e-13 <= spec.tol <= 1e-3):
+        raise config.ConfigError(f"tol must be in [1e-13, 1e-3], got {spec.tol!r}")
     if spec.solver == "hydrogen_analytic":
         cfg = spec.field
         hydrogen_like = (cfg.Omega == cfg.omega and cfg.delta == 0.0

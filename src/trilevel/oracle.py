@@ -20,8 +20,8 @@ import numpy as np
 from . import algebra
 from .fields import (FieldConfig, STARK_MINUS_VECTOR, STARK_PLUS_VECTOR,
                      STARK_ZERO_VECTOR, hydrogen_config)
-from .propagator import (MAX_SAMPLES, Trajectory, _build_trajectory, output_grid,
-                         trajectory_from_etas)
+from .propagator import (MAX_SAMPLES, Trajectory, output_grid, trajectory_from_etas,
+                         trajectory_from_rhos)
 
 _SQRT32 = math.sqrt(1.5)
 
@@ -342,8 +342,7 @@ def integrate_rho_direct(cfg: FieldConfig, rho0: np.ndarray, t_end: float,
     grid = output_grid(t_end, dt_out)
     rhs = _linear_rhs(cfg, _RHO_OPS, cfg.Gamma * _RHO_DECAY)
     rhos = _integrate(rhs, rho0.reshape(-1), cfg, grid, tol, "rho")
-    # the solution rows are this call's own, so the build works on them in place
-    return _build_trajectory(grid, rhos.reshape(-1, 3, 3))
+    return trajectory_from_rhos(grid, rhos.reshape(-1, 3, 3))
 
 
 def hydrogen_stark_basis() -> tuple[np.ndarray, np.ndarray]:
@@ -397,4 +396,4 @@ def hydrogen_trajectory(A: float, omega: float, Gamma: float, rho0: np.ndarray,
                         t_end: float, dt_out: float) -> Trajectory:
     """Closed-form trajectory sampled on the standard output grid."""
     grid = output_grid(t_end, dt_out)
-    return _build_trajectory(grid, hydrogen_density(A, omega, Gamma, rho0, grid))
+    return trajectory_from_rhos(grid, hydrogen_density(A, omega, Gamma, rho0, grid))

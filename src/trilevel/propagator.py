@@ -23,6 +23,7 @@ is solved over [0, T] only: U(nT + s) = U(s) U(T)^n, U(T)^n in closed form.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -44,10 +45,10 @@ MIN_SEGMENT = 1e-6
 #: Largest output grid, in rows.
 MAX_SAMPLES = 1_000_000
 
-#: Output samples filled per block: the block's 2x2 products, G and G^-1
-#: stacks and dense-output temporaries (measured 0.7 KB a sample) are what
-#: bounds run's transient memory, whatever the length of the grid.
-SAMPLE_BLOCK = 4096
+#: Output samples per block: the block's 2x2 products, G and G^-1 stacks,
+#: Hermitian part and dense-output temporaries (measured 0.7 KB a sample)
+#: bound the transient memory of run and of a build, whatever the grid length.
+SAMPLE_BLOCK = 2048
 
 
 class PropagationError(RuntimeError):
@@ -105,37 +106,28 @@ def _power(u: np.ndarray, n: np.ndarray) -> np.ndarray:
 
 @dataclass
 class Trajectory:
-    """Output grid, density matrices (n, 3, 3) and the observables ``table``:
-    (n, 16) columns in ``observables.CSV_FIELDS`` order."""
+    """Output grid and the observables ``table``: (n, 16) columns in
+    ``observables.CSV_FIELDS`` order."""
 
     grid: np.ndarray
-    rho: np.ndarray
     table: np.ndarray
 
     def __len__(self) -> int:
         return len(self.grid)
 
-
-def _build_trajectory(grid: np.ndarray, rhos: np.ndarray) -> Trajectory:
-    """The trajectory of ``rhos``, a complex (n, 3, 3) stack owned by the
-    caller, which is replaced by its Hermitian part in place."""
-    grid = np.asarray(grid, dtype=float)
-    # filled SAMPLE_BLOCK rows at a time, so the build's temporaries (spectrum,
-    # eta stack, column inputs) stay bounded whatever the number of samples
-    table = np.empty((len(grid), len(observables.CSV_FIELDS)))
-    for lo in range(0, len(grid), SAMPLE_BLOCK):
-        hi = lo + SAMPLE_BLOCK
-        block = rhos[lo:hi]
-        # the Hermitian part 0.5 (rho + rho^H)
-        block += np.conj(block.transpose(0, 2, 1))
-        block *= 0.5
-        table[lo:hi] = observables.table(grid[lo:hi], block)
-    return Trajectory(grid, rhos, table)
-
-
-def trajectory_from_etas(grid: np.ndarray, etas: np.ndarray) -> Trajectory:
-    """Build a trajectory from unit-trace coherence vectors, as trajectory_from_rhos does."""
-    return _build_trajectory(grid, algebra.eta_to_rho(etas))
+    @functools.cached_property
+    def rho(self) -> np.ndarray:
+        """Density matrices (n, 3, 3), formed on first access from the table's
+        populations and coherences, which are the whole of a Hermitian rho."""
+        cols = self.table[:, 1:10]   # pop1 pop2 pop3 re12 im12 re13 im13 re23 im23
+        i, j = np.triu_indices(3, 1)   # entries (0, 1), (0, 2), (1, 2)
+        rho = np.zeros((len(self), 3, 3), dtype=complex)
+        # through .real and .imag: re + 1j * im would turn a nan im into a nan re
+        rho.real[:, [0, 1, 2], [0, 1, 2]] = cols[:, 0:3]
+        rho.real[:, i, j] = rho.real[:, j, i] = cols[:, 3::2]
+        rho.imag[:, i, j] = cols[:, 4::2]
+        rho.imag[:, j, i] = -cols[:, 4::2]
+        return rho
 
 
 def trajectory_from_rhos(grid: np.ndarray, rhos: np.ndarray) -> Trajectory:
@@ -144,9 +136,24 @@ def trajectory_from_rhos(grid: np.ndarray, rhos: np.ndarray) -> Trajectory:
     Each matrix is replaced by its Hermitian part.  That removes the
     anti-Hermitian residue of order the solver tolerance that approximate
     exponents (or an oracle's integration error) leave, so trace and
-    hermiticity hold structurally at any tolerance.  ``rhos`` is not written.
+    hermiticity hold structurally at any tolerance.  ``rhos`` is read
+    SAMPLE_BLOCK rows at a time, and neither written nor copied.
     """
-    return _build_trajectory(grid, np.array(rhos, dtype=complex, order="C"))
+    grid = np.asarray(grid, dtype=float)
+    table = np.empty((len(grid), len(observables.CSV_FIELDS)))
+    for lo in range(0, len(grid), SAMPLE_BLOCK):
+        hi = lo + SAMPLE_BLOCK
+        block = np.asarray(rhos[lo:hi], dtype=complex)
+        # the Hermitian part 0.5 (rho + rho^H), a block temporary
+        herm = block + np.conj(block.transpose(0, 2, 1))
+        herm *= 0.5
+        table[lo:hi] = observables.table(grid[lo:hi], herm)
+    return Trajectory(grid, table)
+
+
+def trajectory_from_etas(grid: np.ndarray, etas: np.ndarray) -> Trajectory:
+    """Build a trajectory from unit-trace coherence vectors, as trajectory_from_rhos does."""
+    return trajectory_from_rhos(grid, algebra.eta_to_rho(etas))
 
 
 def output_grid(t_end: float, dt_out: float) -> np.ndarray:
@@ -274,5 +281,4 @@ def run(cfg: FieldConfig, rho0: np.ndarray, t_end: float, dt_out: float, tol: fl
             g, g_inv = lift(_matmul2(_matmul2(u_k, w), u_n[k]))
             rhos[lo + k] = decay[k] * (g @ rho0 @ g_inv) + (1.0 - decay[k]) * mixed
 
-    # rhos is run's own, so its Hermitian part is formed in place
-    return _build_trajectory(grid, rhos)
+    return trajectory_from_rhos(grid, rhos)

@@ -108,7 +108,7 @@ def test_csv_formats_signed_zeros_subnormals_and_extremes(tmp_path):
            -2.5, 1e-5, 123456789.0, 0.1, -1e-300, 7.0, 1.7976931348623157e308, -0.0]
     table = np.array([row])
     cli.write_csv(tmp_path / "edge.csv",
-                  propagator.Trajectory(table[:, 0], np.zeros((1, 3, 3)), table))
+                  propagator.Trajectory(table[:, 0], table))
     assert (tmp_path / "edge.csv").read_text().splitlines()[1].split(",") == [
         "0.00000000000e+00", "0.00000000000e+00", "4.94065645841e-324", "-4.94065645841e-324",
         "2.22507385851e-308", "1.00000000000e+300", "-1.00000000000e+300", "3.33333333333e-01",
@@ -152,7 +152,7 @@ def test_csv_written_a_block_at_a_time_has_the_one_shot_bytes(tmp_path):
     for edge in (propagator.SAMPLE_BLOCK - 1, propagator.SAMPLE_BLOCK, 2 * propagator.SAMPLE_BLOCK):
         table[edge] = -0.0
     path = tmp_path / "blocks.csv"
-    cli.write_csv(path, propagator.Trajectory(table[:, 0], np.zeros((rows, 3, 3)), table))
+    cli.write_csv(path, propagator.Trajectory(table[:, 0], table))
     assert path.read_bytes() == one_shot_csv(table)
     assert "-0.00000000000e+00" not in path.read_text()
 
@@ -163,7 +163,7 @@ def test_csv_writer_holds_a_bounded_text(tmp_path):
     # with '%').  Formatted in one piece, the text and its row lists took
     # 23.2 MB here and 94.4 MB for 10^5 rows.
     table = np.random.default_rng(4).standard_normal((6 * propagator.SAMPLE_BLOCK, 16))
-    traj = propagator.Trajectory(table[:, 0], np.zeros((1, 3, 3)), table)
+    traj = propagator.Trajectory(table[:, 0], table)
     tracemalloc.start()
     try:
         cli.write_csv(tmp_path / "big.csv", traj)
@@ -174,7 +174,7 @@ def test_csv_writer_holds_a_bounded_text(tmp_path):
 
 
 def write_table(path, table: np.ndarray) -> bytes:
-    cli.write_csv(path, propagator.Trajectory(table[:, 0], np.zeros((1, 3, 3)), table))
+    cli.write_csv(path, propagator.Trajectory(table[:, 0], table))
     return path.read_bytes()
 
 
@@ -311,6 +311,19 @@ def test_run_rejects_unknown_keys_and_bad_tol(tmp_path, capsys):
     cfg2 = write_cfg(tmp_path / "bad2.cfg", "preset = fig1\ncsv = x.csv\ntol = 0.01\n")
     assert cli.main(["run", cfg2]) == 2
     assert "tol" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("solver", ["product", "direct_eta", "direct_rho"])
+@pytest.mark.parametrize("tol", ["9.9e-14", "1e-300"])
+def test_a_tol_below_1e_13_is_a_config_error_on_every_solver(tmp_path, capsys, solver, tol):
+    # such tols overflowed the product path's error norm, divided by zero in
+    # the oracles' initial step, or ran for longer than five minutes
+    out = tmp_path / "out"
+    argv = ["figure", "fig3", "--solver", solver, "--tol", tol, "--out", str(out)]
+    assert cli.main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error: tol must be in")
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("config_text, extra_args, key", [

@@ -307,10 +307,11 @@ def _kept_bytes(traj) -> int:
 
 
 def test_the_direct_rho_oracle_builds_on_its_own_solution_without_a_copy():
-    # fig1 to t = 100 on 10^4 rows.  The observables are built on the
-    # integrator's own solution rows, so nothing but the result (2.80 MB) and
-    # bounded transients is held at the peak: measured 1.26 MB above the
-    # result, against 2.70 MB when the 1.44 MB rho stack was copied first.
+    # fig1 to t = 100 on 10^4 rows.  The observables are built block by block
+    # from the integrator's own solution rows, so nothing but those rows, the
+    # result and bounded transients is held at the peak: measured 0.96 MB above
+    # grid, table and rho (2.80 MB), 1.26 MB when the build wrote the Hermitian
+    # part into the rows, and 2.70 MB when the 1.44 MB rho stack was copied first.
     ps = fields.preset("fig1")
     oracle.integrate_rho_direct(ps.config, S_START, 1.0, 0.5, 1e-8)   # imports, caches
     tracemalloc.start()
@@ -325,7 +326,7 @@ def test_the_direct_rho_oracle_builds_on_its_own_solution_without_a_copy():
 
 def test_the_hydrogen_closed_form_holds_at_most_three_stacks():
     # 10^4 rows: the closed form holds U, U rho0 and rho at once (one rho
-    # stack is 1.44 MB) and the trajectory is built on rho in place.
+    # stack is 1.44 MB) and the trajectory is built from rho without a copy.
     # Measured 1.11 stacks above the result; 2.50 when the closed form held
     # four stacks at once and the build copied rho.
     ps = fields.preset("hydrogen")

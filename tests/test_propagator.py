@@ -642,15 +642,16 @@ def test_a_solve_past_the_step_cap_is_a_value_error(monkeypatch):
 def test_a_long_run_holds_no_second_sample_stack():
     # 10^5 output samples from one chart (fig11 stays healthy over its drive
     # period 2 pi, which serves all 16 periods to t = 100): the samples and
-    # the observables table are filled in blocks of SAMPLE_BLOCK, and run
-    # forms the Hermitian part in its own sample stack, so the peak is the
-    # result arrays (28.0 MB: grid, rho and table) and a bounded transient.
-    # Measured peak 30.1 MB; it was 30.9 MB when run held the period index
-    # and in-period time of every sample (1.6 MB), 45.3 MB when the Hermitian
-    # part was a copy of the sample stack, 43.9 MB when the chart ran over the
-    # whole window, 60.3 MB when the table was built in one batch, 61.9 MB
-    # when a trajectory also stored eta, and 155 MB when a whole chart was
-    # filled in one batch.
+    # the observables table are filled in blocks of SAMPLE_BLOCK, and the
+    # Hermitian part is a block temporary, so the peak is the sample stack
+    # and the trajectory (28.0 MB: samples, grid and table) and a bounded
+    # transient.  Measured peak 30.8 MB; 31.1 MB when run formed the Hermitian
+    # part in its sample stack, which the trajectory kept as rho, 30.9 MB when
+    # run also held the period index and in-period time of every sample
+    # (1.6 MB), 45.3 MB when the Hermitian part was a copy of the sample
+    # stack, 43.9 MB when the chart ran over the whole window, 60.3 MB when
+    # the table was built in one batch, 61.9 MB when a trajectory also stored
+    # eta, and 155 MB when a whole chart was filled in one batch.
     ps = fields.preset("fig11")
     tracemalloc.start()
     try:
@@ -664,7 +665,9 @@ def test_a_long_run_holds_no_second_sample_stack():
 
 def test_trajectory_build_transient_is_bounded():
     # the observables table of 10^5 samples is built SAMPLE_BLOCK rows at a
-    # time; measured 1.2 MB above the result, 17.6 MB in one batch
+    # time from the caller's stack, which is neither written nor copied, so
+    # the table is all that is kept; measured 0.9 MB above it, 15.7 MB when
+    # the stack was copied and 17.6 MB when the table was built in one batch
     rng = np.random.default_rng(2)
     n = 100_000
     rhos = rng.standard_normal((n, 3, 3)) + 1j * rng.standard_normal((n, 3, 3))
@@ -675,7 +678,7 @@ def test_trajectory_build_transient_is_bounded():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak - traj.rho.nbytes - traj.table.nbytes < 5e6
+    assert peak - traj.table.nbytes < 5e6
 
 
 def test_run_input_validation():
