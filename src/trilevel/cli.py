@@ -16,7 +16,7 @@ from pathlib import Path
 
 import numpy as np
 
-from . import algebra, checks, config, fields, observables, oracle, propagator, svg
+from . import algebra, checks, config, fields, observables, oracle, propagator, riccati, svg
 from .svg import _ONES, _TENS, _words
 
 EXIT_OK = 0
@@ -205,9 +205,9 @@ def load_run_spec(entries: dict[str, str], args: argparse.Namespace) -> RunSpec:
         svg_path=merged.get("svg"),
         quantities=_parse_quantities(merged["quantities"]),
     )
-    # below 1e-13 the solvers overflow, divide by zero or run for hours
-    if not (1e-13 <= spec.tol <= 1e-3):
-        raise config.ConfigError(f"tol must be in [1e-13, 1e-3], got {spec.tol!r}")
+    # the library refuses a tol below MIN_TOL with a ValueError; here it is exit 2
+    if not (riccati.MIN_TOL <= spec.tol <= 1e-3):
+        raise config.ConfigError(f"tol must be in [{riccati.MIN_TOL!r}, 1e-3], got {spec.tol!r}")
     if spec.solver == "hydrogen_analytic":
         cfg = spec.field
         hydrogen_like = (cfg.Omega == cfg.omega and cfg.delta == 0.0

@@ -91,16 +91,6 @@ def j_coupling(t: float, cfg: FieldConfig) -> float:
     return cfg.sign_convention * 0.5 * cfg.B * math.cos(cfg.omega * t + cfg.delta)
 
 
-def epsilon_dot(t: float, cfg: FieldConfig) -> float:
-    """Time derivative of the 1-2 coupling."""
-    return -cfg.sign_convention * cfg.A * cfg.Omega * math.sin(cfg.Omega * t)
-
-
-def j_coupling_dot(t: float, cfg: FieldConfig) -> float:
-    """Time derivative of the 2-3 coupling."""
-    return -cfg.sign_convention * 0.5 * cfg.B * cfg.omega * math.sin(cfg.omega * t + cfg.delta)
-
-
 @dataclass(frozen=True)
 class InitialState:
     """Named pure initial density matrix."""

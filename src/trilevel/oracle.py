@@ -22,6 +22,7 @@ from .fields import (FieldConfig, STARK_MINUS_VECTOR, STARK_PLUS_VECTOR,
                      STARK_ZERO_VECTOR, hydrogen_config)
 from .propagator import (MAX_SAMPLES, Trajectory, output_grid, trajectory_from_etas,
                          trajectory_from_rhos)
+from .riccati import check_tol
 
 _SQRT32 = math.sqrt(1.5)
 
@@ -299,8 +300,7 @@ def _integrate(rhs, y0: np.ndarray, cfg: FieldConfig, grid: np.ndarray,
     A window that needs more than MAX_SAMPLES steps of the capped size is a
     ValueError, raised before scipy is imported: it would run for hours.
     """
-    if not (math.isfinite(tol) and tol > 0):
-        raise ValueError(f"tol must be finite and > 0, got {tol!r}")
+    check_tol(tol)
     t_end, max_step = float(grid[-1]), _max_step(cfg)
     if t_end / max_step > MAX_SAMPLES:
         raise ValueError(f"t_end = {t_end!r} needs at least {t_end / max_step:.3g} direct "

@@ -139,17 +139,17 @@ def one_shot_csv(table: np.ndarray) -> bytes:
 
 
 def test_csv_written_a_block_at_a_time_has_the_one_shot_bytes(tmp_path):
-    # 2.5 blocks of rows, with signed zeros, subnormals and extremes spread
-    # over every column and across both block boundaries
+    # 2.5 writer slices of rows, with signed zeros, subnormals and extremes
+    # spread over every column and across both slice boundaries
     rng = np.random.default_rng(3)
-    rows = 5 * propagator.SAMPLE_BLOCK // 2
+    rows = 5 * cli._CSV_SLICE // 2
     table = rng.standard_normal((rows, len(observables.CSV_FIELDS)))
     table *= 10.0 ** rng.integers(-320, 300, size=table.shape)
     special = np.array([0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308,
                         1.7976931348623157e308, -1e-300])
     picks = rng.random(table.shape) < 0.2
     table[picks] = rng.choice(special, size=int(picks.sum()))
-    for edge in (propagator.SAMPLE_BLOCK - 1, propagator.SAMPLE_BLOCK, 2 * propagator.SAMPLE_BLOCK):
+    for edge in (cli._CSV_SLICE - 1, cli._CSV_SLICE, 2 * cli._CSV_SLICE):
         table[edge] = -0.0
     path = tmp_path / "blocks.csv"
     cli.write_csv(path, propagator.Trajectory(table[:, 0], table))
@@ -158,11 +158,11 @@ def test_csv_written_a_block_at_a_time_has_the_one_shot_bytes(tmp_path):
 
 
 def test_csv_writer_holds_a_bounded_text(tmp_path):
-    # Six blocks of rows (a 3.1 MB table): measured 0.6 MB at the peak, and
-    # the same for 10^5 rows (5.2 MB when each block's rows were formatted
-    # with '%').  Formatted in one piece, the text and its row lists took
-    # 23.2 MB here and 94.4 MB for 10^5 rows.
-    table = np.random.default_rng(4).standard_normal((6 * propagator.SAMPLE_BLOCK, 16))
+    # 48 writer slices of rows (a 1.57 MB table): measured 0.56 MB at the
+    # peak, and the same for 10^5 rows (5.2 MB when each slice's rows were
+    # formatted with '%').  Formatted in one piece, the text and its row lists
+    # took 23.2 MB for twice these rows and 94.4 MB for 10^5 rows.
+    table = np.random.default_rng(4).standard_normal((48 * cli._CSV_SLICE, 16))
     traj = propagator.Trajectory(table[:, 0], table)
     tracemalloc.start()
     try:

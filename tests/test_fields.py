@@ -25,16 +25,6 @@ def test_j_coupling_values():
     assert fields.j_coupling(0.0, cfg2) == 0.25
 
 
-def test_field_derivatives_match_finite_differences():
-    cfg = fields.FieldConfig(A=0.7, Omega=0.3, B=1.1, omega=1.7, delta=0.4)
-    h = 1e-6
-    for t in (0.0, 0.9, 4.2):
-        de = (fields.epsilon(t + h, cfg) - fields.epsilon(t - h, cfg)) / (2 * h)
-        dj = (fields.j_coupling(t + h, cfg) - fields.j_coupling(t - h, cfg)) / (2 * h)
-        assert fields.epsilon_dot(t, cfg) == pytest.approx(de, abs=1e-8)
-        assert fields.j_coupling_dot(t, cfg) == pytest.approx(dj, abs=1e-8)
-
-
 def test_hydrogen_coupling_ratio():
     cfg = fields.hydrogen_config(2.5)
     for t in np.linspace(0.1, 6.0, 17):

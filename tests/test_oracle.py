@@ -577,15 +577,25 @@ def test_hydrogen_trajectory_grid_and_observables():
     assert traj.rho[0, 0, 0].real == pytest.approx(1.0, abs=1e-12)
 
 
-def test_scipy_integrate_is_imported_on_the_first_direct_integration():
-    # a fresh interpreter: importing the package and a product run leave
-    # scipy.integrate unloaded, a direct integration loads it
-    code = textwrap.dedent("""
-        import sys
+def test_scipy_integrate_is_imported_on_the_first_direct_integration(tmp_path):
+    # a fresh interpreter: importing the package, the product path (a run over
+    # several charts, a Riccati blow-up and a CLI figure) leave scipy.integrate
+    # unloaded, since solve_mu's DOP853 coefficients are literals; a direct
+    # integration loads it
+    code = textwrap.dedent(f"""
+        import math, sys
         import numpy as np
         import trilevel
+        from trilevel import cli
+        print("scipy.integrate" in sys.modules)
         cfg, rho0 = trilevel.preset("fig1").config, np.diag([1.0, 0.0, 0.0])
         trilevel.run(cfg, rho0, 1.0, 0.5, 1e-9)
+        trilevel.run(trilevel.preset("fig4").config, rho0, 40.0, 0.5, 1e-9)
+        try:
+            trilevel.solve_mu(trilevel.FieldConfig(0.0, 0.0, 1.0, 0.0), 1.5 * math.pi, 1e-9)
+        except trilevel.SingularityError:
+            pass
+        assert cli.main(["figure", "fig3", "--out", {str(tmp_path)!r}]) == 0
         print("scipy.integrate" in sys.modules)
         trilevel.integrate_rho_direct(cfg, rho0, 1.0, 0.5, 1e-9)
         print("scipy.integrate" in sys.modules)
@@ -595,4 +605,4 @@ def test_scipy_integrate_is_imported_on_the_first_direct_integration():
         filter(None, [src, os.environ.get("PYTHONPATH")]))}
     out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
                          text=True, check=True).stdout.split()
-    assert out == ["False", "True"]
+    assert out == ["False", "False", "True"]

@@ -15,21 +15,18 @@ def constant_coupling_config(j0: float) -> fields.FieldConfig:
 
 
 def evaluate_derivative(traj: riccati.MuTrajectory, t) -> np.ndarray:
-    """Time derivative of ``traj``'s quintic interpolant at ``t``, shaped as
-    ``traj.evaluate(t)``: the judge of the residual checks below."""
-    if len(traj.grid) == 1:
-        return traj._derivs[:, np.zeros(np.shape(t), dtype=int)]
-    i, h, s = traj._interval(t)
-    s2, s3, s4 = s * s, s * s * s, s * s * s * s
-    d0 = (-30 * s2 + 60 * s3 - 30 * s4) / h
-    d1 = 1 - 18 * s2 + 32 * s3 - 15 * s4
-    d2 = 0.5 * (2 * s - 9 * s2 + 12 * s3 - 5 * s4)
-    d3 = (30 * s2 - 60 * s3 + 30 * s4) / h
-    d4 = -12 * s2 + 28 * s3 - 15 * s4
-    d5 = 0.5 * (3 * s2 - 8 * s3 + 5 * s4)
-    return (d0 * traj._values[:, i] + d3 * traj._values[:, i + 1]
-            + d1 * traj._derivs[:, i] + d4 * traj._derivs[:, i + 1]
-            + h * (d2 * traj._derivs2[:, i] + d5 * traj._derivs2[:, i + 1]))
+    """Time derivative of ``traj``'s interpolant at ``t``, shaped as
+    ``traj.evaluate(t)``: the judge of the residual checks below.  The
+    interpolant is (1 - x) y0 + x y1 + x (1 - x) R(x), R in the nested form of
+    riccati._interpolant, differentiated along its Horner scheme."""
+    i, h, x = traj._interval(t)
+    f = [c[:, i] for c in traj._dense]
+    r, dr = f[5], 0.0
+    for k in (4, 3, 2, 1, 0):
+        w, dw = (x, 1.0) if k % 2 == 0 else (1 - x, -1.0)
+        r, dr = f[k] + w * r, dw * r + w * dr
+    y0, y1 = traj._values[:, i], traj._values[:, i + 1]
+    return (y1 - y0 + (1 - 2 * x) * r + x * (1 - x) * dr) / h
 
 
 def residuals(traj: riccati.MuTrajectory, cfg: fields.FieldConfig,
@@ -104,6 +101,9 @@ def test_blowup_raises_singularity_error_near_pole():
         riccati.solve_mu(constant_coupling_config(j0), 1.5 * pole, 1e-10)
     exc = err.value
     assert abs(exc.t_star - pole) <= 0.05 * pole
+    # tan(j0 t) crosses the threshold at atan(1e6) / j0; the crossing is
+    # bisected on the blown step's interpolant (measured 4.4e-12 off)
+    assert abs(exc.t_star - math.atan(riccati.BLOWUP_THRESHOLD) / j0) <= 1e-9
     # partial trajectory keeps all samples below the threshold and stays usable
     assert np.max(np.abs(exc.partial.mu_plus)) < riccati.BLOWUP_THRESHOLD
     assert exc.partial.t_final <= exc.t_star
@@ -259,20 +259,26 @@ def record_rhs_times(monkeypatch) -> list[float]:
 
 def test_every_stage_calls_mu_rhs_through_the_module(monkeypatch):
     # An RHS counter that wraps riccati.mu_rhs sees every evaluation: one at
-    # the start and six per attempted step, of which the last two (the sixth
-    # stage and the derivative at the new point) are both at t + h.
+    # the start, twelve per attempted step (eleven stages, the last at t + h,
+    # then the derivative at the new point, also at t + h) and three more per
+    # accepted step, the dense-output stages at t + h/10, t + h/5 and t + 7h/9.
     calls = record_rhs_times(monkeypatch)
-    traj = riccati.solve_mu(fields.preset("fig3").config, 30.0, 1e-9)
-    accepted = len(traj.grid) - 1
-    assert accepted > 0
+    nodes = []   # each accepted node and the calls made up to it
+    traj = riccati.solve_mu(fields.preset("fig3").config, 30.0, 1e-9,
+                            halt=lambda t, vals: nodes.append((t, len(calls))))
+    assert [t for t, _ in nodes] == traj.grid[1:].tolist()
     assert calls[0] == 0.0
-    assert (len(calls) - 1) % 6 == 0
-    attempts = [calls[k:k + 6] for k in range(1, len(calls), 6)]
-    assert len(attempts) >= accepted
-    assert all(stages[4] == stages[5] for stages in attempts)
-    # the accepted steps end at the nodes
-    ends = {stages[5] for stages in attempts}
-    assert set(traj.grid[1:].tolist()) <= ends
+    assert len(calls) == nodes[-1][1]
+    t_old, start = 0.0, 1
+    for t, end in nodes:
+        assert (end - start - 3) % 12 == 0 and end - start >= 15
+        accepted, extra = calls[end - 15:end - 3], calls[end - 3:end]
+        assert accepted[10] == accepted[11]
+        assert accepted[11] == t or t == 30.0   # a clipped last step lands on t_end
+        h = t - t_old
+        for c, time in zip(riccati._C_EXTRA, extra):
+            assert time == pytest.approx(t_old + c * h, rel=1e-14, abs=1e-14)
+        t_old, start = t, end
 
 
 @pytest.mark.parametrize("tol", [1e-6, 1e-10])
@@ -288,25 +294,28 @@ def test_every_chart_starts_with_the_same_first_step(monkeypatch, tol):
         try:
             return riccati.solve_mu(cfg, t_end, tol, t_start=t_start, halt=halt)
         finally:
-            # the start, then the first attempt's stage times t + h/5 ... t + h
-            firsts.append((t_start, min(100 * 1e-6, t_end - t_start), calls[1], calls[5]))
+            # the start, then the first attempt's second stage and its
+            # derivative at the new point
+            firsts.append((t_start, min(100 * 1e-6, t_end - t_start), calls[1], calls[12]))
 
     monkeypatch.setattr(propagator, "solve_mu", first_step)
     for name in fields.preset_names():
         ps = fields.preset(name)
         propagator.run(ps.config, ps.initial.density(), ps.t_end, ps.dt_out, tol)
     assert len(firsts) > len(fields.preset_names())
-    for t_start, h, stage2, stage6 in firsts:
-        assert stage2 == t_start + 1 / 5 * h
-        assert stage6 == t_start + h
+    for t_start, h, stage2, new_point in firsts:
+        assert stage2 == t_start + riccati._C[1] * h
+        assert new_point == t_start + h
 
 
 def test_a_drive_above_1e18_tol_still_solves_from_the_fixed_first_step():
-    # At A = 1e9 and tol 1e-10 the starting-step estimate gives 7.04e-5, not
-    # 100 * 1e-6.  Without the 2-3 coupling mu = A sin(Omega t) / Omega and
-    # the other two exponents stay zero.  Measured: 2.9 tol from the closed
-    # form on the solver's mixed scale and residuals at 0.69 of the residual
-    # bound of 100 tol on that scale (2.2 tol and 0.56 from the estimate).
+    # At A = 1e9 and tol 1e-10 the starting-step estimate of the Dormand-Prince
+    # 5(4) pair gave 7.04e-5, not 100 * 1e-6 (DOP853's gives 100 * 1e-6 up to
+    # drives of about 1e30 times its tolerance).  Without the 2-3 coupling
+    # mu = A sin(Omega t) / Omega and the other two exponents stay zero.
+    # Measured with DOP853: 0.031 tol from the closed form on the solver's
+    # mixed scale and residuals at 0.0034 of the residual bound of 100 tol on
+    # that scale (2.9 tol and 0.69 with the 5(4) pair).
     a, tol = 1e9, 1e-10
     cfg = fields.FieldConfig(A=a, Omega=1.0, B=0.0, omega=1.0)
     traj = riccati.solve_mu(cfg, 2.0, tol)
@@ -321,82 +330,125 @@ def test_a_drive_above_1e18_tol_still_solves_from_the_fixed_first_step():
     assert np.max(np.abs(res)) <= 100 * tol * (1.0 + np.max(np.abs(exact)))
 
 
-# The Dormand-Prince 5(4) tableau and the generic stage loop over it that
-# solve_mu's written-out step replaces; the reference the fused step must
-# match bit for bit.  Its stage states carry all three components.
-_C = (0.0, 1 / 5, 3 / 10, 4 / 5, 8 / 9, 1.0)
-_A = (
-    (),
-    (1 / 5,),
-    (3 / 40, 9 / 40),
-    (44 / 45, -56 / 15, 32 / 9),
-    (19372 / 6561, -25360 / 2187, 64448 / 6561, -212 / 729),
-    (9017 / 3168, -355 / 33, 46732 / 5247, 49 / 176, -5103 / 18656),
-)
-_B5 = (35 / 384, 0.0, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84)
-_B4 = (5179 / 57600, 0.0, 7571 / 16695, 393 / 640, -92097 / 339200, 187 / 2100, 1 / 40)
+# The DOP853 tableau as scipy.integrate holds it, and a generic loop over it:
+# the reference that solve_mu's written-out step must match bit for bit.  Its
+# stage states carry all three components, and every sum runs over a row's
+# nonzero weights in order.
+def _scipy_tableau():
+    from scipy.integrate import DOP853
+    return {name: getattr(DOP853, name).tolist()
+            for name in ("A", "B", "C", "E3", "E5", "D", "A_EXTRA", "C_EXTRA")}
 
 
-def _combine(y, h, coeffs, ks):
-    s0 = s1 = s2 = 0j
-    for c, (k0, k1, k2) in zip(coeffs, ks):
+def _sums(coeffs, ks):
+    (c, (s0, s1, s2)), *rest = [(c, k) for c, k in zip(coeffs, ks) if c != 0.0]
+    s0, s1, s2 = c * s0, c * s1, c * s2
+    for c, (k0, k1, k2) in rest:
         s0 += c * k0
         s1 += c * k1
         s2 += c * k2
+    return s0, s1, s2
+
+
+def _combine(y, h, coeffs, ks):
+    s0, s1, s2 = _sums(coeffs, ks)
     return (y[0] + h * s0, y[1] + h * s1, y[2] + h * s2)
 
 
+def _dense_step(d, y0, y1, h, ks) -> np.ndarray:
+    """scipy's F_1 .. F_6 of one step, shape (6, 3), on the real and imaginary
+    parts apart, D's sums over whole rows from 0.0."""
+    f = np.empty((6, 3), dtype=complex)
+    for i in range(3):
+        parts = []
+        for part in (lambda z: z.real, lambda z: z.imag):
+            k = [part(stage[i]) for stage in ks]
+            dy = part(y1[i]) - part(y0[i])
+            coeffs = [h * k[0] - dy, 2.0 * dy - h * (k[12] + k[0])]
+            for row in d:
+                acc = 0.0
+                for c, k_j in zip(row, k):
+                    acc += c * k_j
+                coeffs.append(acc * h)
+            parts.append(coeffs)
+        f[:, i] = [complex(re, im) for re, im in zip(*parts)]
+    return f
+
+
+def _reference_trajectory(ts, ys, fs, halted=False):
+    dense = np.array(fs) if fs else np.empty((0, 6, 3), dtype=complex)
+    return riccati.MuTrajectory(np.array(ts), np.array(ys), dense, halted=halted)
+
+
 def tableau_solve_mu(cfg, t_end, tol, *, t_start=0.0, halt=None):
-    t, t_end, tol = float(t_start), float(t_end), float(tol)
+    tab = _scipy_tableau()
+    t, t_end, tol = float(t_start), float(t_end), riccati._TOL_SHARE * float(tol)
     y = (0j, 0j, 0j)
     f = riccati.mu_rhs(t, y, cfg)
-    g = riccati._mu_rhs2(t, y, f, cfg)
-    ts, ys, fs, gs = [t], [y], [f], [g]
+    ts, ys, fs = [t], [y], []
     h = 100 * 1e-6
     while t < t_end:
         last = h >= t_end - t
         h = min(h, t_end - t)
         k = [f]
-        for c, row in zip(_C[1:], _A[1:]):
+        for c, row in zip(tab["C"][1:], tab["A"][1:]):
             k.append(riccati.mu_rhs(t + c * h, _combine(y, h, row, k), cfg))
-        y_new = _combine(y, h, _B5, k)
-        f_new = riccati.mu_rhs(t + h, y_new, cfg)
-        k.append(f_new)
-        y4 = _combine(y, h, _B4, k)
-        if not all(map(cmath.isfinite, y_new + y4)):
+        y_new = _combine(y, h, tab["B"], k)
+        k.append(riccati.mu_rhs(t + h, y_new, cfg))
+        if not all(map(cmath.isfinite, y_new)):
             h *= 0.25
             continue
-        # the rms of |y5 - y4| / (tol + tol * max(|y|, |y5|)), summed left to
-        # right from 0 (sum() compensates from Python 3.12 on)
-        sq = 0
-        for y5_i, y4_i, y_i in zip(y_new, y4, y):
-            sq += (abs(y5_i - y4_i) / (tol + tol * max(abs(y_i), abs(y5_i)))) ** 2
-        err = math.sqrt(sq / 3.0)
-        if err > 1.0:
-            h *= max(riccati._MIN_FACTOR, riccati._SAFETY * err ** -riccati._ORDER_EXP)
+        e5 = e3 = 0.0
+        for y_i, y_new_i, d5, d3 in zip(y, y_new, _sums(tab["E5"], k), _sums(tab["E3"], k)):
+            scale = tol + tol * max(abs(y_i), abs(y_new_i))
+            w5, w3 = abs(d5) / scale, abs(d3) / scale
+            e5 += w5 * w5
+            e3 += w3 * w3
+        err = 0.0 if e5 == 0.0 and e3 == 0.0 else h * e5 / math.sqrt((e5 + 0.01 * e3) * 3)
+        if not err <= 1.0:
+            h *= max(riccati._MIN_FACTOR, riccati._SAFETY * err ** riccati._ERROR_EXPONENT)
             continue
+        for s, (c, row) in enumerate(zip(tab["C_EXTRA"], tab["A_EXTRA"]), start=13):
+            k.append(riccati.mu_rhs(t + c * h, _combine(y, h, row[:s], k), cfg))
+        dense = _dense_step(tab["D"], y, y_new, h, k)
         t_new = t_end if last else t + h   # a clipped step lands on t_end
-        g_new = riccati._mu_rhs2(t_new, y_new, f_new, cfg)
         if abs(y_new[0]) >= riccati.BLOWUP_THRESHOLD:
-            t_star = riccati._find_crossing(t, h, y, f, g, y_new, f_new, g_new,
+            t_star = riccati._find_crossing(t, h, y[0], y_new[0], dense[:, 0].tolist(),
                                             riccati.BLOWUP_THRESHOLD)
-            raise riccati.SingularityError(t_star, riccati._trajectory(ts, ys, fs, gs))
-        t, y, f, g = t_new, y_new, f_new, g_new
+            raise riccati.SingularityError(t_star, _reference_trajectory(ts, ys, fs))
+        t, y, f = t_new, y_new, k[12]
         ts.append(t)
         ys.append(y)
-        fs.append(f)
-        gs.append(g)
-        factor = (riccati._MAX_FACTOR if err == 0.0
-                  else min(riccati._MAX_FACTOR, riccati._SAFETY * err ** -riccati._ORDER_EXP))
-        h *= max(riccati._MIN_FACTOR, factor)
+        fs.append(dense)
+        h *= (riccati._MAX_FACTOR if err == 0.0
+              else min(riccati._MAX_FACTOR, riccati._SAFETY * err ** riccati._ERROR_EXPONENT))
         if halt is not None and halt(t, y):
-            return riccati._trajectory(ts, ys, fs, gs, halted=True)
-    return riccati._trajectory(ts, ys, fs, gs)
+            return _reference_trajectory(ts, ys, fs, halted=True)
+    return _reference_trajectory(ts, ys, fs)
+
+
+def test_the_tableau_literals_are_scipys_bit_for_bit():
+    # solve_mu's coefficients are literals, so that the product path never
+    # imports scipy.integrate; they must be scipy's DOP853 to the last bit
+    from scipy.integrate import DOP853
+    a = np.zeros((12, 12))
+    for s, row in enumerate(riccati._A):
+        a[s, :s] = row
+    a_extra = np.zeros((3, 16))
+    for i, row in enumerate(riccati._A_EXTRA):
+        a_extra[i, :13 + i] = row
+    for mine, theirs in ((a, DOP853.A), (riccati._B, DOP853.B), (riccati._C, DOP853.C),
+                         (riccati._E3, DOP853.E3), (riccati._E5, DOP853.E5),
+                         (riccati._D, DOP853.D), (a_extra, DOP853.A_EXTRA),
+                         (riccati._C_EXTRA, DOP853.C_EXTRA)):
+        mine, theirs = np.array(mine, dtype=float), np.asarray(theirs, dtype=float)
+        assert mine.shape == theirs.shape
+        assert mine.tobytes() == theirs.tobytes()
 
 
 def assert_same_trajectory(a, b):
     assert a.halted == b.halted
-    for name in ("grid", "_values", "_derivs", "_derivs2"):
+    for name in ("grid", "_values", "_dense"):
         x, y = getattr(a, name), getattr(b, name)
         assert x.shape == y.shape
         assert np.array_equal(x, y)
