@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import functools
 import math
-import warnings
 from itertools import chain
 from typing import NamedTuple
 
@@ -22,17 +21,12 @@ from .fields import (FieldConfig, STARK_MINUS_VECTOR, STARK_PLUS_VECTOR,
                      STARK_ZERO_VECTOR, hydrogen_config)
 from .propagator import (MAX_SAMPLES, Trajectory, output_grid, trajectory_from_etas,
                          trajectory_from_rhos)
-from .riccati import check_tol
+from .riccati import (_A, _A_EXTRA, _B, _C, _C_EXTRA, _D, _E3, _E5, _ERROR_EXPONENT,
+                      _MAX_FACTOR, _MIN_FACTOR, _SAFETY, check_tol)
 
 _SQRT32 = math.sqrt(1.5)
 
 _I3 = np.eye(3, dtype=complex)
-
-# scipy.integrate's DOP853 step control (Hairer, Norsett & Wanner, Solving
-# ODEs I, II.4-6), which solve_ivp below mirrors step for step.
-_SAFETY, _MIN_FACTOR, _MAX_FACTOR = 0.9, 0.2, 10.0
-_ERROR_EXPONENT = -1.0 / 8.0     # the embedded error estimate is of order 7
-_MIN_RTOL = 100.0 * np.finfo(float).eps
 
 # Accepted steps that hold output times are buffered, and their dense output
 # is built for the whole block at once when it holds _DENSE_BLOCK steps or
@@ -79,7 +73,7 @@ class _LinearRHS:
 
 @functools.cache
 def _tableau():
-    """DOP853's coefficients, read from scipy on the first direct integration.
+    """DOP853's coefficients, assembled from :mod:`trilevel.riccati`'s literals.
 
     Returns ``(c, a, err, dense)``: the stage times ``c`` and the stage matrix
     ``a`` of 16 stages, where stages 0-11 are the method's, stage 12 is the
@@ -87,12 +81,10 @@ def _tableau():
     1) and stages 13-15 feed the dense output; ``err`` stacks the E5 and E3
     error rows and ``dense`` is the dense-output matrix D.
     """
-    from scipy.integrate import DOP853
-    s = len(DOP853.B)
-    a = np.zeros((s + 4, s + 4))
-    a[:s, :s], a[s, :s], a[s + 1:] = DOP853.A, DOP853.B, DOP853.A_EXTRA
-    c = np.concatenate((DOP853.C, [1.0], DOP853.C_EXTRA))
-    return c, a, np.stack((DOP853.E5, DOP853.E3)), DOP853.D
+    a = np.zeros((16, 16))
+    for s, row in enumerate((*_A, _B, *_A_EXTRA)):
+        a[s, :len(row)] = row
+    return np.array((*_C, 1.0, *_C_EXTRA)), a, np.array((_E5, _E3)), np.array(_D)
 
 
 def _rms(x: np.ndarray) -> float:
@@ -125,16 +117,10 @@ def solve_ivp(fun: _LinearRHS, t_span, y0, t_eval, rtol, atol, max_step) -> _Sol
     dense output is built only for steps that hold times of ``t_eval``
     (ascending, within ``t_span``, which runs forward): such steps are buffered
     and their extra stages and interpolants evaluated a block at a time, with
-    the same floating-point operations per step.  The tableau is read from
-    scipy.integrate on the first call: the product path never integrates
-    directly, and the import would take most of the time of ``import trilevel``.
+    the same floating-point operations per step.
     """
     c, a, err, dense = _tableau()
     t, t_bound = float(t_span[0]), float(t_span[1])
-    if rtol < _MIN_RTOL:
-        warnings.warn(f"At least one element of `rtol` is too small. "
-                      f"Setting `rtol = np.maximum(rtol, {_MIN_RTOL})`.", stacklevel=2)
-        rtol = _MIN_RTOL
     y = np.asarray(y0, dtype=complex)
     f = fun(t, y)
     h_abs = _initial_step(fun, t, y, f, t_bound, max_step, rtol, atol)
@@ -204,8 +190,8 @@ def solve_ivp(fun: _LinearRHS, t_span, y0, t_eval, rtol, atol, max_step) -> _Sol
             if h_abs < min_step:
                 if steps:
                     flush()
-                from scipy.integrate import OdeSolver
-                return _Solution(out[:done].T, nfev, False, OdeSolver.TOO_SMALL_STEP)
+                return _Solution(out[:done].T, nfev, False,
+                                 "Required step size is less than spacing between numbers.")
             t_new = min(t + h_abs, t_bound)
             h = t_new - t
             h_abs = abs(h)
@@ -298,7 +284,7 @@ def _integrate(rhs, y0: np.ndarray, cfg: FieldConfig, grid: np.ndarray,
     """The solution of ``y' = rhs(t, y)`` at the times of ``grid``, one row per time.
 
     A window that needs more than MAX_SAMPLES steps of the capped size is a
-    ValueError, raised before scipy is imported: it would run for hours.
+    ValueError: it would run for hours.
     """
     check_tol(tol)
     t_end, max_step = float(grid[-1]), _max_step(cfg)

@@ -58,7 +58,7 @@ MIN_TOL = 1e-13
 # 8.1 and 19.4; figures steps 1,389 and 1,778 (5,988).
 _TOL_SHARE = 0.1
 
-# scipy.integrate's DOP853 step control, as in trilevel.oracle.
+# scipy.integrate's DOP853 step control, used by solve_mu and oracle.solve_ivp.
 _SAFETY = 0.9
 _MIN_FACTOR = 0.2
 _MAX_FACTOR = 10.0
@@ -67,12 +67,13 @@ _ERROR_EXPONENT = -1.0 / 8.0   # the embedded error estimate is of order 7
 # Accepted steps whose dense output is built in one numpy block.
 _DENSE_BLOCK = 256
 
-# The DOP853 coefficients of scipy.integrate.DOP853, to which a test pins them
-# bit for bit: stage times _C and stage weights _A (row s weighs stages 0 .. s - 1)
-# of the 12 stages; solution weights _B; error rows _E3 and _E5, over the 12
-# stages and the derivative at the new point (stage 12); stage times _C_EXTRA
-# and weights _A_EXTRA of the three dense-output stages 13 .. 15; and _D, which
-# forms the interpolant's four highest coefficients from stages 0 .. 15.
+# The DOP853 coefficients of both solvers, solve_mu and trilevel.oracle.solve_ivp,
+# pinned bit for bit to scipy.integrate.DOP853 by a test: stage times _C and
+# stage weights _A (row s weighs stages 0 .. s - 1) of the 12 stages; solution
+# weights _B; error rows _E3 and _E5, over the 12 stages and the derivative at
+# the new point (stage 12); stage times _C_EXTRA and weights _A_EXTRA of the
+# three dense-output stages 13 .. 15; and _D, which forms the interpolant's four
+# highest coefficients from stages 0 .. 15.
 _C = (0.0, 0.05260015195876773, 0.0789002279381516, 0.1183503419072274, 0.2816496580927726,
       0.3333333333333333, 0.25, 0.3076923076923077, 0.6512820512820513, 0.6,
       0.8571428571428571, 1.0)

@@ -365,10 +365,9 @@ def test_floquet_error_grows_linearly_with_the_periods():
     # U(T) is not re-unitarized, so its error compounds over the periods:
     # U(T)^n = cos(n theta) I + sin(n theta)/sin(theta) (U(T) - cos(theta) I)
     # carries the error of theta n times.  Against the hydrogen closed form
-    # (Gamma = 0) at tol 1e-10 the error was 2.43e-8 at 10^2 periods, 2.43e-6
-    # at 10^4 and 2.43e-4 at 10^6; at tol 1e-8 it was 1.87e-6 at 10^2 periods
-    # and 1.04 at 10^8, as when U(T)^n was stepped with matrix_power.  Linear
-    # growth is 100x from 10^2 to 10^4 periods.
+    # (Gamma = 0) at tol 1e-10 the error was 4.80e-10 at 10^2 periods, 4.80e-8
+    # at 10^4 and 4.80e-6 at 10^6; at tol 1e-8 it was 6.08e-8 at 10^2 periods
+    # and 6.03e-2 at 10^8.  Linear growth is 100x from 10^2 to 10^4 periods.
     ps = fields.preset("hydrogen")
     cfg, rho0 = ps.config, ps.initial.density()
     assert cfg.Gamma == 0.0 and propagator._drive_period(cfg) == 2.0 * math.pi

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import Phase, given, settings
 from hypothesis import strategies as st
 
-from trilevel import algebra, fields, propagator, riccati
+from trilevel import algebra, fields, oracle, propagator, riccati
 
 
 def constant_coupling_config(j0: float) -> fields.FieldConfig:
@@ -428,8 +428,9 @@ def tableau_solve_mu(cfg, t_end, tol, *, t_start=0.0, halt=None):
 
 
 def test_the_tableau_literals_are_scipys_bit_for_bit():
-    # solve_mu's coefficients are literals, so that the product path never
-    # imports scipy.integrate; they must be scipy's DOP853 to the last bit
+    # the coefficients of both DOP853 solvers, solve_mu and the direct oracles'
+    # solve_ivp, are riccati's literals, so that scipy is not a runtime
+    # dependency; they must be scipy's DOP853 to the last bit
     from scipy.integrate import DOP853
     a = np.zeros((12, 12))
     for s, row in enumerate(riccati._A):
@@ -443,6 +444,18 @@ def test_the_tableau_literals_are_scipys_bit_for_bit():
                          (riccati._C_EXTRA, DOP853.C_EXTRA)):
         mine, theirs = np.array(mine, dtype=float), np.asarray(theirs, dtype=float)
         assert mine.shape == theirs.shape
+        assert mine.tobytes() == theirs.tobytes()
+    # the oracle's (c, a, err, dense), assembled from scipy's arrays: the 12
+    # stages, the derivative at the new point, then the dense-output stages
+    s = len(DOP853.B)
+    a = np.zeros((s + 4, s + 4))
+    a[:s, :s], a[s, :s], a[s + 1:] = DOP853.A, DOP853.B, DOP853.A_EXTRA
+    c = np.concatenate((DOP853.C, [1.0], DOP853.C_EXTRA))
+    for mine, theirs in zip(oracle._tableau(), (c, a, np.stack((DOP853.E5, DOP853.E3)),
+                                                DOP853.D)):
+        assert mine.shape == theirs.shape
+        assert mine.dtype == theirs.dtype
+        assert mine.flags.c_contiguous and theirs.flags.c_contiguous
         assert mine.tobytes() == theirs.tobytes()
 
 
