@@ -1,5 +1,7 @@
+import ast
 import math
 import os
+import re
 import subprocess
 import sys
 import textwrap
@@ -591,3 +593,29 @@ def test_every_solver_runs_without_scipy(tmp_path):
     proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
                           text=True)
     assert proc.returncode == 0, proc.stderr
+
+
+def test_no_module_of_the_package_imports_scipy():
+    # the test above runs the solvers' usual paths; this reads every module, so a
+    # lazy import on a branch those runs miss is caught too, and the runtime
+    # dependencies stay numpy alone
+    imported = []
+    for path in sorted(Path(trilevel.__file__).parent.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom):
+                names = [node.module or ""]
+            elif isinstance(node, ast.Call) and getattr(node.func, "attr", None) == "import_module":
+                names = [arg.value for arg in node.args if isinstance(arg, ast.Constant)]
+            else:
+                continue
+            imported += [f"{path.name}:{node.lineno} {name}" for name in names
+                         if name.split(".")[0] == "scipy"]
+    assert not imported, imported
+    # pyproject.toml read as text: tomllib is not in Python 3.10
+    text = (Path(__file__).resolve().parents[1] / "pyproject.toml").read_text()
+    runtime = re.search(r"^dependencies = \[(.*?)\]", text, re.M | re.S).group(1)
+    assert re.findall(r'"([A-Za-z0-9_.-]+)', runtime) == ["numpy"]
+    test = re.search(r"^test = \[(.*?)\]", text, re.M | re.S).group(1)
+    assert "scipy" in re.findall(r'"([A-Za-z0-9_.-]+)', test)
