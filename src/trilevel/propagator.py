@@ -192,9 +192,11 @@ def _drive_period(cfg: FieldConfig) -> float | None:
     return 2.0 * math.pi * frac.denominator / rate_b
 
 
-def _solve_charts(cfg: FieldConfig, span: float, tol: float):
+def _solve_charts(cfg: FieldConfig, span: float, tol: float, samples=None):
     """Charts over [0, span] as (chart, cover, W) rows, W the 2x2 propagator
-    composed up to the chart's start; and U(span), also 2x2.
+    composed up to the chart's start; and U(span), also 2x2.  ``samples``, the
+    sorted times in [0, span] the caller will evaluate, is each chart's
+    ``t_eval``; by default every step gets dense output.
 
     A chart halts at its first node past CHART_LIMIT, or ends at a blow-up;
     the next chart starts from zero at its cover, the last node inside the limit.
@@ -219,7 +221,7 @@ def _solve_charts(cfg: FieldConfig, span: float, tol: float):
     start = 0.0
     while start < span:
         try:
-            chart = solve_mu(cfg, span, tol, t_start=start, halt=halt)
+            chart = solve_mu(cfg, span, tol, t_start=start, halt=halt, t_eval=samples)
             # A halted chart's last node is its first past the limit, so the
             # one before it is the last inside; node 1 (the first step) is the
             # fallback, so that a restart always advances.  Any other ends on span.
@@ -261,15 +263,17 @@ def run(cfg: FieldConfig, rho0: np.ndarray, t_end: float, dt_out: float, tol: fl
     mixed = float(np.trace(rho0).real) / 3.0 * np.eye(3)
     period = _drive_period(cfg)
     span = period if period is not None and t_end > period else t_end
-    charts, u = _solve_charts(cfg, span, tol)
+    # period index and in-span time of each sample; the index is 0 on one span
+    periods = np.floor(grid / span) if span < t_end else np.zeros_like(grid)
+    in_span = np.clip(grid - periods * span, 0.0, span)
+    # the charts build dense output only on the steps that hold a sample
+    charts, u = _solve_charts(cfg, span, tol, np.unique(in_span).tolist())
 
     covers = np.array([cover for _, cover, _ in charts])
     rhos = np.empty((len(grid), 3, 3), dtype=complex)
     for lo in range(0, len(grid), SAMPLE_BLOCK):
         t = grid[lo:lo + SAMPLE_BLOCK]
-        # period index n and in-span time s of each sample; n is 0 on one span
-        n = np.floor(t / span) if span < t_end else np.zeros_like(t)
-        s = np.clip(t - n * span, 0.0, span)
+        n, s = periods[lo:lo + SAMPLE_BLOCK], in_span[lo:lo + SAMPLE_BLOCK]
         u_n = _power(u, n)
         decay = np.exp(-cfg.Gamma * t)[:, None, None]
         # chart c serves (cover of chart c - 1, cover of chart c], chart 0 also s = 0

@@ -35,6 +35,7 @@ tolerance, and for such a drive the step controller shrinks it.
 from __future__ import annotations
 
 import math
+from bisect import bisect_left
 from cmath import isfinite
 
 import numpy as np
@@ -190,18 +191,19 @@ def _interpolant(x, y0, y1, f):
     return (1 - x) * y0 + x * y1 + x * (1 - x) * r
 
 
-def _dense(y: np.ndarray, h: np.ndarray, k: np.ndarray) -> np.ndarray:
-    """Coefficients F_1 .. F_6, shape (m, 6, 3), of the dense output of m
-    consecutive steps with nodes ``y`` (m + 1, 3), step sizes ``h`` (m,) and
-    stages ``k`` (m, 12, 3), the stages of _DENSE_STAGES.
+def _dense(steps: np.ndarray, h: np.ndarray) -> np.ndarray:
+    """Coefficients F_1 .. F_6, shape (m, 6, 3), of the dense output of m steps
+    with step sizes ``h`` (m,) and ``steps`` (m, 14, 3): each step's start and
+    end nodes, then its stages of _DENSE_STAGES.
 
     They are scipy's: F_1 = h K_0 - dy, F_2 = 2 dy - h (K_12 + K_0) and
     F_3 .. F_6 = h (D @ K), dy the step's change.  The real and imaginary parts
     are formed apart, one elementwise operation at a time and D's sums in
     column order from 0, so a step's bits do not depend on its block.
     """
-    yf, kf, hh = y.view(float), k.view(float), h[:, None]
-    dy = yf[1:] - yf[:-1]
+    sf, hh = steps.view(float), h[:, None]
+    kf = sf[:, 2:]
+    dy = sf[:, 1] - sf[:, 0]
     f = np.empty((len(h), 6, 6))
     f[:, 0] = hh * kf[:, 0] - dy
     f[:, 1] = 2.0 * dy - hh * (kf[:, 8] + kf[:, 0])
@@ -218,16 +220,19 @@ class MuTrajectory:
 
     ``grid``, ``mu_plus``, ``mu_minus`` and ``mu`` expose the accepted
     integrator samples; ``evaluate`` interpolates between them with DOP853's
-    dense output of order 7.  ``halted`` is True when integration was stopped
-    early by a caller-supplied predicate rather than reaching the requested
-    end time.
+    dense output of order 7.  ``dense_steps``, if given, flags the steps that
+    have dense output (the others hold zero coefficients); by default every
+    step has.  ``halted`` is True when integration was stopped early by a
+    caller-supplied predicate rather than reaching the requested end time.
     """
 
     def __init__(self, grid: np.ndarray, values: np.ndarray, dense: np.ndarray,
-                 halted: bool = False):
+                 halted: bool = False, dense_steps: np.ndarray | None = None):
         self.grid = np.asarray(grid, dtype=float)
         self._values = values.T                  # (3, n): mu_plus, mu_minus, mu at the nodes
         self._dense = dense.transpose(1, 2, 0)   # (6, 3, n - 1): F_1 .. F_6 of each step
+        # the steps without dense output, or None when there are none
+        self._bare = None if dense_steps is None or dense_steps.all() else ~dense_steps
         self.halted = halted
         for arr in (self.grid, self._values, self._dense):
             arr.setflags(write=False)
@@ -265,13 +270,19 @@ class MuTrajectory:
 
     def evaluate(self, t) -> np.ndarray:
         """Interpolated (mu_plus, mu_minus, mu) at time ``t``, shape (3,) + shape(t);
-        a time on a node returns its values."""
+        a time on a node returns its values.  A time inside a step without dense
+        output is a ValueError."""
         if len(self.grid) == 1:
             t = np.asarray(t, dtype=float)
             if np.any(t != self.t_start):
                 raise ValueError(f"time {t!r} outside solved range")
             return self._values[:, np.zeros(t.shape, dtype=int)]
         i, _, x = self._interval(t)
+        if self._bare is not None:
+            inner = self._bare[i] & (0.0 < x) & (x < 1.0)
+            if np.any(inner):
+                raise ValueError(f"time {float(np.asarray(t)[inner].flat[0])!r} inside a "
+                                 f"step solved without dense output")
         return _interpolant(x, self._values[:, i], self._values[:, i + 1],
                             [f[:, i] for f in self._dense])
 
@@ -288,15 +299,21 @@ def _find_crossing(t0: float, h: float, y0: complex, y1: complex, f, threshold: 
     return t0 + hi * h
 
 
-def solve_mu(cfg: FieldConfig, t_end: float, tol: float, *,
-             t_start: float = 0.0, halt=None) -> MuTrajectory:
+def solve_mu(cfg: FieldConfig, t_end: float, tol: float, *, t_start: float = 0.0,
+             halt=None, t_eval=None, first_step: float = 100 * 1e-6) -> MuTrajectory:
     """Integrate the exponent-function system over [t_start, t_end].
 
     The pair runs at a tenth of ``tol`` as both its absolute and its relative
     local error tolerance; ``tol`` below MIN_TOL is a ValueError.  ``halt``, if
     given, is called as ``halt(t, (mu_plus, mu_minus, mu))`` at every accepted
     sample; returning True stops the integration there and the result is
-    marked ``halted``.
+    marked ``halted``.  The first attempted step is ``first_step``, clipped to
+    the window.
+
+    ``t_eval``, if given, is a sorted sequence of the times the caller will
+    evaluate: only an accepted step whose closed interval holds one of them
+    gets dense output, and the result evaluates the others only at their
+    nodes.  By default every step gets dense output.
 
     Raises :class:`SingularityError` when |mu_plus| crosses
     :data:`BLOWUP_THRESHOLD`; the exception carries the crossing time and the
@@ -305,6 +322,8 @@ def solve_mu(cfg: FieldConfig, t_end: float, tol: float, *,
     for key, value in (("t_start", t_start), ("t_end", t_end)):
         if not math.isfinite(value):
             raise ValueError(f"{key} must be finite, got {value!r}")
+    if not (math.isfinite(first_step) and first_step > 0):
+        raise ValueError(f"first_step must be finite and > 0, got {first_step!r}")
     if t_end <= t_start:
         raise ValueError("t_end must exceed t_start")
     check_tol(tol)
@@ -330,22 +349,30 @@ def solve_mu(cfg: FieldConfig, t_end: float, tol: float, *,
     yp = ym = yu = 0j
     fp, fm, fu = mu_rhs(t, (yp, ym, yu), cfg)
     ts, ys = [t], [(yp, ym, yu)]
-    # the dense output so far in blocks, and the steps since: their sizes and stages
-    blocks, hs, stages = [], [], []
+    # the dense output so far in blocks, the steps that have it, and the steps
+    # since the last block: their sizes, and their nodes and stages
+    blocks, dense_steps, hs, stages = [], [], [], []
+    # the first time of t_eval not before t; -inf when every step gets dense output
+    k = 0 if t_eval is None else bisect_left(t_eval, t)
+    pending = -math.inf if t_eval is None else t_eval[k] if k < len(t_eval) else math.inf
 
     def flush():
         if stages:
-            nodes = np.array(ys[len(ys) - len(stages) - 1:])
-            blocks.append(_dense(nodes, np.array(hs), np.array(stages).reshape(-1, 12, 3)))
+            blocks.append(_dense(np.array(stages).reshape(-1, 14, 3), np.array(hs)))
             hs.clear()
             stages.clear()
 
     def trajectory(halted=False):
         flush()
-        dense = np.concatenate(blocks) if blocks else np.empty((0, 6, 3), dtype=complex)
-        return MuTrajectory(np.array(ts), np.array(ys), dense, halted=halted)
+        dense = np.zeros((len(ts) - 1, 6, 3), dtype=complex)
+        has_dense = np.zeros(len(ts) - 1, dtype=bool)
+        if blocks:
+            dense[dense_steps] = np.concatenate(blocks)
+            has_dense[dense_steps] = True
+        return MuTrajectory(np.array(ts), np.array(ys), dense, halted=halted,
+                            dense_steps=has_dense)
 
-    h = 100 * 1e-6    # 9.999999999999999e-05, as the estimate computes it
+    h = float(first_step)
     while t < t_end:
         # the floor holds the controller's step; a clipped step ends on t_end
         if h < 1e-14 * max(1.0, abs(t)):
@@ -437,45 +464,52 @@ def solve_mu(cfg: FieldConfig, t_end: float, tol: float, *,
             h *= max(_MIN_FACTOR, _SAFETY * err ** _ERROR_EXPONENT)
             continue
 
-        # the three dense-output stages
-        p13, m13, u13 = mu_rhs(t + c13 * h,
-                               (yp + h * (a13_0 * fp + a13_6 * p6 + a13_7 * p7
-                                          + a13_8 * p8 + a13_9 * p9 + a13_10 * p10
-                                          + a13_11 * p11 + a13_12 * p12),
-                                ym + h * (a13_0 * fm + a13_6 * m6 + a13_7 * m7
-                                          + a13_8 * m8 + a13_9 * m9 + a13_10 * m10
-                                          + a13_11 * m11 + a13_12 * m12), 0j), cfg)
-        p14, m14, u14 = mu_rhs(t + c14 * h,
-                               (yp + h * (a14_0 * fp + a14_5 * p5 + a14_6 * p6
-                                          + a14_7 * p7 + a14_10 * p10 + a14_11 * p11
-                                          + a14_12 * p12 + a14_13 * p13),
-                                ym + h * (a14_0 * fm + a14_5 * m5 + a14_6 * m6
-                                          + a14_7 * m7 + a14_10 * m10 + a14_11 * m11
-                                          + a14_12 * m12 + a14_13 * m13), 0j), cfg)
-        p15, m15, u15 = mu_rhs(t + c15 * h,
-                               (yp + h * (a15_0 * fp + a15_5 * p5 + a15_6 * p6
-                                          + a15_7 * p7 + a15_8 * p8 + a15_12 * p12
-                                          + a15_13 * p13 + a15_14 * p14),
-                                ym + h * (a15_0 * fm + a15_5 * m5 + a15_6 * m6
-                                          + a15_7 * m7 + a15_8 * m8 + a15_12 * m12
-                                          + a15_13 * m13 + a15_14 * m14), 0j), cfg)
-        step = (fp, fm, fu, p5, m5, u5, p6, m6, u6, p7, m7, u7, p8, m8, u8, p9, m9, u9,
-                p10, m10, u10, p11, m11, u11, p12, m12, u12, p13, m13, u13,
-                p14, m14, u14, p15, m15, u15)   # the stages of _DENSE_STAGES
         t_new = t_end if last else t + h
-        if abs(yp_new) >= BLOWUP_THRESHOLD:
-            f = _dense(np.array([(yp, ym, yu), (yp_new, ym_new, yu_new)]), np.array([h]),
-                       np.array(step).reshape(1, 12, 3))
-            t_star = _find_crossing(t, h, yp, yp_new, f[0, :, 0].tolist(), BLOWUP_THRESHOLD)
-            raise SingularityError(t_star, trajectory())
+        # The three dense-output stages, for a step that holds a time of t_eval
+        # and for a blown step, whose crossing is found on its interpolant.
+        if pending <= t_new or abs(yp_new) >= BLOWUP_THRESHOLD:
+            p13, m13, u13 = mu_rhs(t + c13 * h,
+                                   (yp + h * (a13_0 * fp + a13_6 * p6 + a13_7 * p7
+                                              + a13_8 * p8 + a13_9 * p9 + a13_10 * p10
+                                              + a13_11 * p11 + a13_12 * p12),
+                                    ym + h * (a13_0 * fm + a13_6 * m6 + a13_7 * m7
+                                              + a13_8 * m8 + a13_9 * m9 + a13_10 * m10
+                                              + a13_11 * m11 + a13_12 * m12), 0j), cfg)
+            p14, m14, u14 = mu_rhs(t + c14 * h,
+                                   (yp + h * (a14_0 * fp + a14_5 * p5 + a14_6 * p6
+                                              + a14_7 * p7 + a14_10 * p10 + a14_11 * p11
+                                              + a14_12 * p12 + a14_13 * p13),
+                                    ym + h * (a14_0 * fm + a14_5 * m5 + a14_6 * m6
+                                              + a14_7 * m7 + a14_10 * m10 + a14_11 * m11
+                                              + a14_12 * m12 + a14_13 * m13), 0j), cfg)
+            p15, m15, u15 = mu_rhs(t + c15 * h,
+                                   (yp + h * (a15_0 * fp + a15_5 * p5 + a15_6 * p6
+                                              + a15_7 * p7 + a15_8 * p8 + a15_12 * p12
+                                              + a15_13 * p13 + a15_14 * p14),
+                                    ym + h * (a15_0 * fm + a15_5 * m5 + a15_6 * m6
+                                              + a15_7 * m7 + a15_8 * m8 + a15_12 * m12
+                                              + a15_13 * m13 + a15_14 * m14), 0j), cfg)
+            # the step's nodes, then its stages of _DENSE_STAGES
+            step = (yp, ym, yu, yp_new, ym_new, yu_new, fp, fm, fu, p5, m5, u5, p6, m6, u6,
+                    p7, m7, u7, p8, m8, u8, p9, m9, u9, p10, m10, u10, p11, m11, u11,
+                    p12, m12, u12, p13, m13, u13, p14, m14, u14, p15, m15, u15)
+            if abs(yp_new) >= BLOWUP_THRESHOLD:
+                f = _dense(np.array(step).reshape(1, 14, 3), np.array([h]))
+                t_star = _find_crossing(t, h, yp, yp_new, f[0, :, 0].tolist(), BLOWUP_THRESHOLD)
+                raise SingularityError(t_star, trajectory())
+            dense_steps.append(len(ts) - 1)
+            hs.append(h)
+            stages.append(step)
+            if len(stages) == _DENSE_BLOCK:
+                flush()
+            if t_eval is not None:
+                # times before the new node are served; one on it is pending still
+                k = bisect_left(t_eval, t_new, k)
+                pending = t_eval[k] if k < len(t_eval) else math.inf
 
         t, yp, ym, yu, fp, fm, fu = t_new, yp_new, ym_new, yu_new, p12, m12, u12
         ts.append(t)
         ys.append((yp, ym, yu))
-        hs.append(h)
-        stages.append(step)
-        if len(stages) == _DENSE_BLOCK:
-            flush()
         h *= _MAX_FACTOR if err == 0.0 else min(_MAX_FACTOR, _SAFETY * err ** _ERROR_EXPONENT)
 
         if halt is not None and halt(t, (yp, ym, yu)):

@@ -436,8 +436,8 @@ def test_each_chart_serves_from_the_previous_cover_to_its_own(monkeypatch):
     served = []
     solve_charts, evaluate = propagator._solve_charts, riccati.MuTrajectory.evaluate
 
-    def recording_solve_charts(*args):
-        charts = solve_charts(*args)
+    def recording_solve_charts(*args, **kwargs):
+        charts = solve_charts(*args, **kwargs)
         served.clear()   # each chart's evaluation at its cover, to compose the next
         return charts
 
@@ -457,6 +457,33 @@ def test_each_chart_serves_from_the_previous_cover_to_its_own(monkeypatch):
     passed = np.concatenate([times for _, times in served])
     assert np.sort(passed).tolist() == np.sort(s).tolist()
     assert (covers[2], [dt_out]) in [(t_start, times.tolist()) for t_start, times in served]
+
+
+# perfbench's long-horizon drives: (A, Omega, B, delta, Gamma, sign, initial), omega = 1
+_LONG_HORIZON = (
+    (1.4877323134873426, 0.0, 2.3372200363257147, 2.081432639166289, 0.06666666666666667,
+     -1.0, "stark_minus"),
+    (1.9514951915147918, 0.1, 1.3603230444577044, -1.8793087413016973, 0.13333333333333333,
+     1.0, "level3"),
+    (0.638036470882096, 1.0, 0.5290454323518285, -1.4940265533317814, 0.0, -1.0, "level3"),
+    (2.4510326737998422, 0.0, 2.1842962575081546, 1.1875050263036782, 0.20000000000000004,
+     -1.0, "level2"),
+)
+
+
+@pytest.mark.parametrize("drive", _LONG_HORIZON)
+def test_sparse_rows_equal_the_same_rows_of_a_dense_run(drive):
+    # The charts build dense output only on the steps that hold a sample, so
+    # three samples to t = 500 leave most steps without it; their rows are
+    # still those of a run sampled every 2.5, bit for bit.
+    a, big_omega, b, delta, gamma, sign, initial = drive
+    cfg = fields.FieldConfig(A=a, Omega=big_omega, B=b, omega=1.0, delta=delta, Gamma=gamma,
+                             sign_convention=sign)
+    rho0 = fields.InitialState(initial).density()
+    sparse = propagator.run(cfg, rho0, 500.0, 250.0, 1e-10)
+    dense = propagator.run(cfg, rho0, 500.0, 2.5, 1e-10)
+    assert sparse.grid.tolist() == [0.0, 250.0, 500.0]
+    assert sparse.table.tobytes() == dense.table[[0, 100, 200]].tobytes()
 
 
 @functools.lru_cache(maxsize=None)

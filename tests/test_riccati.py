@@ -281,6 +281,69 @@ def test_every_stage_calls_mu_rhs_through_the_module(monkeypatch):
         t_old, start = t, end
 
 
+def sparse_and_full_solves(monkeypatch, t_eval):
+    """fig3's exponents over [0, 30] at tol 1e-9, solved without ``t_eval`` and
+    with it; and the sparse solve's mu_rhs call times, with each of its
+    accepted nodes and the number of calls made up to it."""
+    cfg = fields.preset("fig3").config
+    full = riccati.solve_mu(cfg, 30.0, 1e-9)
+    calls, nodes = record_rhs_times(monkeypatch), []
+    sparse = riccati.solve_mu(cfg, 30.0, 1e-9, t_eval=t_eval,
+                              halt=lambda t, vals: nodes.append((t, len(calls))))
+    return full, sparse, calls, nodes
+
+
+def steps_holding(grid, times) -> list[int]:
+    """The steps of ``grid`` whose closed interval holds one of ``times``."""
+    return [i for i in range(len(grid) - 1)
+            if any(grid[i] <= t <= grid[i + 1] for t in times)]
+
+
+_SPARSE_TIMES = [0.0, 0.5, 7.25, 7.3, 19.0, 30.0]
+
+
+def test_a_sparse_solve_evaluates_its_times_and_nodes_as_the_full_solve(monkeypatch):
+    full, sparse, _, _ = sparse_and_full_solves(monkeypatch, _SPARSE_TIMES)
+    assert np.array_equal(sparse.grid, full.grid)
+    for times in (_SPARSE_TIMES, full.grid):
+        a, b = sparse.evaluate(times), full.evaluate(times)
+        assert a.tobytes() == b.tobytes()   # signed zeros too
+    # the steps that hold a time of t_eval have the full solve's coefficients
+    held = steps_holding(full.grid, _SPARSE_TIMES)
+    assert 0 < len(held) < len(full.grid) // 4
+    assert sparse._dense[..., held].tobytes() == full._dense[..., held].tobytes()
+
+
+def test_a_time_inside_a_step_without_dense_output_is_a_value_error(monkeypatch):
+    full, sparse, _, _ = sparse_and_full_solves(monkeypatch, _SPARSE_TIMES)
+    held = steps_holding(full.grid, _SPARSE_TIMES)
+    bare = next(i for i in range(len(full.grid) - 1) if i not in held)
+    inside = 0.5 * (full.grid[bare] + full.grid[bare + 1])
+    with pytest.raises(ValueError, match="without dense output"):
+        sparse.evaluate(inside)
+    with pytest.raises(ValueError, match=repr(float(inside))):
+        sparse.evaluate(np.array([0.5, inside, 7.3]))
+    full.evaluate(inside)   # the full solve has dense output on every step
+
+
+def test_a_sparse_solve_calls_mu_rhs_three_more_times_only_on_steps_with_a_time(monkeypatch):
+    # 1 call at the start, 12 per attempted step and 3 per accepted step whose
+    # closed interval holds a time of t_eval: fig3's t = 7.25 and 7.3 share a step
+    full, sparse, calls, nodes = sparse_and_full_solves(monkeypatch, _SPARSE_TIMES)
+    assert calls[0] == 0.0
+    assert len(calls) == nodes[-1][1]
+    t_old, start, held = 0.0, 1, 0
+    for t, end in nodes:
+        holds = any(t_old <= s <= t for s in _SPARSE_TIMES)
+        assert (end - start) % 12 == (3 if holds else 0) and end - start >= 12
+        held += holds
+        t_old, start = t, end
+    attempts = (len(calls) - 1 - 3 * held) // 12
+    assert len(calls) == 1 + 12 * attempts + 3 * held
+    assert held == len(_SPARSE_TIMES) - 1
+    assert attempts >= len(nodes)
+
+
 @pytest.mark.parametrize("tol", [1e-6, 1e-10])
 def test_every_chart_starts_with_the_same_first_step(monkeypatch, tol):
     # The exponents start from zero on every chart, so the starting-step
@@ -289,10 +352,10 @@ def test_every_chart_starts_with_the_same_first_step(monkeypatch, tol):
     calls = record_rhs_times(monkeypatch)
     firsts = []
 
-    def first_step(cfg, t_end, tol, *, t_start=0.0, halt=None):
+    def first_step(cfg, t_end, tol, *, t_start=0.0, halt=None, t_eval=None):
         calls.clear()
         try:
-            return riccati.solve_mu(cfg, t_end, tol, t_start=t_start, halt=halt)
+            return riccati.solve_mu(cfg, t_end, tol, t_start=t_start, halt=halt, t_eval=t_eval)
         finally:
             # the start, then the first attempt's second stage and its
             # derivative at the new point
