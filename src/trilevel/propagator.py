@@ -31,7 +31,7 @@ import numpy as np
 
 from . import algebra, observables
 from .fields import FieldConfig
-from .riccati import SingularityError, solve_mu
+from .riccati import FIRST_STEP, SingularityError, solve_mu
 
 #: Chart restart threshold on max(|mu_plus|, |mu_minus|, |Im mu|).  Keeping
 #: the exponent magnitudes of order one keeps every factor of the product well
@@ -199,7 +199,8 @@ def _solve_charts(cfg: FieldConfig, span: float, tol: float, samples=None):
     ``t_eval``; by default every step gets dense output.
 
     A chart halts at its first node past CHART_LIMIT, or ends at a blow-up;
-    the next chart starts from zero at its cover, the last node inside the limit.
+    the next chart starts from zero at its cover, the last node inside the limit,
+    with the last step its predecessor accepted as its first step.
     Chart c serves (cover of chart c - 1, cover of chart c], chart 0 also t = 0.
     A solve whose charts take more than MAX_SAMPLES accepted steps in all is a
     ValueError, raised at the step past the cap: a drive with no common period
@@ -218,10 +219,11 @@ def _solve_charts(cfg: FieldConfig, span: float, tol: float, samples=None):
         return max(abs(mu_plus), abs(mu_minus), abs(mu.imag)) > CHART_LIMIT
 
     solved = []
-    start = 0.0
+    start, first_step = 0.0, FIRST_STEP
     while start < span:
         try:
-            chart = solve_mu(cfg, span, tol, t_start=start, halt=halt, t_eval=samples)
+            chart = solve_mu(cfg, span, tol, t_start=start, halt=halt, t_eval=samples,
+                             first_step=first_step)
             # A halted chart's last node is its first past the limit, so the
             # one before it is the last inside; node 1 (the first step) is the
             # fallback, so that a restart always advances.  Any other ends on span.
@@ -236,6 +238,8 @@ def _solve_charts(cfg: FieldConfig, span: float, tol: float, samples=None):
                 f"restart at t = {start:.9g} advanced less than {MIN_SEGMENT}")
         solved.append((chart, cover))
         start = cover
+        # the chart's last step, which a halted chart took from the next one's start
+        first_step = float(chart.grid[-1] - chart.grid[-2])
 
     # composed after the solves: past some numpy kernels, this complex 2x2 `@`
     # among them, Python float arithmetic ran up to 4x slower (numpy 2.4 on a Xeon)

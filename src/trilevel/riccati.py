@@ -45,6 +45,10 @@ from .fields import FieldConfig, epsilon, j_coupling
 #: |mu_plus| beyond this is treated as a factorization singularity.
 BLOWUP_THRESHOLD = 1e6
 
+#: solve_mu's default first step: from zero exponents, the starting-step
+#: estimate returns it for every drive below about 1e30 times the tolerance.
+FIRST_STEP = 100 * 1e-6   # 9.999999999999999e-05, as the estimate computes it
+
 #: Smallest accepted ``tol``: below it the error norms overflow, the direct
 #: oracles' starting step divides by zero, or a solve runs for hours.
 MIN_TOL = 1e-13
@@ -300,7 +304,7 @@ def _find_crossing(t0: float, h: float, y0: complex, y1: complex, f, threshold: 
 
 
 def solve_mu(cfg: FieldConfig, t_end: float, tol: float, *, t_start: float = 0.0,
-             halt=None, t_eval=None, first_step: float = 100 * 1e-6) -> MuTrajectory:
+             halt=None, t_eval=None, first_step: float = FIRST_STEP) -> MuTrajectory:
     """Integrate the exponent-function system over [t_start, t_end].
 
     The pair runs at a tenth of ``tol`` as both its absolute and its relative

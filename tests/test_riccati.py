@@ -202,6 +202,9 @@ def test_solve_mu_input_validation():
     for t_start in (math.nan, math.inf, -math.inf):
         with pytest.raises(ValueError, match="t_start must be finite"):
             riccati.solve_mu(cfg, 1.0, 1e-8, t_start=t_start)
+    for first_step in (0.0, -1e-4, math.nan, math.inf):
+        with pytest.raises(ValueError, match="first_step must be finite and > 0"):
+            riccati.solve_mu(cfg, 1.0, 1e-8, first_step=first_step)
 
 
 def test_a_clipped_step_lands_on_t_end_exactly():
@@ -345,30 +348,47 @@ def test_a_sparse_solve_calls_mu_rhs_three_more_times_only_on_steps_with_a_time(
 
 
 @pytest.mark.parametrize("tol", [1e-6, 1e-10])
-def test_every_chart_starts_with_the_same_first_step(monkeypatch, tol):
+def test_each_restarted_chart_starts_with_its_predecessors_last_step(monkeypatch, tol):
     # The exponents start from zero on every chart, so the starting-step
     # estimate of Hairer, Norsett & Wanner would return 100 * 1e-6 there (or
-    # the whole window, if shorter) for every preset: solve_mu takes that step.
+    # the whole window, if shorter) for every preset: chart 0 takes that step.
+    # Each later chart starts where its predecessor took its last accepted
+    # step, and takes that step again (clipped to the window).
     calls = record_rhs_times(monkeypatch)
-    firsts = []
+    solves = []   # per solve: its start, its chart, and its first attempted step
 
-    def first_step(cfg, t_end, tol, *, t_start=0.0, halt=None, t_eval=None):
+    def first_step(cfg, t_end, tol, *, t_start=0.0, halt=None, t_eval=None,
+                   first_step=riccati.FIRST_STEP):
         calls.clear()
+        chart = None
         try:
-            return riccati.solve_mu(cfg, t_end, tol, t_start=t_start, halt=halt, t_eval=t_eval)
+            chart = riccati.solve_mu(cfg, t_end, tol, t_start=t_start, halt=halt,
+                                     t_eval=t_eval, first_step=first_step)
+            return chart
+        except riccati.SingularityError as exc:
+            chart = exc.partial
+            raise
         finally:
             # the start, then the first attempt's second stage and its
             # derivative at the new point
-            firsts.append((t_start, min(100 * 1e-6, t_end - t_start), calls[1], calls[12]))
+            solves.append((t_start, t_end, chart, calls[1], calls[12]))
 
     monkeypatch.setattr(propagator, "solve_mu", first_step)
+    restarts = 0
     for name in fields.preset_names():
         ps = fields.preset(name)
+        solves.clear()
         propagator.run(ps.config, ps.initial.density(), ps.t_end, ps.dt_out, tol)
-    assert len(firsts) > len(fields.preset_names())
-    for t_start, h, stage2, new_point in firsts:
-        assert stage2 == t_start + riccati._C[1] * h
-        assert new_point == t_start + h
+        h = 100 * 1e-6
+        for k, (t_start, t_end, chart, stage2, new_point) in enumerate(solves):
+            # a halted chart's cover is its last node but one; a blown one's, its last
+            assert t_start == 0.0 if k == 0 else t_start in solves[k - 1][2].grid[-2:]
+            h = min(h, t_end - t_start)
+            assert stage2 == t_start + riccati._C[1] * h
+            assert new_point == t_start + h
+            h = chart.grid[-1] - chart.grid[-2]
+        restarts += len(solves) - 1
+    assert restarts > len(fields.preset_names())
 
 
 def test_a_drive_above_1e18_tol_still_solves_from_the_fixed_first_step():
