@@ -98,7 +98,9 @@ def _initial_step(fun, t0, y0, f0, t_bound, max_step, rtol, atol) -> float:
     d0, d1 = _rms(y0 / scale), _rms(f0 / scale)
     h0 = 1e-6 if d0 < 1e-5 or d1 < 1e-5 else 0.01 * d0 / d1
     h0 = min(h0, interval)
-    d2 = _rms((fun(t0 + h0, y0 + h0 * f0) - f0) / scale) / h0
+    # h0 is 0 when |f0| overflows (d1 = inf); scipy's numpy division then gives
+    # nan, and with d1 = inf its result below is 0 all the same
+    d2 = _rms((fun(t0 + h0, y0 + h0 * f0) - f0) / scale) / h0 if h0 else math.nan
     if d1 <= 1e-15 and d2 <= 1e-15:
         h1 = max(1e-6, h0 * 1e-3)
     else:

@@ -16,7 +16,7 @@ from hypothesis import strategies as st
 from scipy.linalg import expm
 
 import trilevel
-from trilevel import algebra, fields, observables, oracle, propagator
+from trilevel import algebra, cli, fields, observables, oracle, propagator
 
 S_START = np.diag([1.0, 0.0, 0.0]).astype(complex)
 
@@ -364,6 +364,46 @@ def test_a_generator_that_turns_nan_fails_as_scipys_dop853_does(onset):
     with pytest.raises(RuntimeError, match=r"^direct rho integration failed: Required step size "), \
             np.errstate(invalid="ignore"):
         oracle._integrate(rhs, y0, static, np.linspace(0.0, 1.0, 5), 1e-8, "rho")
+
+
+@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning",
+                            "ignore:invalid value encountered:RuntimeWarning")
+@pytest.mark.parametrize("solver, key, value", [
+    ("direct_eta", "B", 1e200), ("direct_eta", "A", 1e155), ("direct_rho", "A", 1e155),
+])
+def test_a_drive_whose_starting_norms_overflow_is_a_solver_error(tmp_path, capsys, solver,
+                                                                 key, value):
+    # fig1's derivative at t = 0 overflows its norm, so the starting-step
+    # estimate is 0 (the estimate divided by it, ZeroDivisionError); the step
+    # is then raised to 10 ulp of t and shrinks below it
+    csv = tmp_path / "out.csv"
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(f"preset = fig1\nsolver = {solver}\n{key} = {value!r}\n"
+                   f"t_end = 1\ncsv = {csv}\n")
+    assert cli.main(["run", str(cfg)]) == 3
+    assert capsys.readouterr().err == (f"solver error: direct {solver[-3:]} integration failed: "
+                                       f"Required step size is less than spacing between "
+                                       f"numbers.\n")
+    assert not csv.exists()
+
+
+@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning",
+                            "ignore:invalid value encountered:RuntimeWarning")
+def test_a_drive_whose_starting_norms_overflow_fails_as_scipys_dop853_does():
+    # scipy's error estimate overflows on the first attempt at 10 ulp, and
+    # fails there; the oracle's stages h K stay finite at that step, so it
+    # takes a few more evaluations to the same failure.  (On the A = 1e155
+    # drives above, scipy's DOP853 had not returned after 60 s.)
+    ps = fields.preset("fig1")
+    cfg = fields.FieldConfig(**{**vars(ps.config), "B": 1e200})
+    rhs = oracle._linear_rhs(cfg, oracle._ETA_OPS, -cfg.Gamma * np.eye(8))
+    args = (rhs, (0.0, 1.0), algebra.rho_to_eta(ps.initial.density()))
+    kwargs = dict(t_eval=propagator.output_grid(1.0, ps.dt_out), rtol=1e-8, atol=1e-8,
+                  max_step=oracle._max_step(cfg))
+    got, want = oracle.solve_ivp(*args, **kwargs), _scipy_dop853(*args, **kwargs)
+    assert not got.success and not want.success
+    assert got.message == want.message == "Required step size is less than spacing between numbers."
+    assert want.nfev <= got.nfev <= 3 * want.nfev
 
 
 @pytest.mark.parametrize("integrate, y0", [
