@@ -23,13 +23,17 @@ stage by stage rather than looped over the tableau, and since the
 right-hand side does not depend on mu, the stage states carry only
 (mu_plus, mu_minus).  Dense output is the pair's own interpolant of order 7,
 from three extra stages per accepted step, built a block of steps at a time
-in numpy.
+in numpy.  Given the times a caller will evaluate, a solve builds it only
+for the steps that hold one of them (Solving ODEs I, II.6).
 
-Every solve starts at the step 100 * 1e-6, clipped to the window: from zero
-exponents, the usual starting-step estimate (Hairer, Norsett & Wanner,
-Solving ODEs I, II.4), for an error estimate of order 7 as here, returns that
-step unless the drive or its rate exceeds about 1e30 times the pair's
-tolerance, and for such a drive the step controller shrinks it.
+A solve starts at the step 100 * 1e-6 unless told otherwise, clipped to the
+window: from zero exponents, the usual starting-step estimate (Hairer,
+Norsett & Wanner, Solving ODEs I, II.4), for an error estimate of order 7 as
+here, returns that step unless the drive or its rate exceeds about 1e30
+times the pair's tolerance, and for such a drive the step controller shrinks
+it.  A chart restarted from zero exponents mid-window is better served by
+the step its predecessor last took there, which :mod:`trilevel.propagator`
+passes on.
 """
 
 from __future__ import annotations
