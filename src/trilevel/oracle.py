@@ -47,8 +47,8 @@ class _Solution(NamedTuple):
 class _LinearRHS:
     """The direct oracles' right-hand side ``y' = L(t) y``, with the generator
     ``L(t) = sum_k coeffs(t)[k] stack[k]`` for real coefficients.  Calling it
-    gives ``L(t) y``; :func:`solve_ivp` asks for the generators at all stage
-    times of a step at once.
+    gives ``L(t) y``; :func:`solve_ivp` forms the generators at all stage
+    times of a step at once, as :meth:`generators` does.
     """
 
     def __init__(self, stack: np.ndarray, coeffs):
@@ -56,16 +56,12 @@ class _LinearRHS:
         self.coeffs = coeffs
         self._flat = stack.reshape(len(stack), -1).view(float)
 
-    def generators(self, times, out=None) -> np.ndarray:
-        """``L(t)`` for each ``t`` of ``times``, shape ``(len(times), n, n)``;
-        written into ``out``, a C-contiguous complex array of that shape, if given."""
+    def generators(self, times) -> np.ndarray:
+        """``L(t)`` for each ``t`` of ``times``, shape ``(len(times), n, n)``."""
         n = self.stack.shape[-1]
         coeffs = np.fromiter(chain.from_iterable(map(self.coeffs, times)), float,
                              len(times) * len(self.stack)).reshape(len(times), -1)
-        if out is None:
-            return (coeffs @ self._flat).view(complex).reshape(-1, n, n)
-        np.dot(coeffs, self._flat, out=out.reshape(len(out), -1).view(float))
-        return out
+        return (coeffs @ self._flat).view(complex).reshape(-1, n, n)
 
     def __call__(self, t, y):
         return self.generators((t,))[0] @ y
@@ -112,14 +108,23 @@ def solve_ivp(fun: _LinearRHS, t_span, y0, t_eval, rtol, atol, max_step) -> _Sol
     """``scipy.integrate.solve_ivp(fun, t_span, y0, t_eval=t_eval, rtol=rtol,
     atol=atol, max_step=max_step, method="DOP853")`` for a linear right-hand side.
 
-    The same method and step control, so the same steps and the same ``nfev``:
-    1 at the start, 1 for the initial step, 12 per attempted step and 3 per
-    dense output.  The generators of a whole step come from one product, each
-    stage is ``hL @ (y + a @ hK)`` on stages ``hK`` scaled by the step, and
-    dense output is built only for steps that hold times of ``t_eval``
-    (ascending, within ``t_span``, which runs forward): such steps are buffered
-    and their extra stages and interpolants evaluated a block at a time, with
-    the same floating-point operations per step.
+    The same method and step control, so the same steps and the same ``nfev``
+    until a stage overflows: 1 at the start, 1 for the initial step, 12 per
+    attempted step and 3 per dense output.  The generators of a whole step come
+    from one product, each stage is ``hL @ (y + a @ hK)`` on stages ``hK``
+    scaled by the step, and dense output is built only for steps that hold
+    times of ``t_eval`` (ascending, within ``t_span``, which runs forward):
+    such steps are buffered and their extra stages and interpolants evaluated
+    a block at a time, with the same floating-point operations per step.
+
+    The stages ``h K`` stay finite at a step of 10 ulp where scipy's unscaled
+    ``K`` overflow its error norm, so the two fail at different evaluations:
+    on fig1's eta equation with B = 1e200, scipy after 14 and this after 41,
+    with scipy's message
+    (``test_a_drive_whose_starting_norms_overflow_fails_as_scipys_dop853_does``).
+    A solve of more than MAX_SAMPLES accepted steps is a ValueError, raised at
+    the step past the cap: with B = 1e100 every step is some 1e-100 long, and
+    the solve would run without end.
     """
     c, a, err, dense = _tableau()
     t, t_bound = float(t_span[0]), float(t_span[1])
@@ -144,8 +149,16 @@ def solve_ivp(fun: _LinearRHS, t_span, y0, t_eval, rtol, atol, max_step) -> _Sol
     abs_y, abs_new, scale, w = np.abs(y), np.empty(n), np.empty(n), np.empty((2, 2 * n))
     w3, scale_col, err_stages = w.reshape(2, n, 2), scale[:, None], z_flat[1:stages + 1]
     stage_times = c[1:stages].tolist()
-    # the step's stages 1 .. stages - 1: their sums, the rows they fill and their generators
-    step_stages = list(zip(sums[1:stages], z_rows[2:stages + 1], gens))
+    # a step's generators are generators()'s product, written into gens through a
+    # view made once here, where generators() would redo its views every step
+    coeffs, n_coeffs, flat = fun.coeffs, (stages - 1) * len(fun.stack), fun._flat
+    gens_flat = gens.reshape(stages - 1, -1).view(float)
+    # the step's stages 1 .. stages - 1: their sums and matvecs as bound ndarray.dot
+    # methods, which skip np.dot's Python-level dispatch and give the same bits, the
+    # operand of each sum and the row each stage fills
+    step_stages = [(row.dot, earlier, z_row, gen.dot) for (row, earlier), z_row, gen
+                   in zip(sums[1:stages], z_rows[2:stages + 1], gens)]
+    err_dot = err.dot
     # the buffered steps: z[:stages + 1] of each with room for its dense-output
     # stages, its new y, and (t_old, h, first row, end row) of its output rows
     zs = np.empty((_DENSE_BLOCK, len(c) + 1, n), dtype=complex)
@@ -179,7 +192,7 @@ def solve_ivp(fun: _LinearRHS, t_span, y0, t_eval, rtol, atol, max_step) -> _Sol
         rows += y_old[step]
         steps.clear()
 
-    nfev, done = 2, 0
+    nfev, done, accepted = 2, 0, 0
     z[0] = y
     while t < t_bound:
         min_step = 10.0 * math.ulp(t)
@@ -197,14 +210,15 @@ def solve_ivp(fun: _LinearRHS, t_span, y0, t_eval, rtol, atol, max_step) -> _Sol
             t_new = min(t + h_abs, t_bound)
             h = t_new - t
             h_abs = abs(h)
-            fun.generators([t + h * c_s for c_s in stage_times], out=gens)
+            np.fromiter(chain.from_iterable(map(coeffs, [t + h * c_s for c_s in stage_times])),
+                        float, n_coeffs).reshape(stages - 1, -1).dot(flat, out=gens_flat)
             gens *= h
             np.multiply(h, f, out=z_rows[1])
-            # np.dot calls BLAS directly, where matmul's ufunc machinery costs
+            # dot calls BLAS directly, where matmul's ufunc machinery costs
             # more than these small products; it gives the same bits
-            for (row, earlier), z_row, gen in step_stages:
-                np.dot(row, earlier, out=y_sum)
-                np.dot(gen, y_new, out=z_row)
+            for row_dot, earlier, z_row, gen_dot in step_stages:
+                row_dot(earlier, out=y_sum)
+                gen_dot(y_new, out=z_row)
             nfev += stages - 1
             # scipy's error norm |h| e5 / sqrt((e5 + e3 / 100) n), for e5 and e3 the
             # squared norms of E5 @ K / scale and E3 @ K / scale, on the stages h K,
@@ -213,7 +227,7 @@ def solve_ivp(fun: _LinearRHS, t_span, y0, t_eval, rtol, atol, max_step) -> _Sol
             np.maximum(abs_y, abs_new, out=scale)
             scale *= rtol
             scale += atol
-            np.dot(err, err_stages, out=w)
+            err_dot(err_stages, out=w)
             w3 /= scale_col
             e5, e3 = np.einsum("ijk,ijk->i", w3, w3).tolist()
             if e5 == 0 and e3 == 0:
@@ -228,6 +242,10 @@ def solve_ivp(fun: _LinearRHS, t_span, y0, t_eval, rtol, atol, max_step) -> _Sol
             h_abs *= max(_MIN_FACTOR, _SAFETY * error_norm ** _ERROR_EXPONENT)
             rejected = True
         t_old, t = t, t_new
+        accepted += 1
+        if accepted > MAX_SAMPLES:
+            raise ValueError(f"t_end = {t_bound!r} needs more than {MAX_SAMPLES} direct "
+                             f"integration steps (t = {t:.9g} reached); shorten t_end")
         np.divide(z_rows[stages], h, out=f)
         abs_y, abs_new = abs_new, abs_y
         stop = done
@@ -286,7 +304,8 @@ def _integrate(rhs, y0: np.ndarray, cfg: FieldConfig, grid: np.ndarray,
     """The solution of ``y' = rhs(t, y)`` at the times of ``grid``, one row per time.
 
     A window that needs more than MAX_SAMPLES steps of the capped size is a
-    ValueError: it would run for hours.
+    ValueError before any step, and one that takes more is a ValueError from
+    :func:`solve_ivp`: it would run for hours.
     """
     check_tol(tol)
     t_end, max_step = float(grid[-1]), _max_step(cfg)

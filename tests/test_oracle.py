@@ -5,6 +5,7 @@ import re
 import subprocess
 import sys
 import textwrap
+import time
 import tracemalloc
 from pathlib import Path
 from unittest import mock
@@ -404,6 +405,27 @@ def test_a_drive_whose_starting_norms_overflow_fails_as_scipys_dop853_does():
     assert not got.success and not want.success
     assert got.message == want.message == "Required step size is less than spacing between numbers."
     assert want.nfev <= got.nfev <= 3 * want.nfev
+
+
+@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning",
+                            "ignore:invalid value encountered:RuntimeWarning")
+@pytest.mark.parametrize("solver", ["direct_eta", "direct_rho"])
+def test_a_drive_whose_steps_cannot_reach_t_end_stops_at_the_step_cap(tmp_path, capsys, solver):
+    # fig1 with B = 1e100: every accepted step is some 1e-100 long, yet above
+    # 10 ulp of t, so t = 1 is out of reach (uncapped, the eta run had not
+    # ended after 130 s); the run stops at the step past MAX_SAMPLES
+    csv = tmp_path / "out.csv"
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(f"preset = fig1\nsolver = {solver}\nB = 1e100\nt_end = 1\ncsv = {csv}\n")
+    start = time.perf_counter()
+    with mock.patch.object(oracle, "MAX_SAMPLES", 1000):
+        assert cli.main(["run", str(cfg)]) == 2
+    assert time.perf_counter() - start < 20.0
+    err = capsys.readouterr().err
+    assert re.match(r"config error: t_end = 1\.0 needs more than 1000 direct integration "
+                    r"steps \(t = \S+ reached\); shorten t_end\n$", err), err
+    assert float(re.search(r"\(t = (\S+) reached", err).group(1)) < 1e-90
+    assert not csv.exists()
 
 
 @pytest.mark.parametrize("integrate, y0", [
