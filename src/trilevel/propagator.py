@@ -192,21 +192,29 @@ def _drive_period(cfg: FieldConfig) -> float | None:
     return 2.0 * math.pi * frac.denominator / rate_b
 
 
-def _solve_charts(cfg: FieldConfig, span: float, tol: float, samples=None):
-    """Charts over [0, span] as (chart, cover, W) rows, W the 2x2 propagator
-    composed up to the chart's start; and U(span), also 2x2.  ``samples``, the
-    sorted times in [0, span] the caller will evaluate, is each chart's
-    ``t_eval``; by default every step gets dense output.
+def _propagator(cfg: FieldConfig, grid: np.ndarray, tol: float):
+    """The solve step: U(t), the 2x2 propagator, as a function of a slice of
+    ``grid``; it depends on the drive and ``tol`` alone.
 
+    The exponents are solved on consecutive charts over one span: the drive
+    period T when the drive has one and the grid ends past T, else the whole
+    grid.  By the cocycle U(nT + s) = U(s) U(T)^n, U at t = nT + s is the
+    product of the chart at s, the charts before it and U(T)^n in closed form.
     A chart halts at its first node past CHART_LIMIT, or ends at a blow-up;
     the next chart starts from zero at its cover, the last node inside the limit,
     with the last step its predecessor accepted as its first step.
-    Chart c serves (cover of chart c - 1, cover of chart c], chart 0 also t = 0.
     A solve whose charts take more than MAX_SAMPLES accepted steps in all is a
     ValueError, raised at the step past the cap: a drive with no common period
     is solved over the whole window, which could otherwise take hours and all
     of memory, in one chart when the drive is weak.
     """
+    t_end = float(grid[-1])
+    period = _drive_period(cfg)
+    span = period if period is not None and t_end > period else t_end
+    # period index and in-span time of each sample; the index is 0 on one span
+    periods = np.floor(grid / span) if span < t_end else np.zeros_like(grid)
+    in_span = np.clip(grid - periods * span, 0.0, span)
+    samples = np.unique(in_span).tolist()   # the steps that get dense output hold one
     steps = 0
 
     def halt(t, vals):
@@ -218,7 +226,7 @@ def _solve_charts(cfg: FieldConfig, span: float, tol: float, samples=None):
         mu_plus, mu_minus, mu = vals
         return max(abs(mu_plus), abs(mu_minus), abs(mu.imag)) > CHART_LIMIT
 
-    solved = []
+    charts, covers = [], []
     start, first_step = 0.0, FIRST_STEP
     while start < span:
         try:
@@ -230,13 +238,13 @@ def _solve_charts(cfg: FieldConfig, span: float, tol: float, samples=None):
             cover = float(chart.grid[max(1, len(chart.grid) - 2)]) if chart.halted else span
         except SingularityError as exc:
             # a blow-up's partial chart ends at its last node, inside the limit
-            chart = exc.partial
-            cover = chart.t_final
+            chart, cover = exc.partial, exc.partial.t_final
 
         if cover < span and cover <= start + MIN_SEGMENT:
             raise PropagationError(
                 f"restart at t = {start:.9g} advanced less than {MIN_SEGMENT}")
-        solved.append((chart, cover))
+        charts.append(chart)
+        covers.append(cover)
         start = cover
         # the chart's last step, which a halted chart took from the next one's start
         first_step = float(chart.grid[-1] - chart.grid[-2])
@@ -244,49 +252,37 @@ def _solve_charts(cfg: FieldConfig, span: float, tol: float, samples=None):
     # composed after the solves: past some numpy kernels, this complex 2x2 `@`
     # among them, Python float arithmetic ran up to 4x slower (numpy 2.4 on a Xeon)
     # until another kind ran, so a product between two solves slowed the next one
-    charts, w = [], np.eye(2, dtype=complex)
-    for chart, cover in solved:
-        charts.append((chart, cover, w))
-        w = chart_matrix(*chart.evaluate(cover)) @ w
-    return charts, w
+    before, u_span = [], np.eye(2, dtype=complex)   # U at each chart's start, U(span)
+    for chart, cover in zip(charts, covers):
+        before.append(u_span)
+        u_span = chart_matrix(*chart.evaluate(cover)) @ u_span
+
+    def u(block: slice) -> np.ndarray:
+        s, out = in_span[block], _power(u_span, periods[block])   # U(T)^n, then U(t)
+        # chart c serves (cover of chart c - 1, cover of chart c], chart 0 also s = 0
+        chart_of = np.searchsorted(covers, s)
+        for c in np.unique(chart_of):
+            k = np.flatnonzero(chart_of == c)
+            out[k] = _matmul2(_matmul2(chart_matrix(*charts[c].evaluate(s[k])), before[c]), out[k])
+        return out
+
+    return u
 
 
 def run(cfg: FieldConfig, rho0: np.ndarray, t_end: float, dt_out: float, tol: float) -> Trajectory:
-    """Propagate ``rho0`` over [0, t_end], sampling every ``dt_out``.
-
-    The exponent functions are solved on consecutive charts over one span:
-    the drive period T when the drive has one and t_end > T, else [0, t_end].
-    The propagator is a cocycle, U(nT + s) = U(s) U(T)^n, so a sample at
-    t = nT + s lifts the 2x2 product of the chart at s, the charts before it
-    and U(T)^n.  The grid is filled SAMPLE_BLOCK samples at a time, each
-    chart evaluated once per block for every period it serves there.
+    """Propagate ``rho0`` over [0, t_end], sampling every ``dt_out``: each
+    sample is I/3 + exp(-Gamma t) (G rho0 G^-1 - I/3), G the lift of the solve
+    step's U(t).  The grid is filled SAMPLE_BLOCK samples at a time.
     """
     grid = output_grid(t_end, dt_out)
     rho0 = algebra.validate_density_matrix(rho0)
     # the maximally mixed state at the trace of rho0, which decay approaches
     mixed = float(np.trace(rho0).real) / 3.0 * np.eye(3)
-    period = _drive_period(cfg)
-    span = period if period is not None and t_end > period else t_end
-    # period index and in-span time of each sample; the index is 0 on one span
-    periods = np.floor(grid / span) if span < t_end else np.zeros_like(grid)
-    in_span = np.clip(grid - periods * span, 0.0, span)
-    # the charts build dense output only on the steps that hold a sample
-    charts, u = _solve_charts(cfg, span, tol, np.unique(in_span).tolist())
-
-    covers = np.array([cover for _, cover, _ in charts])
+    u = _propagator(cfg, grid, tol)
     rhos = np.empty((len(grid), 3, 3), dtype=complex)
     for lo in range(0, len(grid), SAMPLE_BLOCK):
-        t = grid[lo:lo + SAMPLE_BLOCK]
-        n, s = periods[lo:lo + SAMPLE_BLOCK], in_span[lo:lo + SAMPLE_BLOCK]
-        u_n = _power(u, n)
-        decay = np.exp(-cfg.Gamma * t)[:, None, None]
-        # chart c serves (cover of chart c - 1, cover of chart c], chart 0 also s = 0
-        chart_of = np.searchsorted(covers, s)
-        for c in np.unique(chart_of):
-            chart, _, w = charts[c]
-            k = np.flatnonzero(chart_of == c)
-            u_k = chart_matrix(*chart.evaluate(s[k]))
-            g, g_inv = lift(_matmul2(_matmul2(u_k, w), u_n[k]))
-            rhos[lo + k] = decay[k] * (g @ rho0 @ g_inv) + (1.0 - decay[k]) * mixed
-
+        block = slice(lo, lo + SAMPLE_BLOCK)
+        g, g_inv = lift(u(block))
+        decay = np.exp(-cfg.Gamma * grid[block])[:, None, None]
+        rhos[block] = decay * (g @ rho0 @ g_inv) + (1.0 - decay) * mixed
     return trajectory_from_rhos(grid, rhos)

@@ -221,6 +221,31 @@ def test_global_error_scales_with_tol(name):
         assert np.max(np.abs(traj.rho - ref.rho)) <= 5.0 * tol, tol
 
 
+@pytest.mark.parametrize("name", ["fig1", "fig3", "fig8", "fig9", "fig16", "hydrogen"])
+def test_the_solve_steps_propagator_error_scales_with_tol(name):
+    # The solve step's 2x2 U(t), lifted to G, against G' = -i (eps A_Z + 2 J A_X) G
+    # from scipy's DOP853 at 1e-13, before any cleanup: every rho-level check
+    # passes through the Hermitian part, which removes part of U's error.  Of
+    # the windows, at most t = 60, fig3's is shorter than its period 20 pi; the
+    # others hold 2 (hydrogen) to 9 periods, so they pass through U(T)^n.
+    # Measured at most 1.52 tol (fig9 at 1e-6), 1.02 tol on the others.
+    from scipy.integrate import solve_ivp
+
+    ps = fields.preset(name)
+    cfg, grid = ps.config, propagator.output_grid(min(ps.t_end, 60.0), 0.1)
+
+    def rhs(t, g):
+        h = fields.epsilon(t, cfg) * algebra.A_Z + 2.0 * fields.j_coupling(t, cfg) * algebra.A_X
+        return -1j * (h @ g.reshape(3, 3)).ravel()
+
+    ref = solve_ivp(rhs, (0.0, grid[-1]), np.eye(3, dtype=complex).ravel(), method="DOP853",
+                    t_eval=grid, rtol=1e-13, atol=1e-13)
+    want = ref.y.T.reshape(-1, 3, 3)
+    for tol in (1e-6, 1e-8, 1e-10):
+        g, _ = propagator.lift(propagator._propagator(cfg, grid, tol)(slice(None)))
+        assert np.max(np.abs(g - want)) <= 5.0 * tol, tol
+
+
 def test_run_relaxes_to_the_maximally_mixed_state():
     ps = fields.preset("fig2")
     traj = propagator.run(ps.config, ps.initial.density(), 500.0, 250.0, 1e-9)
@@ -426,26 +451,30 @@ def test_each_chart_serves_from_the_previous_cover_to_its_own(monkeypatch):
     # Chart c serves (cover of chart c - 1, cover of chart c], chart 0 also
     # s = 0, each sample at its own in-span time.  dt_out puts the sample at
     # t = dt_out 5e-13 relative past the third of fig3's 20 period covers
-    # (10.35396053249789), so it belongs to the chart that starts there.
+    # (10.365186856080893), so it belongs to the chart that starts there.  The
+    # covers are read from a run on the preset's own grid: only the dense
+    # output depends on the grid, so the covers do not.
     ps = fields.preset("fig3")
     span = propagator._drive_period(ps.config)
     assert ps.t_end > span
-    covers = [cover for _, cover, _ in propagator._solve_charts(ps.config, span, 1e-10)[0]]
+    charts = record_charts(monkeypatch)
+    propagator.run(ps.config, ps.initial.density(), ps.t_end, ps.dt_out, 1e-10)
+    covers = [chart.t_start for chart, _ in charts[1:]] + [span]
     dt_out = covers[2] * (1.0 + 5e-13)
     assert dt_out > covers[2]
     served = []
-    solve_charts, evaluate = propagator._solve_charts, riccati.MuTrajectory.evaluate
+    solve_step, evaluate = propagator._propagator, riccati.MuTrajectory.evaluate
 
-    def recording_solve_charts(*args, **kwargs):
-        charts = solve_charts(*args, **kwargs)
+    def recording_solve_step(*args, **kwargs):
+        u = solve_step(*args, **kwargs)
         served.clear()   # each chart's evaluation at its cover, to compose the next
-        return charts
+        return u
 
     def recording_evaluate(self, t):
         served.append((self.t_start, np.array(t, dtype=float, ndmin=1)))
         return evaluate(self, t)
 
-    monkeypatch.setattr(propagator, "_solve_charts", recording_solve_charts)
+    monkeypatch.setattr(propagator, "_propagator", recording_solve_step)
     monkeypatch.setattr(riccati.MuTrajectory, "evaluate", recording_evaluate)
     grid = propagator.run(ps.config, ps.initial.density(), ps.t_end, dt_out, 1e-10).grid
 
@@ -689,7 +718,9 @@ def test_a_long_run_holds_no_second_sample_stack():
     # the observables table are filled in blocks of SAMPLE_BLOCK, and the
     # Hermitian part is a block temporary, so the peak is the sample stack
     # and the trajectory (28.0 MB: samples, grid and table) and a bounded
-    # transient.  Measured peak 30.8 MB; 31.1 MB when run formed the Hermitian
+    # transient.  Measured peak 31.1 MB, and 31.3 MB on the same host when run
+    # lifted each chart's samples in a block apart.  Earlier layouts, as measured
+    # when they were current: 31.1 MB when run formed the Hermitian
     # part in its sample stack, which the trajectory kept as rho, 30.9 MB when
     # run also held the period index and in-period time of every sample
     # (1.6 MB), 45.3 MB when the Hermitian part was a copy of the sample
