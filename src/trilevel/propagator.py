@@ -39,9 +39,6 @@ from .riccati import FIRST_STEP, SingularityError, solve_mu
 #: cancellation between large factors.
 CHART_LIMIT = 1.0
 
-#: A restart that advances time by less than this is treated as failure.
-MIN_SEGMENT = 1e-6
-
 #: Largest output grid, in rows.
 MAX_SAMPLES = 1_000_000
 
@@ -52,7 +49,7 @@ SAMPLE_BLOCK = 2048
 
 
 class PropagationError(RuntimeError):
-    """Propagation could not continue (restart failed to advance)."""
+    """Propagation could not continue (a chart failed to advance)."""
 
 
 def _matrix(*rows) -> np.ndarray:
@@ -200,9 +197,11 @@ def _propagator(cfg: FieldConfig, grid: np.ndarray, tol: float):
     period T when the drive has one and the grid ends past T, else the whole
     grid.  By the cocycle U(nT + s) = U(s) U(T)^n, U at t = nT + s is the
     product of the chart at s, the charts before it and U(T)^n in closed form.
-    A chart halts at its first node past CHART_LIMIT, or ends at a blow-up;
-    the next chart starts from zero at its cover, the last node inside the limit,
-    with the last step its predecessor accepted as its first step.
+    A chart halts at its first node past CHART_LIMIT, ends at its last node
+    below a blow-up, or ends on the span: that last node is its cover, where
+    the next chart starts from zero, with the last step its predecessor
+    accepted as its first step.  A chart that blows up on its first step
+    cannot advance and is a PropagationError.
     A solve whose charts take more than MAX_SAMPLES accepted steps in all is a
     ValueError, raised at the step past the cap: a drive with no common period
     is solved over the whole window, which could otherwise take hours and all
@@ -226,28 +225,20 @@ def _propagator(cfg: FieldConfig, grid: np.ndarray, tol: float):
         mu_plus, mu_minus, mu = vals
         return max(abs(mu_plus), abs(mu_minus), abs(mu.imag)) > CHART_LIMIT
 
-    charts, covers = [], []
+    charts = []
     start, first_step = 0.0, FIRST_STEP
     while start < span:
         try:
             chart = solve_mu(cfg, span, tol, t_start=start, halt=halt, t_eval=samples,
                              first_step=first_step)
-            # A halted chart's last node is its first past the limit, so the
-            # one before it is the last inside; node 1 (the first step) is the
-            # fallback, so that a restart always advances.  Any other ends on span.
-            cover = float(chart.grid[max(1, len(chart.grid) - 2)]) if chart.halted else span
         except SingularityError as exc:
-            # a blow-up's partial chart ends at its last node, inside the limit
-            chart, cover = exc.partial, exc.partial.t_final
-
-        if cover < span and cover <= start + MIN_SEGMENT:
-            raise PropagationError(
-                f"restart at t = {start:.9g} advanced less than {MIN_SEGMENT}")
+            chart = exc.partial
+        if chart.t_final <= start:
+            raise PropagationError(f"the chart at t = {start:.9g} blew up on its first step")
         charts.append(chart)
-        covers.append(cover)
-        start = cover
-        # the chart's last step, which a halted chart took from the next one's start
-        first_step = float(chart.grid[-1] - chart.grid[-2])
+        start = chart.t_final
+        first_step = float(chart.grid[-1] - chart.grid[-2])   # the chart's last step
+    covers = [chart.t_final for chart in charts]
 
     # composed after the solves: past some numpy kernels, this complex 2x2 `@`
     # among them, Python float arithmetic ran up to 4x slower (numpy 2.4 on a Xeon)

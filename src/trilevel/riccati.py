@@ -31,9 +31,9 @@ window: from zero exponents, the usual starting-step estimate (Hairer,
 Norsett & Wanner, Solving ODEs I, II.4), for an error estimate of order 7 as
 here, returns that step unless the drive or its rate exceeds about 1e30
 times the pair's tolerance, and for such a drive the step controller shrinks
-it.  A chart restarted from zero exponents mid-window is better served by
-the step its predecessor last took there, which :mod:`trilevel.propagator`
-passes on.
+it.  A chart restarted from zero exponents mid-window, at its predecessor's
+last node, is better served by the step that ended its predecessor, which
+:mod:`trilevel.propagator` passes on.
 """
 
 from __future__ import annotations

@@ -637,6 +637,18 @@ def test_solver_failure_maps_to_exit_code_3(tmp_path, monkeypatch, capsys):
     assert "solver error" in capsys.readouterr().err
 
 
+def test_a_chart_that_cannot_advance_is_a_solver_error(tmp_path, monkeypatch, capsys):
+    # every first Riccati step blows up, so the first chart cannot advance
+    from trilevel import riccati
+
+    monkeypatch.setattr(riccati, "BLOWUP_THRESHOLD", 1e-12)
+    csv = tmp_path / "out.csv"
+    cfg = write_cfg(tmp_path / "s.cfg", f"preset = fig1\nt_end = 1\ndt_out = 0.5\ncsv = {csv}\n")
+    assert cli.main(["run", cfg]) == 3
+    assert "solver error" in capsys.readouterr().err
+    assert not csv.exists()
+
+
 @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning",
                             "ignore:invalid value encountered:RuntimeWarning")
 def test_a_linear_algebra_failure_is_a_solver_error(tmp_path, capsys):

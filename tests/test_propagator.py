@@ -563,8 +563,7 @@ def test_run_composes_through_repeated_blowups(monkeypatch):
     (fields.preset("fig3").config, riccati.BLOWUP_THRESHOLD, False),
     (fields.FieldConfig(A=0.0, Omega=0.0, B=1.0, omega=0.0), 0.9, True),
 ], ids=["halted", "blow-up"])
-def test_restarts_compose_at_the_last_healthy_node(monkeypatch, cfg, blowup_threshold,
-                                                    ends_in_blowup):
+def test_each_chart_restarts_at_its_last_node(monkeypatch, cfg, blowup_threshold, ends_in_blowup):
     monkeypatch.setattr(riccati, "BLOWUP_THRESHOLD", blowup_threshold)
     charts = record_charts(monkeypatch)
     rho0 = np.diag([1.0, 0.0, 0.0]).astype(complex)
@@ -573,11 +572,42 @@ def test_restarts_compose_at_the_last_healthy_node(monkeypatch, cfg, blowup_thre
     assert all(blew_up == ends_in_blowup for _, blew_up in charts[:-1])
     for (chart, blew_up), (following, _) in zip(charts, charts[1:]):
         health = np.maximum(np.maximum(abs(chart.mu_plus), abs(chart.mu_minus)), abs(chart.mu.imag))
-        last_healthy = np.flatnonzero(health <= propagator.CHART_LIMIT)[-1]
-        # a halted chart ends at its first node past the limit; a blow-up's
+        # a halted chart's last node is its first past the limit; a blow-up's
         # partial chart holds only nodes inside it
-        assert last_healthy == len(chart.grid) - (1 if blew_up else 2)
-        assert following.t_start == chart.grid[max(1, last_healthy)]
+        past = np.flatnonzero(health > propagator.CHART_LIMIT).tolist()
+        assert past == ([] if blew_up else [len(chart.grid) - 1])
+        assert following.t_start == chart.grid[-1]
+
+
+def _fast_clock(cfg, factor):
+    """``cfg`` with every rate, drive frequency and Gamma multiplied by ``factor``."""
+    return dataclasses.replace(cfg, A=cfg.A * factor, Omega=cfg.Omega * factor, B=cfg.B * factor,
+                               omega=cfg.omega * factor, Gamma=cfg.Gamma * factor)
+
+
+@pytest.mark.parametrize("name", ["fig3", "fig4", "fig8"])
+def test_a_fast_clock_changes_nothing(name):
+    # The same physics with every rate x1e7 and the window /1e7: the first
+    # chart ends near t = 1e-7, which no absolute time constant may refuse.
+    # Measured at most 5.0e-11 from the unscaled run (fig3).
+    ps, factor = fields.preset(name), 1e7
+    rho0 = ps.initial.density()
+    slow = propagator.run(ps.config, rho0, ps.t_end, ps.dt_out, 1e-10)
+    fast = propagator.run(_fast_clock(ps.config, factor), rho0, ps.t_end / factor,
+                          ps.dt_out / factor, 1e-10)
+    assert len(fast) == len(slow)
+    assert np.max(np.abs(fast.table[:, 1:16] - slow.table[:, 1:16])) <= 1e-9
+
+
+def test_a_chart_that_cannot_advance_is_a_propagation_error(monkeypatch):
+    # every first step blows up, so the first chart holds its start node only
+    monkeypatch.setattr(riccati, "BLOWUP_THRESHOLD", 1e-12)
+    charts = record_charts(monkeypatch)
+    ps = fields.preset("fig1")
+    with pytest.raises(propagator.PropagationError, match="blew up on its first step"):
+        propagator.run(ps.config, ps.initial.density(), 1.0, 0.5, 1e-10)
+    [(chart, blew_up)] = charts
+    assert blew_up and len(chart.grid) == 1
 
 
 def test_purity_law_along_a_run():

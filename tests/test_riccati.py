@@ -352,8 +352,8 @@ def test_each_restarted_chart_starts_with_its_predecessors_last_step(monkeypatch
     # The exponents start from zero on every chart, so the starting-step
     # estimate of Hairer, Norsett & Wanner would return 100 * 1e-6 there (or
     # the whole window, if shorter) for every preset: chart 0 takes that step.
-    # Each later chart starts where its predecessor took its last accepted
-    # step, and takes that step again (clipped to the window).
+    # Each later chart starts at its predecessor's last node, and takes the
+    # step that ended it again (clipped to the window).
     calls = record_rhs_times(monkeypatch)
     solves = []   # per solve: its start, its chart, and its first attempted step
 
@@ -381,8 +381,8 @@ def test_each_restarted_chart_starts_with_its_predecessors_last_step(monkeypatch
         propagator.run(ps.config, ps.initial.density(), ps.t_end, ps.dt_out, tol)
         h = 100 * 1e-6
         for k, (t_start, t_end, chart, stage2, new_point) in enumerate(solves):
-            # a halted chart's cover is its last node but one; a blown one's, its last
-            assert t_start == 0.0 if k == 0 else t_start in solves[k - 1][2].grid[-2:]
+            # every chart's cover is its last node, halted or blown
+            assert t_start == (0.0 if k == 0 else solves[k - 1][2].grid[-1])
             h = min(h, t_end - t_start)
             assert stage2 == t_start + riccati._C[1] * h
             assert new_point == t_start + h
