@@ -31,7 +31,7 @@ import numpy as np
 
 from . import algebra, observables
 from .fields import FieldConfig
-from .riccati import FIRST_STEP, SingularityError, solve_mu
+from .riccati import SingularityError, solve_mu
 
 #: Chart restart threshold on max(|mu_plus|, |mu_minus|, |Im mu|).  Keeping
 #: the exponent magnitudes of order one keeps every factor of the product well
@@ -226,7 +226,7 @@ def _propagator(cfg: FieldConfig, grid: np.ndarray, tol: float):
         return max(abs(mu_plus), abs(mu_minus), abs(mu.imag)) > CHART_LIMIT
 
     charts = []
-    start, first_step = 0.0, FIRST_STEP
+    start, first_step = 0.0, math.inf   # the first chart first tries its whole span
     while start < span:
         try:
             chart = solve_mu(cfg, span, tol, t_start=start, halt=halt, t_eval=samples,

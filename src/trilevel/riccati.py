@@ -26,14 +26,8 @@ from three extra stages per accepted step, built a block of steps at a time
 in numpy.  Given the times a caller will evaluate, a solve builds it only
 for the steps that hold one of them (Solving ODEs I, II.6).
 
-A solve starts at the step 100 * 1e-6 unless told otherwise, clipped to the
-window: from zero exponents, the usual starting-step estimate (Hairer,
-Norsett & Wanner, Solving ODEs I, II.4), for an error estimate of order 7 as
-here, returns that step unless the drive or its rate exceeds about 1e30
-times the pair's tolerance, and for such a drive the step controller shrinks
-it.  A chart restarted from zero exponents mid-window, at its predecessor's
-last node, is better served by the step that ended its predecessor, which
-:mod:`trilevel.propagator` passes on.
+Unless told otherwise a solve first tries its whole window as one step, so
+that no constant of the solve has a unit of time.
 """
 
 from __future__ import annotations
@@ -48,10 +42,6 @@ from .fields import FieldConfig, epsilon, j_coupling
 
 #: |mu_plus| beyond this is treated as a factorization singularity.
 BLOWUP_THRESHOLD = 1e6
-
-#: solve_mu's default first step: from zero exponents, the starting-step
-#: estimate returns it for every drive below about 1e30 times the tolerance.
-FIRST_STEP = 100 * 1e-6   # 9.999999999999999e-05, as the estimate computes it
 
 #: Smallest accepted ``tol``: below it the error norms overflow, the direct
 #: oracles' starting step divides by zero, or a solve runs for hours.
@@ -308,15 +298,15 @@ def _find_crossing(t0: float, h: float, y0: complex, y1: complex, f, threshold: 
 
 
 def solve_mu(cfg: FieldConfig, t_end: float, tol: float, *, t_start: float = 0.0,
-             halt=None, t_eval=None, first_step: float = FIRST_STEP) -> MuTrajectory:
+             halt=None, t_eval=None, first_step: float = math.inf) -> MuTrajectory:
     """Integrate the exponent-function system over [t_start, t_end].
 
     The pair runs at a tenth of ``tol`` as both its absolute and its relative
     local error tolerance; ``tol`` below MIN_TOL is a ValueError.  ``halt``, if
     given, is called as ``halt(t, (mu_plus, mu_minus, mu))`` at every accepted
     sample; returning True stops the integration there and the result is
-    marked ``halted``.  The first attempted step is ``first_step``, clipped to
-    the window.
+    marked ``halted``.  The first attempted step is ``first_step``, by default
+    the whole window, clipped to the window.
 
     ``t_eval``, if given, is a sorted sequence of the times the caller will
     evaluate: only an accepted step whose closed interval holds one of them
@@ -330,8 +320,8 @@ def solve_mu(cfg: FieldConfig, t_end: float, tol: float, *, t_start: float = 0.0
     for key, value in (("t_start", t_start), ("t_end", t_end)):
         if not math.isfinite(value):
             raise ValueError(f"{key} must be finite, got {value!r}")
-    if not (math.isfinite(first_step) and first_step > 0):
-        raise ValueError(f"first_step must be finite and > 0, got {first_step!r}")
+    if not first_step > 0:
+        raise ValueError(f"first_step must be > 0, got {first_step!r}")
     if t_end <= t_start:
         raise ValueError("t_end must exceed t_start")
     check_tol(tol)
@@ -383,7 +373,7 @@ def solve_mu(cfg: FieldConfig, t_end: float, tol: float, *, t_start: float = 0.0
     h = float(first_step)
     while t < t_end:
         # the floor holds the controller's step; a clipped step ends on t_end
-        if h < 1e-14 * max(1.0, abs(t)):
+        if h < 10.0 * math.ulp(t):
             raise RuntimeError(f"step size collapsed at t = {t:.9g}")
         last = h >= t_end - t
         h = min(h, t_end - t)

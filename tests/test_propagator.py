@@ -180,12 +180,12 @@ def test_run_at_time_zero_returns_rho0():
 
 
 def test_run_over_a_window_below_the_step_floor_returns_rho0():
-    # 1e-15 is below the floor of 1e-14 on the Riccati step, which holds the
-    # step controller, not the rest of the window
+    # 2e-323 is below the floor of 10 ulp of t on the Riccati step, 5e-323 at
+    # t = 0, which holds the step controller, not the rest of the window
     ps = fields.preset("fig1")
     rho0 = ps.initial.density()
-    traj = propagator.run(ps.config, rho0, 1e-15, 1e-15, 1e-10)
-    assert traj.grid.tolist() == [0.0, 1e-15]
+    traj = propagator.run(ps.config, rho0, 2e-323, 2e-323, 1e-10)
+    assert traj.grid.tolist() == [0.0, 2e-323]
     assert np.max(np.abs(traj.rho - rho0)) < 1e-15
 
 
@@ -211,8 +211,8 @@ def test_global_error_scales_with_tol(name):
     # Against a tight reference, the product path's error over [0, 20] stays
     # within a fixed multiple of tol on every preset.  The multiple was pinned
     # from the first stepper (largest ratio 3.99, fig3 at tol 1e-6) and is not
-    # to be raised.  Measured with DOP853 at a tenth of tol: at most 0.58 tol
-    # (fig14 at 1e-6; all others at most 0.48).
+    # to be raised.  Measured with DOP853 at a tenth of tol: at most 0.42 tol
+    # (fig5 at 1e-6).
     ps = fields.preset(name)
     rho0 = ps.initial.density()
     ref = oracle.integrate_rho_direct(ps.config, rho0, 20.0, 0.5, 1e-13)
@@ -585,18 +585,29 @@ def _fast_clock(cfg, factor):
                                omega=cfg.omega * factor, Gamma=cfg.Gamma * factor)
 
 
+@functools.lru_cache(maxsize=None)
+def _preset_run(name, factor=1.0) -> propagator.Trajectory:
+    """Preset ``name`` run at tol 1e-10 on a clock ``factor`` times as fast."""
+    ps = fields.preset(name)
+    return propagator.run(_fast_clock(ps.config, factor), ps.initial.density(),
+                          ps.t_end / factor, ps.dt_out / factor, 1e-10)
+
+
+@pytest.mark.parametrize("factor", [1e7, 1e14, 1e-14, 2.0 ** 24, 2.0 ** -30, 2.0 ** 60])
 @pytest.mark.parametrize("name", ["fig3", "fig4", "fig8"])
-def test_a_fast_clock_changes_nothing(name):
-    # The same physics with every rate x1e7 and the window /1e7: the first
-    # chart ends near t = 1e-7, which no absolute time constant may refuse.
-    # Measured at most 5.0e-11 from the unscaled run (fig3).
-    ps, factor = fields.preset(name), 1e7
-    rho0 = ps.initial.density()
-    slow = propagator.run(ps.config, rho0, ps.t_end, ps.dt_out, 1e-10)
-    fast = propagator.run(_fast_clock(ps.config, factor), rho0, ps.t_end / factor,
-                          ps.dt_out / factor, 1e-10)
+def test_a_fast_clock_changes_nothing(name, factor):
+    # The same physics with every rate x factor and the window / factor: no
+    # constant of the solve has a unit of time, so none may refuse it.  A
+    # power of two scales every time and rate exactly, and then every step
+    # too; a decimal factor rounds them.  Measured on fig3 over [0, 20] at
+    # every decade from 1e-20 to 1e30 but 1e5, whose output grid gains a row:
+    # at most 1.2e-14 from the unscaled run.
+    slow, fast = _preset_run(name), _preset_run(name, factor)
     assert len(fast) == len(slow)
-    assert np.max(np.abs(fast.table[:, 1:16] - slow.table[:, 1:16])) <= 1e-9
+    if math.frexp(factor)[0] == 0.5:   # a power of two
+        assert fast.table[:, 1:16].tobytes() == slow.table[:, 1:16].tobytes()
+    else:
+        assert np.max(np.abs(fast.table[:, 1:16] - slow.table[:, 1:16])) <= 1e-9
 
 
 def test_a_chart_that_cannot_advance_is_a_propagation_error(monkeypatch):

@@ -202,9 +202,12 @@ def test_solve_mu_input_validation():
     for t_start in (math.nan, math.inf, -math.inf):
         with pytest.raises(ValueError, match="t_start must be finite"):
             riccati.solve_mu(cfg, 1.0, 1e-8, t_start=t_start)
-    for first_step in (0.0, -1e-4, math.nan, math.inf):
-        with pytest.raises(ValueError, match="first_step must be finite and > 0"):
+    for first_step in (0.0, -1e-4, math.nan, -math.inf):
+        with pytest.raises(ValueError, match="first_step must be > 0"):
             riccati.solve_mu(cfg, 1.0, 1e-8, first_step=first_step)
+    # an infinite first step is the default: the whole window, clipped
+    assert_same_trajectory(riccati.solve_mu(cfg, 1.0, 1e-8, first_step=math.inf),
+                           riccati.solve_mu(cfg, 1.0, 1e-8))
 
 
 def test_a_clipped_step_lands_on_t_end_exactly():
@@ -215,6 +218,26 @@ def test_a_clipped_step_lands_on_t_end_exactly():
     t_ends = np.random.default_rng(5).uniform(0.5, 5000.0, 1000).tolist()
     for t_end in [878.6902752024938, *t_ends]:
         assert riccati.solve_mu(cfg, t_end, 1e-10).t_final == t_end
+
+
+@pytest.mark.parametrize("t_start", [0.0, 3.0])
+def test_a_step_below_10_ulp_of_t_is_a_collapse(monkeypatch, t_start):
+    # every attempt is non-finite and quarters the step, from the whole window
+    # down to below 10 ulp of t_start: 5e-323 at t = 0, 4e-15 at t = 3
+    calls = []
+
+    def nan(t, y, cfg):
+        calls.append(t)
+        return (complex(math.nan),) * 3
+
+    monkeypatch.setattr(riccati, "mu_rhs", nan)
+    cfg = fields.preset("fig3").config
+    with pytest.raises(RuntimeError, match=f"step size collapsed at t = {t_start:.9g}$"):
+        riccati.solve_mu(cfg, t_start + 1.0, 1e-8, t_start=t_start)
+    h, attempts = 1.0, 0
+    while h >= 10.0 * math.ulp(t_start):
+        h, attempts = 0.25 * h, attempts + 1
+    assert len(calls) == 1 + 12 * attempts
 
 
 def test_restartable_from_arbitrary_start_time():
@@ -331,7 +354,7 @@ def test_a_time_inside_a_step_without_dense_output_is_a_value_error(monkeypatch)
 
 def test_a_sparse_solve_calls_mu_rhs_three_more_times_only_on_steps_with_a_time(monkeypatch):
     # 1 call at the start, 12 per attempted step and 3 per accepted step whose
-    # closed interval holds a time of t_eval: fig3's t = 7.25 and 7.3 share a step
+    # closed interval holds a time of t_eval
     full, sparse, calls, nodes = sparse_and_full_solves(monkeypatch, _SPARSE_TIMES)
     assert calls[0] == 0.0
     assert len(calls) == nodes[-1][1]
@@ -343,22 +366,20 @@ def test_a_sparse_solve_calls_mu_rhs_three_more_times_only_on_steps_with_a_time(
         t_old, start = t, end
     attempts = (len(calls) - 1 - 3 * held) // 12
     assert len(calls) == 1 + 12 * attempts + 3 * held
-    assert held == len(_SPARSE_TIMES) - 1
+    assert held == len(steps_holding(sparse.grid, _SPARSE_TIMES))
     assert attempts >= len(nodes)
 
 
 @pytest.mark.parametrize("tol", [1e-6, 1e-10])
 def test_each_restarted_chart_starts_with_its_predecessors_last_step(monkeypatch, tol):
-    # The exponents start from zero on every chart, so the starting-step
-    # estimate of Hairer, Norsett & Wanner would return 100 * 1e-6 there (or
-    # the whole window, if shorter) for every preset: chart 0 takes that step.
+    # Chart 0 first tries its whole span, which the step controller shrinks.
     # Each later chart starts at its predecessor's last node, and takes the
     # step that ended it again (clipped to the window).
     calls = record_rhs_times(monkeypatch)
     solves = []   # per solve: its start, its chart, and its first attempted step
 
     def first_step(cfg, t_end, tol, *, t_start=0.0, halt=None, t_eval=None,
-                   first_step=riccati.FIRST_STEP):
+                   first_step=math.inf):
         calls.clear()
         chart = None
         try:
@@ -379,7 +400,7 @@ def test_each_restarted_chart_starts_with_its_predecessors_last_step(monkeypatch
         ps = fields.preset(name)
         solves.clear()
         propagator.run(ps.config, ps.initial.density(), ps.t_end, ps.dt_out, tol)
-        h = 100 * 1e-6
+        h = math.inf
         for k, (t_start, t_end, chart, stage2, new_point) in enumerate(solves):
             # every chart's cover is its last node, halted or blown
             assert t_start == (0.0 if k == 0 else solves[k - 1][2].grid[-1])
@@ -392,18 +413,15 @@ def test_each_restarted_chart_starts_with_its_predecessors_last_step(monkeypatch
 
 
 def test_a_drive_above_1e18_tol_still_solves_from_the_fixed_first_step():
-    # At A = 1e9 and tol 1e-10 the starting-step estimate of the Dormand-Prince
-    # 5(4) pair gave 7.04e-5, not 100 * 1e-6 (DOP853's gives 100 * 1e-6 up to
-    # drives of about 1e30 times its tolerance).  Without the 2-3 coupling
+    # At A = 1e9 and tol 1e-10 the first attempt, the whole window, is cut
+    # down by the step controller alone.  Without the 2-3 coupling
     # mu = A sin(Omega t) / Omega and the other two exponents stay zero.
-    # Measured with DOP853: 0.031 tol from the closed form on the solver's
-    # mixed scale and residuals at 0.0034 of the residual bound of 100 tol on
-    # that scale (2.9 tol and 0.69 with the 5(4) pair).
+    # Measured: 0.061 tol from the closed form on the solver's mixed scale and
+    # residuals at 0.0034 of the residual bound of 100 tol on that scale.
     a, tol = 1e9, 1e-10
     cfg = fields.FieldConfig(A=a, Omega=1.0, B=0.0, omega=1.0)
     traj = riccati.solve_mu(cfg, 2.0, tol)
     assert traj.t_final == 2.0
-    assert traj.grid[1] == 100 * 1e-6
     times = between_nodes(traj)
     mp, mm, mu = traj.evaluate(times)
     assert np.max(np.abs(mp)) == 0.0 and np.max(np.abs(mm)) == 0.0
@@ -469,7 +487,7 @@ def tableau_solve_mu(cfg, t_end, tol, *, t_start=0.0, halt=None):
     y = (0j, 0j, 0j)
     f = riccati.mu_rhs(t, y, cfg)
     ts, ys, fs = [t], [y], []
-    h = 100 * 1e-6
+    h = math.inf
     while t < t_end:
         last = h >= t_end - t
         h = min(h, t_end - t)
