@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import functools
 import math
+from bisect import bisect_right
 from itertools import chain
 from typing import NamedTuple
 
@@ -248,9 +249,7 @@ def solve_ivp(fun: _LinearRHS, t_span, y0, t_eval, rtol, atol, max_step) -> _Sol
                              f"integration steps (t = {t:.9g} reached); shorten t_end")
         np.divide(z_rows[stages], h, out=f)
         abs_y, abs_new = abs_new, abs_y
-        stop = done
-        while stop < len(grid) and grid[stop] <= t:
-            stop += 1
+        stop = bisect_right(grid, t, done)
         if stop > done:
             zs[len(steps), :stages + 1] = z[:stages + 1]
             ends[len(steps)] = y_new

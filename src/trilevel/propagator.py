@@ -154,21 +154,19 @@ def trajectory_from_etas(grid: np.ndarray, etas: np.ndarray) -> Trajectory:
 
 
 def output_grid(t_end: float, dt_out: float) -> np.ndarray:
-    """Uniform output times 0, dt, 2dt, ... with the last sample at t_end; a grid
-    of more than MAX_SAMPLES rows, or a bound that is not finite and > 0, is a
+    """Output times 0, dt, 2dt, ..., (n - 1) dt, t_end for n = max(1, ceil(t_end / dt - 1e-9));
+    a grid of more than MAX_SAMPLES rows, or a bound that is not finite and > 0, is a
     ValueError, raised before any allocation."""
     for key, value in (("t_end", t_end), ("dt_out", dt_out)):
         if not (math.isfinite(value) and value > 0):
             raise ValueError(f"{key} must be finite and > 0, got {value!r}")
-    rows = t_end / dt_out + 1.0
-    if not rows <= MAX_SAMPLES:
-        raise ValueError(f"dt_out = {dt_out!r} gives {rows:.3g} output rows up to "
+    quotient = t_end / dt_out   # may be inf, which math.ceil refuses
+    n = max(1, math.ceil(quotient - 1e-9)) if quotient < MAX_SAMPLES else quotient
+    if not n < MAX_SAMPLES:
+        raise ValueError(f"dt_out = {dt_out!r} gives {n + 1:.3g} output rows up to "
                          f"t_end = {t_end!r}; at most {MAX_SAMPLES} are allowed")
-    n = int(math.ceil(t_end / dt_out - 1e-9))
     grid = np.arange(n + 1) * dt_out
-    grid[-1] = min(grid[-1], t_end)
-    if grid[-1] < t_end:
-        grid = np.append(grid, t_end)
+    grid[-1] = t_end
     return grid
 
 

@@ -586,23 +586,28 @@ def _fast_clock(cfg, factor):
 
 
 @functools.lru_cache(maxsize=None)
-def _preset_run(name, factor=1.0) -> propagator.Trajectory:
-    """Preset ``name`` run at tol 1e-10 on a clock ``factor`` times as fast."""
+def _preset_run(name, factor=1.0, t_end=None) -> propagator.Trajectory:
+    """Preset ``name`` run at tol 1e-10 on a clock ``factor`` times as fast,
+    over its own window or over [0, ``t_end``]."""
     ps = fields.preset(name)
+    t_end = ps.t_end if t_end is None else t_end
     return propagator.run(_fast_clock(ps.config, factor), ps.initial.density(),
-                          ps.t_end / factor, ps.dt_out / factor, 1e-10)
+                          t_end / factor, ps.dt_out / factor, 1e-10)
 
 
-@pytest.mark.parametrize("factor", [1e7, 1e14, 1e-14, 2.0 ** 24, 2.0 ** -30, 2.0 ** 60])
-@pytest.mark.parametrize("name", ["fig3", "fig4", "fig8"])
-def test_a_fast_clock_changes_nothing(name, factor):
+@pytest.mark.parametrize("name, factor, t_end", [
+    pytest.param(name, factor, None, id=f"{name}-{factor}") for name in ["fig3", "fig4", "fig8"]
+    for factor in [1e7, 1e14, 1e-14, 2.0 ** 24, 2.0 ** -30, 2.0 ** 60]
+] + [pytest.param("fig3", 1e5, 20.0, id="fig3-100000.0-t_end=20")])
+def test_a_fast_clock_changes_nothing(name, factor, t_end):
     # The same physics with every rate x factor and the window / factor: no
     # constant of the solve has a unit of time, so none may refuse it.  A
     # power of two scales every time and rate exactly, and then every step
     # too; a decimal factor rounds them.  Measured on fig3 over [0, 20] at
-    # every decade from 1e-20 to 1e30 but 1e5, whose output grid gains a row:
-    # at most 1.2e-14 from the unscaled run.
-    slow, fast = _preset_run(name), _preset_run(name, factor)
+    # every decade from 1e-20 to 1e30: the same rows, each at most 1.2e-14
+    # from the unscaled run.  At 1e5, 200 dt_out rounds one ulp short of that
+    # window's t_end, which once gained the grid a row.
+    slow, fast = _preset_run(name, 1.0, t_end), _preset_run(name, factor, t_end)
     assert len(fast) == len(slow)
     if math.frexp(factor)[0] == 0.5:   # a power of two
         assert fast.table[:, 1:16].tobytes() == slow.table[:, 1:16].tobytes()
@@ -650,6 +655,27 @@ def test_output_grid_row_counts():
     assert grid[0] == 0.0
 
 
+def test_a_rescaled_window_keeps_its_rows():
+    # t_end / dt_out rounds differently once both are divided by 10^k; the
+    # 1e-9 margin on the interval count absorbs that, so no row appears or goes
+    for t_end in range(1, 41):
+        for dt_out in (0.1, 0.05, 0.2, 0.25, 0.5):
+            rows = len(propagator.output_grid(float(t_end), dt_out))
+            for k in range(-20, 31):
+                scale = 10.0 ** k
+                assert len(propagator.output_grid(t_end / scale, dt_out / scale)) == rows, (
+                    t_end, dt_out, k)
+
+
+def test_the_row_cap_counts_the_rows_the_grid_builds(monkeypatch):
+    monkeypatch.setattr(propagator, "MAX_SAMPLES", 5)
+    assert propagator.output_grid(4.0, 1.0).tolist() == [0.0, 1.0, 2.0, 3.0, 4.0]
+    # 6 rows each; and a quotient of inf, which math.ceil would refuse
+    for t_end, dt_out in ((4.5, 1.0), (5.0, 1.0), (1e300, 1e-300)):
+        with pytest.raises(ValueError, match=f"^dt_out = {dt_out!r} gives .* output rows up to "):
+            propagator.output_grid(t_end, dt_out)
+
+
 def test_oversized_output_grid_fails_before_allocating():
     cfg = fields.preset("fig1").config
     rho0 = np.diag([1.0, 0.0, 0.0]).astype(complex)
@@ -676,6 +702,19 @@ GRID_CONSUMERS = {
     "hydrogen_trajectory": lambda t_end, dt_out: oracle.hydrogen_trajectory(
         _HYDROGEN.config.A, _HYDROGEN.config.omega, 0.0, _RHO0, t_end, dt_out),
 }
+
+
+@pytest.mark.parametrize("t_end, dt_out, rows", [(0.9, 0.3, 4), (2.1, 0.7, 4), (2e-4, 1e-6, 201),
+                                                  (1e-15, 0.5, 2)])
+@pytest.mark.parametrize("consumer", GRID_CONSUMERS)
+def test_every_grid_consumer_ends_on_t_end_with_distinct_rows(consumer, t_end, dt_out, rows):
+    # n * dt_out rounding just short of t_end once added t_end as a row of its
+    # own, one ulp past the last node, so two rows printed the same time
+    result = GRID_CONSUMERS[consumer](t_end, dt_out)
+    grid = getattr(result, "grid", result)
+    assert len(grid) == rows and grid[0] == 0.0 and grid[-1] == t_end
+    assert np.all(np.diff(grid) > 0)
+    assert len({"%.11e" % t for t in grid}) == rows
 
 
 @pytest.mark.parametrize("t_end, dt_out, key", [
