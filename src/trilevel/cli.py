@@ -165,10 +165,12 @@ def _parse_quantities(raw: str) -> tuple[str, ...]:
     if raw.strip() == "all":
         return QUANTITIES
     items = tuple(part.strip() for part in raw.split(",") if part.strip())
-    for item in items:
+    for i, item in enumerate(items):
         if item not in QUANTITIES:
             raise config.ConfigError(
                 f"quantities must be drawn from {', '.join(QUANTITIES)} or 'all'; got {item!r}")
+        if item in items[:i]:
+            raise config.ConfigError(f"quantities repeats {item!r}")
     if not items:
         raise config.ConfigError("quantities must not be empty")
     return items

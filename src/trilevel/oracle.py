@@ -22,8 +22,9 @@ from .fields import (FieldConfig, STARK_MINUS_VECTOR, STARK_PLUS_VECTOR,
                      STARK_ZERO_VECTOR, hydrogen_config)
 from .propagator import (MAX_SAMPLES, Trajectory, output_grid, trajectory_from_etas,
                          trajectory_from_rhos)
-from .riccati import (_A, _A_EXTRA, _B, _C, _C_EXTRA, _D, _E3, _E5, _ERROR_EXPONENT,
-                      _MAX_FACTOR, _MIN_FACTOR, _SAFETY, check_tol)
+from .riccati import (_A, _A_EXTRA, _B, _C, _C_EXTRA, _DENSE_STAGES, _E3, _E5,
+                      _ERROR_EXPONENT, _MAX_FACTOR, _MIN_FACTOR, _SAFETY, _dense, _interpolant,
+                      check_tol)
 
 _SQRT32 = math.sqrt(1.5)
 
@@ -72,16 +73,16 @@ class _LinearRHS:
 def _tableau():
     """DOP853's coefficients, assembled from :mod:`trilevel.riccati`'s literals.
 
-    Returns ``(c, a, err, dense)``: the stage times ``c`` and the stage matrix
-    ``a`` of 16 stages, where stages 0-11 are the method's, stage 12 is the
+    Returns ``(c, a, err)``: the stage times ``c`` and the stage matrix ``a``
+    of 16 stages, where stages 0-11 are the method's, stage 12 is the
     derivative at the new point (its row is the solution weights B, its time
     1) and stages 13-15 feed the dense output; ``err`` stacks the E5 and E3
-    error rows and ``dense`` is the dense-output matrix D.
+    error rows.
     """
     a = np.zeros((16, 16))
     for s, row in enumerate((*_A, _B, *_A_EXTRA)):
         a[s, :len(row)] = row
-    return np.array((*_C, 1.0, *_C_EXTRA)), a, np.array((_E5, _E3)), np.array(_D)
+    return np.array((*_C, 1.0, *_C_EXTRA)), a, np.array((_E5, _E3))
 
 
 def _rms(x: np.ndarray) -> float:
@@ -115,8 +116,10 @@ def solve_ivp(fun: _LinearRHS, t_span, y0, t_eval, rtol, atol, max_step) -> _Sol
     from one product, each stage is ``hL @ (y + a @ hK)`` on stages ``hK``
     scaled by the step, and dense output is built only for steps that hold
     times of ``t_eval`` (ascending, within ``t_span``, which runs forward):
-    such steps are buffered and their extra stages and interpolants evaluated
-    a block at a time, with the same floating-point operations per step.
+    such steps are buffered, and their extra stages, riccati's ``_dense`` (on
+    the stages ``h K`` with a step of 1) and ``_interpolant`` are evaluated a
+    block at a time, with the same floating-point operations per step.  A row
+    on a step's end node is that node exactly.
 
     The stages ``h K`` stay finite at a step of 10 ulp where scipy's unscaled
     ``K`` overflow its error norm, so the two fail at different evaluations:
@@ -127,7 +130,7 @@ def solve_ivp(fun: _LinearRHS, t_span, y0, t_eval, rtol, atol, max_step) -> _Sol
     the step past the cap: with B = 1e100 every step is some 1e-100 long, and
     the solve would run without end.
     """
-    c, a, err, dense = _tableau()
+    c, a, err = _tableau()
     t, t_bound = float(t_span[0]), float(t_span[1])
     y = np.asarray(y0, dtype=complex)
     f = fun(t, y)
@@ -161,13 +164,12 @@ def solve_ivp(fun: _LinearRHS, t_span, y0, t_eval, rtol, atol, max_step) -> _Sol
                    in zip(sums[1:stages], z_rows[2:stages + 1], gens)]
     err_dot = err.dot
     # the buffered steps: z[:stages + 1] of each with room for its dense-output
-    # stages, its new y, and (t_old, h, first row, end row) of its output rows
-    zs = np.empty((_DENSE_BLOCK, len(c) + 1, n), dtype=complex)
-    ends = np.empty((_DENSE_BLOCK, n), dtype=complex)
+    # stages, then its new y, and (t_old, h, first row, end row) of its output rows
+    zs = np.empty((_DENSE_BLOCK, len(c) + 2, n), dtype=complex)
     steps = []
 
     def flush():
-        # the buffered steps' extra stages, their interpolants and the output
+        # the buffered steps' extra stages, their dense output and the output
         # rows they hold, each operation taken on the whole block at once
         m = len(steps)
         t_old, h, lo, hi = (np.array(col) for col in zip(*steps))
@@ -178,19 +180,12 @@ def solve_ivp(fun: _LinearRHS, t_span, y0, t_eval, rtol, atol, max_step) -> _Sol
         for s in range(stages, len(c)):
             v = (sums[s][0] @ zb_flat[:, :s + 1]).view(complex)
             np.matmul(hgens[:, s - stages], v[..., None], out=zb[:, s + 1, :, None])
-        y_old, dy = zb[:, 0], ends[:m] - zb[:, 0]
-        poly = np.concatenate((dy[:, None], (zb[:, 1] - dy)[:, None],
-                               (2.0 * dy - zb[:, stages] - zb[:, 1])[:, None],
-                               dense @ zb[:, 1:]), axis=1)
+        # _dense's stack: each step's y and new y, then its stages h K of _DENSE_STAGES
+        dense = _dense(zb[:, [0, -1, *(1 + s for s in _DENSE_STAGES)]], np.ones(m))
         first, end = int(lo[0]), int(hi[-1])
         step = np.repeat(np.arange(m), hi - lo)     # the step of each output row
         x = ((times[first:end] - t_old[step]) / h[step])[:, None]
-        rows = out[first:end]
-        rows.fill(0.0)
-        for i in range(poly.shape[1] - 1, -1, -1):
-            rows += poly[step, i]
-            rows *= x if i % 2 == 0 else 1.0 - x
-        rows += y_old[step]
+        out[first:end] = _interpolant(x, zb[step, 0], zb[step, -1], dense[step].swapaxes(0, 1))
         steps.clear()
 
     nfev, done, accepted = 2, 0, 0
@@ -252,7 +247,7 @@ def solve_ivp(fun: _LinearRHS, t_span, y0, t_eval, rtol, atol, max_step) -> _Sol
         stop = bisect_right(grid, t, done)
         if stop > done:
             zs[len(steps), :stages + 1] = z[:stages + 1]
-            ends[len(steps)] = y_new
+            zs[len(steps), -1] = y_new
             steps.append((t_old, h, done, stop))
             nfev += len(c) - stages
             done = stop

@@ -137,8 +137,8 @@ _D = (
      -149.72683625798564),
 )
 
-# The stages that _D weighs: 0 and 5 .. 15.  Each accepted step keeps these
-# until its block's dense output is built.
+# The stages that _D weighs: 0 and 5 .. 15.  Each accepted step of either
+# stepper keeps these until its block's dense output is built.
 _DENSE_STAGES = (0, *range(5, 16))
 _D_USED = np.array(_D)[:, _DENSE_STAGES, None, None]
 
@@ -190,8 +190,8 @@ def _interpolant(x, y0, y1, f):
 
 
 def _dense(steps: np.ndarray, h: np.ndarray) -> np.ndarray:
-    """Coefficients F_1 .. F_6, shape (m, 6, 3), of the dense output of m steps
-    with step sizes ``h`` (m,) and ``steps`` (m, 14, 3): each step's start and
+    """Coefficients F_1 .. F_6, shape (m, 6, n), of the dense output of m steps
+    with step sizes ``h`` (m,) and ``steps`` (m, 14, n): each step's start and
     end nodes, then its stages of _DENSE_STAGES.
 
     They are scipy's: F_1 = h K_0 - dy, F_2 = 2 dy - h (K_12 + K_0) and
@@ -202,10 +202,10 @@ def _dense(steps: np.ndarray, h: np.ndarray) -> np.ndarray:
     sf, hh = steps.view(float), h[:, None]
     kf = sf[:, 2:]
     dy = sf[:, 1] - sf[:, 0]
-    f = np.empty((len(h), 6, 6))
+    f = np.empty((len(h), 6, sf.shape[-1]))
     f[:, 0] = hh * kf[:, 0] - dy
     f[:, 1] = 2.0 * dy - hh * (kf[:, 8] + kf[:, 0])
-    acc = np.zeros((4, len(h), 6))
+    acc = np.zeros((4, *dy.shape))
     for j in range(len(_DENSE_STAGES)):
         acc += _D_USED[:, j] * kf[:, j]
     acc *= hh

@@ -421,6 +421,21 @@ def test_run_with_svg_output(tmp_path):
     assert body.startswith("<svg") and "polyline" in body and "pop1" in body
 
 
+@pytest.mark.parametrize("quantities", ["entropy,entropy", "entropy, populations ,entropy"])
+def test_a_repeated_quantity_is_a_config_error_that_writes_nothing(tmp_path, capsys,
+                                                                    quantities):
+    # a repeated entry would make a one-panel list look like several and write
+    # the same o_entropy.svg twice, not the o.svg that one entry writes
+    text = FIG1_CONFIG.format(csv=tmp_path / "o.csv") + f"svg = {tmp_path / 'o.svg'}\n"
+    cfg = write_cfg(tmp_path / "r.cfg", text + f"quantities = {quantities}\n")
+    assert cli.main(["run", cfg]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error: quantities") and "'entropy'" in err
+    assert not list(tmp_path.glob("*.csv")) and not list(tmp_path.glob("*.svg"))
+    assert cli.main(["run", write_cfg(tmp_path / "one.cfg", text + "quantities = entropy\n")]) == 0
+    assert sorted(p.name for p in tmp_path.glob("*.svg")) == ["o.svg"]
+
+
 # --- figure ----------------------------------------------------------------
 
 def test_figure_unknown_name(tmp_path, capsys):

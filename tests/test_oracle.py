@@ -17,7 +17,7 @@ from hypothesis import strategies as st
 from scipy.linalg import expm
 
 import trilevel
-from trilevel import algebra, cli, fields, observables, oracle, propagator
+from trilevel import algebra, cli, fields, observables, oracle, propagator, riccati
 
 S_START = np.diag([1.0, 0.0, 0.0]).astype(complex)
 
@@ -164,10 +164,10 @@ def test_the_direct_stepper_takes_scipys_dop853_steps(seed, A, Omega, B, omega, 
 
 def _per_step_dop853(fun, t_span, y0, t_eval, rtol, atol, max_step):
     """The reference for ``oracle.solve_ivp``'s block dense output: the same
-    stepper with each accepted step's dense output built inside the step loop.
-    Returns the solution and, per accepted step, the number of output times it
-    holds."""
-    c, a, err, dense = oracle._tableau()
+    stepper with each accepted step's dense output built inside the step loop,
+    by riccati's _dense and _interpolant.  Returns the solution, per accepted
+    step the number of output times it holds, and the state at the last node."""
+    c, a, err = oracle._tableau()
     t, t_bound = float(t_span[0]), float(t_span[1])
     y = np.asarray(y0, dtype=complex)
     f = fun(t, y)
@@ -220,17 +220,13 @@ def _per_step_dop853(fun, t_span, y0, t_eval, rtol, atol, max_step):
                 row, earlier = sums[s]
                 np.matmul(hgens[s - stages], (row @ earlier).view(complex), out=z_rows[s + 1])
             nfev += len(c) - stages
-            dy = y - y_old
-            poly = np.concatenate(((dy, z[1] - dy, 2.0 * dy - z[stages] - z[1]),
-                                   dense @ z[1:]))
+            # the step's nodes, then its stages h K of _DENSE_STAGES, at a step of 1
+            stack = np.concatenate(((y_old, y), z[1:][list(riccati._DENSE_STAGES)]))
+            coeffs = riccati._dense(stack[None], np.ones(1))[0]
             x = ((np.array(grid[done:stop]) - t_old) / h)[:, None]
-            rows = np.zeros((stop - done, n), dtype=complex)
-            for i, coeff in enumerate(poly[::-1]):
-                rows += coeff
-                rows *= x if i % 2 == 0 else 1.0 - x
-            out[done:stop] = rows + y_old
+            out[done:stop] = riccati._interpolant(x, y_old, y, coeffs[:, None])
             done = stop
-    return oracle._Solution(out.T, nfev, True, ""), held
+    return oracle._Solution(out.T, nfev, True, ""), held, y
 
 
 def _same_bytes(got, want):
@@ -260,9 +256,11 @@ def test_block_dense_output_equals_the_per_step_one_bit_for_bit(
     with mock.patch.object(oracle, "_DENSE_BLOCK", block), \
             mock.patch.object(oracle, "_DENSE_ROWS", block_rows):
         got = oracle.solve_ivp(*args)
-    want, _ = _per_step_dop853(*args)
+    want, _, last = _per_step_dop853(*args)
     assert got.success and got.nfev == want.nfev
     assert _same_bytes(got, want)
+    # the last row, at t_end, is the last accepted node
+    assert np.array_equal(got.y[:, -1], last)
 
 
 @pytest.mark.parametrize("rows", [601, 6001, 60001])
@@ -276,7 +274,7 @@ def test_block_dense_output_over_many_blocks_equals_the_per_step_one(rows):
     args = (rhs, (0.0, 60.0), S_START.reshape(-1), np.linspace(0.0, 60.0, rows), 1e-9, 1e-9,
             oracle._max_step(cfg))
     got = oracle.solve_ivp(*args)
-    want, held = _per_step_dop853(*args)
+    want, held, _ = _per_step_dop853(*args)
     assert got.success and got.nfev == want.nfev
     assert _same_bytes(got, want)
     dense = [k for k in held if k]

@@ -546,18 +546,35 @@ def test_the_tableau_literals_are_scipys_bit_for_bit():
         mine, theirs = np.array(mine, dtype=float), np.asarray(theirs, dtype=float)
         assert mine.shape == theirs.shape
         assert mine.tobytes() == theirs.tobytes()
-    # the oracle's (c, a, err, dense), assembled from scipy's arrays: the 12
-    # stages, the derivative at the new point, then the dense-output stages
+    # the oracle's (c, a, err), assembled from scipy's arrays: the 12 stages,
+    # the derivative at the new point, then the dense-output stages
     s = len(DOP853.B)
     a = np.zeros((s + 4, s + 4))
     a[:s, :s], a[s, :s], a[s + 1:] = DOP853.A, DOP853.B, DOP853.A_EXTRA
     c = np.concatenate((DOP853.C, [1.0], DOP853.C_EXTRA))
-    for mine, theirs in zip(oracle._tableau(), (c, a, np.stack((DOP853.E5, DOP853.E3)),
-                                                DOP853.D)):
+    assert len(oracle._tableau()) == 3
+    for mine, theirs in zip(oracle._tableau(), (c, a, np.stack((DOP853.E5, DOP853.E3)))):
         assert mine.shape == theirs.shape
         assert mine.dtype == theirs.dtype
         assert mine.flags.c_contiguous and theirs.flags.c_contiguous
         assert mine.tobytes() == theirs.tobytes()
+
+
+@pytest.mark.parametrize("n", [1, 3, 8, 9])
+def test_dense_of_a_stack_is_dense_of_each_component_bit_for_bit(n):
+    # the direct oracles pass stacks of 8 and 9 components, solve_mu of 3:
+    # each component's coefficients are its own, whatever the stack's width
+    rng = np.random.default_rng(n)
+    m = 5
+    scale = 10.0 ** rng.uniform(-8, 8, (m, 14, n))
+    steps = scale * (rng.standard_normal((m, 14, n)) + 1j * rng.standard_normal((m, 14, n)))
+    h = 10.0 ** rng.uniform(-6, 1, m)
+    for step_sizes in (h, np.ones(m)):
+        f = riccati._dense(steps, step_sizes)
+        assert f.shape == (m, 6, n)
+        for i in range(n):
+            alone = riccati._dense(np.ascontiguousarray(steps[..., i:i + 1]), step_sizes)
+            assert f[..., i:i + 1].tobytes() == alone.tobytes()
 
 
 def assert_same_trajectory(a, b):
