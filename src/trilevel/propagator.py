@@ -17,8 +17,9 @@ and A_Z are the spin-1 representation of su(2), so propagators are composed as
 come from :mod:`trilevel.riccati`.  When they grow (or blow up at a chart
 singularity of the factorization), the propagator composes the state reached so
 far and restarts the exponents from zero at that time; the evolution operator is
-a cocycle, so segmentation is exact.  By the same cocycle, a drive with period T
-is solved over [0, T] only: U(nT + s) = U(s) U(T)^n, U(T)^n in closed form.
+a cocycle, so segmentation is exact: one table joins the charts' steps, step i
+serving (end of step i - 1, end of step i].  By the same cocycle, a drive with
+period T is solved over [0, T] only: U(nT + s) = U(s) U(T)^n in closed form.
 """
 
 from __future__ import annotations
@@ -31,7 +32,7 @@ import numpy as np
 
 from . import algebra, observables
 from .fields import FieldConfig
-from .riccati import SingularityError, solve_mu
+from .riccati import SingularityError, _evaluate, solve_mu
 
 #: Chart restart threshold on max(|mu_plus|, |mu_minus|, |Im mu|).  Keeping
 #: the exponent magnitudes of order one keeps every factor of the product well
@@ -193,13 +194,13 @@ def _propagator(cfg: FieldConfig, grid: np.ndarray, tol: float):
 
     The exponents are solved on consecutive charts over one span: the drive
     period T when the drive has one and the grid ends past T, else the whole
-    grid.  By the cocycle U(nT + s) = U(s) U(T)^n, U at t = nT + s is the
-    product of the chart at s, the charts before it and U(T)^n in closed form.
-    A chart halts at its first node past CHART_LIMIT, ends at its last node
-    below a blow-up, or ends on the span: that last node is its cover, where
-    the next chart starts from zero, with the last step its predecessor
-    accepted as its first step.  A chart that blows up on its first step
-    cannot advance and is a PropagationError.
+    grid.  A chart halts at its first node past CHART_LIMIT, ends at its last node
+    below a blow-up, or ends on the span: that last node is its cover, where the
+    next chart starts from zero with its predecessor's last step as its first.
+    A chart that blows up on its first step is a PropagationError.  One table joins
+    the charts' steps end to end: step i serves (end of step i - 1, end of step i],
+    step 0 also s = 0, and by the cocycle U(nT + s) = U(s) U(T)^n, U(t) is the
+    factor at s of its step, times U at its chart's start and U(T)^n.
     A solve whose charts take more than MAX_SAMPLES accepted steps in all is a
     ValueError, raised at the step past the cap: a drive with no common period
     is solved over the whole window, which could otherwise take hours and all
@@ -236,24 +237,22 @@ def _propagator(cfg: FieldConfig, grid: np.ndarray, tol: float):
         charts.append(chart)
         start = chart.t_final
         first_step = float(chart.grid[-1] - chart.grid[-2])   # the chart's last step
-    covers = [chart.t_final for chart in charts]
 
     # composed after the solves: past some numpy kernels, this complex 2x2 `@`
     # among them, Python float arithmetic ran up to 4x slower (numpy 2.4 on a Xeon)
     # until another kind ran, so a product between two solves slowed the next one
-    before, u_span = [], np.eye(2, dtype=complex)   # U at each chart's start, U(span)
-    for chart, cover in zip(charts, covers):
-        before.append(u_span)
-        u_span = chart_matrix(*chart.evaluate(cover)) @ u_span
+    before = [np.eye(2, dtype=complex)]   # U at each chart's start, then U(span)
+    for chart in charts:
+        before.append(chart_matrix(*chart.evaluate(chart.t_final)) @ before[-1])
+    before, u_span = np.array(before[:-1]), before[-1]
+    # one table of every chart's steps end to end, and the chart of each step
+    table = [np.concatenate(part, axis=-1) for part in zip(*(c._steps for c in charts))]
+    chart_of = np.repeat(np.arange(len(charts)), [len(c.grid) - 1 for c in charts])
 
     def u(block: slice) -> np.ndarray:
-        s, out = in_span[block], _power(u_span, periods[block])   # U(T)^n, then U(t)
-        # chart c serves (cover of chart c - 1, cover of chart c], chart 0 also s = 0
-        chart_of = np.searchsorted(covers, s)
-        for c in np.unique(chart_of):
-            k = np.flatnonzero(chart_of == c)
-            out[k] = _matmul2(_matmul2(chart_matrix(*charts[c].evaluate(s[k])), before[c]), out[k])
-        return out
+        i, mus = _evaluate(in_span[block], *table)   # U(s), U at its chart's start, U(T)^n
+        return _matmul2(_matmul2(chart_matrix(*mus), before[chart_of[i]]),
+                        _power(u_span, periods[block]))
 
     return u
 

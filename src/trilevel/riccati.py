@@ -229,11 +229,13 @@ class MuTrajectory:
         self.grid = np.asarray(grid, dtype=float)
         self._values = values.T                  # (3, n): mu_plus, mu_minus, mu at the nodes
         self._dense = dense.transpose(1, 2, 0)   # (6, 3, n - 1): F_1 .. F_6 of each step
-        # the steps without dense output, or None when there are none
-        self._bare = None if dense_steps is None or dense_steps.all() else ~dense_steps
         self.halted = halted
         for arr in (self.grid, self._values, self._dense):
             arr.setflags(write=False)
+        bare = np.zeros(len(self.grid) - 1, dtype=bool) if dense_steps is None else ~dense_steps
+        # the step table that _evaluate reads: views of the nodes, no copy
+        self._steps = (self.grid[:-1], self.grid[1:], self._values[:, :-1], self._values[:, 1:],
+                       self._dense, bare)
 
     @property
     def mu_plus(self) -> np.ndarray:
@@ -255,34 +257,32 @@ class MuTrajectory:
     def t_final(self) -> float:
         return float(self.grid[-1])
 
-    def _interval(self, t) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Left node index, step length and position x in [0, 1] of each time."""
+    def evaluate(self, t) -> np.ndarray:
+        """Interpolated (mu_plus, mu_minus, mu) at time ``t``, shape (3,) + shape(t), by
+        _evaluate; a time outside [t_start, t_final] is a ValueError."""
         t = np.asarray(t, dtype=float)
         inside = (self.t_start <= t) & (t <= self.t_final)
         if not np.all(inside):
             raise ValueError(f"time {float(t[~inside].flat[0])!r} outside solved range "
                              f"[{self.t_start!r}, {self.t_final!r}]")
-        i = np.clip(np.searchsorted(self.grid, t, side="right") - 1, 0, len(self.grid) - 2)
-        h = self.grid[i + 1] - self.grid[i]
-        return i, h, (t - self.grid[i]) / h
-
-    def evaluate(self, t) -> np.ndarray:
-        """Interpolated (mu_plus, mu_minus, mu) at time ``t``, shape (3,) + shape(t);
-        a time on a node returns its values.  A time inside a step without dense
-        output is a ValueError."""
         if len(self.grid) == 1:
-            t = np.asarray(t, dtype=float)
-            if np.any(t != self.t_start):
-                raise ValueError(f"time {t!r} outside solved range")
             return self._values[:, np.zeros(t.shape, dtype=int)]
-        i, _, x = self._interval(t)
-        if self._bare is not None:
-            inner = self._bare[i] & (0.0 < x) & (x < 1.0)
-            if np.any(inner):
-                raise ValueError(f"time {float(np.asarray(t)[inner].flat[0])!r} inside a "
-                                 f"step solved without dense output")
-        return _interpolant(x, self._values[:, i], self._values[:, i + 1],
-                            [f[:, i] for f in self._dense])
+        return _evaluate(t, *self._steps)[1]
+
+
+def _evaluate(t: np.ndarray, starts, ends, y0, y1, dense, bare) -> tuple[np.ndarray, np.ndarray]:
+    """The step i of each time of ``t`` in a table of steps (their starts, ends, values at
+    both, coefficients F_1 .. F_6 and whether each lacks dense output), and the
+    interpolated (mu_plus, mu_minus, mu) there, shape (3,) + shape(t).  Step i serves
+    (end of step i - 1, end of step i], and step 0 also its start.  A time inside a
+    step without dense output is a ValueError."""
+    i = np.searchsorted(ends, t)
+    x = (t - starts[i]) / (ends[i] - starts[i])
+    inner = bare[i] & (0.0 < x) & (x < 1.0)
+    if np.any(inner):
+        raise ValueError(f"time {float(t[inner].flat[0])!r} inside a step solved "
+                         f"without dense output")
+    return i, _interpolant(x, y0[:, i], y1[:, i], [f[:, i] for f in dense])
 
 
 def _find_crossing(t0: float, h: float, y0: complex, y1: complex, f, threshold: float) -> float:

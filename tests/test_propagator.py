@@ -390,9 +390,9 @@ def test_floquet_error_grows_linearly_with_the_periods():
     # U(T) is not re-unitarized, so its error compounds over the periods:
     # U(T)^n = cos(n theta) I + sin(n theta)/sin(theta) (U(T) - cos(theta) I)
     # carries the error of theta n times.  Against the hydrogen closed form
-    # (Gamma = 0) at tol 1e-10 the error was 4.80e-10 at 10^2 periods, 4.80e-8
-    # at 10^4 and 4.80e-6 at 10^6; at tol 1e-8 it was 6.08e-8 at 10^2 periods
-    # and 6.03e-2 at 10^8.  Linear growth is 100x from 10^2 to 10^4 periods.
+    # (Gamma = 0) at tol 1e-10 the error was 4.85e-10 at 10^2 periods, 4.85e-8
+    # at 10^4 and 4.85e-6 at 10^6; at tol 1e-8 it was 7.62e-8 at 10^2 periods
+    # and 7.56e-2 at 10^8.  Linear growth is 100x from 10^2 to 10^4 periods.
     ps = fields.preset("hydrogen")
     cfg, rho0 = ps.config, ps.initial.density()
     assert cfg.Gamma == 0.0 and propagator._drive_period(cfg) == 2.0 * math.pi
@@ -413,10 +413,10 @@ def test_floquet_error_grows_linearly_with_the_periods():
     ("fig9", math.sqrt(2.0) - 1.0, 100.0, 0.1),
 ], ids=["fig3", "fig9", "fig1-dt_out>T", "incommensurate"])
 def test_run_does_not_depend_on_where_sample_blocks_end(monkeypatch, name, Omega, t_end, dt_out):
-    # run fills the grid SAMPLE_BLOCK samples at a time, each chart evaluated
-    # once per block for every period it serves there.  fig3 has 20 charts
-    # over its period 20 pi, fig1 at dt_out 7.3 > 2 pi puts each sample in its
-    # own period, and fig9 with Omega = sqrt(2) - 1 has no period at all.
+    # run fills the grid SAMPLE_BLOCK samples at a time, with one evaluation
+    # of the step table per block.  fig3 has 20 charts over its period 20 pi,
+    # fig1 at dt_out 7.3 > 2 pi puts each sample in its own period, and fig9
+    # with Omega = sqrt(2) - 1 has no period at all.
     ps = fields.preset(name)
     cfg = ps.config if Omega is None else dataclasses.replace(ps.config, Omega=Omega)
     rho0 = ps.initial.density()
@@ -426,13 +426,21 @@ def test_run_does_not_depend_on_where_sample_blocks_end(monkeypatch, name, Omega
         assert propagator.run(cfg, rho0, t_end, dt_out, 1e-10).rho.tobytes() == reference
 
 
-def test_each_chart_is_evaluated_once_for_every_period_it_serves(monkeypatch):
-    # fig3's 1,001 rows are one block, and its charts over the period 20 pi
-    # serve the periods 0 and 1.  chart_matrix is called once to compose each
-    # chart and once to fill it, whatever the number of periods it serves.
-    ps = fields.preset("fig3")
-    assert len(propagator.output_grid(ps.t_end, ps.dt_out)) <= propagator.SAMPLE_BLOCK
-    assert ps.t_end > propagator._drive_period(ps.config)
+@pytest.mark.parametrize("name, t_end, dt_out, block", [
+    ("fig3", None, None, None),
+    ("fig3", None, None, 64),
+    ("fig1", 1000.0, 7.3, 64),
+], ids=["fig3", "fig3-block=64", "fig1-dt_out>T-block=64"])
+def test_chart_matrix_is_called_once_a_chart_and_once_a_sample_block(monkeypatch, name, t_end,
+                                                                     dt_out, block):
+    # chart_matrix is called once to compose each chart, then once for each
+    # sample block, whatever the number of periods or charts the block spans.
+    # fig3 has 20 charts over its period 20 pi and its 1,001 rows span two
+    # periods; fig1 at dt_out 7.3 > 2 pi puts each sample in its own period.
+    ps = fields.preset(name)
+    t_end, dt_out = t_end or ps.t_end, dt_out or ps.dt_out
+    block = block or propagator.SAMPLE_BLOCK
+    monkeypatch.setattr(propagator, "SAMPLE_BLOCK", block)
     charts = record_charts(monkeypatch)
     calls = []
     chart_matrix = propagator.chart_matrix
@@ -442,14 +450,15 @@ def test_each_chart_is_evaluated_once_for_every_period_it_serves(monkeypatch):
         return chart_matrix(*mus)
 
     monkeypatch.setattr(propagator, "chart_matrix", counting_chart_matrix)
-    propagator.run(ps.config, ps.initial.density(), ps.t_end, ps.dt_out, 1e-10)
-    assert len(charts) > 1
-    assert len(calls) == 2 * len(charts)
+    traj = propagator.run(ps.config, ps.initial.density(), t_end, dt_out, 1e-10)
+    assert len(charts) == (20 if name == "fig3" else 1)
+    assert len(calls) == len(charts) + math.ceil(len(traj) / block)
 
 
 def test_each_chart_serves_from_the_previous_cover_to_its_own(monkeypatch):
-    # Chart c serves (cover of chart c - 1, cover of chart c], chart 0 also
-    # s = 0, each sample at its own in-span time.  dt_out puts the sample at
+    # The step table's step i serves (end of step i - 1, end of step i], step 0
+    # also s = 0, so each sample's step belongs to the chart c with
+    # cover_{c-1} < s <= cover_c (chart 0 also s = 0).  dt_out puts the sample at
     # t = dt_out 5e-13 relative past the third of fig3's 20 period covers
     # (10.365186856080893), so it belongs to the chart that starts there.  The
     # covers are read from a run on the preset's own grid: only the dense
@@ -462,30 +471,95 @@ def test_each_chart_serves_from_the_previous_cover_to_its_own(monkeypatch):
     covers = [chart.t_start for chart, _ in charts[1:]] + [span]
     dt_out = covers[2] * (1.0 + 5e-13)
     assert dt_out > covers[2]
-    served = []
-    solve_step, evaluate = propagator._propagator, riccati.MuTrajectory.evaluate
+    served = []   # (the step table, the in-span times of a block, their steps)
+    evaluate = propagator._evaluate
 
-    def recording_solve_step(*args, **kwargs):
-        u = solve_step(*args, **kwargs)
-        served.clear()   # each chart's evaluation at its cover, to compose the next
-        return u
+    def recording_evaluate(s, *steps):
+        i, mus = evaluate(s, *steps)
+        served.append((steps, s, i))
+        return i, mus
 
-    def recording_evaluate(self, t):
-        served.append((self.t_start, np.array(t, dtype=float, ndmin=1)))
-        return evaluate(self, t)
-
-    monkeypatch.setattr(propagator, "_propagator", recording_solve_step)
-    monkeypatch.setattr(riccati.MuTrajectory, "evaluate", recording_evaluate)
+    monkeypatch.setattr(propagator, "_evaluate", recording_evaluate)
     grid = propagator.run(ps.config, ps.initial.density(), ps.t_end, dt_out, 1e-10).grid
 
-    starts = [0.0] + covers[:-1]
-    for t_start, times in served:
-        c = starts.index(t_start)
-        assert np.all(((t_start < times) | ((c == 0) & (times == 0.0))) & (times <= covers[c]))
+    starts, ends = np.array([0.0] + covers[:-1]), np.array(covers)
+    for (step_starts, step_ends, *_), s, i in served:
+        lo, hi = step_starts[i], step_ends[i]
+        assert np.all(((lo < s) | ((lo == 0.0) & (s == 0.0))) & (s <= hi))
+        chart = np.sum(starts[:, None] <= lo, axis=0) - 1   # the chart that holds each step
+        assert np.all(hi <= ends[chart])
+        assert chart.tolist() == np.sum(ends[:, None] < s, axis=0).tolist()
     s = np.clip(grid - np.floor(grid / span) * span, 0.0, span)
-    passed = np.concatenate([times for _, times in served])
+    passed = np.concatenate([times for _, times, _ in served])
     assert np.sort(passed).tolist() == np.sort(s).tolist()
-    assert (covers[2], [dt_out]) in [(t_start, times.tolist()) for t_start, times in served]
+    # the sample past the third cover takes the first step of the chart that starts there
+    firsts = [steps[0][i[times == dt_out]].tolist() for steps, times, i in served]
+    assert [covers[2]] in firsts
+
+
+def per_chart_propagator(charts, grid) -> np.ndarray:
+    """U on ``grid`` by the per-chart loop that one step table replaced, kept as
+    its reference: chart c serves (cover_{c-1}, cover_c], chart 0 also s = 0, and
+    looks up each of its samples in its own steps, step k serving
+    [node k, node k + 1) and the last step also its end."""
+    def evaluate(chart, t):
+        i = np.clip(np.searchsorted(chart.grid, t, side="right") - 1, 0, len(chart.grid) - 2)
+        h = chart.grid[i + 1] - chart.grid[i]
+        return riccati._interpolant((t - chart.grid[i]) / h, chart._values[:, i],
+                                    chart._values[:, i + 1], [f[:, i] for f in chart._dense])
+
+    span = charts[-1].t_final
+    periods = np.floor(grid / span) if span < grid[-1] else np.zeros_like(grid)
+    s = np.clip(grid - periods * span, 0.0, span)
+    covers = [chart.t_final for chart in charts]
+    before, u_span = [], np.eye(2, dtype=complex)
+    for chart, cover in zip(charts, covers):
+        before.append(u_span)
+        u_span = propagator.chart_matrix(*evaluate(chart, cover)) @ u_span
+    out = propagator._power(u_span, periods)
+    chart_of = np.searchsorted(covers, s)
+    for c in np.unique(chart_of):
+        k = np.flatnonzero(chart_of == c)
+        out[k] = propagator._matmul2(propagator._matmul2(
+            propagator.chart_matrix(*evaluate(charts[c], s[k])), before[c]), out[k])
+    return out
+
+
+@pytest.mark.parametrize("tol", [1e-6, 1e-10])
+@pytest.mark.parametrize("name", ["fig3", "fig4", "fig6"])
+def test_one_step_table_gives_the_per_chart_loops_u_bit_for_bit(monkeypatch, name, tol):
+    # fig3 has 20 charts a period, fig4 6 to 9 and fig6 one.  The grid adds
+    # every node of the span's charts, their covers among them, to the
+    # preset's own grid: on a node inside a chart the table takes the step
+    # that ends there and the loop the step that starts there.
+    ps = fields.preset(name)
+    charts = record_charts(monkeypatch)
+    grid = propagator.output_grid(ps.t_end, ps.dt_out)
+    propagator._propagator(ps.config, grid, tol)
+    grid = np.unique(np.concatenate([grid] + [chart.grid for chart, _ in charts]))
+    charts.clear()
+    u = propagator._propagator(ps.config, grid, tol)(slice(None))
+    assert (len(charts) == 1) == (name == "fig6")
+    assert charts[-1][0].t_final < grid[-1]   # a periodic span: some samples in later periods
+    assert u.tobytes() == per_chart_propagator([chart for chart, _ in charts], grid).tobytes()
+
+
+def test_a_sample_in_a_step_without_dense_output_is_a_value_error(monkeypatch):
+    # solve_mu builds dense output only on the steps that hold a time of
+    # t_eval.  With one sample dropped from t_eval, that sample lies inside a
+    # step without it, and run refuses it rather than read zero coefficients.
+    ps = fields.preset("fig1")
+    solve_mu = propagator.solve_mu
+    dropped = []
+
+    def dropping_solve_mu(*args, t_eval, **kwargs):
+        dropped.append(t_eval[1])
+        return solve_mu(*args, t_eval=t_eval[:1] + t_eval[2:], **kwargs)
+
+    monkeypatch.setattr(propagator, "solve_mu", dropping_solve_mu)
+    with pytest.raises(ValueError, match="without dense output") as exc:
+        propagator.run(ps.config, ps.initial.density(), 500.0, 250.0, 1e-10)
+    assert repr(dropped[0]) in str(exc.value)
 
 
 # perfbench's long-horizon drives: (A, Omega, B, delta, Gamma, sign, initial), omega = 1

@@ -19,14 +19,16 @@ def evaluate_derivative(traj: riccati.MuTrajectory, t) -> np.ndarray:
     ``traj.evaluate(t)``: the judge of the residual checks below.  The
     interpolant is (1 - x) y0 + x y1 + x (1 - x) R(x), R in the nested form of
     riccati._interpolant, differentiated along its Horner scheme."""
-    i, h, x = traj._interval(t)
-    f = [c[:, i] for c in traj._dense]
+    starts, ends, y0, y1, dense, _ = traj._steps
+    i = np.searchsorted(ends, t)   # riccati._evaluate's step rule
+    h = ends[i] - starts[i]
+    x = (t - starts[i]) / h
+    f = [c[:, i] for c in dense]
     r, dr = f[5], 0.0
     for k in (4, 3, 2, 1, 0):
         w, dw = (x, 1.0) if k % 2 == 0 else (1 - x, -1.0)
         r, dr = f[k] + w * r, dw * r + w * dr
-    y0, y1 = traj._values[:, i], traj._values[:, i + 1]
-    return (y1 - y0 + (1 - 2 * x) * r + x * (1 - x) * dr) / h
+    return (y1[:, i] - y0[:, i] + (1 - 2 * x) * r + x * (1 - x) * dr) / h
 
 
 def residuals(traj: riccati.MuTrajectory, cfg: fields.FieldConfig,
@@ -188,6 +190,14 @@ def test_evaluate_rejects_out_of_range_times():
         traj.evaluate(2.1)
     with pytest.raises(ValueError, match="2.1"):
         traj.evaluate(np.array([0.5, 2.1]))
+    # a one-node trajectory, as a chart that blows up on its first step leaves,
+    # names the time and its range as a longer one does
+    node = riccati.MuTrajectory(np.array([1.5]), np.zeros((1, 3), dtype=complex),
+                                np.empty((0, 6, 3), dtype=complex))
+    zeros = np.zeros((3, 2), dtype=complex)
+    assert node.evaluate(np.array([1.5, 1.5])).tobytes() == zeros.tobytes()
+    with pytest.raises(ValueError, match=r"^time 0\.5 outside solved range \[1\.5, 1\.5\]$"):
+        node.evaluate(np.array([1.5, 0.5]))
 
 
 def test_solve_mu_input_validation():
