@@ -73,6 +73,8 @@ def run_settings(entries: dict[str, str]) -> tuple[FieldConfig, InitialState, fl
     """The drive, initial state, t_end and dt_out that raw config entries
     set; a missing or invalid value is a ConfigError."""
     values = [config.get_float(entries, key) for key in FIELD_KEYS]
+    if values[-1] not in (1.0, -1.0):
+        raise config.ConfigError(f"sign must be +1 or -1, got {entries['sign']!r}")
     try:
         field = FieldConfig(*values)
     except ValueError as exc:

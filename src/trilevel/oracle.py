@@ -9,7 +9,6 @@ so agreement with :func:`trilevel.propagator.run` validates both routes.
 
 from __future__ import annotations
 
-import functools
 import math
 from bisect import bisect_right
 from itertools import chain
@@ -23,7 +22,7 @@ from .fields import (FieldConfig, STARK_MINUS_VECTOR, STARK_PLUS_VECTOR,
 from .propagator import (MAX_SAMPLES, Trajectory, output_grid, trajectory_from_etas,
                          trajectory_from_rhos)
 from .riccati import (_A, _A_EXTRA, _B, _C, _C_EXTRA, _DENSE_STAGES, _E3, _E5,
-                      _ERROR_EXPONENT, _MAX_FACTOR, _MIN_FACTOR, _SAFETY, _dense, _interpolant,
+                      _ERROR_EXPONENT, _MAX_FACTOR, _MIN_FACTOR, _SAFETY, _dense, _evaluate,
                       check_tol)
 
 _SQRT32 = math.sqrt(1.5)
@@ -69,20 +68,12 @@ class _LinearRHS:
         return self.generators((t,))[0] @ y
 
 
-@functools.cache
-def _tableau():
-    """DOP853's coefficients, assembled from :mod:`trilevel.riccati`'s literals.
-
-    Returns ``(c, a, err)``: the stage times ``c`` and the stage matrix ``a``
-    of 16 stages, where stages 0-11 are the method's, stage 12 is the
-    derivative at the new point (its row is the solution weights B, its time
-    1) and stages 13-15 feed the dense output; ``err`` stacks the E5 and E3
-    error rows.
-    """
-    a = np.zeros((16, 16))
-    for s, row in enumerate((*_A, _B, *_A_EXTRA)):
-        a[s, :len(row)] = row
-    return np.array((*_C, 1.0, *_C_EXTRA)), a, np.array((_E5, _E3))
+# DOP853's 16 stages in riccati's literals: stages 0-11 are the method's, stage
+# 12 is the derivative at the new point (its row is the solution weights B, its
+# time 1) and stages 13-15 feed the dense output.  Row s weighs stages 0 .. s - 1.
+_STAGE_TIMES = np.array((*_C, 1.0, *_C_EXTRA))
+_STAGE_ROWS = (*_A, _B, *_A_EXTRA)
+_ERROR_ROWS = np.array((_E5, _E3))
 
 
 def _rms(x: np.ndarray) -> float:
@@ -114,12 +105,13 @@ def solve_ivp(fun: _LinearRHS, t_span, y0, t_eval, rtol, atol, max_step) -> _Sol
     until a stage overflows: 1 at the start, 1 for the initial step, 12 per
     attempted step and 3 per dense output.  The generators of a whole step come
     from one product, each stage is ``hL @ (y + a @ hK)`` on stages ``hK``
-    scaled by the step, and dense output is built only for steps that hold
-    times of ``t_eval`` (ascending, within ``t_span``, which runs forward):
-    such steps are buffered, and their extra stages, riccati's ``_dense`` (on
-    the stages ``h K`` with a step of 1) and ``_interpolant`` are evaluated a
-    block at a time, with the same floating-point operations per step.  A row
-    on a step's end node is that node exactly.
+    scaled by the step and ``a`` riccati's stage rows as they are.  Dense output
+    is built only for steps that hold times of ``t_eval`` (ascending, within
+    ``t_span``, which runs forward), by scipy's rule those in (t_old, t_new] and
+    ``t_span[0]`` on the first step: a block of such steps at a time, their extra
+    stages, riccati's ``_dense`` (on the stages ``h K`` with a step of 1) and
+    riccati's ``_evaluate`` on the block's steps, with the same floating-point
+    operations per step.  A row on a step's end node is that node exactly.
 
     The stages ``h K`` stay finite at a step of 10 ulp where scipy's unscaled
     ``K`` overflow its error norm, so the two fail at different evaluations:
@@ -130,19 +122,18 @@ def solve_ivp(fun: _LinearRHS, t_span, y0, t_eval, rtol, atol, max_step) -> _Sol
     the step past the cap: with B = 1e100 every step is some 1e-100 long, and
     the solve would run without end.
     """
-    c, a, err = _tableau()
     t, t_bound = float(t_span[0]), float(t_span[1])
     y = np.asarray(y0, dtype=complex)
     f = fun(t, y)
     h_abs = _initial_step(fun, t, y, f, t_bound, max_step, rtol, atol)
     times = np.asarray(t_eval, dtype=float)
-    n, stages, grid = y.size, len(err[0]), times.tolist()
+    n, stages, grid = y.size, len(_E5), times.tolist()
     out = np.empty((len(grid), n), dtype=complex)
-    # z = [y; h K_0; ...; h K_15]: stage s is hL_s @ ((1, a[s, :s]) @ z[:s + 1]),
+    # z = [y; h K_0; ...; h K_15]: stage s is hL_s @ ((1, *row s) @ z[:s + 1]),
     # the sum taken as one real product on the interleaved real and imaginary parts
-    z = np.empty((len(c) + 1, n), dtype=complex)
+    z = np.empty((len(_STAGE_ROWS) + 1, n), dtype=complex)
     z_rows, z_flat = list(z), z.view(float)
-    sums = [(np.concatenate(([1.0], a[s, :s])), z_flat[:s + 1]) for s in range(len(c))]
+    sums = [(np.array((1.0, *row)), z_flat[:s + 1]) for s, row in enumerate(_STAGE_ROWS)]
     # the step's buffers, made once per solve: its generators hL_1 .. hL_{stages - 1};
     # the sum of the stage at hand, which after the last stage is the new y; |y| and
     # |y_new|, swapped on acceptance; the error scale and the E5 and E3 rows.  f, this
@@ -152,7 +143,7 @@ def solve_ivp(fun: _LinearRHS, t_span, y0, t_eval, rtol, atol, max_step) -> _Sol
     y_new = y_sum.view(complex)
     abs_y, abs_new, scale, w = np.abs(y), np.empty(n), np.empty(n), np.empty((2, 2 * n))
     w3, scale_col, err_stages = w.reshape(2, n, 2), scale[:, None], z_flat[1:stages + 1]
-    stage_times = c[1:stages].tolist()
+    stage_times = _STAGE_TIMES[1:stages].tolist()
     # a step's generators are generators()'s product, written into gens through a
     # view made once here, where generators() would redo its views every step
     coeffs, n_coeffs, flat = fun.coeffs, (stages - 1) * len(fun.stack), fun._flat
@@ -162,33 +153,32 @@ def solve_ivp(fun: _LinearRHS, t_span, y0, t_eval, rtol, atol, max_step) -> _Sol
     # operand of each sum and the row each stage fills
     step_stages = [(row.dot, earlier, z_row, gen.dot) for (row, earlier), z_row, gen
                    in zip(sums[1:stages], z_rows[2:stages + 1], gens)]
-    err_dot = err.dot
+    err_dot = _ERROR_ROWS.dot
     # the buffered steps: z[:stages + 1] of each with room for its dense-output
-    # stages, then its new y, and (t_old, h, first row, end row) of its output rows
-    zs = np.empty((_DENSE_BLOCK, len(c) + 2, n), dtype=complex)
+    # stages, then its new y, and (t_old, h, t_new) of each; rows first .. done - 1
+    zs = np.empty((_DENSE_BLOCK, len(_STAGE_ROWS) + 2, n), dtype=complex)
     steps = []
 
     def flush():
         # the buffered steps' extra stages, their dense output and the output
         # rows they hold, each operation taken on the whole block at once
         m = len(steps)
-        t_old, h, lo, hi = (np.array(col) for col in zip(*steps))
+        t_old, h, t_new = (np.array(col) for col in zip(*steps))
         zb, zb_flat = zs[:m], zs[:m].view(float)
-        hgens = fun.generators((t_old[:, None] + h[:, None] * c[stages:]).ravel().tolist())
-        hgens = hgens.reshape(m, -1, n, n)
+        extra_times = t_old[:, None] + h[:, None] * _STAGE_TIMES[stages:]
+        hgens = fun.generators(extra_times.ravel().tolist()).reshape(m, -1, n, n)
         hgens *= h[:, None, None, None]
-        for s in range(stages, len(c)):
+        for s in range(stages, len(_STAGE_ROWS)):
             v = (sums[s][0] @ zb_flat[:, :s + 1]).view(complex)
             np.matmul(hgens[:, s - stages], v[..., None], out=zb[:, s + 1, :, None])
         # _dense's stack: each step's y and new y, then its stages h K of _DENSE_STAGES
         dense = _dense(zb[:, [0, -1, *(1 + s for s in _DENSE_STAGES)]], np.ones(m))
-        first, end = int(lo[0]), int(hi[-1])
-        step = np.repeat(np.arange(m), hi - lo)     # the step of each output row
-        x = ((times[first:end] - t_old[step]) / h[step])[:, None]
-        out[first:end] = _interpolant(x, zb[step, 0], zb[step, -1], dense[step].swapaxes(0, 1))
+        # each row's step and x, by scipy's rule, from a table of the block's steps
+        out[first:done] = _evaluate(times[first:done], t_old, t_new, zb[:, 0].T, zb[:, -1].T,
+                                    dense.transpose(1, 2, 0), np.zeros(m, dtype=bool))[1].T
         steps.clear()
 
-    nfev, done, accepted = 2, 0, 0
+    nfev, done, first, accepted = 2, 0, 0, 0
     z[0] = y
     while t < t_bound:
         min_step = 10.0 * math.ulp(t)
@@ -248,11 +238,12 @@ def solve_ivp(fun: _LinearRHS, t_span, y0, t_eval, rtol, atol, max_step) -> _Sol
         if stop > done:
             zs[len(steps), :stages + 1] = z[:stages + 1]
             zs[len(steps), -1] = y_new
-            steps.append((t_old, h, done, stop))
-            nfev += len(c) - stages
+            steps.append((t_old, h, t))
+            nfev += len(_STAGE_ROWS) - stages
             done = stop
-            if len(steps) == _DENSE_BLOCK or done - steps[0][2] >= _DENSE_ROWS:
+            if len(steps) == _DENSE_BLOCK or done - first >= _DENSE_ROWS:
                 flush()
+                first = done
         z[0] = y_new
     if steps:
         flush()

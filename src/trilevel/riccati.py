@@ -57,7 +57,9 @@ MIN_TOL = 1e-13
 # 8.1 and 19.4; figures steps 1,389 and 1,778 (5,988).
 _TOL_SHARE = 0.1
 
-# scipy.integrate's DOP853 step control, used by solve_mu and oracle.solve_ivp.
+# scipy.integrate's DOP853 step-control constants.  oracle.solve_ivp controls the step as
+# scipy does; solve_mu accepts err == 1 where scipy needs err < 1, and lets the step grow
+# on the step accepted right after a rejection, where scipy caps that factor at 1.
 _SAFETY = 0.9
 _MIN_FACTOR = 0.2
 _MAX_FACTOR = 10.0

@@ -297,11 +297,17 @@ def test_run_rejects_negative_gamma(tmp_path, capsys):
     assert "Gamma must be >= 0" in capsys.readouterr().err
 
 
-def test_run_rejects_a_sign_other_than_plus_or_minus_one(tmp_path, capsys):
-    cfg = write_cfg(tmp_path / "bad.cfg", "preset = fig1\ncsv = x.csv\nsign = 2\n")
-    assert cli.main(["run", cfg]) == 2
-    err = capsys.readouterr().err
-    assert err.startswith("config error: sign")
+def test_run_rejects_a_sign_other_than_plus_or_minus_one(tmp_path, monkeypatch, capsys):
+    # the message names the config key, sign, not FieldConfig's sign_convention;
+    # the sweep checks every value before its first run, so it writes nothing
+    monkeypatch.chdir(tmp_path)
+    for sign in ("2", "0.5", "0", "-1.5"):
+        cfg = write_cfg(tmp_path / "bad.cfg", f"preset = fig1\ncsv = x.csv\nsign = {sign}\n")
+        assert cli.main(["run", cfg]) == 2
+        assert capsys.readouterr().err == f"config error: sign must be +1 or -1, got {sign!r}\n"
+        assert cli.main(["sweep", cfg, "--param", "sign", f"--values=-1,{sign}"]) == 2
+        assert capsys.readouterr().err == f"config error: sign must be +1 or -1, got {sign!r}\n"
+        assert [path.name for path in tmp_path.iterdir()] == ["bad.cfg"]
 
 
 def test_run_rejects_unknown_keys_and_bad_tol(tmp_path, capsys):

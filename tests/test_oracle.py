@@ -7,6 +7,7 @@ import sys
 import textwrap
 import time
 import tracemalloc
+from itertools import chain
 from pathlib import Path
 from unittest import mock
 
@@ -164,10 +165,19 @@ def test_the_direct_stepper_takes_scipys_dop853_steps(seed, A, Omega, B, omega, 
 
 def _per_step_dop853(fun, t_span, y0, t_eval, rtol, atol, max_step):
     """The reference for ``oracle.solve_ivp``'s block dense output: the same
-    stepper with each accepted step's dense output built inside the step loop,
-    by riccati's _dense and _interpolant.  Returns the solution, per accepted
-    step the number of output times it holds, and the state at the last node."""
-    c, a, err = oracle._tableau()
+    stepper on scipy's tableau with each accepted step's dense output built
+    inside the step loop, by riccati's _dense and _interpolant, for the times
+    in (t_old, t] and t_span[0] on the first step.  Returns the solution, per
+    accepted step the number of output times it holds, and the accepted nodes
+    as (t, y), the start first."""
+    from scipy.integrate import DOP853
+    # scipy's 16 stages: the method's 12, the derivative at the new point (row B,
+    # time 1) and the three of the dense output; err stacks the E5 and E3 rows
+    s = len(DOP853.B)
+    a = np.zeros((s + 4, s + 4))
+    a[:s, :s], a[s, :s], a[s + 1:] = DOP853.A, DOP853.B, DOP853.A_EXTRA
+    c = np.concatenate((DOP853.C, [1.0], DOP853.C_EXTRA))
+    err = np.stack((DOP853.E5, DOP853.E3))
     t, t_bound = float(t_span[0]), float(t_span[1])
     y = np.asarray(y0, dtype=complex)
     f = fun(t, y)
@@ -177,7 +187,7 @@ def _per_step_dop853(fun, t_span, y0, t_eval, rtol, atol, max_step):
     z = np.empty((len(c) + 1, n), dtype=complex)
     z_rows, z_flat = list(z), z.view(float)
     sums = [(np.concatenate(([1.0], a[s, :s])), z_flat[:s + 1]) for s in range(len(c))]
-    nfev, done, held = 2, 0, []
+    nfev, done, held, nodes = 2, 0, [], [(t, y)]
     while t < t_bound:
         min_step = 10.0 * math.ulp(t)
         if h_abs > max_step:
@@ -210,6 +220,7 @@ def _per_step_dop853(fun, t_span, y0, t_eval, rtol, atol, max_step):
                          oracle._SAFETY * error_norm ** oracle._ERROR_EXPONENT)
             rejected = True
         t_old, y_old, t, y, f = t, y, t_new, y_new, z[stages] / h
+        nodes.append((t, y))
         stop = done
         while stop < len(grid) and grid[stop] <= t:
             stop += 1
@@ -226,7 +237,7 @@ def _per_step_dop853(fun, t_span, y0, t_eval, rtol, atol, max_step):
             x = ((np.array(grid[done:stop]) - t_old) / h)[:, None]
             out[done:stop] = riccati._interpolant(x, y_old, y, coeffs[:, None])
             done = stop
-    return oracle._Solution(out.T, nfev, True, ""), held, y
+    return oracle._Solution(out.T, nfev, True, ""), held, nodes
 
 
 def _same_bytes(got, want):
@@ -256,11 +267,11 @@ def test_block_dense_output_equals_the_per_step_one_bit_for_bit(
     with mock.patch.object(oracle, "_DENSE_BLOCK", block), \
             mock.patch.object(oracle, "_DENSE_ROWS", block_rows):
         got = oracle.solve_ivp(*args)
-    want, _, last = _per_step_dop853(*args)
+    want, _, nodes = _per_step_dop853(*args)
     assert got.success and got.nfev == want.nfev
     assert _same_bytes(got, want)
     # the last row, at t_end, is the last accepted node
-    assert np.array_equal(got.y[:, -1], last)
+    assert np.array_equal(got.y[:, -1], nodes[-1][1])
 
 
 @pytest.mark.parametrize("rows", [601, 6001, 60001])
@@ -285,6 +296,44 @@ def test_block_dense_output_over_many_blocks_equals_the_per_step_one(rows):
         assert max(dense) > 1
     if rows == 60001:
         assert np.median(dense) * oracle._DENSE_BLOCK > oracle._DENSE_ROWS
+
+
+@pytest.mark.parametrize("block", [1, 3, oracle._DENSE_BLOCK])
+def test_a_row_on_an_interior_node_is_that_node_and_one_ulp_past_it_is_the_next_step(block):
+    # scipy's rule: a step serves the times in (t_old, t_new].  fig3's rho
+    # equation to t = 6 on a grid of every interior accepted node and the time
+    # one ulp past it; the steps do not depend on the grid, so a first solve
+    # finds the nodes.  Blocks of 1 and 3 steps put a node's row and the next
+    # row in different blocks.
+    cfg = fields.preset("fig3").config
+    rhs = _right_hand_side(oracle.integrate_rho_direct, cfg, S_START)
+    args = (rhs, (0.0, 6.0), S_START.reshape(-1))
+    kwargs = dict(rtol=1e-8, atol=1e-8, max_step=oracle._max_step(cfg))
+    _, _, nodes = _per_step_dop853(*args, t_eval=[6.0], **kwargs)
+    interior = nodes[1:-1]
+    assert len(interior) > 10
+    grid = [0.0, *chain.from_iterable((t, math.nextafter(t, math.inf)) for t, _ in interior), 6.0]
+    served = []
+
+    def evaluate(t, starts, ends, *rest):
+        i, values = riccati._evaluate(t, starts, ends, *rest)
+        served.extend(zip(t.tolist(), starts[i].tolist(), ends[i].tolist()))
+        return i, values
+
+    with mock.patch.object(oracle, "_DENSE_BLOCK", block), \
+            mock.patch.object(oracle, "_evaluate", evaluate):
+        got = oracle.solve_ivp(*args, t_eval=grid, **kwargs)
+    want, held, _ = _per_step_dop853(*args, t_eval=grid, **kwargs)
+    assert got.success and _same_bytes(got, want)
+    assert held == [2] * (len(interior) + 1)
+    assert [t for t, _, _ in served] == grid
+    for k, (t, y) in enumerate(interior):
+        node_row, past_row = served[1 + 2 * k], served[2 + 2 * k]
+        # the node's row: x = 1 on the step that ends there, the node bit for bit
+        assert node_row[0] == node_row[2] == t
+        assert np.array_equal(got.y[:, 1 + 2 * k], y)
+        # one ulp past it: the next step, which starts on the node
+        assert past_row[1] == t and past_row[0] > t
 
 
 def test_the_direct_rho_oracles_transient_memory_stays_bounded():

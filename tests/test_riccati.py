@@ -556,14 +556,16 @@ def test_the_tableau_literals_are_scipys_bit_for_bit():
         mine, theirs = np.array(mine, dtype=float), np.asarray(theirs, dtype=float)
         assert mine.shape == theirs.shape
         assert mine.tobytes() == theirs.tobytes()
-    # the oracle's (c, a, err), assembled from scipy's arrays: the 12 stages,
-    # the derivative at the new point, then the dense-output stages
-    s = len(DOP853.B)
-    a = np.zeros((s + 4, s + 4))
-    a[:s, :s], a[s, :s], a[s + 1:] = DOP853.A, DOP853.B, DOP853.A_EXTRA
-    c = np.concatenate((DOP853.C, [1.0], DOP853.C_EXTRA))
-    assert len(oracle._tableau()) == 3
-    for mine, theirs in zip(oracle._tableau(), (c, a, np.stack((DOP853.E5, DOP853.E3)))):
+    # the oracle's 16 stages against scipy's arrays: the 12 stages, the
+    # derivative at the new point, then the dense-output stages.  Row s of
+    # _STAGE_ROWS is scipy's row s up to stage s - 1, and scipy's row is 0 past it
+    rows = [*DOP853.A, DOP853.B, *DOP853.A_EXTRA]
+    assert len(oracle._STAGE_ROWS) == len(rows) == 16
+    for s, (mine, theirs) in enumerate(zip(oracle._STAGE_ROWS, rows)):
+        assert np.array(mine, dtype=float).tobytes() == theirs[:s].tobytes()
+        assert not np.any(theirs[s:])
+    for mine, theirs in ((oracle._STAGE_TIMES, np.concatenate((DOP853.C, [1.0], DOP853.C_EXTRA))),
+                         (oracle._ERROR_ROWS, np.stack((DOP853.E5, DOP853.E3)))):
         assert mine.shape == theirs.shape
         assert mine.dtype == theirs.dtype
         assert mine.flags.c_contiguous and theirs.flags.c_contiguous
