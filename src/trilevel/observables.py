@@ -33,10 +33,13 @@ def entropy(rho: np.ndarray) -> np.ndarray | float:
     return _entropy_of_spectrum(spectrum(rho))
 
 
+def _purity_of_spectrum(lam: np.ndarray) -> np.ndarray | float:
+    return np.sum(lam * lam, axis=-1)
+
+
 def purity(rho: np.ndarray) -> np.ndarray | float:
-    """Tr rho^2."""
-    r = np.asarray(rho)
-    return np.real(np.trace(r @ r, axis1=-2, axis2=-1))
+    """Tr rho^2 of a Hermitian rho, as the sum of its squared eigenvalues."""
+    return _purity_of_spectrum(spectrum(rho))
 
 
 def coherence_norm(eta: np.ndarray) -> np.ndarray | float:
@@ -58,5 +61,6 @@ def table(grid: np.ndarray, rho: np.ndarray) -> np.ndarray:
         rho[:, 0, 1].real, rho[:, 0, 1].imag,
         rho[:, 0, 2].real, rho[:, 0, 2].imag,
         rho[:, 1, 2].real, rho[:, 1, 2].imag,
-        _entropy_of_spectrum(lam), purity(rho), lam, coherence_norm(algebra.rho_to_eta(rho)),
+        _entropy_of_spectrum(lam), _purity_of_spectrum(lam), lam,
+        coherence_norm(algebra.rho_to_eta(rho)),
     ])

@@ -20,6 +20,9 @@ far and restarts the exponents from zero at that time; the evolution operator is
 a cocycle, so segmentation is exact: one table joins the charts' steps, step i
 serving (end of step i - 1, end of step i].  By the same cocycle, a drive with
 period T is solved over [0, T] only: U(nT + s) = U(s) U(T)^n in closed form.
+With delta = 0 the drive is also time-symmetric, h(T - s) = h(s), and real
+symmetric, so U(s) = U(T - s)^-T U(T) and U(T) = W^T W, W = U(T/2): such a
+period is solved over [0, T/2] only.
 """
 
 from __future__ import annotations
@@ -194,13 +197,15 @@ def _propagator(cfg: FieldConfig, grid: np.ndarray, tol: float):
 
     The exponents are solved on consecutive charts over one span: the drive
     period T when the drive has one and the grid ends past T, else the whole
-    grid.  A chart halts at its first node past CHART_LIMIT, ends at its last node
-    below a blow-up, or ends on the span: that last node is its cover, where the
-    next chart starts from zero with its predecessor's last step as its first.
-    A chart that blows up on its first step is a PropagationError.  One table joins
-    the charts' steps end to end: step i serves (end of step i - 1, end of step i],
-    step 0 also s = 0, and by the cocycle U(nT + s) = U(s) U(T)^n, U(t) is the
-    factor at s of its step, times U at its chart's start and U(T)^n.
+    grid.  A period with delta = 0 is solved over [0, T/2] only, and a sample at
+    s > T/2 is formed from T - s as U(T - s)^-T U(T), with U(T) = W^T W and W the
+    composed U(T/2).  A chart halts at its first node past CHART_LIMIT, ends at its
+    last node below a blow-up, or ends where the solve ends: that last node is its
+    cover, where the next chart starts from zero with its predecessor's last step as
+    its first.  A chart that blows up on its first step is a PropagationError.  One
+    table joins the charts' steps end to end: step i serves (end of step i - 1, end
+    of step i], step 0 also s = 0, and by the cocycle U(nT + s) = U(s) U(T)^n, U(t)
+    is the factor at s of its step, times U at its chart's start and U(T)^n.
     A solve whose charts take more than MAX_SAMPLES accepted steps in all is a
     ValueError, raised at the step past the cap: a drive with no common period
     is solved over the whole window, which could otherwise take hours and all
@@ -212,23 +217,29 @@ def _propagator(cfg: FieldConfig, grid: np.ndarray, tol: float):
     # period index and in-span time of each sample; the index is 0 on one span
     periods = np.floor(grid / span) if span < t_end else np.zeros_like(grid)
     in_span = np.clip(grid - periods * span, 0.0, span)
-    samples = np.unique(in_span).tolist()   # the steps that get dense output hold one
+    # a period whose drive has h(T - s) = h(s), real and symmetric, is solved to T/2:
+    # U(s) = U(T - s)^-T U(T) past it, T - s exact there (Sterbenz), and U(T) = W^T W
+    fold = span < t_end and cfg.delta == 0.0
+    solved = 0.5 * span if fold else span
+    folded = in_span > solved
+    solve_at = np.where(folded, span - in_span, in_span)
+    samples = np.unique(solve_at).tolist()   # the steps that get dense output hold one
     steps = 0
 
     def halt(t, vals):
         nonlocal steps
         steps += 1   # one call per accepted step
         if steps > MAX_SAMPLES:
-            raise ValueError(f"the exponents to t = {span!r} need more than {MAX_SAMPLES} "
+            raise ValueError(f"the exponents to t = {solved!r} need more than {MAX_SAMPLES} "
                              f"Riccati steps (t = {t:.9g} reached); shorten t_end")
         mu_plus, mu_minus, mu = vals
         return max(abs(mu_plus), abs(mu_minus), abs(mu.imag)) > CHART_LIMIT
 
     charts = []
     start, first_step = 0.0, math.inf   # the first chart first tries its whole span
-    while start < span:
+    while start < solved:
         try:
-            chart = solve_mu(cfg, span, tol, t_start=start, halt=halt, t_eval=samples,
+            chart = solve_mu(cfg, solved, tol, t_start=start, halt=halt, t_eval=samples,
                              first_step=first_step)
         except SingularityError as exc:
             chart = exc.partial
@@ -241,18 +252,26 @@ def _propagator(cfg: FieldConfig, grid: np.ndarray, tol: float):
     # composed after the solves: past some numpy kernels, this complex 2x2 `@`
     # among them, Python float arithmetic ran up to 4x slower (numpy 2.4 on a Xeon)
     # until another kind ran, so a product between two solves slowed the next one
-    before = [np.eye(2, dtype=complex)]   # U at each chart's start, then U(span)
+    before = [np.eye(2, dtype=complex)]   # U at each chart's start, then U(solved)
     for chart in charts:
         before.append(chart_matrix(*chart.evaluate(chart.t_final)) @ before[-1])
     before, u_span = np.array(before[:-1]), before[-1]
+    if fold:
+        u_span = u_span.T @ u_span
     # one table of every chart's steps end to end, and the chart of each step
     table = [np.concatenate(part, axis=-1) for part in zip(*(c._steps for c in charts))]
     chart_of = np.repeat(np.arange(len(charts)), [len(c.grid) - 1 for c in charts])
 
     def u(block: slice) -> np.ndarray:
-        i, mus = _evaluate(in_span[block], *table)   # U(s), U at its chart's start, U(T)^n
-        return _matmul2(_matmul2(chart_matrix(*mus), before[chart_of[i]]),
-                        _power(u_span, periods[block]))
+        # U(s), or U(T - s) for a folded sample: the factor at its step, times U at
+        # its chart's start; then times U(T)^n
+        i, mus = _evaluate(solve_at[block], *table)
+        u_s = _matmul2(chart_matrix(*mus), before[chart_of[i]])
+        # a folded sample: U(T - s) = [[a, b], [c, d]] of det 1 gives U(T - s)^-T =
+        # [[d, -c], [-b, a]], and its U(T) joins the power as one more period
+        back = folded[block]
+        u_s[back] = u_s[back][:, ::-1, ::-1] * np.array([[1.0, -1.0], [-1.0, 1.0]])
+        return _matmul2(u_s, _power(u_span, periods[block] + back))
 
     return u
 

@@ -274,17 +274,17 @@ class MuTrajectory:
 
 def _evaluate(t: np.ndarray, starts, ends, y0, y1, dense, bare) -> tuple[np.ndarray, np.ndarray]:
     """The step i of each time of ``t`` in a table of steps (their starts, ends, values at
-    both, coefficients F_1 .. F_6 and whether each lacks dense output), and the
-    interpolated (mu_plus, mu_minus, mu) there, shape (3,) + shape(t).  Step i serves
-    (end of step i - 1, end of step i], and step 0 also its start.  A time inside a
-    step without dense output is a ValueError."""
+    both, coefficients F_1 .. F_6 as one (6, components, steps) array, and whether each
+    lacks dense output), and the interpolated (mu_plus, mu_minus, mu) there, shape
+    (3,) + shape(t).  Step i serves (end of step i - 1, end of step i], and step 0 also
+    its start.  A time inside a step without dense output is a ValueError."""
     i = np.searchsorted(ends, t)
     x = (t - starts[i]) / (ends[i] - starts[i])
     inner = bare[i] & (0.0 < x) & (x < 1.0)
     if np.any(inner):
         raise ValueError(f"time {float(t[inner].flat[0])!r} inside a step solved "
                          f"without dense output")
-    return i, _interpolant(x, y0[:, i], y1[:, i], [f[:, i] for f in dense])
+    return i, _interpolant(x, y0[:, i], y1[:, i], dense[..., i])
 
 
 def _find_crossing(t0: float, h: float, y0: complex, y1: complex, f, threshold: float) -> float:

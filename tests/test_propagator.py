@@ -319,16 +319,18 @@ def test_drive_period(cfg, period):
 @pytest.mark.parametrize("name", fields.preset_names())
 def test_one_period_solve_matches_the_plain_chart_path(monkeypatch, name):
     # Every preset's drive is periodic and its window longer than the period,
-    # so the charts stop at T and later samples compose U(T)^n.  Against
-    # charts over the whole window, at the tol of `trilevel figure`: largest
-    # difference 3.1 tol (fig6), 0 to 1.7 tol on the others.
+    # so the charts stop at T, or at T/2 when delta = 0 (fig5 to fig8 have
+    # delta != 0), and later samples compose U(T)^n.  Against charts over the
+    # whole window, at the tol of `trilevel figure`: largest difference 0.40 tol
+    # (fig13), and 0.38 tol (fig6) before the fold.
     ps = fields.preset(name)
     rho0 = ps.initial.density()
     period = propagator._drive_period(ps.config)
     assert period < ps.t_end
     charts = record_charts(monkeypatch)
     floquet = propagator.run(ps.config, rho0, ps.t_end, ps.dt_out, 1e-10)
-    assert charts[-1][0].t_final == pytest.approx(period, rel=1e-12)
+    solved = 0.5 * period if ps.config.delta == 0.0 else period
+    assert charts[-1][0].t_final == pytest.approx(solved, rel=1e-12)
     monkeypatch.setattr(propagator, "_drive_period", lambda cfg: None)
     plain = propagator.run(ps.config, rho0, ps.t_end, ps.dt_out, 1e-10)
     assert charts[-1][0].t_final == ps.t_end
@@ -353,6 +355,42 @@ def test_drives_without_a_shorter_period_stay_on_the_chart_path(monkeypatch, cfg
     # measured 2.2e-10 (incommensurate) and 6.0e-12 (t_end = T)
     direct = oracle.integrate_rho_direct(cfg, rho0, t_end, 0.5, 1e-12)
     assert np.max(np.abs(traj.rho - direct.rho)) <= 1e-8
+
+
+def test_a_time_symmetric_period_is_solved_over_its_first_half(monkeypatch):
+    # With delta = 0 the drive has h(T - s) = h(s), real and symmetric, so
+    # U(T) = W^T W, W = U(T/2), and U(s) = U(T - s)^-T U(T).  Both against an
+    # unfolded solve of fig3 at tol 1e-12: U(T) on the chart path over [0, T]
+    # was 9.8e-14 from W^T W there, and U over three periods, the charts run
+    # over the whole window, 1.1e-12 from the folded U (9.2e-13 at s in
+    # (T/2, T)).  U(T)^n is formed up to sign, so U is compared up to sign.
+    cfg = fields.preset("fig3").config
+    period = propagator._drive_period(cfg)
+    assert cfg.delta == 0.0
+    u_half, u_period = propagator._propagator(cfg, np.array([0.0, 0.5 * period, period]),
+                                              1e-12)(slice(1, None))
+    assert np.max(np.abs(u_period - u_half.T @ u_half)) <= 1e-12
+    grid = propagator.output_grid(3.0 * period, 0.1)
+    charts = record_charts(monkeypatch)
+    folded = propagator._propagator(cfg, grid, 1e-12)(slice(None))
+    assert charts[-1][0].t_final == 0.5 * period
+    monkeypatch.setattr(propagator, "_drive_period", lambda cfg: None)
+    plain = propagator._propagator(cfg, grid, 1e-12)(slice(None))
+    assert charts[-1][0].t_final == grid[-1]
+    apart = np.minimum(np.max(np.abs(folded - plain), axis=(1, 2)),
+                       np.max(np.abs(folded + plain), axis=(1, 2)))
+    assert np.any((0.5 * period < grid) & (grid < period))   # samples the second half rule serves
+    assert np.max(apart) <= 1e-11
+
+
+def test_a_drive_with_a_phase_is_solved_over_its_whole_period(monkeypatch):
+    # fig8's delta = pi/2 breaks h(T - s) = h(s): no fold, the charts end at T
+    ps = fields.preset("fig8")
+    period = propagator._drive_period(ps.config)
+    assert ps.config.delta != 0.0 and period < ps.t_end
+    charts = record_charts(monkeypatch)
+    propagator.run(ps.config, ps.initial.density(), ps.t_end, ps.dt_out, 1e-10)
+    assert charts[-1][0].t_final == period
 
 
 def test_a_million_periods_cost_one(monkeypatch):
@@ -414,7 +452,7 @@ def test_floquet_error_grows_linearly_with_the_periods():
 ], ids=["fig3", "fig9", "fig1-dt_out>T", "incommensurate"])
 def test_run_does_not_depend_on_where_sample_blocks_end(monkeypatch, name, Omega, t_end, dt_out):
     # run fills the grid SAMPLE_BLOCK samples at a time, with one evaluation
-    # of the step table per block.  fig3 has 20 charts over its period 20 pi,
+    # of the step table per block.  fig3 has 10 charts over half its period 20 pi,
     # fig1 at dt_out 7.3 > 2 pi puts each sample in its own period, and fig9
     # with Omega = sqrt(2) - 1 has no period at all.
     ps = fields.preset(name)
@@ -435,7 +473,7 @@ def test_chart_matrix_is_called_once_a_chart_and_once_a_sample_block(monkeypatch
                                                                      dt_out, block):
     # chart_matrix is called once to compose each chart, then once for each
     # sample block, whatever the number of periods or charts the block spans.
-    # fig3 has 20 charts over its period 20 pi and its 1,001 rows span two
+    # fig3 has 10 charts over half its period 20 pi and its 1,001 rows span two
     # periods; fig1 at dt_out 7.3 > 2 pi puts each sample in its own period.
     ps = fields.preset(name)
     t_end, dt_out = t_end or ps.t_end, dt_out or ps.dt_out
@@ -451,24 +489,25 @@ def test_chart_matrix_is_called_once_a_chart_and_once_a_sample_block(monkeypatch
 
     monkeypatch.setattr(propagator, "chart_matrix", counting_chart_matrix)
     traj = propagator.run(ps.config, ps.initial.density(), t_end, dt_out, 1e-10)
-    assert len(charts) == (20 if name == "fig3" else 1)
+    assert len(charts) == (10 if name == "fig3" else 1)
     assert len(calls) == len(charts) + math.ceil(len(traj) / block)
 
 
 def test_each_chart_serves_from_the_previous_cover_to_its_own(monkeypatch):
     # The step table's step i serves (end of step i - 1, end of step i], step 0
     # also s = 0, so each sample's step belongs to the chart c with
-    # cover_{c-1} < s <= cover_c (chart 0 also s = 0).  dt_out puts the sample at
-    # t = dt_out 5e-13 relative past the third of fig3's 20 period covers
-    # (10.365186856080893), so it belongs to the chart that starts there.  The
-    # covers are read from a run on the preset's own grid: only the dense
-    # output depends on the grid, so the covers do not.
+    # cover_{c-1} < s <= cover_c (chart 0 also s = 0).  fig3 has delta = 0, so
+    # its 10 charts cover half its period and a sample at s > T/2 is looked up
+    # at T - s.  dt_out puts the sample at t = dt_out 5e-13 relative past the
+    # third cover (10.365186856080893), so it belongs to the chart that starts
+    # there.  The covers are read from a run on the preset's own grid: only the
+    # dense output depends on the grid, so the covers do not.
     ps = fields.preset("fig3")
     span = propagator._drive_period(ps.config)
-    assert ps.t_end > span
+    assert ps.t_end > span and ps.config.delta == 0.0
     charts = record_charts(monkeypatch)
     propagator.run(ps.config, ps.initial.density(), ps.t_end, ps.dt_out, 1e-10)
-    covers = [chart.t_start for chart, _ in charts[1:]] + [span]
+    covers = [chart.t_start for chart, _ in charts[1:]] + [0.5 * span]
     dt_out = covers[2] * (1.0 + 5e-13)
     assert dt_out > covers[2]
     served = []   # (the step table, the in-span times of a block, their steps)
@@ -490,6 +529,7 @@ def test_each_chart_serves_from_the_previous_cover_to_its_own(monkeypatch):
         assert np.all(hi <= ends[chart])
         assert chart.tolist() == np.sum(ends[:, None] < s, axis=0).tolist()
     s = np.clip(grid - np.floor(grid / span) * span, 0.0, span)
+    s = np.where(s > 0.5 * span, span - s, s)
     passed = np.concatenate([times for _, times, _ in served])
     assert np.sort(passed).tolist() == np.sort(s).tolist()
     # the sample past the third cover takes the first step of the chart that starts there
@@ -497,51 +537,64 @@ def test_each_chart_serves_from_the_previous_cover_to_its_own(monkeypatch):
     assert [covers[2]] in firsts
 
 
-def per_chart_propagator(charts, grid) -> np.ndarray:
+def per_chart_propagator(charts, grid, span) -> np.ndarray:
     """U on ``grid`` by the per-chart loop that one step table replaced, kept as
     its reference: chart c serves (cover_{c-1}, cover_c], chart 0 also s = 0, and
     looks up each of its samples in its own steps, step k serving
-    [node k, node k + 1) and the last step also its end."""
+    [node k, node k + 1) and the last step also its end.  Charts that end at
+    half the ``span`` are a folded period: a sample at s past the half is
+    U(span - s)^-T U(span), with U(span) = W^T W."""
     def evaluate(chart, t):
         i = np.clip(np.searchsorted(chart.grid, t, side="right") - 1, 0, len(chart.grid) - 2)
         h = chart.grid[i + 1] - chart.grid[i]
         return riccati._interpolant((t - chart.grid[i]) / h, chart._values[:, i],
                                     chart._values[:, i + 1], [f[:, i] for f in chart._dense])
 
-    span = charts[-1].t_final
     periods = np.floor(grid / span) if span < grid[-1] else np.zeros_like(grid)
     s = np.clip(grid - periods * span, 0.0, span)
     covers = [chart.t_final for chart in charts]
+    folded = s > covers[-1]
+    s[folded] = span - s[folded]
     before, u_span = [], np.eye(2, dtype=complex)
     for chart, cover in zip(charts, covers):
         before.append(u_span)
         u_span = propagator.chart_matrix(*evaluate(chart, cover)) @ u_span
-    out = propagator._power(u_span, periods)
+    if covers[-1] < span:
+        u_span = u_span.T @ u_span
+    out = propagator._power(u_span, periods + folded)
     chart_of = np.searchsorted(covers, s)
     for c in np.unique(chart_of):
         k = np.flatnonzero(chart_of == c)
-        out[k] = propagator._matmul2(propagator._matmul2(
-            propagator.chart_matrix(*evaluate(charts[c], s[k])), before[c]), out[k])
+        u_s = propagator._matmul2(propagator.chart_matrix(*evaluate(charts[c], s[k])), before[c])
+        back = folded[k]
+        (a, b), (c_, d) = u_s[back].transpose(1, 2, 0)   # U(span - s)^-T, at det 1
+        u_s[back] = np.moveaxis(np.array([[d, -c_], [-b, a]]), -1, 0)
+        out[k] = propagator._matmul2(u_s, out[k])
     return out
 
 
 @pytest.mark.parametrize("tol", [1e-6, 1e-10])
 @pytest.mark.parametrize("name", ["fig3", "fig4", "fig6"])
 def test_one_step_table_gives_the_per_chart_loops_u_bit_for_bit(monkeypatch, name, tol):
-    # fig3 has 20 charts a period, fig4 6 to 9 and fig6 one.  The grid adds
-    # every node of the span's charts, their covers among them, to the
-    # preset's own grid: on a node inside a chart the table takes the step
-    # that ends there and the loop the step that starts there.
+    # fig3 has 10 charts over half a period, fig4 3 and fig6 (delta != 0)
+    # one over a whole period.  The grid adds every node t of the span's
+    # charts, their covers among them, and T - t to the preset's own grid: on
+    # a node inside a chart the table takes the step that ends there and the
+    # loop the step that starts there.
     ps = fields.preset(name)
+    span = propagator._drive_period(ps.config)
     charts = record_charts(monkeypatch)
     grid = propagator.output_grid(ps.t_end, ps.dt_out)
     propagator._propagator(ps.config, grid, tol)
-    grid = np.unique(np.concatenate([grid] + [chart.grid for chart, _ in charts]))
+    nodes = [chart.grid for chart, _ in charts]
+    grid = np.unique(np.concatenate([grid] + nodes + [span - t for t in nodes]))
     charts.clear()
     u = propagator._propagator(ps.config, grid, tol)(slice(None))
     assert (len(charts) == 1) == (name == "fig6")
+    assert charts[-1][0].t_final == (span if name == "fig6" else 0.5 * span)
     assert charts[-1][0].t_final < grid[-1]   # a periodic span: some samples in later periods
-    assert u.tobytes() == per_chart_propagator([chart for chart, _ in charts], grid).tobytes()
+    assert u.tobytes() == per_chart_propagator([chart for chart, _ in charts], grid,
+                                               span).tobytes()
 
 
 def test_a_sample_in_a_step_without_dense_output_is_a_value_error(monkeypatch):

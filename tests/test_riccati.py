@@ -384,7 +384,9 @@ def test_a_sparse_solve_calls_mu_rhs_three_more_times_only_on_steps_with_a_time(
 def test_each_restarted_chart_starts_with_its_predecessors_last_step(monkeypatch, tol):
     # Chart 0 first tries its whole span, which the step controller shrinks.
     # Each later chart starts at its predecessor's last node, and takes the
-    # step that ended it again (clipped to the window).
+    # step that ended it again (clipped to the window).  Each preset runs over
+    # its own window, where a drive with delta = 0 is solved to half its period
+    # T (12 restarts in all), and over [0, T], where it is solved to T.
     calls = record_rhs_times(monkeypatch)
     solves = []   # per solve: its start, its chart, and its first attempted step
 
@@ -406,19 +408,19 @@ def test_each_restarted_chart_starts_with_its_predecessors_last_step(monkeypatch
 
     monkeypatch.setattr(propagator, "solve_mu", first_step)
     restarts = 0
-    for name in fields.preset_names():
-        ps = fields.preset(name)
-        solves.clear()
-        propagator.run(ps.config, ps.initial.density(), ps.t_end, ps.dt_out, tol)
-        h = math.inf
-        for k, (t_start, t_end, chart, stage2, new_point) in enumerate(solves):
-            # every chart's cover is its last node, halted or blown
-            assert t_start == (0.0 if k == 0 else solves[k - 1][2].grid[-1])
-            h = min(h, t_end - t_start)
-            assert stage2 == t_start + riccati._C[1] * h
-            assert new_point == t_start + h
-            h = chart.grid[-1] - chart.grid[-2]
-        restarts += len(solves) - 1
+    for ps in map(fields.preset, fields.preset_names()):
+        for window_end in (ps.t_end, propagator._drive_period(ps.config)):
+            solves.clear()
+            propagator.run(ps.config, ps.initial.density(), window_end, ps.dt_out, tol)
+            h = math.inf
+            for k, (t_start, t_end, chart, stage2, new_point) in enumerate(solves):
+                # every chart's cover is its last node, halted or blown
+                assert t_start == (0.0 if k == 0 else solves[k - 1][2].grid[-1])
+                h = min(h, t_end - t_start)
+                assert stage2 == t_start + riccati._C[1] * h
+                assert new_point == t_start + h
+                h = chart.grid[-1] - chart.grid[-2]
+            restarts += len(solves) - 1
     assert restarts > len(fields.preset_names())
 
 
