@@ -76,48 +76,25 @@ _STAGE_ROWS = (*_A, _B, *_A_EXTRA)
 _ERROR_ROWS = np.array((_E5, _E3))
 
 
-def _rms(x: np.ndarray) -> float:
-    return float(np.linalg.norm(x)) / math.sqrt(x.size)
-
-
-def _initial_step(fun, t0, y0, f0, t_bound, max_step, rtol, atol) -> float:
-    """scipy's ``select_initial_step`` for an error estimate of order 7."""
-    interval = abs(t_bound - t0)
-    scale = atol + np.abs(y0) * rtol
-    d0, d1 = _rms(y0 / scale), _rms(f0 / scale)
-    h0 = 1e-6 if d0 < 1e-5 or d1 < 1e-5 else 0.01 * d0 / d1
-    h0 = min(h0, interval)
-    # h0 is 0 when |f0| overflows (d1 = inf); scipy's numpy division then gives
-    # nan, and with d1 = inf its result below is 0 all the same
-    d2 = _rms((fun(t0 + h0, y0 + h0 * f0) - f0) / scale) / h0 if h0 else math.nan
-    if d1 <= 1e-15 and d2 <= 1e-15:
-        h1 = max(1e-6, h0 * 1e-3)
-    else:
-        h1 = (0.01 / max(d1, d2)) ** (-_ERROR_EXPONENT)
-    return min(100 * h0, h1, interval, max_step)
-
-
 def solve_ivp(fun: _LinearRHS, t_span, y0, t_eval, rtol, atol, max_step) -> _Solution:
     """``scipy.integrate.solve_ivp(fun, t_span, y0, t_eval=t_eval, rtol=rtol,
-    atol=atol, max_step=max_step, method="DOP853")`` for a linear right-hand side.
+    atol=atol, max_step=max_step, method="DOP853", first_step=t_span[1] - t_span[0])``
+    for a linear right-hand side.
 
+    The first attempted step is the whole window, capped at ``max_step``, as in
+    :func:`~trilevel.riccati.solve_mu`: no rule with a unit of time picks it.
     The same method and step control, so the same steps and the same ``nfev``
-    until a stage overflows: 1 at the start, 1 for the initial step, 12 per
-    attempted step and 3 per dense output.  The generators of a whole step come
-    from one product, each stage is ``hL @ (y + a @ hK)`` on stages ``hK``
-    scaled by the step and ``a`` riccati's stage rows as they are.  Dense output
-    is built only for steps that hold times of ``t_eval`` (ascending, within
-    ``t_span``, which runs forward), by scipy's rule those in (t_old, t_new] and
-    ``t_span[0]`` on the first step: a block of such steps at a time, their extra
-    stages, riccati's ``_dense`` (on the stages ``h K`` with a step of 1) and
-    riccati's ``_evaluate`` on the block's steps, with the same floating-point
-    operations per step.  A row on a step's end node is that node exactly.
+    until a stage overflows: 1 at the start, 12 per attempted step and 3 per
+    dense output.  The generators of a whole step come from one product, each
+    stage is ``hL @ (y + a @ hK)`` on stages ``hK`` scaled by the step and
+    ``a`` riccati's stage rows as they are.  Dense output is built only for
+    steps that hold times of ``t_eval`` (ascending, within ``t_span``, which
+    runs forward), by scipy's rule those in (t_old, t_new] and ``t_span[0]`` on
+    the first step: a block of such steps at a time, their extra stages,
+    riccati's ``_dense`` (on the stages ``h K`` with a step of 1) and riccati's
+    ``_evaluate`` on the block's steps, with the same floating-point operations
+    per step.  A row on a step's end node is that node exactly.
 
-    The stages ``h K`` stay finite at a step of 10 ulp where scipy's unscaled
-    ``K`` overflow its error norm, so the two fail at different evaluations:
-    on fig1's eta equation with B = 1e200, scipy after 14 and this after 41,
-    with scipy's message
-    (``test_a_drive_whose_starting_norms_overflow_fails_as_scipys_dop853_does``).
     A solve of more than MAX_SAMPLES accepted steps is a ValueError, raised at
     the step past the cap: with B = 1e100 every step is some 1e-100 long, and
     the solve would run without end.
@@ -125,7 +102,7 @@ def solve_ivp(fun: _LinearRHS, t_span, y0, t_eval, rtol, atol, max_step) -> _Sol
     t, t_bound = float(t_span[0]), float(t_span[1])
     y = np.asarray(y0, dtype=complex)
     f = fun(t, y)
-    h_abs = _initial_step(fun, t, y, f, t_bound, max_step, rtol, atol)
+    h_abs = math.inf   # clamped to max_step, then clipped to the window
     times = np.asarray(t_eval, dtype=float)
     n, stages, grid = y.size, len(_E5), times.tolist()
     out = np.empty((len(grid), n), dtype=complex)
@@ -178,7 +155,7 @@ def solve_ivp(fun: _LinearRHS, t_span, y0, t_eval, rtol, atol, max_step) -> _Sol
                                     dense.transpose(1, 2, 0), np.zeros(m, dtype=bool))[1].T
         steps.clear()
 
-    nfev, done, first, accepted = 2, 0, 0, 0
+    nfev, done, first, accepted = 1, 0, 0, 0
     z[0] = y
     while t < t_bound:
         min_step = 10.0 * math.ulp(t)

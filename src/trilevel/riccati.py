@@ -43,8 +43,8 @@ from .fields import FieldConfig, epsilon, j_coupling
 #: |mu_plus| beyond this is treated as a factorization singularity.
 BLOWUP_THRESHOLD = 1e6
 
-#: Smallest accepted ``tol``: below it the error norms overflow, the direct
-#: oracles' starting step divides by zero, or a solve runs for hours.
+#: Smallest accepted ``tol``: below it the error norms overflow, or a solve
+#: runs for hours.
 MIN_TOL = 1e-13
 
 # The pair runs at this share of tol, as both its absolute and its relative

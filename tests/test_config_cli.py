@@ -322,8 +322,8 @@ def test_run_rejects_unknown_keys_and_bad_tol(tmp_path, capsys):
 @pytest.mark.parametrize("solver", ["product", "direct_eta", "direct_rho"])
 @pytest.mark.parametrize("tol", ["9.9e-14", "1e-300"])
 def test_a_tol_below_1e_13_is_a_config_error_on_every_solver(tmp_path, capsys, solver, tol):
-    # such tols overflowed the product path's error norm, divided by zero in
-    # the oracles' initial step, or ran for longer than five minutes
+    # such tols overflowed the product path's error norm, or ran for longer
+    # than five minutes
     out = tmp_path / "out"
     argv = ["figure", "fig3", "--solver", solver, "--tol", tol, "--out", str(out)]
     assert cli.main(argv) == 2

@@ -156,7 +156,8 @@ def test_the_direct_stepper_takes_scipys_dop853_steps(seed, A, Omega, B, omega, 
     args = (rhs, (0.0, t_end), y0)
     kwargs = dict(t_eval=np.linspace(0.0, t_end, rows + 1), rtol=tol, atol=tol,
                   max_step=oracle._max_step(cfg))
-    got, want = oracle.solve_ivp(*args, **kwargs), _scipy_dop853(*args, **kwargs)
+    got = oracle.solve_ivp(*args, **kwargs)
+    want = _scipy_dop853(*args, first_step=t_end, **kwargs)   # the oracle's first attempt
     assert got.success and want.success
     assert got.nfev == want.nfev
     assert got.y.shape == want.y.shape
@@ -181,13 +182,13 @@ def _per_step_dop853(fun, t_span, y0, t_eval, rtol, atol, max_step):
     t, t_bound = float(t_span[0]), float(t_span[1])
     y = np.asarray(y0, dtype=complex)
     f = fun(t, y)
-    h_abs = oracle._initial_step(fun, t, y, f, t_bound, max_step, rtol, atol)
+    h_abs = math.inf
     n, stages, grid = y.size, len(err[0]), np.asarray(t_eval, dtype=float).tolist()
     out = np.empty((len(grid), n), dtype=complex)
     z = np.empty((len(c) + 1, n), dtype=complex)
     z_rows, z_flat = list(z), z.view(float)
     sums = [(np.concatenate(([1.0], a[s, :s])), z_flat[:s + 1]) for s in range(len(c))]
-    nfev, done, held, nodes = 2, 0, [], [(t, y)]
+    nfev, done, held, nodes = 1, 0, [], [(t, y)]
     while t < t_bound:
         min_step = 10.0 * math.ulp(t)
         if h_abs > max_step:
@@ -396,14 +397,15 @@ def test_a_generator_that_turns_nan_fails_as_scipys_dop853_does(onset):
     # zero up to the onset and NaN after: every accepted step grows by exactly
     # MAX_FACTOR (or 1 after a rejection) and every rejected one shrinks by
     # MIN_FACTOR, until the step is below 10 ulp of t just short of the onset
-    # (20 ulp would end 0.3 and 0.75 after fewer evaluations)
+    # (20 ulp would end each of the three after fewer evaluations)
     stack = np.stack((*oracle._RHO_OPS, oracle._RHO_DECAY))
     rhs = oracle._LinearRHS(stack, lambda t: (math.nan if t > onset else 0.0, 0.0, 0.0))
     y0 = S_START.reshape(-1)
     args = (rhs, (0.0, 1.0), y0)
     kwargs = dict(t_eval=np.linspace(0.0, 1.0, 5), rtol=1e-8, atol=1e-8, max_step=math.inf)
     with np.errstate(invalid="ignore"):   # NaN arithmetic in both steppers
-        got, want = oracle.solve_ivp(*args, **kwargs), _scipy_dop853(*args, **kwargs)
+        got = oracle.solve_ivp(*args, **kwargs)
+        want = _scipy_dop853(*args, first_step=1.0, **kwargs)
     assert not got.success and not want.success
     assert got.message == want.message == "Required step size is less than spacing between numbers."
     assert got.nfev == want.nfev
@@ -417,53 +419,21 @@ def test_a_generator_that_turns_nan_fails_as_scipys_dop853_does(onset):
 @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning",
                             "ignore:invalid value encountered:RuntimeWarning")
 @pytest.mark.parametrize("solver, key, value", [
-    ("direct_eta", "B", 1e200), ("direct_eta", "A", 1e155), ("direct_rho", "A", 1e155),
-])
-def test_a_drive_whose_starting_norms_overflow_is_a_solver_error(tmp_path, capsys, solver,
-                                                                 key, value):
-    # fig1's derivative at t = 0 overflows its norm, so the starting-step
-    # estimate is 0 (the estimate divided by it, ZeroDivisionError); the step
-    # is then raised to 10 ulp of t and shrinks below it
-    csv = tmp_path / "out.csv"
-    cfg = tmp_path / "run.cfg"
-    cfg.write_text(f"preset = fig1\nsolver = {solver}\n{key} = {value!r}\n"
-                   f"t_end = 1\ncsv = {csv}\n")
-    assert cli.main(["run", str(cfg)]) == 3
-    assert capsys.readouterr().err == (f"solver error: direct {solver[-3:]} integration failed: "
-                                       f"Required step size is less than spacing between "
-                                       f"numbers.\n")
-    assert not csv.exists()
-
-
-@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning",
-                            "ignore:invalid value encountered:RuntimeWarning")
-def test_a_drive_whose_starting_norms_overflow_fails_as_scipys_dop853_does():
-    # scipy's error estimate overflows on the first attempt at 10 ulp, and
-    # fails there; the oracle's stages h K stay finite at that step, so it
-    # takes a few more evaluations to the same failure.  (On the A = 1e155
-    # drives above, scipy's DOP853 had not returned after 60 s.)
-    ps = fields.preset("fig1")
-    cfg = fields.FieldConfig(**{**vars(ps.config), "B": 1e200})
-    rhs = oracle._linear_rhs(cfg, oracle._ETA_OPS, -cfg.Gamma * np.eye(8))
-    args = (rhs, (0.0, 1.0), algebra.rho_to_eta(ps.initial.density()))
-    kwargs = dict(t_eval=propagator.output_grid(1.0, ps.dt_out), rtol=1e-8, atol=1e-8,
-                  max_step=oracle._max_step(cfg))
-    got, want = oracle.solve_ivp(*args, **kwargs), _scipy_dop853(*args, **kwargs)
-    assert not got.success and not want.success
-    assert got.message == want.message == "Required step size is less than spacing between numbers."
-    assert want.nfev <= got.nfev <= 3 * want.nfev
-
-
-@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning",
-                            "ignore:invalid value encountered:RuntimeWarning")
-@pytest.mark.parametrize("solver", ["direct_eta", "direct_rho"])
-def test_a_drive_whose_steps_cannot_reach_t_end_stops_at_the_step_cap(tmp_path, capsys, solver):
+    ("direct_eta", "B", 1e100), ("direct_rho", "B", 1e100), ("direct_eta", "B", 1e200),
+    ("direct_eta", "A", 1e155), ("direct_rho", "A", 1e155),
+], ids=["direct_eta", "direct_rho", "direct_eta-B1e200", "direct_eta-A1e155",
+        "direct_rho-A1e155"])
+def test_a_drive_whose_steps_cannot_reach_t_end_stops_at_the_step_cap(tmp_path, capsys, solver,
+                                                                      key, value):
     # fig1 with B = 1e100: every accepted step is some 1e-100 long, yet above
     # 10 ulp of t, so t = 1 is out of reach (uncapped, the eta run had not
-    # ended after 130 s); the run stops at the step past MAX_SAMPLES
+    # ended after 130 s); the run stops at the step past MAX_SAMPLES.  With
+    # B = 1e200 or A = 1e155 the derivative at t = 0 overflows, and the steps
+    # shrink from the whole window to some 1 / B or 1 / A
     csv = tmp_path / "out.csv"
     cfg = tmp_path / "run.cfg"
-    cfg.write_text(f"preset = fig1\nsolver = {solver}\nB = 1e100\nt_end = 1\ncsv = {csv}\n")
+    cfg.write_text(f"preset = fig1\nsolver = {solver}\n{key} = {value!r}\nt_end = 1\n"
+                   f"csv = {csv}\n")
     start = time.perf_counter()
     with mock.patch.object(oracle, "MAX_SAMPLES", 1000):
         assert cli.main(["run", str(cfg)]) == 2

@@ -712,29 +712,46 @@ def _fast_clock(cfg, factor):
                                omega=cfg.omega * factor, Gamma=cfg.Gamma * factor)
 
 
+_SOLVE = {
+    "product": propagator.run,
+    "direct_eta": lambda cfg, rho0, *window: oracle.integrate_eta_direct(
+        cfg, algebra.rho_to_eta(rho0), *window),
+    "direct_rho": oracle.integrate_rho_direct,
+}
+
+
 @functools.lru_cache(maxsize=None)
-def _preset_run(name, factor=1.0, t_end=None) -> propagator.Trajectory:
-    """Preset ``name`` run at tol 1e-10 on a clock ``factor`` times as fast,
-    over its own window or over [0, ``t_end``]."""
+def _preset_run(name, factor=1.0, t_end=None, solver="product") -> propagator.Trajectory:
+    """Preset ``name`` run by ``solver`` at tol 1e-10 on a clock ``factor``
+    times as fast, over its own window or over [0, ``t_end``]."""
     ps = fields.preset(name)
     t_end = ps.t_end if t_end is None else t_end
-    return propagator.run(_fast_clock(ps.config, factor), ps.initial.density(),
+    return _SOLVE[solver](_fast_clock(ps.config, factor), ps.initial.density(),
                           t_end / factor, ps.dt_out / factor, 1e-10)
 
 
-@pytest.mark.parametrize("name, factor, t_end", [
-    pytest.param(name, factor, None, id=f"{name}-{factor}") for name in ["fig3", "fig4", "fig8"]
+@pytest.mark.parametrize("name, factor, t_end, solver", [
+    pytest.param(name, factor, None, "product", id=f"{name}-{factor}")
+    for name in ["fig3", "fig4", "fig8"]
     for factor in [1e7, 1e14, 1e-14, 2.0 ** 24, 2.0 ** -30, 2.0 ** 60]
-] + [pytest.param("fig3", 1e5, 20.0, id="fig3-100000.0-t_end=20")])
-def test_a_fast_clock_changes_nothing(name, factor, t_end):
+] + [pytest.param("fig3", 1e5, 20.0, "product", id="fig3-100000.0-t_end=20")] + [
+    pytest.param(name, factor, None, solver, id=f"{solver}-{name}-{factor}")
+    for solver in ["direct_eta", "direct_rho"] for name in ["fig3", "fig4", "fig8"]
+    for factor in [2.0 ** 24, 2.0 ** -30, 2.0 ** 60]
+])
+def test_a_fast_clock_changes_nothing(name, factor, t_end, solver):
     # The same physics with every rate x factor and the window / factor: no
     # constant of the solve has a unit of time, so none may refuse it.  A
     # power of two scales every time and rate exactly, and then every step
     # too; a decimal factor rounds them.  Measured on fig3 over [0, 20] at
     # every decade from 1e-20 to 1e30: the same rows, each at most 1.2e-14
     # from the unscaled run.  At 1e5, 200 dt_out rounds one ulp short of that
-    # window's t_end, which once gained the grid a row.
-    slow, fast = _preset_run(name, 1.0, t_end), _preset_run(name, factor, t_end)
+    # window's t_end, which once gained the grid a row.  The direct oracles
+    # first try their whole window too, so on a power of two their steps
+    # scale exactly; rounded times give them other steps, so they take no
+    # decimal factor.
+    slow = _preset_run(name, 1.0, t_end, solver)
+    fast = _preset_run(name, factor, t_end, solver)
     assert len(fast) == len(slow)
     if math.frexp(factor)[0] == 0.5:   # a power of two
         assert fast.table[:, 1:16].tobytes() == slow.table[:, 1:16].tobytes()
@@ -876,9 +893,8 @@ def test_every_tol_consumer_rejects_a_tol_that_is_not_finite_and_positive(consum
                                                               "tol=9.9e-14"])
 @pytest.mark.parametrize("consumer", TOL_CONSUMERS)
 def test_every_tol_consumer_rejects_a_tol_below_the_floor(consumer, tol):
-    # below 1e-13 solve_mu's error norm overflowed (OverflowError) and the
-    # direct oracles' starting step divided by zero (ZeroDivisionError); the
-    # CLI refuses the same range with exit 2
+    # below 1e-13 solve_mu's error norm overflowed (OverflowError); the CLI
+    # refuses the same range with exit 2
     assert riccati.MIN_TOL == 1e-13
     with pytest.raises(ValueError, match=rf"^tol must be at least 1e-13, got {tol!r}$"):
         TOL_CONSUMERS[consumer](tol)
