@@ -83,6 +83,14 @@ def run_settings(entries: dict[str, str]) -> tuple[FieldConfig, InitialState, fl
     return field, initial, config.get_float(entries, "t_end"), config.get_float(entries, "dt_out")
 
 
+def drive_factors(cfg: FieldConfig) -> tuple[float, float, float, float, float]:
+    """(sign A, Omega, sign B/2, omega, delta), multiplied as epsilon and
+    j_coupling multiply them, so that (sign A) cos(Omega t) and (sign B/2)
+    cos(omega t + delta) are their values bit for bit."""
+    return (cfg.sign_convention * cfg.A, cfg.Omega, cfg.sign_convention * 0.5 * cfg.B,
+            cfg.omega, cfg.delta)
+
+
 def epsilon(t: float, cfg: FieldConfig) -> float:
     """Instantaneous 1-2 coupling strength."""
     return cfg.sign_convention * cfg.A * math.cos(cfg.Omega * t)

@@ -18,7 +18,7 @@ import numpy as np
 
 from . import algebra
 from .fields import (FieldConfig, STARK_MINUS_VECTOR, STARK_PLUS_VECTOR,
-                     STARK_ZERO_VECTOR, hydrogen_config)
+                     STARK_ZERO_VECTOR, drive_factors, hydrogen_config)
 from .propagator import (MAX_SAMPLES, Trajectory, output_grid, trajectory_from_etas,
                          trajectory_from_rhos)
 from .riccati import (_A, _A_EXTRA, _B, _C, _C_EXTRA, _DENSE_STAGES, _E3, _E5,
@@ -250,11 +250,9 @@ def _linear_rhs(cfg: FieldConfig, ops: tuple[np.ndarray, np.ndarray],
                 decay: np.ndarray) -> _LinearRHS:
     """``y' = (eps(t) ops[0] + 2 J(t) ops[1] + decay) y``: the stack
     [ops[0]; ops[1]; decay] is built once per solve, with the coefficients
-    (eps, 2J, 1) of the drive.  They are :func:`~trilevel.fields.epsilon` and
-    :func:`~trilevel.fields.j_coupling` with the same operations in the same
-    order, on factors taken from ``cfg`` once."""
-    sign_a, big_omega = cfg.sign_convention * cfg.A, cfg.Omega
-    sign_half_b, omega, delta = cfg.sign_convention * 0.5 * cfg.B, cfg.omega, cfg.delta
+    (eps, 2J, 1) of the drive, formed from its :func:`~trilevel.fields.drive_factors`
+    as :func:`trilevel.riccati.mu_rhs` forms eps and J."""
+    sign_a, big_omega, sign_half_b, omega, delta = drive_factors(cfg)
     cos = math.cos
     return _LinearRHS(np.stack((*ops, decay)),
                       lambda t: (sign_a * cos(big_omega * t),

@@ -22,14 +22,16 @@ serving (end of step i - 1, end of step i].  By the same cocycle, a drive with
 period T is solved over [0, T] only: U(nT + s) = U(s) U(T)^n in closed form.
 With delta = 0 the drive is also time-symmetric, h(T - s) = h(s), and real
 symmetric, so U(s) = U(T - s)^-T U(T) and U(T) = W^T W, W = U(T/2): such a
-period is solved over [0, T/2] only.
+period is solved over [0, T/2] only.  With Omega = 0 it is symmetric about a
+centre c = (-delta/omega) mod (pi/|omega|) for any delta, and the period is
+folded about c in the same way, on the drive shifted to c.
 """
 
 from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -191,21 +193,38 @@ def _drive_period(cfg: FieldConfig) -> float | None:
     return 2.0 * math.pi * frac.denominator / rate_b
 
 
+def _centre(cfg: FieldConfig) -> tuple[float, FieldConfig] | None:
+    """A centre c in [0, T/2] about which the drive is time-symmetric, and the drive
+    shifted to it, h(c + x), even in x; None if neither rule finds one.  c = 0 when
+    delta = 0 or omega = 0, and the shift is the drive itself.  With Omega = 0 the
+    one cosine, cos(omega t + delta), is even about each t with omega t + delta = k pi:
+    c = (-delta/omega) mod (pi/|omega|), and the shift has delta = 0 and (-1)^k B."""
+    if cfg.delta == 0.0 or cfg.omega == 0.0:
+        return 0.0, cfg
+    if cfg.Omega != 0.0:
+        return None
+    # -delta/omega = q pi/|omega| + c, so omega c + delta = k pi with k = -q sign(omega)
+    q, c = divmod(-cfg.delta / cfg.omega, math.pi / abs(cfg.omega))
+    return c, replace(cfg, B=-cfg.B if q % 2.0 else cfg.B, delta=0.0)
+
+
 def _propagator(cfg: FieldConfig, grid: np.ndarray, tol: float):
     """The solve step: U(t), the 2x2 propagator, as a function of a slice of
     ``grid``; it depends on the drive and ``tol`` alone.
 
     The exponents are solved on consecutive charts over one span: the drive
     period T when the drive has one and the grid ends past T, else the whole
-    grid.  A period with delta = 0 is solved over [0, T/2] only, and a sample at
-    s > T/2 is formed from T - s as U(T - s)^-T U(T), with U(T) = W^T W and W the
-    composed U(T/2).  A chart halts at its first node past CHART_LIMIT, ends at its
+    grid.  A period with a centre of symmetry c (see _centre) is folded: R, the
+    propagator of the drive shifted to c, is solved over [0, T/2] only, R(T) = W^T W
+    with W the composed R(T/2), and U(nT + s) = R(x) R(T)^n R(c)^T at x = s - c,
+    with R(x) = R(-x)^-T for x < 0 and R(T - x)^-T R(T) for x > T/2.  Unfolded,
+    R = U and c = 0.  A chart halts at its first node past CHART_LIMIT, ends at its
     last node below a blow-up, or ends where the solve ends: that last node is its
-    cover, where the next chart starts from zero with its predecessor's last step as
-    its first.  A chart that blows up on its first step is a PropagationError.  One
-    table joins the charts' steps end to end: step i serves (end of step i - 1, end
-    of step i], step 0 also s = 0, and by the cocycle U(nT + s) = U(s) U(T)^n, U(t)
-    is the factor at s of its step, times U at its chart's start and U(T)^n.
+    cover, where the next chart starts from zero with its predecessor's last step
+    as its first.  A chart that blows up on its first step is a PropagationError.
+    One table joins the charts' steps end to end, each chart copied in as it is
+    solved: step i serves (end of step i - 1, end of step i], step 0 also s = 0,
+    and R at a time is the factor there of its step times R at its chart's start.
     A solve whose charts take more than MAX_SAMPLES accepted steps in all is a
     ValueError, raised at the step past the cap: a drive with no common period
     is solved over the whole window, which could otherwise take hours and all
@@ -217,13 +236,17 @@ def _propagator(cfg: FieldConfig, grid: np.ndarray, tol: float):
     # period index and in-span time of each sample; the index is 0 on one span
     periods = np.floor(grid / span) if span < t_end else np.zeros_like(grid)
     in_span = np.clip(grid - periods * span, 0.0, span)
-    # a period whose drive has h(T - s) = h(s), real and symmetric, is solved to T/2:
-    # U(s) = U(T - s)^-T U(T) past it, T - s exact there (Sterbenz), and U(T) = W^T W
-    fold = span < t_end and cfg.delta == 0.0
+    # a period whose drive, real symmetric, is even about a centre c is solved to T/2
+    # on the drive shifted to c; x = s - c rounds, T - x is exact (Sterbenz)
+    centre = _centre(cfg) if span < t_end else None
+    fold = centre is not None
+    c, cfg = centre if fold else (0.0, cfg)
+    x = in_span - c
     solved = 0.5 * span if fold else span
-    folded = in_span > solved
-    solve_at = np.where(folded, span - in_span, in_span)
-    samples = np.unique(solve_at).tolist()   # the steps that get dense output hold one
+    mirrored, folded = x < 0.0, x > solved
+    solve_at = np.where(folded, span - x, np.abs(x))
+    # the steps that get dense output hold one, R(c) among them
+    samples = np.unique(np.append(solve_at, c) if c else solve_at).tolist()
     steps = 0
 
     def halt(t, vals):
@@ -235,7 +258,11 @@ def _propagator(cfg: FieldConfig, grid: np.ndarray, tol: float):
         mu_plus, mu_minus, mu = vals
         return max(abs(mu_plus), abs(mu_minus), abs(mu.imag)) > CHART_LIMIT
 
-    charts = []
+    # the step table, its axes reversed so that steps run along the first: each
+    # chart's steps are copied in as it is solved and the chart dropped, so that no
+    # second copy of them is held.  resize reallocates a part, which no view may
+    # outlive, so none is taken until the last chart is in
+    table, ends, counts = None, [], []   # and each chart's exponents at its cover
     start, first_step = 0.0, math.inf   # the first chart first tries its whole span
     while start < solved:
         try:
@@ -245,33 +272,45 @@ def _propagator(cfg: FieldConfig, grid: np.ndarray, tol: float):
             chart = exc.partial
         if chart.t_final <= start:
             raise PropagationError(f"the chart at t = {start:.9g} blew up on its first step")
-        charts.append(chart)
+        n = len(chart.grid) - 1
+        if table is None:
+            table = [part.T.copy() for part in chart._steps]
+        else:
+            for joined, part in zip(table, chart._steps):
+                joined.resize((len(joined) + n, *joined.shape[1:]), refcheck=False)
+                joined[-n:] = part.T
         start = chart.t_final
         first_step = float(chart.grid[-1] - chart.grid[-2])   # the chart's last step
+        ends.append(chart.evaluate(start))
+        counts.append(n)
+        del chart
+    table = [part.T for part in table]
+    chart_of = np.repeat(np.arange(len(counts)), counts)
 
     # composed after the solves: past some numpy kernels, this complex 2x2 `@`
     # among them, Python float arithmetic ran up to 4x slower (numpy 2.4 on a Xeon)
     # until another kind ran, so a product between two solves slowed the next one
     before = [np.eye(2, dtype=complex)]   # U at each chart's start, then U(solved)
-    for chart in charts:
-        before.append(chart_matrix(*chart.evaluate(chart.t_final)) @ before[-1])
+    for mus in ends:
+        before.append(chart_matrix(*mus) @ before[-1])
     before, u_span = np.array(before[:-1]), before[-1]
     if fold:
         u_span = u_span.T @ u_span
-    # one table of every chart's steps end to end, and the chart of each step
-    table = [np.concatenate(part, axis=-1) for part in zip(*(c._steps for c in charts))]
-    chart_of = np.repeat(np.arange(len(charts)), [len(c.grid) - 1 for c in charts])
+    if c:
+        i, mus = _evaluate(np.array([c]), *table)
+        r_c_t = _matmul2(chart_matrix(*mus), before[chart_of[i]])[0].T   # R(c)^T
 
     def u(block: slice) -> np.ndarray:
-        # U(s), or U(T - s) for a folded sample: the factor at its step, times U at
-        # its chart's start; then times U(T)^n
+        # R at x, or at -x or T - x for a mirrored or folded sample: the factor at
+        # its step, times U at its chart's start; then times R(T)^n and R(c)^T
         i, mus = _evaluate(solve_at[block], *table)
         u_s = _matmul2(chart_matrix(*mus), before[chart_of[i]])
-        # a folded sample: U(T - s) = [[a, b], [c, d]] of det 1 gives U(T - s)^-T =
-        # [[d, -c], [-b, a]], and its U(T) joins the power as one more period
-        back = folded[block]
+        # a mirrored or folded sample: R = [[a, b], [c, d]] of det 1 gives R^-T =
+        # [[d, -c], [-b, a]], and a folded one's R(T) joins the power as one more period
+        back = mirrored[block] | folded[block]
         u_s[back] = u_s[back][:, ::-1, ::-1] * np.array([[1.0, -1.0], [-1.0, 1.0]])
-        return _matmul2(u_s, _power(u_span, periods[block] + back))
+        u_s = _matmul2(u_s, _power(u_span, periods[block] + folded[block]))
+        return _matmul2(u_s, r_c_t) if c else u_s
 
     return u
 

@@ -38,7 +38,7 @@ from cmath import isfinite
 
 import numpy as np
 
-from .fields import FieldConfig, epsilon, j_coupling
+from .fields import FieldConfig, drive_factors
 
 #: |mu_plus| beyond this is treated as a factorization singularity.
 BLOWUP_THRESHOLD = 1e6
@@ -166,15 +166,19 @@ def check_tol(tol: float) -> None:
         raise ValueError(f"tol must be at least {MIN_TOL!r}, got {tol!r}")
 
 
-def mu_rhs(t: float, y, cfg: FieldConfig) -> tuple[complex, complex, complex]:
+def mu_rhs(t: float, y, factors) -> tuple[complex, complex, complex]:
     """Right-hand side of the coupled exponent-function system.
 
-    ``y`` is (mu_plus, mu_minus, mu); the derivatives come back as a tuple.
-    The system does not depend on mu, so ``y[2]`` is never read: the stepper
-    passes 0j in its place at the inner stages.
+    ``y`` is (mu_plus, mu_minus, mu) and ``factors`` the drive's
+    :func:`~trilevel.fields.drive_factors`, so that eps and J are
+    :func:`~trilevel.fields.epsilon` and :func:`~trilevel.fields.j_coupling`
+    bit for bit; the derivatives come back as a tuple.  The system does not
+    depend on mu, so ``y[2]`` is never read: the stepper passes 0j in its place
+    at the inner stages.
     """
-    eps = epsilon(t, cfg)
-    j = j_coupling(t, cfg)
+    sign_a, big_omega, sign_half_b, omega, delta = factors
+    eps = sign_a * math.cos(big_omega * t)
+    j = sign_half_b * math.cos(omega * t + delta)
     mp, mm, _ = y
     dmu = eps + 2j * j * mp
     return (-1j * eps * mp + j * (1.0 + mp * mp), j + 1j * dmu * mm, dmu)
@@ -347,7 +351,8 @@ def solve_mu(cfg: FieldConfig, t_end: float, tol: float, *, t_start: float = 0.0
     # Python scalars throughout the loop; nodes become arrays in MuTrajectory.
     t, t_end, tol = float(t_start), float(t_end), _TOL_SHARE * float(tol)
     yp = ym = yu = 0j
-    fp, fm, fu = mu_rhs(t, (yp, ym, yu), cfg)
+    factors = drive_factors(cfg)   # read once a solve
+    fp, fm, fu = mu_rhs(t, (yp, ym, yu), factors)
     ts, ys = [t], [(yp, ym, yu)]
     # the dense output so far in blocks, the steps that have it, and the steps
     # since the last block: their sizes, and their nodes and stages
@@ -385,57 +390,57 @@ def solve_mu(cfg: FieldConfig, t_end: float, tol: float, *, t_start: float = 0.0
         # for bit that of a loop over the tableau that skips its zeros.  mu_rhs
         # does not read mu, so the stage states pass 0j in its place.
         p1, m1, _ = mu_rhs(t + c1 * h, (yp + h * (a1_0 * fp),
-                                        ym + h * (a1_0 * fm), 0j), cfg)
+                                        ym + h * (a1_0 * fm), 0j), factors)
         p2, m2, _ = mu_rhs(t + c2 * h, (yp + h * (a2_0 * fp + a2_1 * p1),
-                                        ym + h * (a2_0 * fm + a2_1 * m1), 0j), cfg)
+                                        ym + h * (a2_0 * fm + a2_1 * m1), 0j), factors)
         p3, m3, _ = mu_rhs(t + c3 * h, (yp + h * (a3_0 * fp + a3_2 * p2),
-                                        ym + h * (a3_0 * fm + a3_2 * m2), 0j), cfg)
+                                        ym + h * (a3_0 * fm + a3_2 * m2), 0j), factors)
         p4, m4, _ = mu_rhs(t + c4 * h, (yp + h * (a4_0 * fp + a4_2 * p2 + a4_3 * p3),
                                         ym + h * (a4_0 * fm + a4_2 * m2 + a4_3 * m3),
-                                        0j), cfg)
+                                        0j), factors)
         p5, m5, u5 = mu_rhs(t + c5 * h, (yp + h * (a5_0 * fp + a5_3 * p3 + a5_4 * p4),
                                          ym + h * (a5_0 * fm + a5_3 * m3 + a5_4 * m4),
-                                         0j), cfg)
+                                         0j), factors)
         p6, m6, u6 = mu_rhs(t + c6 * h,
                             (yp + h * (a6_0 * fp + a6_3 * p3 + a6_4 * p4 + a6_5 * p5),
                              ym + h * (a6_0 * fm + a6_3 * m3 + a6_4 * m4 + a6_5 * m5),
-                             0j), cfg)
+                             0j), factors)
         p7, m7, u7 = mu_rhs(t + c7 * h,
                             (yp + h * (a7_0 * fp + a7_3 * p3 + a7_4 * p4 + a7_5 * p5
                                        + a7_6 * p6),
                              ym + h * (a7_0 * fm + a7_3 * m3 + a7_4 * m4 + a7_5 * m5
-                                       + a7_6 * m6), 0j), cfg)
+                                       + a7_6 * m6), 0j), factors)
         p8, m8, u8 = mu_rhs(t + c8 * h,
                             (yp + h * (a8_0 * fp + a8_3 * p3 + a8_4 * p4 + a8_5 * p5
                                        + a8_6 * p6 + a8_7 * p7),
                              ym + h * (a8_0 * fm + a8_3 * m3 + a8_4 * m4 + a8_5 * m5
-                                       + a8_6 * m6 + a8_7 * m7), 0j), cfg)
+                                       + a8_6 * m6 + a8_7 * m7), 0j), factors)
         p9, m9, u9 = mu_rhs(t + c9 * h,
                             (yp + h * (a9_0 * fp + a9_3 * p3 + a9_4 * p4 + a9_5 * p5
                                        + a9_6 * p6 + a9_7 * p7 + a9_8 * p8),
                              ym + h * (a9_0 * fm + a9_3 * m3 + a9_4 * m4 + a9_5 * m5
-                                       + a9_6 * m6 + a9_7 * m7 + a9_8 * m8), 0j), cfg)
+                                       + a9_6 * m6 + a9_7 * m7 + a9_8 * m8), 0j), factors)
         p10, m10, u10 = mu_rhs(t + c10 * h,
                                (yp + h * (a10_0 * fp + a10_3 * p3 + a10_4 * p4
                                           + a10_5 * p5 + a10_6 * p6 + a10_7 * p7 + a10_8 * p8
                                           + a10_9 * p9),
                                 ym + h * (a10_0 * fm + a10_3 * m3 + a10_4 * m4
                                           + a10_5 * m5 + a10_6 * m6 + a10_7 * m7 + a10_8 * m8
-                                          + a10_9 * m9), 0j), cfg)
+                                          + a10_9 * m9), 0j), factors)
         p11, m11, u11 = mu_rhs(t + c11 * h,
                                (yp + h * (a11_0 * fp + a11_3 * p3 + a11_4 * p4
                                           + a11_5 * p5 + a11_6 * p6 + a11_7 * p7 + a11_8 * p8
                                           + a11_9 * p9 + a11_10 * p10),
                                 ym + h * (a11_0 * fm + a11_3 * m3 + a11_4 * m4
                                           + a11_5 * m5 + a11_6 * m6 + a11_7 * m7 + a11_8 * m8
-                                          + a11_9 * m9 + a11_10 * m10), 0j), cfg)
+                                          + a11_9 * m9 + a11_10 * m10), 0j), factors)
         yp_new = yp + h * (b0 * fp + b5 * p5 + b6 * p6 + b7 * p7 + b8 * p8 + b9 * p9
                            + b10 * p10 + b11 * p11)
         ym_new = ym + h * (b0 * fm + b5 * m5 + b6 * m6 + b7 * m7 + b8 * m8 + b9 * m9
                            + b10 * m10 + b11 * m11)
         yu_new = yu + h * (b0 * fu + b5 * u5 + b6 * u6 + b7 * u7 + b8 * u8 + b9 * u9
                            + b10 * u10 + b11 * u11)
-        p12, m12, u12 = mu_rhs(t + h, (yp_new, ym_new, yu_new), cfg)
+        p12, m12, u12 = mu_rhs(t + h, (yp_new, ym_new, yu_new), factors)
 
         if not (isfinite(yp_new) and isfinite(ym_new) and isfinite(yu_new)):
             h *= 0.25
@@ -474,21 +479,21 @@ def solve_mu(cfg: FieldConfig, t_end: float, tol: float, *, t_start: float = 0.0
                                               + a13_11 * p11 + a13_12 * p12),
                                     ym + h * (a13_0 * fm + a13_6 * m6 + a13_7 * m7
                                               + a13_8 * m8 + a13_9 * m9 + a13_10 * m10
-                                              + a13_11 * m11 + a13_12 * m12), 0j), cfg)
+                                              + a13_11 * m11 + a13_12 * m12), 0j), factors)
             p14, m14, u14 = mu_rhs(t + c14 * h,
                                    (yp + h * (a14_0 * fp + a14_5 * p5 + a14_6 * p6
                                               + a14_7 * p7 + a14_10 * p10 + a14_11 * p11
                                               + a14_12 * p12 + a14_13 * p13),
                                     ym + h * (a14_0 * fm + a14_5 * m5 + a14_6 * m6
                                               + a14_7 * m7 + a14_10 * m10 + a14_11 * m11
-                                              + a14_12 * m12 + a14_13 * m13), 0j), cfg)
+                                              + a14_12 * m12 + a14_13 * m13), 0j), factors)
             p15, m15, u15 = mu_rhs(t + c15 * h,
                                    (yp + h * (a15_0 * fp + a15_5 * p5 + a15_6 * p6
                                               + a15_7 * p7 + a15_8 * p8 + a15_12 * p12
                                               + a15_13 * p13 + a15_14 * p14),
                                     ym + h * (a15_0 * fm + a15_5 * m5 + a15_6 * m6
                                               + a15_7 * m7 + a15_8 * m8 + a15_12 * m12
-                                              + a15_13 * m13 + a15_14 * m14), 0j), cfg)
+                                              + a15_13 * m13 + a15_14 * m14), 0j), factors)
             # the step's nodes, then its stages of _DENSE_STAGES
             step = (yp, ym, yu, yp_new, ym_new, yu_new, fp, fm, fu, p5, m5, u5, p6, m6, u6,
                     p7, m7, u7, p8, m8, u8, p9, m9, u9, p10, m10, u10, p11, m11, u11,

@@ -675,7 +675,7 @@ def test_a_step_size_collapse_is_a_solver_error(tmp_path, monkeypatch, capsys):
     # below 10 ulp of t
     from trilevel import riccati
 
-    monkeypatch.setattr(riccati, "mu_rhs", lambda t, y, cfg: (complex(math.nan),) * 3)
+    monkeypatch.setattr(riccati, "mu_rhs", lambda t, y, factors: (complex(math.nan),) * 3)
     csv = tmp_path / "out.csv"
     cfg = write_cfg(tmp_path / "s.cfg", f"preset = fig1\nt_end = 1\ndt_out = 0.5\ncsv = {csv}\n")
     assert cli.main(["run", cfg]) == 3

@@ -34,7 +34,9 @@ def evaluate_derivative(traj: riccati.MuTrajectory, t) -> np.ndarray:
 def residuals(traj: riccati.MuTrajectory, cfg: fields.FieldConfig,
               times: np.ndarray) -> np.ndarray:
     """ODE residuals of ``traj``'s interpolant at the given times, shape (n, 3)."""
-    rhs = [riccati.mu_rhs(float(t), vals, cfg) for t, vals in zip(times, traj.evaluate(times).T)]
+    factors = fields.drive_factors(cfg)
+    rhs = [riccati.mu_rhs(float(t), vals, factors)
+           for t, vals in zip(times, traj.evaluate(times).T)]
     return evaluate_derivative(traj, times).T - rhs
 
 
@@ -236,7 +238,7 @@ def test_a_step_below_10_ulp_of_t_is_a_collapse(monkeypatch, t_start):
     # down to below 10 ulp of t_start: 5e-323 at t = 0, 4e-15 at t = 3
     calls = []
 
-    def nan(t, y, cfg):
+    def nan(t, y, factors):
         calls.append(t)
         return (complex(math.nan),) * 3
 
@@ -263,7 +265,8 @@ def test_stepper_runs_on_python_scalars():
     # One numpy scalar in the stage loop turns every stage into numpy
     # arithmetic, about ten times slower; numpy inputs must not leak in.
     cfg = fields.preset("fig3").config
-    assert all(type(v) is complex for v in riccati.mu_rhs(0.7, (0.1j, 0.2 + 0j, 0.3 + 0.1j), cfg))
+    assert all(type(v) is complex for v in riccati.mu_rhs(0.7, (0.1j, 0.2 + 0j, 0.3 + 0.1j),
+                                                          fields.drive_factors(cfg)))
     np_cfg = fields.FieldConfig(*(np.float64(v) for v in vars(cfg).values()))
     seen = []
 
@@ -497,7 +500,8 @@ def tableau_solve_mu(cfg, t_end, tol, *, t_start=0.0, halt=None):
     tab = _scipy_tableau()
     t, t_end, tol = float(t_start), float(t_end), riccati._TOL_SHARE * float(tol)
     y = (0j, 0j, 0j)
-    f = riccati.mu_rhs(t, y, cfg)
+    factors = fields.drive_factors(cfg)
+    f = riccati.mu_rhs(t, y, factors)
     ts, ys, fs = [t], [y], []
     h = math.inf
     while t < t_end:
@@ -505,9 +509,9 @@ def tableau_solve_mu(cfg, t_end, tol, *, t_start=0.0, halt=None):
         h = min(h, t_end - t)
         k = [f]
         for c, row in zip(tab["C"][1:], tab["A"][1:]):
-            k.append(riccati.mu_rhs(t + c * h, _combine(y, h, row, k), cfg))
+            k.append(riccati.mu_rhs(t + c * h, _combine(y, h, row, k), factors))
         y_new = _combine(y, h, tab["B"], k)
-        k.append(riccati.mu_rhs(t + h, y_new, cfg))
+        k.append(riccati.mu_rhs(t + h, y_new, factors))
         if not all(map(cmath.isfinite, y_new)):
             h *= 0.25
             continue
@@ -522,7 +526,7 @@ def tableau_solve_mu(cfg, t_end, tol, *, t_start=0.0, halt=None):
             h *= max(riccati._MIN_FACTOR, riccati._SAFETY * err ** riccati._ERROR_EXPONENT)
             continue
         for s, (c, row) in enumerate(zip(tab["C_EXTRA"], tab["A_EXTRA"]), start=13):
-            k.append(riccati.mu_rhs(t + c * h, _combine(y, h, row[:s], k), cfg))
+            k.append(riccati.mu_rhs(t + c * h, _combine(y, h, row[:s], k), factors))
         dense = _dense_step(tab["D"], y, y_new, h, k)
         t_new = t_end if last else t + h   # a clipped step lands on t_end
         if abs(y_new[0]) >= riccati.BLOWUP_THRESHOLD:
@@ -643,5 +647,28 @@ def test_fused_step_is_the_tableau_loop_through_a_blowup():
 @given(t=st.floats(-50.0, 50.0), mp=st.complex_numbers(max_magnitude=1e3),
        mm=st.complex_numbers(max_magnitude=1e3), mu=st.complex_numbers(allow_nan=True))
 def test_mu_rhs_does_not_read_mu(t, mp, mm, mu):
-    cfg = fields.preset("fig3").config
-    assert riccati.mu_rhs(t, (mp, mm, mu), cfg) == riccati.mu_rhs(t, (mp, mm, 0j), cfg)
+    factors = fields.drive_factors(fields.preset("fig3").config)
+    assert riccati.mu_rhs(t, (mp, mm, mu), factors) == riccati.mu_rhs(t, (mp, mm, 0j), factors)
+
+
+# no shrinking, as above
+@settings(derandomize=True, deadline=None, max_examples=200,
+          phases=(Phase.explicit, Phase.generate))
+@given(a=st.floats(-1e3, 1e3), omega_a=st.floats(-1e3, 1e3), b=st.floats(-1e3, 1e3),
+       omega=st.floats(-1e3, 1e3), delta=st.floats(-10.0, 10.0),
+       sign=st.sampled_from([1.0, -1.0]), t=st.floats(-1e3, 1e3),
+       mp=st.complex_numbers(max_magnitude=1e3), mm=st.complex_numbers(max_magnitude=1e3))
+def test_mu_rhs_on_the_drive_factors_is_the_rhs_on_epsilon_and_j_bit_for_bit(
+        a, omega_a, b, omega, delta, sign, t, mp, mm):
+    # mu_rhs reads the drive through fields.drive_factors, taken once a solve; the
+    # direct oracles' generators too.  Both must be fields.epsilon and
+    # fields.j_coupling to the last bit, signed zeros included
+    cfg = fields.FieldConfig(A=a, Omega=omega_a, B=b, omega=omega, delta=delta,
+                             sign_convention=sign)
+    eps, j = fields.epsilon(t, cfg), fields.j_coupling(t, cfg)
+    dmu = eps + 2j * j * mp
+    expected = (-1j * eps * mp + j * (1.0 + mp * mp), j + 1j * dmu * mm, dmu)
+    got = riccati.mu_rhs(t, (mp, mm, 0j), fields.drive_factors(cfg))
+    assert np.array(got).tobytes() == np.array(expected).tobytes()
+    coeffs = oracle._linear_rhs(cfg, oracle._ETA_OPS, np.zeros((8, 8))).coeffs(t)
+    assert np.array(coeffs).tobytes() == np.array((eps, 2.0 * j, 1.0)).tobytes()
