@@ -222,9 +222,10 @@ def _propagator(cfg: FieldConfig, grid: np.ndarray, tol: float):
     last node below a blow-up, or ends where the solve ends: that last node is its
     cover, where the next chart starts from zero with its predecessor's last step
     as its first.  A chart that blows up on its first step is a PropagationError.
-    One table joins the charts' steps end to end, each chart copied in as it is
-    solved: step i serves (end of step i - 1, end of step i], step 0 also s = 0,
-    and R at a time is the factor there of its step times R at its chart's start.
+    One table joins, end to end, each chart's steps that serve a sample and its
+    last step, whose end node is the chart's exponents at its cover: step i serves
+    (end of step i - 1, end of step i], step 0 also s = 0, and R at a time is the
+    factor there of its step times R at its chart's start.
     A solve whose charts take more than MAX_SAMPLES accepted steps in all is a
     ValueError, raised at the step past the cap: a drive with no common period
     is solved over the whole window, which could otherwise take hours and all
@@ -258,11 +259,9 @@ def _propagator(cfg: FieldConfig, grid: np.ndarray, tol: float):
         mu_plus, mu_minus, mu = vals
         return max(abs(mu_plus), abs(mu_minus), abs(mu.imag)) > CHART_LIMIT
 
-    # the step table, its axes reversed so that steps run along the first: each
-    # chart's steps are copied in as it is solved and the chart dropped, so that no
-    # second copy of them is held.  resize reallocates a part, which no view may
-    # outlive, so none is taken until the last chart is in
-    table, ends, counts = None, [], []   # and each chart's exponents at its cover
+    # each chart's steps that serve a sample, and its last, copied out as it is
+    # solved and the chart dropped, so that no unsampled step is held
+    parts, counts = [], []
     start, first_step = 0.0, math.inf   # the first chart first tries its whole span
     while start < solved:
         try:
@@ -272,20 +271,16 @@ def _propagator(cfg: FieldConfig, grid: np.ndarray, tol: float):
             chart = exc.partial
         if chart.t_final <= start:
             raise PropagationError(f"the chart at t = {start:.9g} blew up on its first step")
-        n = len(chart.grid) - 1
-        if table is None:
-            table = [part.T.copy() for part in chart._steps]
-        else:
-            for joined, part in zip(table, chart._steps):
-                joined.resize((len(joined) + n, *joined.shape[1:]), refcheck=False)
-                joined[-n:] = part.T
+        kept = ~chart._steps[-1]
+        kept[-1] = True
+        parts.append([part[..., kept] for part in chart._steps])
+        counts.append(np.count_nonzero(kept))
         start = chart.t_final
         first_step = float(chart.grid[-1] - chart.grid[-2])   # the chart's last step
-        ends.append(chart.evaluate(start))
-        counts.append(n)
         del chart
-    table = [part.T for part in table]
+    table = [np.concatenate(part, axis=-1) for part in zip(*parts)]
     chart_of = np.repeat(np.arange(len(counts)), counts)
+    ends = table[3][:, np.cumsum(counts) - 1].T   # each chart's exponents at its cover
 
     # composed after the solves: past some numpy kernels, this complex 2x2 `@`
     # among them, Python float arithmetic ran up to 4x slower (numpy 2.4 on a Xeon)

@@ -281,10 +281,11 @@ def _evaluate(t: np.ndarray, starts, ends, y0, y1, dense, bare) -> tuple[np.ndar
     both, coefficients F_1 .. F_6 as one (6, components, steps) array, and whether each
     lacks dense output), and the interpolated (mu_plus, mu_minus, mu) there, shape
     (3,) + shape(t).  Step i serves (end of step i - 1, end of step i], and step 0 also
-    its start.  A time inside a step without dense output is a ValueError."""
+    its start.  A time inside a step without dense output, or before the start of its
+    step (inside a step that the table left out), is a ValueError."""
     i = np.searchsorted(ends, t)
     x = (t - starts[i]) / (ends[i] - starts[i])
-    inner = bare[i] & (0.0 < x) & (x < 1.0)
+    inner = (bare[i] & (0.0 < x) & (x < 1.0)) | (x < 0.0)
     if np.any(inner):
         raise ValueError(f"time {float(t[inner].flat[0])!r} inside a step solved "
                          f"without dense output")

@@ -222,6 +222,25 @@ def test_global_error_scales_with_tol(name):
         assert np.max(np.abs(traj.rho - ref.rho)) <= 5.0 * tol, tol
 
 
+@pytest.mark.parametrize("tol", [1e-6, 1e-8, 1e-10])
+@pytest.mark.parametrize("name", ["fig9", "fig10", "fig12", "fig13", "fig14", "fig15", "fig16",
+                                  "fig17", "hydrogen"])
+def test_hydrogen_drive_presets_meet_their_closed_form(name, tol):
+    # Nine presets are the hydrogen drive: Omega = omega, delta = 0 and
+    # A/B = sqrt(2) (to an ulp), so the generator is cos(omega t) H0 and
+    # oracle.hydrogen_density is exact; its amplitude is -sign A.  Over each
+    # preset's own window, with the bound of test_global_error_scales_with_tol.
+    # Measured 0.068 (fig17 at 1e-8) to 0.479 tol (fig13 at 1e-6).
+    ps = fields.preset(name)
+    cfg, rho0 = ps.config, ps.initial.density()
+    assert cfg.Omega == cfg.omega and cfg.delta == 0.0
+    assert cfg.A / cfg.B == pytest.approx(math.sqrt(2.0), rel=1e-15)
+    traj = propagator.run(cfg, rho0, ps.t_end, ps.dt_out, tol)
+    exact = oracle.hydrogen_density(-cfg.sign_convention * cfg.A, cfg.omega, cfg.Gamma, rho0,
+                                    traj.grid)
+    assert np.max(np.abs(traj.rho - exact)) <= 5.0 * tol
+
+
 @pytest.mark.parametrize("name", ["fig1", "fig3", "fig8", "fig9", "fig16", "hydrogen"])
 def test_the_solve_steps_propagator_error_scales_with_tol(name):
     # The solve step's 2x2 U(t), lifted to G, against G' = -i (eps A_Z + 2 J A_X) G
@@ -504,9 +523,9 @@ def test_floquet_error_grows_linearly_with_the_periods():
     # U(T) is not re-unitarized, so its error compounds over the periods:
     # U(T)^n = cos(n theta) I + sin(n theta)/sin(theta) (U(T) - cos(theta) I)
     # carries the error of theta n times.  Against the hydrogen closed form
-    # (Gamma = 0) at tol 1e-10 the error was 4.85e-10 at 10^2 periods, 4.85e-8
-    # at 10^4 and 4.85e-6 at 10^6; at tol 1e-8 it was 7.62e-8 at 10^2 periods
-    # and 7.56e-2 at 10^8.  Linear growth is 100x from 10^2 to 10^4 periods.
+    # (Gamma = 0) at tol 1e-10 the error was 1.31e-10 at 10^2 periods, 1.31e-8
+    # at 10^4 and 1.31e-6 at 10^6; at tol 1e-8 it was 9.63e-9 at 10^2 periods
+    # and 9.64e-3 at 10^8.  Linear growth is 100x from 10^2 to 10^4 periods.
     ps = fields.preset("hydrogen")
     cfg, rho0 = ps.config, ps.initial.density()
     assert cfg.Gamma == 0.0 and propagator._drive_period(cfg) == 2.0 * math.pi
@@ -649,26 +668,58 @@ def per_chart_propagator(charts, grid, span) -> np.ndarray:
     return out
 
 
+def record_tables(monkeypatch):
+    """Route the solve step's _evaluate through a recorder; returns the list of
+    (times, step table) pairs it fills, in order."""
+    tables = []
+    evaluate = propagator._evaluate
+
+    def recording_evaluate(t, *steps):
+        tables.append((t, steps))
+        return evaluate(t, *steps)
+
+    monkeypatch.setattr(propagator, "_evaluate", recording_evaluate)
+    return tables
+
+
+@pytest.mark.parametrize("every_node", [False, True], ids=["own-grid", "every-node"])
 @pytest.mark.parametrize("tol", [1e-6, 1e-10])
-@pytest.mark.parametrize("name", ["fig3", "fig4", "fig6"])
-def test_one_step_table_gives_the_per_chart_loops_u_bit_for_bit(monkeypatch, name, tol):
+@pytest.mark.parametrize("name", ["fig3", "fig4", "fig6", "incommensurate"])
+def test_one_step_table_gives_the_per_chart_loops_u_bit_for_bit(monkeypatch, name, tol,
+                                                                every_node):
     # fig3 has 10 charts over half a period, fig4 3 and fig6 (delta != 0)
-    # one over a whole period.  The grid adds every node t of the span's
-    # charts, their covers among them, and T - t to the preset's own grid: on
-    # a node inside a chart the table takes the step that ends there and the
-    # loop the step that starts there.
-    ps = fields.preset(name)
-    span = propagator._drive_period(ps.config)
-    charts = record_charts(monkeypatch)
-    grid = propagator.output_grid(ps.t_end, ps.dt_out)
-    propagator._propagator(ps.config, grid, tol)
-    nodes = [chart.grid for chart, _ in charts]
-    grid = np.unique(np.concatenate([grid] + nodes + [span - t for t in nodes]))
-    charts.clear()
-    u = propagator._propagator(ps.config, grid, tol)(slice(None))
-    assert (len(charts) == 1) == (name == "fig6")
-    assert charts[-1][0].t_final == (span if name == "fig6" else 0.5 * span)
-    assert charts[-1][0].t_final < grid[-1]   # a periodic span: some samples in later periods
+    # one over a whole period.  The off-period fig9 at a chart limit of 0.25
+    # has 25 (tol 1e-6) or 30 charts over its whole window [0, 20] and three
+    # samples, so most of its charts serve no sample and the table keeps only
+    # their last steps.  Each drive runs on its own grid, and on that grid with
+    # every node t of the span's charts, their covers among them, and T - t
+    # added, so that the table keeps every step: on a node inside a chart the
+    # table takes the step that ends there and the loop the step that starts there.
+    if name == "incommensurate":
+        monkeypatch.setattr(propagator, "CHART_LIMIT", 0.25)
+        cfg, grid = _OFF_PERIOD_FIG9, propagator.output_grid(20.0, 10.0)
+        span = cover = grid[-1]
+    else:
+        ps = fields.preset(name)
+        cfg, grid = ps.config, propagator.output_grid(ps.t_end, ps.dt_out)
+        span = propagator._drive_period(cfg)
+        cover = span if name == "fig6" else 0.5 * span
+        assert cover < grid[-1]   # a periodic span: some samples in later periods
+    charts, tables = record_charts(monkeypatch), record_tables(monkeypatch)
+    if every_node:
+        propagator._propagator(cfg, grid, tol)
+        nodes = [chart.grid for chart, _ in charts]
+        grid = np.unique(np.concatenate([grid] + nodes + [span - t for t in nodes]))
+        charts.clear()
+    u = propagator._propagator(cfg, grid, tol)(slice(None))
+    assert charts[-1][0].t_final == cover
+    assert len(charts) == {"fig3": 10, "fig4": 3, "fig6": 1}.get(name, len(charts))
+    steps, kept = sum(len(chart.grid) - 1 for chart, _ in charts), len(tables[-1][1][0])
+    if name == "incommensurate" and not every_node:
+        # a sample is in at most two charts' steps, so some charts serve none
+        assert len(charts) > 2 * len(grid) and kept < steps
+    else:
+        assert kept == steps   # the presets' own grids, every 0.1 or 0.05, keep every step too
     assert u.tobytes() == per_chart_propagator([chart for chart, _ in charts], grid,
                                                span).tobytes()
 
@@ -676,7 +727,9 @@ def test_one_step_table_gives_the_per_chart_loops_u_bit_for_bit(monkeypatch, nam
 def test_a_sample_in_a_step_without_dense_output_is_a_value_error(monkeypatch):
     # solve_mu builds dense output only on the steps that hold a time of
     # t_eval.  With one sample dropped from t_eval, that sample lies inside a
-    # step without it, and run refuses it rather than read zero coefficients.
+    # step without it, which the step table leaves out unless it is its chart's
+    # last, and run refuses it rather than read zero coefficients or serve it
+    # from a later step.
     ps = fields.preset("fig1")
     solve_mu = propagator.solve_mu
     dropped = []
@@ -1048,13 +1101,15 @@ def test_a_long_run_holds_no_second_sample_stack():
 @pytest.mark.parametrize("cfg, limit", [(fields.preset("fig3").config, 1.0),
                                         (_OFF_PERIOD_FIG9, 0.25)], ids=["fig3", "incommensurate"])
 def test_each_chart_is_dropped_once_its_steps_are_in_the_table(monkeypatch, cfg, limit):
-    # The step table is filled chart by chart as the charts are solved, and no
-    # chart outlives its copy, so the charts and their join are never held at
-    # once.  fig3 takes 7 charts to t = 20, and the off-period fig9 36 at a chart
-    # limit of 0.25.  Measured on fig9 with Omega = sqrt(2) - 1 to t = 2,000 at
-    # dt_out 0.5 (671 charts): run's peak under tracemalloc 10.8 MB, and 15.2 MB
-    # when the charts were joined after the last solve.
+    # Each chart's steps that serve a sample, and its last, are copied out as it
+    # is solved, and no chart outlives its copy, so the table holds at most one
+    # step a sample, or two for a sample on a node, and one a chart.  fig3 takes
+    # 7 charts to t = 20, and the off-period fig9 36 at a chart limit of 0.25.
+    # Measured on fig9 with Omega = sqrt(2) - 1 to t = 2,000 at dt_out 0.5 (671
+    # charts): run's peak under tracemalloc 5.1 MB, and 9.6 MB when the table
+    # kept every step of every chart.
     monkeypatch.setattr(propagator, "CHART_LIMIT", limit)
+    tables = record_tables(monkeypatch)
     alive = []
 
     def recording_solve_mu(*args, **kwargs):
@@ -1067,6 +1122,8 @@ def test_each_chart_is_dropped_once_its_steps_are_in_the_table(monkeypatch, cfg,
     propagator.run(cfg, np.diag([1.0, 0.0, 0.0]).astype(complex), 20.0, 0.5, 1e-10)
     assert len(alive) >= 7
     assert [ref for ref in alive if ref() is not None] == []
+    samples = np.unique(np.concatenate([times for times, _ in tables]))
+    assert len(tables[-1][1][0]) <= len(samples) + len(alive)
 
 
 def test_trajectory_build_transient_is_bounded():
