@@ -18,13 +18,14 @@ come from :mod:`trilevel.riccati`.  When they grow (or blow up at a chart
 singularity of the factorization), the propagator composes the state reached so
 far and restarts the exponents from zero at that time; the evolution operator is
 a cocycle, so segmentation is exact: one table joins the charts' steps, step i
-serving (end of step i - 1, end of step i].  By the same cocycle, a drive with
-period T is solved over [0, T] only: U(nT + s) = U(s) U(T)^n in closed form.
-With delta = 0 the drive is also time-symmetric, h(T - s) = h(s), and real
-symmetric, so U(s) = U(T - s)^-T U(T) and U(T) = W^T W, W = U(T/2): such a
-period is solved over [0, T/2] only.  With Omega = 0 it is symmetric about a
-centre c = (-delta/omega) mod (pi/|omega|) for any delta, and the period is
-folded about c in the same way, on the drive shifted to c.
+serving (end of step i - 1, end of step i].  A drive with period T also has
+h(t + T/2) = S h(t) S^-1, S a fixed SU(2) matrix, so by the same cocycle it is
+solved over [0, T/2] only: U(mT/2 + s) = S^m U(s) F^m in closed form, with
+F = S^-1 U(T/2) projected onto SU(2).  A half period whose drive, real
+symmetric, is even about a centre c (delta = 0 or omega = 0 with c = 0, or
+Omega = 0 with c = (-delta/omega) mod (pi/|omega|)) is solved on either side
+of c, over [0, max(c, T/2 - c)] only: U(c + x) = R(x) R(c)^T and R(-x) = R(x)^-T,
+R the propagator of the drive shifted to c.
 """
 
 from __future__ import annotations
@@ -103,7 +104,11 @@ def _power(u: np.ndarray, n: np.ndarray) -> np.ndarray:
     # sin(theta)^2 = -det(k), which does not cancel near theta = 0 as 1 - cos^2 does
     sin = np.sqrt(-(k[0, 0] * k[0, 0] + k[0, 1] * k[1, 0]))
     n = np.asarray(n)[..., None, None]
-    n_theta = n * (-1j * np.log(cos + 1j * sin))
+    # on SU(2) cos and sin are real and theta is their angle: -i log(cos + i sin)
+    # would add i log|cos + i sin|, a rounding error that n multiplies into growth
+    theta = (np.arctan2(sin.real, cos.real) if cos.imag == sin.imag == 0.0
+             else -1j * np.log(cos + 1j * sin))
+    n_theta = n * theta
     return np.cos(n_theta) * np.eye(2) + (np.sin(n_theta) / sin if sin != 0.0 else n) * k
 
 
@@ -176,21 +181,29 @@ def output_grid(t_end: float, dt_out: float) -> np.ndarray:
     return grid
 
 
-def _drive_period(cfg: FieldConfig) -> float | None:
-    """The common period T of the two drives, or None for a static drive and
-    for frequencies whose ratio is no fraction p/q with q <= 64 (in binary64)."""
+def _drive_period(cfg: FieldConfig) -> tuple[float, np.ndarray] | None:
+    """Half the common period T of the two drives, and the fixed SU(2) matrix S with
+    h(t + T/2) = S h(t) S^-1; None for a static drive and for frequencies whose ratio
+    is no fraction p/q with q <= 64 (in binary64).  Over T/2 = q pi/|omega|, epsilon
+    changes sign when p is odd and J when q is odd: S = i sigma_x flips epsilon (on
+    sigma_z), i sigma_z flips J (on sigma_x), and i sigma_y flips both."""
     rate_a, rate_b = abs(cfg.Omega), abs(cfg.omega)
-    if rate_a == 0.0 or rate_b == 0.0:
-        fastest = max(rate_a, rate_b)
-        return 2.0 * math.pi / fastest if fastest > 0.0 else None
-    from fractions import Fraction  # imported here: it adds 4 ms to import trilevel
+    if rate_b == 0.0:
+        if rate_a == 0.0:
+            return None
+        p, q, half = 1, 0, math.pi / rate_a
+    else:
+        from fractions import Fraction  # imported here: it adds 4 ms to import trilevel
 
-    ratio = rate_a / rate_b
-    frac = Fraction(ratio).limit_denominator(64)
-    if frac.numerator / frac.denominator != ratio:
-        return None
-    # Omega = (p/q) omega: T = 2 pi q / omega holds p periods of one drive, q of the other
-    return 2.0 * math.pi * frac.denominator / rate_b
+        ratio = rate_a / rate_b
+        frac = Fraction(ratio).limit_denominator(64)
+        if frac.numerator / frac.denominator != ratio:
+            return None
+        # Omega = (p/q) omega: T = 2 pi q / omega holds p periods of one drive, q of the other
+        p, q = frac.numerator, frac.denominator
+        half = math.pi * q / rate_b
+    s = {(1, 0): [[0, 1j], [1j, 0]], (0, 1): [[1j, 0], [0, -1j]], (1, 1): [[0, 1], [-1, 0]]}
+    return half, np.array(s[p % 2, q % 2], dtype=complex)
 
 
 def _centre(cfg: FieldConfig) -> tuple[float, FieldConfig] | None:
@@ -212,20 +225,22 @@ def _propagator(cfg: FieldConfig, grid: np.ndarray, tol: float):
     """The solve step: U(t), the 2x2 propagator, as a function of a slice of
     ``grid``; it depends on the drive and ``tol`` alone.
 
-    The exponents are solved on consecutive charts over one span: the drive
-    period T when the drive has one and the grid ends past T, else the whole
-    grid.  A period with a centre of symmetry c (see _centre) is folded: R, the
-    propagator of the drive shifted to c, is solved over [0, T/2] only, R(T) = W^T W
-    with W the composed R(T/2), and U(nT + s) = R(x) R(T)^n R(c)^T at x = s - c,
-    with R(x) = R(-x)^-T for x < 0 and R(T - x)^-T R(T) for x > T/2.  Unfolded,
-    R = U and c = 0.  A chart halts at its first node past CHART_LIMIT, ends at its
-    last node below a blow-up, or ends where the solve ends: that last node is its
-    cover, where the next chart starts from zero with its predecessor's last step
-    as its first.  A chart that blows up on its first step is a PropagationError.
-    One table joins, end to end, each chart's steps that serve a sample and its
-    last step, whose end node is the chart's exponents at its cover: step i serves
-    (end of step i - 1, end of step i], step 0 also s = 0, and R at a time is the
-    factor there of its step times R at its chart's start.
+    The exponents are solved on consecutive charts over one span: half the drive
+    period T when the drive has one and the grid ends past T/2, else the whole
+    grid.  A sample at t = mT/2 + s is U(t) = S^m U(s) F^m, with S of _drive_period
+    and F = S^-1 U(T/2), which is projected onto SU(2) before its power.  A half
+    with a centre of symmetry c (see _centre) is folded there: R, the propagator of
+    the drive shifted to c, is solved over [0, max(c, T/2 - c)] only, and U(s) =
+    R(x) R(c)^T at x = s - c, with R(x) = R(-x)^-T for x < 0, so that U(T/2) =
+    R(T/2 - c) R(c)^T.  Without a centre, or on the whole grid, R = U and c = 0.
+    A chart halts at its first node past CHART_LIMIT, ends at its last node below
+    a blow-up, or ends where the solve ends: that last node is its cover, where
+    the next chart starts from zero with its predecessor's last step as its first.
+    A chart that blows up on its first step is a PropagationError.  One table
+    joins, end to end, each chart's steps that serve a sample and its last step,
+    whose end node is the chart's exponents at its cover: step i serves (end of
+    step i - 1, end of step i], step 0 also s = 0, and R at a time is the factor
+    there of its step times R at its chart's start.
     A solve whose charts take more than MAX_SAMPLES accepted steps in all is a
     ValueError, raised at the step past the cap: a drive with no common period
     is solved over the whole window, which could otherwise take hours and all
@@ -233,21 +248,18 @@ def _propagator(cfg: FieldConfig, grid: np.ndarray, tol: float):
     """
     t_end = float(grid[-1])
     period = _drive_period(cfg)
-    span = period if period is not None and t_end > period else t_end
-    # period index and in-span time of each sample; the index is 0 on one span
-    periods = np.floor(grid / span) if span < t_end else np.zeros_like(grid)
-    in_span = np.clip(grid - periods * span, 0.0, span)
-    # a period whose drive, real symmetric, is even about a centre c is solved to T/2
-    # on the drive shifted to c; x = s - c rounds, T - x is exact (Sterbenz)
-    centre = _centre(cfg) if span < t_end else None
-    fold = centre is not None
-    c, cfg = centre if fold else (0.0, cfg)
-    x = in_span - c
-    solved = 0.5 * span if fold else span
-    mirrored, folded = x < 0.0, x > solved
-    solve_at = np.where(folded, span - x, np.abs(x))
-    # the steps that get dense output hold one, R(c) among them
-    samples = np.unique(np.append(solve_at, c) if c else solve_at).tolist()
+    halves = period is not None and t_end > period[0]
+    # on the whole grid S = I, and its one span has m = 0 for every sample
+    span, s_half = period if halves else (t_end, np.eye(2, dtype=complex))
+    m = np.floor(grid / span) if halves else np.zeros_like(grid)
+    # a half whose drive, real symmetric, is even about a centre c is solved on the
+    # drive shifted to c, on either side of it; x = s - c rounds
+    c, cfg = (_centre(cfg) or (0.0, cfg)) if halves else (0.0, cfg)
+    x = np.clip(grid - m * span, 0.0, span) - c
+    solved = max(c, span - c)
+    mirrored, solve_at = x < 0.0, np.abs(x)
+    # the steps that get dense output hold one, R(c) and R(T/2 - c) among them
+    samples = np.unique(np.append(solve_at, (c, span - c)) if c else solve_at).tolist()
     steps = 0
 
     def halt(t, vals):
@@ -285,27 +297,33 @@ def _propagator(cfg: FieldConfig, grid: np.ndarray, tol: float):
     # composed after the solves: past some numpy kernels, this complex 2x2 `@`
     # among them, Python float arithmetic ran up to 4x slower (numpy 2.4 on a Xeon)
     # until another kind ran, so a product between two solves slowed the next one
-    before = [np.eye(2, dtype=complex)]   # U at each chart's start, then U(solved)
+    before = [np.eye(2, dtype=complex)]   # R at each chart's start, then R(solved)
     for mus in ends:
         before.append(chart_matrix(*mus) @ before[-1])
-    before, u_span = np.array(before[:-1]), before[-1]
-    if fold:
-        u_span = u_span.T @ u_span
+    before, u_half = np.array(before[:-1]), before[-1]
     if c:
-        i, mus = _evaluate(np.array([c]), *table)
-        r_c_t = _matmul2(chart_matrix(*mus), before[chart_of[i]])[0].T   # R(c)^T
+        i, mus = _evaluate(np.array([c, span - c]), *table)
+        r_c, r_rest = _matmul2(chart_matrix(*mus), before[chart_of[i]])
+        r_c_t, u_half = r_c.T, r_rest @ r_c.T
+    # F = S^-1 U(T/2), S^-1 = -S, projected onto SU(2) as [[a, b], [-b*, a*]] with
+    # |a|^2 + |b|^2 = 1; on the whole grid its power is I
+    f = -s_half @ u_half
+    a, b = 0.5 * (f[0, 0] + f[1, 1].conjugate()), 0.5 * (f[0, 1] - f[1, 0].conjugate())
+    f = np.array([[a, b], [-b.conjugate(), a.conjugate()]]) / math.hypot(abs(a), abs(b))
 
     def u(block: slice) -> np.ndarray:
-        # R at x, or at -x or T - x for a mirrored or folded sample: the factor at
-        # its step, times U at its chart's start; then times R(T)^n and R(c)^T
+        # R at |x|, the factor at its step times R at its chart's start, then
+        # R^-T for a mirrored sample, times R(c)^T, and S^m and F^m either side
         i, mus = _evaluate(solve_at[block], *table)
         u_s = _matmul2(chart_matrix(*mus), before[chart_of[i]])
-        # a mirrored or folded sample: R = [[a, b], [c, d]] of det 1 gives R^-T =
-        # [[d, -c], [-b, a]], and a folded one's R(T) joins the power as one more period
-        back = mirrored[block] | folded[block]
+        # R = [[a, b], [c, d]] of det 1 gives R^-T = [[d, -c], [-b, a]]
+        back = mirrored[block]
         u_s[back] = u_s[back][:, ::-1, ::-1] * np.array([[1.0, -1.0], [-1.0, 1.0]])
-        u_s = _matmul2(u_s, _power(u_span, periods[block] + folded[block]))
-        return _matmul2(u_s, r_c_t) if c else u_s
+        if c:
+            u_s = _matmul2(u_s, r_c_t)
+        odd = m[block] % 2.0 == 1.0
+        u_s[odd] = _matmul2(s_half, u_s[odd])   # S^m up to sign, as S^2 = -I
+        return _matmul2(u_s, _power(f, m[block]))
 
     return u
 

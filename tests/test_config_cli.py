@@ -685,9 +685,9 @@ def test_a_step_size_collapse_is_a_solver_error(tmp_path, monkeypatch, capsys):
 
 def test_a_linear_algebra_failure_is_a_solver_error(tmp_path, monkeypatch, capsys):
     # numpy's LinAlgError subclasses ValueError, but the input is valid.  The
-    # eigenvalue solve is made to fail here: the valid inputs that make it fail
-    # of itself (fig5 without decay to t_end = 1e15, whose U(T)^n overflows) are
-    # past the accuracy floor, and would stop failing once that is mended.
+    # eigenvalue solve is made to fail here: valid inputs once made it fail of
+    # itself (fig5 without decay to t_end = 1e15, whose U(T)^n overflowed), but
+    # the power of an SU(2) matrix no longer grows.
     def fail(rho):
         raise np.linalg.LinAlgError("Eigenvalues did not converge")
 

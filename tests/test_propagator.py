@@ -151,7 +151,10 @@ _POWER_CASES = {
     "-I": -np.eye(2, dtype=complex),
     "jordan": np.array([[1.0, 0.3 - 0.2j], [0.0, 1.0]]),   # sin(theta) = 0, not I
     "generic": _su2(np.random.default_rng(23), 2.1),
-    # U(T) is not projected onto SU(2): a unitarity defect of 1e-9, theta complex
+    # in SU(2) to the last bit, as a projected F is: cos and sin real, theta their angle
+    "projected": np.array([[0.6 + 0.48j, 0.64j], [0.64j, 0.6 - 0.48j]]),
+    # off SU(2) by a unitarity defect of 1e-9, as U(T) was before F was
+    # projected: theta complex
     "off SU(2)": _su2(np.random.default_rng(24), 2.1) @ expm(1e-9 * np.array([[1, 2j], [-1, -1]])),
 }
 
@@ -160,7 +163,9 @@ _POWER_CASES = {
 def test_power_matches_matrix_power_up_to_sign(u):
     # Against 50-digit mpmath powers of these and 20 random rotations, _power
     # was at most 2.6 eps max(1, n) off and matrix_power 0.23 eps max(1, n);
-    # the two differed by at most 2.6 eps max(1, n).
+    # the two differed by at most 2.6 eps max(1, n).  On 25 such matrices
+    # projected onto SU(2), whose theta is taken as an angle, _power was at
+    # most 0.76 eps max(1, n) off (1.41 with theta from the complex log).
     ns = (0, 1, 7, 10**4)
     powers = propagator._power(u, np.array(ns, dtype=float))
     assert powers.shape == (len(ns), 2, 2)
@@ -212,8 +217,8 @@ def test_global_error_scales_with_tol(name):
     # Against a tight reference, the product path's error over [0, 20] stays
     # within a fixed multiple of tol on every preset.  The multiple was pinned
     # from the first stepper (largest ratio 3.99, fig3 at tol 1e-6) and is not
-    # to be raised.  Measured with DOP853 at a tenth of tol: at most 0.42 tol
-    # (fig5 at 1e-6).
+    # to be raised.  Measured with DOP853 at a tenth of tol: at most 0.52 tol
+    # (fig6 at 1e-6; 0.42 tol, fig5, before the half-period rule).
     ps = fields.preset(name)
     rho0 = ps.initial.density()
     ref = oracle.integrate_rho_direct(ps.config, rho0, 20.0, 0.5, 1e-13)
@@ -230,7 +235,7 @@ def test_hydrogen_drive_presets_meet_their_closed_form(name, tol):
     # A/B = sqrt(2) (to an ulp), so the generator is cos(omega t) H0 and
     # oracle.hydrogen_density is exact; its amplitude is -sign A.  Over each
     # preset's own window, with the bound of test_global_error_scales_with_tol.
-    # Measured 0.068 (fig17 at 1e-8) to 0.479 tol (fig13 at 1e-6).
+    # Measured 0.068 (fig17 at 1e-8) to 0.558 tol (fig14 at 1e-6).
     ps = fields.preset(name)
     cfg, rho0 = ps.config, ps.initial.density()
     assert cfg.Omega == cfg.omega and cfg.delta == 0.0
@@ -246,9 +251,10 @@ def test_the_solve_steps_propagator_error_scales_with_tol(name):
     # The solve step's 2x2 U(t), lifted to G, against G' = -i (eps A_Z + 2 J A_X) G
     # from scipy's DOP853 at 1e-13, before any cleanup: every rho-level check
     # passes through the Hermitian part, which removes part of U's error.  Of
-    # the windows, at most t = 60, fig3's is shorter than its period 20 pi; the
-    # others hold 2 (hydrogen) to 9 periods, so they pass through U(T)^n.
-    # Measured at most 1.52 tol (fig9 at 1e-6), 1.02 tol on the others.
+    # the windows, at most t = 60, fig3's holds 1.9 of its half periods 10 pi;
+    # the others hold 4 (hydrogen) to 19, so they pass through S^m U(s) F^m.
+    # Measured at most 1.05 tol (fig3 at 1e-10); 1.52 tol (fig9 at 1e-6) when
+    # U(T)^n composed whole periods.
     from scipy.integrate import solve_ivp
 
     ps = fields.preset(name)
@@ -323,34 +329,48 @@ def test_segmented_restart_is_a_cocycle(monkeypatch):
     assert np.max(np.abs(algebra.rho_to_eta(plain.rho) - algebra.rho_to_eta(forced.rho))) <= 1e-8
 
 
-@pytest.mark.parametrize("cfg, period", [
-    (fields.preset("fig1").config, 2.0 * math.pi),
-    (fields.preset("fig3").config, 20.0 * math.pi),
-    (fields.FieldConfig(A=1.0, Omega=2.0, B=1.0, omega=0.0), math.pi),
-    (fields.FieldConfig(A=1.0, Omega=-1.5, B=1.0, omega=1.0), 4.0 * math.pi),
-    (_OFF_PERIOD_FIG9, None),
-    (fields.FieldConfig(A=1.0, Omega=0.0, B=1.0, omega=0.0), None),
-], ids=["fig1", "fig3", "omega=0", "Omega:omega=-3:2", "incommensurate", "static"])
-def test_drive_period(cfg, period):
+# S = i sigma_x, i sigma_y and i sigma_z, which flip epsilon, both drives and J
+_I_SIGMA = {"x": [[0, 1j], [1j, 0]], "y": [[0, 1], [-1, 0]], "z": [[1j, 0], [0, -1j]]}
+
+
+@pytest.mark.parametrize("cfg, period, s", [
+    (fields.preset("fig1").config, 2.0 * math.pi, "z"),
+    (fields.preset("fig3").config, 20.0 * math.pi, "x"),
+    (fields.preset("fig5").config, 2.0 * math.pi, "y"),
+    (fields.FieldConfig(A=1.0, Omega=2.0, B=1.0, omega=0.0), math.pi, "x"),
+    (fields.FieldConfig(A=1.0, Omega=-1.5, B=1.0, omega=1.0), 4.0 * math.pi, "x"),
+    (fields.FieldConfig(A=1.0, Omega=1.0, B=1.0, omega=-3.0), 2.0 * math.pi, "y"),
+    (fields.FieldConfig(A=1.0, Omega=2.0 / 3.0, B=1.0, omega=1.0), 6.0 * math.pi, "z"),
+    (_OFF_PERIOD_FIG9, None, None),
+    (fields.FieldConfig(A=1.0, Omega=0.0, B=1.0, omega=0.0), None, None),
+], ids=["fig1", "fig3", "fig5", "omega=0", "Omega:omega=-3:2", "Omega:omega=1:-3",
+        "Omega:omega=2:3", "incommensurate", "static"])
+def test_drive_period(cfg, period, s):
+    # half the common period T, and the S with h(t + T/2) = S h(t) S^-1: over
+    # T/2, Omega = (p/q) omega flips epsilon when p is odd and J when q is odd
     found = propagator._drive_period(cfg)
-    assert found == (None if period is None else pytest.approx(period, rel=1e-15))
+    if period is None:
+        assert found is None
+        return
+    half, s_found = found
+    assert half == pytest.approx(0.5 * period, rel=1e-15)
+    assert np.array_equal(s_found, np.array(_I_SIGMA[s]))
 
 
 @pytest.mark.parametrize("name", fields.preset_names())
 def test_one_period_solve_matches_the_plain_chart_path(monkeypatch, name):
-    # Every preset's drive is periodic and its window longer than the period,
-    # so the charts stop at T, or at T/2 when delta = 0 (fig5 to fig8 have
-    # delta != 0), and later samples compose U(T)^n.  Against charts over the
-    # whole window, at the tol of `trilevel figure`: largest difference 0.40 tol
-    # (fig13), and 0.38 tol (fig6) before the fold.
+    # Every preset's drive is periodic and its window longer than the period
+    # T, so the charts stop at T/2, and later samples compose S^m U(s) F^m.
+    # Against charts over the whole window, at the tol of `trilevel figure`:
+    # largest difference 0.37 tol (fig13); fig5 to fig8 (delta != 0, no centre)
+    # were solved over a whole period before the half-period rule.
     ps = fields.preset(name)
     rho0 = ps.initial.density()
-    period = propagator._drive_period(ps.config)
-    assert period < ps.t_end
+    half, _ = propagator._drive_period(ps.config)
+    assert 2.0 * half < ps.t_end
     charts = record_charts(monkeypatch)
     floquet = propagator.run(ps.config, rho0, ps.t_end, ps.dt_out, 1e-10)
-    solved = 0.5 * period if ps.config.delta == 0.0 else period
-    assert charts[-1][0].t_final == pytest.approx(solved, rel=1e-12)
+    assert charts[-1][0].t_final == pytest.approx(half, rel=1e-12)
     monkeypatch.setattr(propagator, "_drive_period", lambda cfg: None)
     plain = propagator.run(ps.config, rho0, ps.t_end, ps.dt_out, 1e-10)
     assert charts[-1][0].t_final == ps.t_end
@@ -359,9 +379,11 @@ def test_one_period_solve_matches_the_plain_chart_path(monkeypatch, name):
 
 @pytest.mark.parametrize("cfg, t_end", [
     (_OFF_PERIOD_FIG9, 20.0),
-    (fields.preset("fig1").config, 2.0 * math.pi),
-], ids=["incommensurate", "t_end=T"])
+    (fields.preset("fig1").config, math.pi),
+], ids=["incommensurate", "t_end=T/2"])
 def test_drives_without_a_shorter_period_stay_on_the_chart_path(monkeypatch, cfg, t_end):
+    # A window no longer than half the period is solved as it is, by the charts
+    # alone; from t_end > T/2 on, a periodic drive takes the half-period rule.
     rho0 = np.diag([1.0, 0.0, 0.0]).astype(complex)
     charts = record_charts(monkeypatch)
     traj = propagator.run(cfg, rho0, t_end, 0.5, 1e-10)
@@ -372,28 +394,30 @@ def test_drives_without_a_shorter_period_stay_on_the_chart_path(monkeypatch, cfg
     plain = propagator.run(cfg, rho0, t_end, 0.5, 1e-10)
     assert len(charts) == 2 * solved
     assert np.array_equal(traj.rho, plain.rho)
-    # measured 2.2e-10 (incommensurate) and 6.0e-12 (t_end = T)
+    # measured 2.2e-10 (incommensurate) and 8.1e-13 (t_end = T/2)
     direct = oracle.integrate_rho_direct(cfg, rho0, t_end, 0.5, 1e-12)
     assert np.max(np.abs(traj.rho - direct.rho)) <= 1e-8
 
 
 def test_a_time_symmetric_period_is_solved_over_its_first_half(monkeypatch):
     # With delta = 0 the drive has h(T - s) = h(s), real and symmetric, so
-    # U(T) = W^T W, W = U(T/2), and U(s) = U(T - s)^-T U(T).  Both against an
-    # unfolded solve of fig3 at tol 1e-12: U(T) on the chart path over [0, T]
-    # was 9.8e-14 from W^T W there, and U over three periods, the charts run
-    # over the whole window, 1.1e-12 from the folded U (9.2e-13 at s in
-    # (T/2, T)).  U(T)^n is formed up to sign, so U is compared up to sign.
+    # U(T) = W^T W, W = U(T/2); the half-period rule forms it as U(T) = -F^2,
+    # F = S^-1 W, and U(s + T/2) = S U(s) F.  Both against an unfolded solve of
+    # fig3 at tol 1e-12: U(T) was 3.0e-14 from W^T W, and U over three periods,
+    # the charts run over the whole window, 2.1e-12 from the half-period U, at
+    # s in (T/2, T).  F^m is formed up to sign, so U is compared up to sign.
     cfg = fields.preset("fig3").config
-    period = propagator._drive_period(cfg)
+    half, _ = propagator._drive_period(cfg)
+    period = 2.0 * half
     assert cfg.delta == 0.0
-    u_half, u_period = propagator._propagator(cfg, np.array([0.0, 0.5 * period, period]),
+    u_half, u_period = propagator._propagator(cfg, np.array([0.0, half, period]),
                                               1e-12)(slice(1, None))
-    assert np.max(np.abs(u_period - u_half.T @ u_half)) <= 1e-12
+    w_t_w = u_half.T @ u_half
+    assert min(np.max(np.abs(u_period - w_t_w)), np.max(np.abs(u_period + w_t_w))) <= 1e-12
     grid = propagator.output_grid(3.0 * period, 0.1)
     charts = record_charts(monkeypatch)
     folded = propagator._propagator(cfg, grid, 1e-12)(slice(None))
-    assert charts[-1][0].t_final == 0.5 * period
+    assert charts[-1][0].t_final == half
     monkeypatch.setattr(propagator, "_drive_period", lambda cfg: None)
     plain = propagator._propagator(cfg, grid, 1e-12)(slice(None))
     assert charts[-1][0].t_final == grid[-1]
@@ -403,14 +427,15 @@ def test_a_time_symmetric_period_is_solved_over_its_first_half(monkeypatch):
     assert np.max(apart) <= 1e-11
 
 
-def test_a_drive_with_a_phase_is_solved_over_its_whole_period(monkeypatch):
-    # fig8's delta = pi/2 breaks h(T - s) = h(s): no fold, the charts end at T
+def test_a_drive_with_a_phase_is_solved_over_half_its_period(monkeypatch):
+    # fig8's delta = pi/2 breaks h(T - s) = h(s): no fold, but the half-period
+    # rule holds for every delta, so the charts end at T/2
     ps = fields.preset("fig8")
-    period = propagator._drive_period(ps.config)
-    assert ps.config.delta != 0.0 and period < ps.t_end
+    half, _ = propagator._drive_period(ps.config)
+    assert ps.config.delta != 0.0 and 2.0 * half < ps.t_end
     charts = record_charts(monkeypatch)
     propagator.run(ps.config, ps.initial.density(), ps.t_end, ps.dt_out, 1e-10)
-    assert charts[-1][0].t_final == period
+    assert charts[-1][0].t_final == half
 
 
 @pytest.mark.parametrize("big_omega, omega, delta", [
@@ -419,32 +444,34 @@ def test_a_drive_with_a_phase_is_solved_over_its_whole_period(monkeypatch):
 def test_a_period_symmetric_about_its_centre_is_folded_there(monkeypatch, big_omega, omega,
                                                               delta):
     # With Omega = 0 the drive is even about each t with omega t + delta = k pi,
-    # so the period is solved over [0, T/2] on the drive shifted to its centre
-    # c = (-delta/omega) mod (pi/|omega|), and U(s) = R(s - c) R(c)^T, with R(x) =
-    # R(-x)^-T before c and R(T - x)^-T R(T) past c + T/2.  With omega = 0 the
-    # centre is 0 for any delta.  Against an unfolded solve at tol 1e-12, over
-    # three periods with samples just either side of c, of c + T/2 and of T + c:
-    # measured at most 5.9e-13 apart, and U(T) 2.5e-13 (delta = pi has c = 0, with
-    # B's sign flipped).  U is compared up to sign.
+    # so each half period is solved on the drive shifted to its centre c =
+    # (-delta/omega) mod (pi/|omega|), over [0, max(c, T/2 - c)]: U(s) = R(s - c)
+    # R(c)^T, with R(x) = R(-x)^-T before c, and U(T/2) = R(T/2 - c) R(c)^T.
+    # With omega = 0 the centre is 0 for any delta.  Against an unfolded solve at
+    # tol 1e-12, over three periods with samples just either side of c, T/2,
+    # T/2 + c, T, T + c and 2T + T/2: measured at most 3.9e-13 apart, and U(T) 2.5e-13
+    # (delta = pi has c = 0, with B's sign flipped).  U is compared up to sign.
     cfg = fields.FieldConfig(A=1.3, Omega=big_omega, B=2.1, omega=omega, delta=delta)
-    period = propagator._drive_period(cfg)
+    half, _ = propagator._drive_period(cfg)
+    period = 2.0 * half
     c = 0.0 if omega == 0.0 else (-delta / omega) % (math.pi / abs(omega))
-    half = c + 0.5 * period
-    near = [c, half, period, period + c, 2.0 * period + half]
+    near = [c, half, half + c, period, period + c, 2.0 * period + half]
     grid = np.unique(np.concatenate([propagator.output_grid(3.0 * period, period / 37), [period]]
                                     + [[t * (1.0 - 1e-9), t * (1.0 + 1e-9)] for t in near]))
     charts = record_charts(monkeypatch)
     folded = propagator._propagator(cfg, grid, 1e-12)(slice(None))
-    assert charts[-1][0].t_final == 0.5 * period
+    assert charts[-1][0].t_final == max(c, half - c)
     monkeypatch.setattr(propagator, "_drive_period", lambda cfg: None)
     plain = propagator._propagator(cfg, grid, 1e-12)(slice(None))
     assert charts[-1][0].t_final == grid[-1]
     apart = np.minimum(np.max(np.abs(folded - plain), axis=(1, 2)),
                        np.max(np.abs(folded + plain), axis=(1, 2)))
-    s = grid - np.floor(grid / period) * period
-    # samples before c (none when c = 0), between c and c + T/2, and past it
-    assert np.any(s < c) == (c > 0.0)
-    assert np.any((c < s) & (s < half)) and np.any(half < s)
+    m = np.floor(grid / half)
+    s = grid - m * half
+    # samples before c (none when c = 0) and past it, in even and odd halves
+    for odd in (0.0, 1.0):
+        assert np.any((s < c) & (m % 2.0 == odd)) == (c > 0.0)
+        assert np.any((c < s) & (m % 2.0 == odd))
     assert np.max(apart) <= 1e-11
     assert apart[grid == period].item() <= 1e-12
 
@@ -480,25 +507,91 @@ def test_centre_of_time_symmetry(cfg, centre):
                                                               abs=1e-15)
 
 
-def test_a_drive_without_a_centre_is_solved_over_its_whole_period(monkeypatch):
-    # lh1's drive, Omega = 0.1 with delta != 0, is symmetric about no time: no fold
-    period = propagator._drive_period(_LH1)
+def test_a_drive_without_a_centre_is_solved_over_half_its_period(monkeypatch):
+    # lh1's drive, Omega = 0.1 with delta != 0, is symmetric about no time: no
+    # fold, but its half periods are related by S = i sigma_x
+    half, _ = propagator._drive_period(_LH1)
     charts = record_charts(monkeypatch)
     propagator.run(_LH1, np.diag([0.0, 0.0, 1.0]).astype(complex), 500.0, 250.0, 1e-10)
-    assert period < 500.0 and charts[-1][0].t_final == period
+    assert 2.0 * half < 500.0 and charts[-1][0].t_final == half
+
+
+@pytest.mark.parametrize("cfg", [
+    fields.preset("fig3").config,
+    _LH1,
+    fields.preset("fig5").config,
+    fields.FieldConfig(A=1.3, Omega=1.0, B=2.1, omega=-3.0, delta=0.7),
+    dataclasses.replace(fields.preset("fig1").config, delta=1.0),
+    fields.FieldConfig(A=1.3, Omega=0.5, B=2.1, omega=0.0, delta=1.0),
+], ids=["x-fig3", "x-lh1", "y-fig5", "y-omega<0", "z-fig1-delta=1", "x-omega=0"])
+def test_each_half_period_rule_matches_the_unfolded_chart_path(monkeypatch, cfg):
+    # U(mT/2 + s) = S^m U(s) F^m, F = S^-1 U(T/2), for each S: i sigma_x on fig3
+    # (delta = 0), lh1 (no centre) and a drive with omega = 0, i sigma_y on fig5
+    # (no centre) and a drive with omega < 0, i sigma_z on fig1 with delta = 1,
+    # which also folds about its centre pi - 1.  Against charts over the whole
+    # window at tol 1e-12, up to sign: measured at most 1.1e-12 apart over two
+    # periods, and U(T/2) and U(T) at most 3.5e-13.  At most, over the window, a
+    # wrong S was 0.25 to 1.4 off, F = U(T/2) S^-1 0.48 to 1.1, and U(s) S^m in
+    # place of S^m U(s) 0.67 to 1.4.
+    half, _ = propagator._drive_period(cfg)
+    period = 2.0 * half
+    grid = np.unique(np.concatenate([propagator.output_grid(2.0 * period, period / 23),
+                                     [half, period, 0.3 * half, 1.3 * half, 2.6 * half]]))
+    u = propagator._propagator(cfg, grid, 1e-12)(slice(None))
+    monkeypatch.setattr(propagator, "_drive_period", lambda cfg: None)
+    plain = propagator._propagator(cfg, grid, 1e-12)(slice(None))
+    apart = np.minimum(np.max(np.abs(u - plain), axis=(1, 2)),
+                       np.max(np.abs(u + plain), axis=(1, 2)))
+    m = np.floor(grid / half)
+    inside = grid > m * half   # samples inside a half, not on its start
+    assert np.any(inside & (m % 2.0 == 0.0)) and np.any(inside & (m % 2.0 == 1.0))
+    assert apart[grid == half].item() <= 1e-12 and apart[grid == period].item() <= 1e-12
+    assert np.max(apart) <= 1e-11
+
+
+@pytest.mark.parametrize("tol", [1e-8, 1e-10])
+def test_long_floquet_rows_stay_density_matrices(tol):
+    # fig5 without decay to t = 1e11, about 3e10 half periods: F is projected
+    # onto SU(2) before its power, so F^m stays unitary and each row a density
+    # matrix, though its error grows with m; F^m's angle is real, so no
+    # rounding of |exp(i theta)| grows with m either.  Measured smallest
+    # eigenvalue -2.5e-16 at tol 1e-8 and -2.3e-16 at 1e-10 (at most -3.4e-16 to
+    # t = 1e18); with the projection alone -1.0e-11 and -2.7e-16, and with
+    # neither -5.24 and -8.2e-4, populations from -2.77 to 4.15 at 1e-8.
+    ps = fields.preset("fig5")
+    cfg = dataclasses.replace(ps.config, Gamma=0.0)
+    traj = propagator.run(cfg, ps.initial.density(), 1e11, 1e9, tol)
+    assert len(traj) == 101
+    assert np.min(np.linalg.eigvalsh(traj.rho)) >= -tol / 100
+    populations = traj.table[:, 1:4]
+    assert np.all((-tol / 100 <= populations) & (populations <= 1.0 + tol / 100))
+
+
+@pytest.mark.parametrize("tol", [1e-6, 1e-8, 1e-10])
+@pytest.mark.parametrize("name", ["fig9", "fig10", "fig12", "fig13", "fig14", "fig15", "fig16",
+                                  "fig17", "hydrogen"])
+def test_the_hydrogen_drive_returns_to_plus_or_minus_identity_each_half_period(name, tol):
+    # The hydrogen drive's U(t) = exp(-i sin(omega t)/omega H0) is +-I at
+    # T/2 = pi/omega, so the solve's own U(T/2) = S F is checked without a
+    # reference.  Measured 0.008 to 0.042 tol.
+    cfg = fields.preset(name).config
+    half, _ = propagator._drive_period(cfg)
+    u_half = propagator._propagator(cfg, np.array([0.0, half, 2.0 * half]), tol)(slice(1, 2))[0]
+    assert min(np.max(np.abs(u_half - np.eye(2))), np.max(np.abs(u_half + np.eye(2)))) <= tol
 
 
 def test_a_million_periods_cost_one(monkeypatch):
-    # fig5's drive to t = 2 pi 10^6 on 1,001 rows: one period of charts, and
-    # U(T)^n in closed form for every row.  Measured 0.19 s and a 1.1 MB peak
-    # under tracemalloc (0.013 s without; 0.41 s, 1.8 MB and 0.13 s when
+    # fig5's drive to t = 2 pi 10^6 on 1,001 rows: half a period of charts, and
+    # S^m U(s) F^m in closed form for every row.  Measured 0.19-0.26 s and a
+    # 2.3 MB peak under tracemalloc (0.006-0.008 s without; 0.41 s, 1.8 MB and 0.13 s when
     # U(T)^n was stepped with matrix_power over the distinct n): each of the
     # 1,001 rows is its own period, and the one chart is evaluated for all of
     # them at once.  Charts over the whole window would take hours.  Purity
-    # drifted 5.6e-10 over the 10^6 periods (1.9e-10 with matrix_power), but
-    # that says nothing of accuracy: G rho G^-1 is a similarity, so it keeps
-    # the spectrum whatever the error of U(T).  The error itself grows
-    # linearly with n (see test_floquet_error_grows_linearly_with_the_periods).
+    # drifted 2.9e-15 over the 10^6 periods (5.6e-10 before F was projected
+    # onto SU(2)), but that says nothing of accuracy: G rho G^-1 is a
+    # similarity, so it keeps the spectrum whatever the error of F.  The error
+    # itself grows linearly with n (see
+    # test_floquet_error_grows_linearly_with_the_periods).
     ps = fields.preset("fig5")
     cfg = dataclasses.replace(ps.config, Gamma=0.0)
     t_end = 2.0 * math.pi * 1e6
@@ -512,7 +605,7 @@ def test_a_million_periods_cost_one(monkeypatch):
     finally:
         tracemalloc.stop()
     assert len(traj) == 1001
-    assert charts[-1][0].t_final == pytest.approx(2.0 * math.pi, rel=1e-12)
+    assert charts[-1][0].t_final == pytest.approx(math.pi, rel=1e-12)
     assert elapsed < 10.0
     assert peak < 4e6
     purity = np.einsum("nij,nji->n", traj.rho, traj.rho).real
@@ -520,15 +613,15 @@ def test_a_million_periods_cost_one(monkeypatch):
 
 
 def test_floquet_error_grows_linearly_with_the_periods():
-    # U(T) is not re-unitarized, so its error compounds over the periods:
-    # U(T)^n = cos(n theta) I + sin(n theta)/sin(theta) (U(T) - cos(theta) I)
-    # carries the error of theta n times.  Against the hydrogen closed form
-    # (Gamma = 0) at tol 1e-10 the error was 1.31e-10 at 10^2 periods, 1.31e-8
-    # at 10^4 and 1.31e-6 at 10^6; at tol 1e-8 it was 9.63e-9 at 10^2 periods
-    # and 9.64e-3 at 10^8.  Linear growth is 100x from 10^2 to 10^4 periods.
+    # F is projected onto SU(2), but the error of its angle compounds over the
+    # half periods: F^m = cos(m theta) I + sin(m theta)/sin(theta) (F - cos(theta) I)
+    # carries the error of theta m times.  Against the hydrogen closed form
+    # (Gamma = 0) at tol 1e-10 the error was 4.86e-10 at 10^2 periods, 4.86e-8
+    # at 10^4 and 4.86e-6 at 10^6; at tol 1e-8 it was 6.61e-8 at 10^2 periods
+    # and 6.59e-2 at 10^8.  Linear growth is 100x from 10^2 to 10^4 periods.
     ps = fields.preset("hydrogen")
     cfg, rho0 = ps.config, ps.initial.density()
-    assert cfg.Gamma == 0.0 and propagator._drive_period(cfg) == 2.0 * math.pi
+    assert cfg.Gamma == 0.0 and propagator._drive_period(cfg)[0] == math.pi
 
     def error(periods):
         t_end = 2.0 * math.pi * periods
@@ -591,18 +684,17 @@ def test_chart_matrix_is_called_once_a_chart_and_once_a_sample_block(monkeypatch
 def test_each_chart_serves_from_the_previous_cover_to_its_own(monkeypatch):
     # The step table's step i serves (end of step i - 1, end of step i], step 0
     # also s = 0, so each sample's step belongs to the chart c with
-    # cover_{c-1} < s <= cover_c (chart 0 also s = 0).  fig3 has delta = 0, so
-    # its 10 charts cover half its period and a sample at s > T/2 is looked up
-    # at T - s.  dt_out puts the sample at t = dt_out 5e-13 relative past the
+    # cover_{c-1} < s <= cover_c (chart 0 also s = 0).  fig3's 10 charts cover
+    # half its period, and a sample at t = mT/2 + s is looked up at s.  dt_out puts the sample at t = dt_out 5e-13 relative past the
     # third cover (10.365186856080893), so it belongs to the chart that starts
     # there.  The covers are read from a run on the preset's own grid: only the
     # dense output depends on the grid, so the covers do not.
     ps = fields.preset("fig3")
-    span = propagator._drive_period(ps.config)
-    assert ps.t_end > span and ps.config.delta == 0.0
+    span, _ = propagator._drive_period(ps.config)
+    assert ps.t_end > 2.0 * span
     charts = record_charts(monkeypatch)
     propagator.run(ps.config, ps.initial.density(), ps.t_end, ps.dt_out, 1e-10)
-    covers = [chart.t_start for chart, _ in charts[1:]] + [0.5 * span]
+    covers = [chart.t_start for chart, _ in charts[1:]] + [span]
     dt_out = covers[2] * (1.0 + 5e-13)
     assert dt_out > covers[2]
     served = []   # (the step table, the in-span times of a block, their steps)
@@ -624,7 +716,6 @@ def test_each_chart_serves_from_the_previous_cover_to_its_own(monkeypatch):
         assert np.all(hi <= ends[chart])
         assert chart.tolist() == np.sum(ends[:, None] < s, axis=0).tolist()
     s = np.clip(grid - np.floor(grid / span) * span, 0.0, span)
-    s = np.where(s > 0.5 * span, span - s, s)
     passed = np.concatenate([times for _, times, _ in served])
     assert np.sort(passed).tolist() == np.sort(s).tolist()
     # the sample past the third cover takes the first step of the chart that starts there
@@ -632,38 +723,36 @@ def test_each_chart_serves_from_the_previous_cover_to_its_own(monkeypatch):
     assert [covers[2]] in firsts
 
 
-def per_chart_propagator(charts, grid, span) -> np.ndarray:
+def per_chart_propagator(charts, grid, span, s_half) -> np.ndarray:
     """U on ``grid`` by the per-chart loop that one step table replaced, kept as
     its reference: chart c serves (cover_{c-1}, cover_c], chart 0 also s = 0, and
     looks up each of its samples in its own steps, step k serving
-    [node k, node k + 1) and the last step also its end.  Charts that end at
-    half the ``span`` are a folded period: a sample at s past the half is
-    U(span - s)^-T U(span), with U(span) = W^T W."""
+    [node k, node k + 1) and the last step also its end.  Past one ``span``, half
+    a period, a sample at t = m span + s is S^m U(s) F^m, with S = ``s_half`` and
+    F = S^-1 U(span) projected onto SU(2); for a drive without a centre."""
     def evaluate(chart, t):
         i = np.clip(np.searchsorted(chart.grid, t, side="right") - 1, 0, len(chart.grid) - 2)
         h = chart.grid[i + 1] - chart.grid[i]
         return riccati._interpolant((t - chart.grid[i]) / h, chart._values[:, i],
                                     chart._values[:, i + 1], [f[:, i] for f in chart._dense])
 
-    periods = np.floor(grid / span) if span < grid[-1] else np.zeros_like(grid)
-    s = np.clip(grid - periods * span, 0.0, span)
+    m = np.floor(grid / span) if span < grid[-1] else np.zeros_like(grid)
+    s = np.clip(grid - m * span, 0.0, span)
     covers = [chart.t_final for chart in charts]
-    folded = s > covers[-1]
-    s[folded] = span - s[folded]
     before, u_span = [], np.eye(2, dtype=complex)
     for chart, cover in zip(charts, covers):
         before.append(u_span)
         u_span = propagator.chart_matrix(*evaluate(chart, cover)) @ u_span
-    if covers[-1] < span:
-        u_span = u_span.T @ u_span
-    out = propagator._power(u_span, periods + folded)
+    f = -s_half @ u_span   # S^-1 U(span), S^2 = -I
+    a, b = 0.5 * (f[0, 0] + f[1, 1].conjugate()), 0.5 * (f[0, 1] - f[1, 0].conjugate())
+    f = np.array([[a, b], [-b.conjugate(), a.conjugate()]]) / math.hypot(abs(a), abs(b))
+    out = propagator._power(f, m)
     chart_of = np.searchsorted(covers, s)
     for c in np.unique(chart_of):
         k = np.flatnonzero(chart_of == c)
         u_s = propagator._matmul2(propagator.chart_matrix(*evaluate(charts[c], s[k])), before[c])
-        back = folded[k]
-        (a, b), (c_, d) = u_s[back].transpose(1, 2, 0)   # U(span - s)^-T, at det 1
-        u_s[back] = np.moveaxis(np.array([[d, -c_], [-b, a]]), -1, 0)
+        odd = m[k] % 2.0 == 1.0
+        u_s[odd] = propagator._matmul2(s_half, u_s[odd])
         out[k] = propagator._matmul2(u_s, out[k])
     return out
 
@@ -687,32 +776,32 @@ def record_tables(monkeypatch):
 @pytest.mark.parametrize("name", ["fig3", "fig4", "fig6", "incommensurate"])
 def test_one_step_table_gives_the_per_chart_loops_u_bit_for_bit(monkeypatch, name, tol,
                                                                 every_node):
-    # fig3 has 10 charts over half a period, fig4 3 and fig6 (delta != 0)
-    # one over a whole period.  The off-period fig9 at a chart limit of 0.25
+    # fig3 has 10 charts over half a period, fig4 3 and fig6 (delta != 0, no
+    # centre) one.  The off-period fig9 at a chart limit of 0.25
     # has 25 (tol 1e-6) or 30 charts over its whole window [0, 20] and three
     # samples, so most of its charts serve no sample and the table keeps only
     # their last steps.  Each drive runs on its own grid, and on that grid with
-    # every node t of the span's charts, their covers among them, and T - t
-    # added, so that the table keeps every step: on a node inside a chart the
+    # every node t of the span's charts, their covers among them, and for a
+    # periodic drive t + T/2 added, so that the table keeps every step: on a node inside a chart the
     # table takes the step that ends there and the loop the step that starts there.
     if name == "incommensurate":
         monkeypatch.setattr(propagator, "CHART_LIMIT", 0.25)
         cfg, grid = _OFF_PERIOD_FIG9, propagator.output_grid(20.0, 10.0)
-        span = cover = grid[-1]
+        span, s_half = grid[-1], np.eye(2, dtype=complex)
     else:
         ps = fields.preset(name)
         cfg, grid = ps.config, propagator.output_grid(ps.t_end, ps.dt_out)
-        span = propagator._drive_period(cfg)
-        cover = span if name == "fig6" else 0.5 * span
-        assert cover < grid[-1]   # a periodic span: some samples in later periods
+        span, s_half = propagator._drive_period(cfg)
+        assert span < grid[-1]   # a periodic span: some samples in later halves
     charts, tables = record_charts(monkeypatch), record_tables(monkeypatch)
     if every_node:
         propagator._propagator(cfg, grid, tol)
         nodes = [chart.grid for chart, _ in charts]
-        grid = np.unique(np.concatenate([grid] + nodes + [span - t for t in nodes]))
+        later = [span + t for t in nodes] if span < grid[-1] else []   # in the next half
+        grid = np.unique(np.concatenate([grid] + nodes + later))
         charts.clear()
     u = propagator._propagator(cfg, grid, tol)(slice(None))
-    assert charts[-1][0].t_final == cover
+    assert charts[-1][0].t_final == span
     assert len(charts) == {"fig3": 10, "fig4": 3, "fig6": 1}.get(name, len(charts))
     steps, kept = sum(len(chart.grid) - 1 for chart, _ in charts), len(tables[-1][1][0])
     if name == "incommensurate" and not every_node:
@@ -720,8 +809,8 @@ def test_one_step_table_gives_the_per_chart_loops_u_bit_for_bit(monkeypatch, nam
         assert len(charts) > 2 * len(grid) and kept < steps
     else:
         assert kept == steps   # the presets' own grids, every 0.1 or 0.05, keep every step too
-    assert u.tobytes() == per_chart_propagator([chart for chart, _ in charts], grid,
-                                               span).tobytes()
+    assert u.tobytes() == per_chart_propagator([chart for chart, _ in charts], grid, span,
+                                               s_half).tobytes()
 
 
 def test_a_sample_in_a_step_without_dense_output_is_a_value_error(monkeypatch):
@@ -849,7 +938,7 @@ _SOLVE = {
 }
 
 
-# fig1 (Omega = 0) with delta = 1: its period is folded about c = pi - 1, not 0
+# fig1 (Omega = 0) with delta = 1: each half period is folded about c = pi - 1, not 0
 _PHASED = {"fig1-delta=1": dataclasses.replace(
     fields.preset("fig1"), config=dataclasses.replace(fields.preset("fig1").config, delta=1.0))}
 

@@ -388,8 +388,8 @@ def test_each_restarted_chart_starts_with_its_predecessors_last_step(monkeypatch
     # Chart 0 first tries its whole span, which the step controller shrinks.
     # Each later chart starts at its predecessor's last node, and takes the
     # step that ended it again (clipped to the window).  Each preset runs over
-    # its own window, where a drive with delta = 0 is solved to half its period
-    # T (12 restarts in all), and over [0, T], where it is solved to T.
+    # its own window, where it is solved to half its period T (11 restarts in
+    # all), and over [0, T/2], where the charts alone solve the window.
     calls = record_rhs_times(monkeypatch)
     solves = []   # per solve: its start, its chart, and its first attempted step
 
@@ -412,7 +412,7 @@ def test_each_restarted_chart_starts_with_its_predecessors_last_step(monkeypatch
     monkeypatch.setattr(propagator, "solve_mu", first_step)
     restarts = 0
     for ps in map(fields.preset, fields.preset_names()):
-        for window_end in (ps.t_end, propagator._drive_period(ps.config)):
+        for window_end in (ps.t_end, propagator._drive_period(ps.config)[0]):
             solves.clear()
             propagator.run(ps.config, ps.initial.density(), window_end, ps.dt_out, tol)
             h = math.inf
