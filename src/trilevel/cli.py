@@ -9,6 +9,7 @@ convenience displays.
 from __future__ import annotations
 
 import argparse
+import functools
 import math
 import sys
 from dataclasses import dataclass
@@ -303,7 +304,11 @@ def cmd_check(_args: argparse.Namespace) -> int:
     return EXIT_OK if failed == 0 else EXIT_CHECK_FAILED
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The command line's parser, built on the first call and shared by every
+    later one, so callers must not mutate it.  ``parse_args`` keeps nothing
+    between calls: each fills a new ``Namespace``."""
     shared = argparse.ArgumentParser(add_help=False)
     shared.add_argument("--tol", help="local error tolerance override")
     shared.add_argument("--t-end", dest="t_end", help="simulation end time override")

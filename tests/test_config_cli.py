@@ -1,4 +1,8 @@
+import argparse
 import math
+import os
+import subprocess
+import sys
 import tracemalloc
 from pathlib import Path
 
@@ -697,6 +701,61 @@ def test_a_linear_algebra_failure_is_a_solver_error(tmp_path, monkeypatch, capsy
     assert cli.main(["run", cfg]) == 3
     assert capsys.readouterr().err == "solver error: Eigenvalues did not converge\n"
     assert not csv.exists()
+
+
+# --- one parser per process -----------------------------------------------
+
+def test_main_builds_its_parser_on_the_first_call_only(tmp_path, monkeypatch):
+    # the parser is shared by every call in a process: once a call has built
+    # it, no later call constructs an ArgumentParser, for a subcommand or not
+    cfg = write_cfg(tmp_path / "run.cfg", FIG1_CONFIG.format(csv=tmp_path / "out.csv"))
+    assert cli.main(["run", cfg]) == 0
+    built = []
+    init = argparse.ArgumentParser.__init__
+
+    def counting_init(self, *args, **kwargs):
+        built.append(kwargs.get("prog"))
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting_init)
+    assert cli.main(["run", cfg]) == 0
+    assert cli.main(["figure", "fig16", "--out", str(tmp_path), "--t-end", "1"]) == 0
+    assert built == []
+
+
+def test_flags_of_one_call_do_not_reach_the_next(tmp_path):
+    csv = tmp_path / "out.csv"
+    cfg = write_cfg(tmp_path / "run.cfg", FIG1_CONFIG.format(csv=csv))
+    assert cli.main(["run", cfg, "--tol", "1e-6", "--t-end", "5", "--solver", "direct_rho"]) == 0
+    flagged = csv.read_bytes()
+    assert cli.main(["run", cfg]) == 0
+    in_process = csv.read_bytes()
+    assert len(flagged.splitlines()) == 12 and len(in_process.splitlines()) == 22
+    csv.unlink()
+    # the console script's entry point, in a process of its own
+    src = str(Path(cli.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    subprocess.run([sys.executable, "-c",
+                    "import sys; from trilevel import cli; sys.exit(cli.main(sys.argv[1:]))",
+                    "run", cfg], env=env, check=True, timeout=60)
+    assert csv.read_bytes() == in_process
+
+
+def test_a_usage_error_then_help_then_a_run_in_one_process(tmp_path, capsys):
+    # argparse looks up sys.stdout and sys.stderr as it prints, so the shared
+    # parser writes each message to the streams of the call that prints it
+    cfg = write_cfg(tmp_path / "run.cfg", FIG1_CONFIG.format(csv=tmp_path / "out.csv"))
+    assert cli.main(["run", cfg, "--solver", "magic"]) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and err.startswith("usage: trilevel run")
+    assert "trilevel run: error: argument --solver: invalid choice: 'magic'" in err
+    assert cli.main(["run", "--help"]) == 0
+    out, err = capsys.readouterr()
+    assert out.startswith("usage: trilevel run") and "--solver" in out and err == ""
+    assert cli.main(["run", cfg]) == 0
+    assert capsys.readouterr() == ("", "")
+    assert (tmp_path / "out.csv").is_file()
 
 
 # --- check -----------------------------------------------------------------

@@ -479,6 +479,31 @@ def test_oracles_meet_tol_on_a_stationary_state(name, tol):
     assert np.max(np.abs(rho_path.rho - law)) <= 5.0 * tol
 
 
+HYDROGEN_DRIVE_PRESETS = ["fig9", "fig10", "fig12", "fig13", "fig14", "fig15", "fig16", "fig17",
+                          "hydrogen"]
+
+
+@pytest.mark.parametrize("name, tol", [(name, tol) for tol in (1e-6, 1e-8)
+                                       for name in HYDROGEN_DRIVE_PRESETS]
+                         + [("fig10", 1e-10), ("fig14", 1e-10)])
+def test_each_oracles_own_error_on_the_hydrogen_drive_presets(name, tol):
+    # The nine hydrogen-drive presets have an exact reference,
+    # oracle.hydrogen_density with amplitude -sign A.  Over each preset's own
+    # window, both oracles' error at the tol they run at, as README's oracle
+    # table states it: measured at most 36.7, 23.9 and 15.4 tol (direct_eta)
+    # and 51.0, 34.0 and 24.0 tol (direct_rho) at tol 1e-6, 1e-8 and 1e-10, on
+    # fig10 and fig14, so 1e-10 runs on those two only.
+    ps = fields.preset(name)
+    cfg, rho0 = ps.config, ps.initial.density()
+    eta_path = oracle.integrate_eta_direct(cfg, algebra.rho_to_eta(rho0), ps.t_end, ps.dt_out,
+                                           tol)
+    rho_path = oracle.integrate_rho_direct(cfg, rho0, ps.t_end, ps.dt_out, tol)
+    exact = oracle.hydrogen_density(-cfg.sign_convention * cfg.A, cfg.omega, cfg.Gamma, rho0,
+                                    eta_path.grid)
+    assert np.max(np.abs(eta_path.rho - exact)) <= 40.0 * tol
+    assert np.max(np.abs(rho_path.rho - exact)) <= 60.0 * tol
+
+
 def test_decoherence_drives_toward_maximal_mixing():
     ps = fields.preset("fig1")
     traj = oracle.integrate_rho_direct(ps.config, ps.initial.density(), 200.0, 50.0, 1e-10)
