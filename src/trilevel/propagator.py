@@ -18,14 +18,9 @@ come from :mod:`trilevel.riccati`.  When they grow (or blow up at a chart
 singularity of the factorization), the propagator composes the state reached so
 far and restarts the exponents from zero at that time; the evolution operator is
 a cocycle, so segmentation is exact: one table joins the charts' steps, step i
-serving (end of step i - 1, end of step i].  A drive with period T also has
-h(t + T/2) = S h(t) S^-1, S a fixed SU(2) matrix, so by the same cocycle it is
-solved over [0, T/2] only: U(mT/2 + s) = S^m U(s) F^m in closed form, with
-F = S^-1 U(T/2) projected onto SU(2).  A half period whose drive, real
-symmetric, is even about a centre c (delta = 0 or omega = 0 with c = 0, or
-Omega = 0 with c = (-delta/omega) mod (pi/|omega|)) is solved on either side
-of c, over [0, max(c, T/2 - c)] only: U(c + x) = R(x) R(c)^T and R(-x) = R(x)^-T,
-R the propagator of the drive shifted to c.
+serving (end of step i - 1, end of step i].  By the same cocycle a periodic drive
+is solved over half its period only, folded about a centre where it has one; the
+period route, _period_route, decides the span, the symmetry and the centre.
 """
 
 from __future__ import annotations
@@ -96,7 +91,7 @@ def _matmul2(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 
 def _power(u: np.ndarray, n: np.ndarray) -> np.ndarray:
     """u^n = cos(n theta) I + sin(n theta)/sin(theta) k up to sign, for every integer of
-    the float array ``n``, with cos(theta) = tr(u)/2, k = u - cos(theta) I and det u = 1;
+    the float array ``n`` and u in SU(2), with cos(theta) = tr(u)/2 and k = u - cos(theta) I;
     -u stands in for u when Re tr u < 0, so that theta stays near 0 rather than pi."""
     u = -u if u.trace().real < 0.0 else u
     cos = 0.5 * u.trace()
@@ -104,11 +99,8 @@ def _power(u: np.ndarray, n: np.ndarray) -> np.ndarray:
     # sin(theta)^2 = -det(k), which does not cancel near theta = 0 as 1 - cos^2 does
     sin = np.sqrt(-(k[0, 0] * k[0, 0] + k[0, 1] * k[1, 0]))
     n = np.asarray(n)[..., None, None]
-    # on SU(2) cos and sin are real and theta is their angle: -i log(cos + i sin)
-    # would add i log|cos + i sin|, a rounding error that n multiplies into growth
-    theta = (np.arctan2(sin.real, cos.real) if cos.imag == sin.imag == 0.0
-             else -1j * np.log(cos + 1j * sin))
-    n_theta = n * theta
+    # on SU(2) cos and sin are real, and theta is their angle
+    n_theta = n * np.arctan2(sin.real, cos.real)
     return np.cos(n_theta) * np.eye(2) + (np.sin(n_theta) / sin if sin != 0.0 else n) * k
 
 
@@ -181,12 +173,18 @@ def output_grid(t_end: float, dt_out: float) -> np.ndarray:
     return grid
 
 
-def _drive_period(cfg: FieldConfig) -> tuple[float, np.ndarray] | None:
-    """Half the common period T of the two drives, and the fixed SU(2) matrix S with
-    h(t + T/2) = S h(t) S^-1; None for a static drive and for frequencies whose ratio
-    is no fraction p/q with q <= 64 (in binary64).  Over T/2 = q pi/|omega|, epsilon
-    changes sign when p is odd and J when q is odd: S = i sigma_x flips epsilon (on
-    sigma_z), i sigma_z flips J (on sigma_x), and i sigma_y flips both."""
+def _period_route(cfg: FieldConfig, t_end: float
+                  ) -> tuple[float, np.ndarray, float, FieldConfig] | None:
+    """How a solve to ``t_end`` uses the drive's period: T/2, half the common period T
+    of the two drives; the fixed SU(2) matrix S with h(t + T/2) = S h(t) S^-1; a centre
+    c in [0, T/2]; and the drive shifted to c, h(c + x).  None for a static drive, for
+    frequencies whose ratio is no fraction p/q with q <= 64 (in binary64), and when
+    t_end <= T/2.  Over T/2 = q pi/|omega|, epsilon changes sign when p is odd and J
+    when q is odd: S = i sigma_x flips epsilon (on sigma_z), i sigma_z flips J (on
+    sigma_x), and i sigma_y flips both.  With Omega = 0 and delta != 0 the one cosine,
+    cos(omega t + delta), is even about each t with omega t + delta = k pi: c =
+    (-delta/omega) mod (pi/|omega|), and the shift, even in x, has delta = 0 and
+    (-1)^k B.  Every other drive has c = 0 and is its own shift, so nothing is folded."""
     rate_a, rate_b = abs(cfg.Omega), abs(cfg.omega)
     if rate_b == 0.0:
         if rate_a == 0.0:
@@ -202,37 +200,27 @@ def _drive_period(cfg: FieldConfig) -> tuple[float, np.ndarray] | None:
         # Omega = (p/q) omega: T = 2 pi q / omega holds p periods of one drive, q of the other
         p, q = frac.numerator, frac.denominator
         half = math.pi * q / rate_b
-    s = {(1, 0): [[0, 1j], [1j, 0]], (0, 1): [[1j, 0], [0, -1j]], (1, 1): [[0, 1], [-1, 0]]}
-    return half, np.array(s[p % 2, q % 2], dtype=complex)
-
-
-def _centre(cfg: FieldConfig) -> tuple[float, FieldConfig] | None:
-    """A centre c in [0, T/2] about which the drive is time-symmetric, and the drive
-    shifted to it, h(c + x), even in x; None if neither rule finds one.  c = 0 when
-    delta = 0 or omega = 0, and the shift is the drive itself.  With Omega = 0 the
-    one cosine, cos(omega t + delta), is even about each t with omega t + delta = k pi:
-    c = (-delta/omega) mod (pi/|omega|), and the shift has delta = 0 and (-1)^k B."""
-    if cfg.delta == 0.0 or cfg.omega == 0.0:
-        return 0.0, cfg
-    if cfg.Omega != 0.0:
+    if t_end <= half:
         return None
-    # -delta/omega = q pi/|omega| + c, so omega c + delta = k pi with k = -q sign(omega)
-    q, c = divmod(-cfg.delta / cfg.omega, math.pi / abs(cfg.omega))
-    return c, replace(cfg, B=-cfg.B if q % 2.0 else cfg.B, delta=0.0)
+    s = {(1, 0): [[0, 1j], [1j, 0]], (0, 1): [[1j, 0], [0, -1j]], (1, 1): [[0, 1], [-1, 0]]}
+    c = 0.0
+    if cfg.Omega == 0.0 and cfg.delta != 0.0:
+        # -delta/omega = j pi/|omega| + c, so omega c + delta = k pi with k = -j sign(omega)
+        j, c = divmod(-cfg.delta / cfg.omega, half)
+        cfg = replace(cfg, B=-cfg.B if j % 2.0 else cfg.B, delta=0.0)
+    return half, np.array(s[p % 2, q % 2], dtype=complex), c, cfg
 
 
 def _propagator(cfg: FieldConfig, grid: np.ndarray, tol: float):
     """The solve step: U(t), the 2x2 propagator, as a function of a slice of
     ``grid``; it depends on the drive and ``tol`` alone.
 
-    The exponents are solved on consecutive charts over one span: half the drive
-    period T when the drive has one and the grid ends past T/2, else the whole
-    grid.  A sample at t = mT/2 + s is U(t) = S^m U(s) F^m, with S of _drive_period
-    and F = S^-1 U(T/2), which is projected onto SU(2) before its power.  A half
-    with a centre of symmetry c (see _centre) is folded there: R, the propagator of
-    the drive shifted to c, is solved over [0, max(c, T/2 - c)] only, and U(s) =
-    R(x) R(c)^T at x = s - c, with R(x) = R(-x)^-T for x < 0, so that U(T/2) =
-    R(T/2 - c) R(c)^T.  Without a centre, or on the whole grid, R = U and c = 0.
+    The exponents are solved on consecutive charts over one span: T/2 on the
+    period route of _period_route, else the whole grid with S = I, c = 0 and m = 0.
+    A sample at t = mT/2 + s is U(t) = S^m U(s) F^m, with F = S^-1 U(T/2) projected
+    onto SU(2) before its power, and U(s) = R(x) R(c)^T at x = s - c, R the
+    propagator of the drive shifted to c and R(x) = R(-x)^-T for x < 0; so R is
+    solved over [0, max(c, T/2 - c)] only, and U(T/2) = R(T/2 - c) R(c)^T.
     A chart halts at its first node past CHART_LIMIT, ends at its last node below
     a blow-up, or ends where the solve ends: that last node is its cover, where
     the next chart starts from zero with its predecessor's last step as its first.
@@ -247,14 +235,10 @@ def _propagator(cfg: FieldConfig, grid: np.ndarray, tol: float):
     of memory, in one chart when the drive is weak.
     """
     t_end = float(grid[-1])
-    period = _drive_period(cfg)
-    halves = period is not None and t_end > period[0]
-    # on the whole grid S = I, and its one span has m = 0 for every sample
-    span, s_half = period if halves else (t_end, np.eye(2, dtype=complex))
-    m = np.floor(grid / span) if halves else np.zeros_like(grid)
-    # a half whose drive, real symmetric, is even about a centre c is solved on the
-    # drive shifted to c, on either side of it; x = s - c rounds
-    c, cfg = (_centre(cfg) or (0.0, cfg)) if halves else (0.0, cfg)
+    route = _period_route(cfg, t_end)
+    span, s_half, c, cfg = route or (t_end, np.eye(2, dtype=complex), 0.0, cfg)
+    m = np.floor(grid / span) if route else np.zeros_like(grid)
+    # the drive shifted to c is solved on either side of it; x = s - c rounds
     x = np.clip(grid - m * span, 0.0, span) - c
     solved = max(c, span - c)
     mirrored, solve_at = x < 0.0, np.abs(x)

@@ -52,6 +52,12 @@ def test_parse_blocks():
         config.parse_blocks("a = 1\n")
     with pytest.raises(config.ConfigError, match="line 2: empty key"):
         config.parse_blocks("[x]\n = 1\n")
+    with pytest.raises(config.ConfigError, match=r"^line 3: empty block name$"):
+        config.parse_blocks("[a]\nx = 1\n[ ]\n")
+    with pytest.raises(config.ConfigError, match=r"^line 3: duplicate key 'x' in \[a\]$"):
+        config.parse_blocks("[a]\nx = 1\nx = 2\n")
+    with pytest.raises(config.ConfigError, match=r"^line 2: expected 'key = value', got '\[b'$"):
+        config.parse_blocks("[a]\n[b\nx = 1\n")
 
 
 def test_coercion_helpers_name_the_key():
@@ -382,6 +388,23 @@ def test_a_direct_window_that_can_never_finish_is_a_config_error_naming_t_end(
     assert not (tmp_path / "out").exists()
 
 
+@pytest.mark.parametrize("key", ["A", "Omega", "B", "omega", "t_end", "dt_out"])
+def test_a_run_without_a_preset_names_each_missing_key(tmp_path, capsys, key):
+    # these six have no default, and a config without a preset takes none from it
+    text = "".join(line + "\n" for line in FIG1_CONFIG.format(csv=tmp_path / "o.csv").splitlines()
+                   if not line.startswith(f"{key} ="))
+    assert cli.main(["run", write_cfg(tmp_path / "r.cfg", text)]) == 2
+    assert capsys.readouterr().err == f"config error: {key} is required\n"
+    assert not list(tmp_path.glob("*.csv"))
+
+
+def test_an_empty_quantities_list_is_a_config_error(tmp_path, capsys):
+    text = FIG1_CONFIG.format(csv=tmp_path / "o.csv") + "quantities = ,\n"
+    assert cli.main(["run", write_cfg(tmp_path / "r.cfg", text)]) == 2
+    assert capsys.readouterr().err == "config error: quantities must not be empty\n"
+    assert not list(tmp_path.glob("*.csv"))
+
+
 def test_run_requires_csv(tmp_path, capsys):
     cfg = write_cfg(tmp_path / "nocsv.cfg", "preset = fig1\nt_end = 1\ndt_out = 0.5\n")
     assert cli.main(["run", cfg]) == 2
@@ -531,6 +554,16 @@ def test_sweep_rejects_empty_values_and_bad_param(tmp_path, capsys):
     assert cli.main(["sweep", bad, "--param", "delta", "--values", "1"]) == 2
     err = capsys.readouterr().err
     assert err.startswith("config error: quantities") and "'pops'" in err
+
+
+def test_sweep_requires_csv_before_the_first_solve(tmp_path, monkeypatch, capsys):
+    solves = []
+    monkeypatch.setattr(cli, "solve", solves.append)
+    cfg = write_cfg(tmp_path / "s.cfg", "preset = fig9\nt_end = 1\n")
+    assert cli.main(["sweep", cfg, "--param", "delta", "--values=0.5,1"]) == 2
+    assert capsys.readouterr().err == "config error: csv is required\n"
+    assert solves == []
+    assert [p.name for p in tmp_path.iterdir()] == ["s.cfg"]
 
 
 def test_sweep_rejects_a_repeated_value_before_the_first_solve(tmp_path, monkeypatch, capsys):

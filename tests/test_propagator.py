@@ -1,9 +1,13 @@
 import dataclasses
 import functools
 import math
+import os
+import subprocess
+import sys
 import time
 import tracemalloc
 import weakref
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -153,19 +157,16 @@ _POWER_CASES = {
     "generic": _su2(np.random.default_rng(23), 2.1),
     # in SU(2) to the last bit, as a projected F is: cos and sin real, theta their angle
     "projected": np.array([[0.6 + 0.48j, 0.64j], [0.64j, 0.6 - 0.48j]]),
-    # off SU(2) by a unitarity defect of 1e-9, as U(T) was before F was
-    # projected: theta complex
-    "off SU(2)": _su2(np.random.default_rng(24), 2.1) @ expm(1e-9 * np.array([[1, 2j], [-1, -1]])),
 }
 
 
 @pytest.mark.parametrize("u", _POWER_CASES.values(), ids=_POWER_CASES)
 def test_power_matches_matrix_power_up_to_sign(u):
-    # Against 50-digit mpmath powers of these and 20 random rotations, _power
-    # was at most 2.6 eps max(1, n) off and matrix_power 0.23 eps max(1, n);
-    # the two differed by at most 2.6 eps max(1, n).  On 25 such matrices
-    # projected onto SU(2), whose theta is taken as an angle, _power was at
-    # most 0.76 eps max(1, n) off (1.41 with theta from the complex log).
+    # _power takes theta as the angle of the real parts of cos and sin, which
+    # are exactly real on a projected F.  Against 50-digit mpmath powers of
+    # these and 20 random rotations, _power was at most 1.53 eps max(1, n) off
+    # and matrix_power 0.23 eps max(1, n); on 25 random rotations projected
+    # onto SU(2), _power was at most 1.36 eps max(1, n) off.
     ns = (0, 1, 7, 10**4)
     powers = propagator._power(u, np.array(ns, dtype=float))
     assert powers.shape == (len(ns), 2, 2)
@@ -333,28 +334,80 @@ def test_segmented_restart_is_a_cocycle(monkeypatch):
 _I_SIGMA = {"x": [[0, 1j], [1j, 0]], "y": [[0, 1], [-1, 0]], "z": [[1j, 0], [0, -1j]]}
 
 
-@pytest.mark.parametrize("cfg, period, s", [
-    (fields.preset("fig1").config, 2.0 * math.pi, "z"),
-    (fields.preset("fig3").config, 20.0 * math.pi, "x"),
-    (fields.preset("fig5").config, 2.0 * math.pi, "y"),
-    (fields.FieldConfig(A=1.0, Omega=2.0, B=1.0, omega=0.0), math.pi, "x"),
-    (fields.FieldConfig(A=1.0, Omega=-1.5, B=1.0, omega=1.0), 4.0 * math.pi, "x"),
-    (fields.FieldConfig(A=1.0, Omega=1.0, B=1.0, omega=-3.0), 2.0 * math.pi, "y"),
-    (fields.FieldConfig(A=1.0, Omega=2.0 / 3.0, B=1.0, omega=1.0), 6.0 * math.pi, "z"),
-    (_OFF_PERIOD_FIG9, None, None),
-    (fields.FieldConfig(A=1.0, Omega=0.0, B=1.0, omega=0.0), None, None),
+# perfbench's long-horizon drive lh1: Omega = 0.1 and delta != 0
+_LH1 = fields.FieldConfig(A=1.9514951915147918, Omega=0.1, B=1.3603230444577044, omega=1.0,
+                          delta=-1.8793087413016973)
+
+
+@pytest.mark.parametrize("cfg, period, s, centre", [
+    (fields.preset("fig1").config, 2.0 * math.pi, "z", 0.0),
+    (fields.preset("fig3").config, 20.0 * math.pi, "x", 0.0),
+    (fields.preset("fig5").config, 2.0 * math.pi, "y", 0.0),
+    (fields.FieldConfig(A=1.0, Omega=2.0, B=1.0, omega=0.0), math.pi, "x", 0.0),
+    (fields.FieldConfig(A=1.0, Omega=-1.5, B=1.0, omega=1.0), 4.0 * math.pi, "x", 0.0),
+    (fields.FieldConfig(A=1.0, Omega=1.0, B=1.0, omega=-3.0), 2.0 * math.pi, "y", 0.0),
+    (fields.FieldConfig(A=1.0, Omega=2.0 / 3.0, B=1.0, omega=1.0), 6.0 * math.pi, "z", 0.0),
+    (_OFF_PERIOD_FIG9, None, None, None),
+    (fields.FieldConfig(A=1.0, Omega=0.0, B=1.0, omega=0.0), None, None, None),
+    (fields.FieldConfig(A=1.0, Omega=0.0, B=1.0, omega=1.0, delta=2.08), 2.0 * math.pi, "z",
+     math.pi - 2.08),
+    (fields.FieldConfig(A=1.0, Omega=0.0, B=1.0, omega=-3.0, delta=-1.19), 2.0 * math.pi / 3.0,
+     "z", (math.pi - 1.19) / 3.0),
+    (fields.FieldConfig(A=1.0, Omega=0.0, B=1.0, omega=1.0, delta=math.pi), 2.0 * math.pi, "z",
+     0.0),
+    (fields.FieldConfig(A=1.0, Omega=0.5, B=1.0, omega=0.0, delta=1.0), 4.0 * math.pi, "x", 0.0),
+    (_LH1, 20.0 * math.pi, "x", 0.0),
+    (fields.preset("fig8").config, 2.0 * math.pi, "y", 0.0),
 ], ids=["fig1", "fig3", "fig5", "omega=0", "Omega:omega=-3:2", "Omega:omega=1:-3",
-        "Omega:omega=2:3", "incommensurate", "static"])
-def test_drive_period(cfg, period, s):
-    # half the common period T, and the S with h(t + T/2) = S h(t) S^-1: over
-    # T/2, Omega = (p/q) omega flips epsilon when p is odd and J when q is odd
-    found = propagator._drive_period(cfg)
+        "Omega:omega=2:3", "incommensurate", "static", "Omega=0", "Omega=0-omega<0",
+        "Omega=0-delta=pi", "omega=0-delta=1", "lh1", "fig8"])
+def test_period_route(cfg, period, s, centre):
+    # half the common period T; the S with h(t + T/2) = S h(t) S^-1, as over T/2
+    # Omega = (p/q) omega flips epsilon when p is odd and J when q is odd; the
+    # centre c and the drive shifted to it, h(c + x).  Only Omega = 0 with
+    # delta != 0 is shifted, to an h(c + x) even in x (delta = pi: c = 0 and B
+    # flipped); every other periodic drive (fig3 with delta = 0, omega = 0, and
+    # lh1 and fig8, even about no time) has c = 0 and is its own shift.
+    found = propagator._period_route(cfg, 1e6)
     if period is None:
         assert found is None
         return
-    half, s_found = found
+    half, s_found, c, shifted = found
     assert half == pytest.approx(0.5 * period, rel=1e-15)
     assert np.array_equal(s_found, np.array(_I_SIGMA[s]))
+    assert c == pytest.approx(centre, rel=1e-15, abs=0.0)
+    assert (shifted is cfg) == (cfg.Omega != 0.0 or cfg.delta == 0.0)
+    for x in (0.3, 1.7, 4.1):
+        assert fields.epsilon(x, shifted) == pytest.approx(fields.epsilon(c + x, cfg), abs=1e-15)
+        assert fields.j_coupling(x, shifted) == pytest.approx(fields.j_coupling(c + x, cfg),
+                                                              abs=1e-15)
+        if shifted is not cfg:
+            assert fields.j_coupling(c - x, cfg) == pytest.approx(fields.j_coupling(c + x, cfg),
+                                                                  abs=1e-15)
+
+
+@pytest.mark.parametrize("cfg", [fields.preset("fig1").config, _LH1,
+                                 fields.FieldConfig(A=1.0, Omega=0.0, B=1.0, omega=1.0,
+                                                    delta=2.08)],
+                         ids=["fig1", "lh1", "Omega=0"])
+def test_the_period_route_starts_past_half_a_period(cfg):
+    # t_end = T/2 is solved as it is, by the charts alone; the next float up
+    # takes the route
+    half = propagator._period_route(cfg, math.inf)[0]
+    assert propagator._period_route(cfg, half) is None
+    assert propagator._period_route(cfg, math.nextafter(half, math.inf))[0] == half
+
+
+def test_importing_the_package_leaves_fractions_unimported():
+    # _period_route imports fractions on its first call with two nonzero
+    # frequencies; at import it would add about 4 ms to every process
+    src = str(Path(propagator.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    code = "import sys, trilevel, trilevel.cli; assert 'fractions' not in sys.modules"
+    proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True,
+                          timeout=60)
+    assert proc.returncode == 0, proc.stderr
 
 
 @pytest.mark.parametrize("name", fields.preset_names())
@@ -366,12 +419,12 @@ def test_one_period_solve_matches_the_plain_chart_path(monkeypatch, name):
     # were solved over a whole period before the half-period rule.
     ps = fields.preset(name)
     rho0 = ps.initial.density()
-    half, _ = propagator._drive_period(ps.config)
+    half = propagator._period_route(ps.config, ps.t_end)[0]
     assert 2.0 * half < ps.t_end
     charts = record_charts(monkeypatch)
     floquet = propagator.run(ps.config, rho0, ps.t_end, ps.dt_out, 1e-10)
     assert charts[-1][0].t_final == pytest.approx(half, rel=1e-12)
-    monkeypatch.setattr(propagator, "_drive_period", lambda cfg: None)
+    monkeypatch.setattr(propagator, "_period_route", lambda cfg, t_end: None)
     plain = propagator.run(ps.config, rho0, ps.t_end, ps.dt_out, 1e-10)
     assert charts[-1][0].t_final == ps.t_end
     assert np.max(np.abs(floquet.rho - plain.rho)) <= 5e-10
@@ -390,7 +443,7 @@ def test_drives_without_a_shorter_period_stay_on_the_chart_path(monkeypatch, cfg
     solved = len(charts)
     assert charts[-1][0].t_final == t_end
     # the same solve_mu calls, and the same numbers, as with no period at all
-    monkeypatch.setattr(propagator, "_drive_period", lambda cfg: None)
+    monkeypatch.setattr(propagator, "_period_route", lambda cfg, t_end: None)
     plain = propagator.run(cfg, rho0, t_end, 0.5, 1e-10)
     assert len(charts) == 2 * solved
     assert np.array_equal(traj.rho, plain.rho)
@@ -407,7 +460,7 @@ def test_a_time_symmetric_period_is_solved_over_its_first_half(monkeypatch):
     # the charts run over the whole window, 2.1e-12 from the half-period U, at
     # s in (T/2, T).  F^m is formed up to sign, so U is compared up to sign.
     cfg = fields.preset("fig3").config
-    half, _ = propagator._drive_period(cfg)
+    half = propagator._period_route(cfg, math.inf)[0]
     period = 2.0 * half
     assert cfg.delta == 0.0
     u_half, u_period = propagator._propagator(cfg, np.array([0.0, half, period]),
@@ -418,7 +471,7 @@ def test_a_time_symmetric_period_is_solved_over_its_first_half(monkeypatch):
     charts = record_charts(monkeypatch)
     folded = propagator._propagator(cfg, grid, 1e-12)(slice(None))
     assert charts[-1][0].t_final == half
-    monkeypatch.setattr(propagator, "_drive_period", lambda cfg: None)
+    monkeypatch.setattr(propagator, "_period_route", lambda cfg, t_end: None)
     plain = propagator._propagator(cfg, grid, 1e-12)(slice(None))
     assert charts[-1][0].t_final == grid[-1]
     apart = np.minimum(np.max(np.abs(folded - plain), axis=(1, 2)),
@@ -431,7 +484,7 @@ def test_a_drive_with_a_phase_is_solved_over_half_its_period(monkeypatch):
     # fig8's delta = pi/2 breaks h(T - s) = h(s): no fold, but the half-period
     # rule holds for every delta, so the charts end at T/2
     ps = fields.preset("fig8")
-    half, _ = propagator._drive_period(ps.config)
+    half = propagator._period_route(ps.config, ps.t_end)[0]
     assert ps.config.delta != 0.0 and 2.0 * half < ps.t_end
     charts = record_charts(monkeypatch)
     propagator.run(ps.config, ps.initial.density(), ps.t_end, ps.dt_out, 1e-10)
@@ -452,7 +505,7 @@ def test_a_period_symmetric_about_its_centre_is_folded_there(monkeypatch, big_om
     # T/2 + c, T, T + c and 2T + T/2: measured at most 3.9e-13 apart, and U(T) 2.5e-13
     # (delta = pi has c = 0, with B's sign flipped).  U is compared up to sign.
     cfg = fields.FieldConfig(A=1.3, Omega=big_omega, B=2.1, omega=omega, delta=delta)
-    half, _ = propagator._drive_period(cfg)
+    half = propagator._period_route(cfg, math.inf)[0]
     period = 2.0 * half
     c = 0.0 if omega == 0.0 else (-delta / omega) % (math.pi / abs(omega))
     near = [c, half, half + c, period, period + c, 2.0 * period + half]
@@ -461,7 +514,7 @@ def test_a_period_symmetric_about_its_centre_is_folded_there(monkeypatch, big_om
     charts = record_charts(monkeypatch)
     folded = propagator._propagator(cfg, grid, 1e-12)(slice(None))
     assert charts[-1][0].t_final == max(c, half - c)
-    monkeypatch.setattr(propagator, "_drive_period", lambda cfg: None)
+    monkeypatch.setattr(propagator, "_period_route", lambda cfg, t_end: None)
     plain = propagator._propagator(cfg, grid, 1e-12)(slice(None))
     assert charts[-1][0].t_final == grid[-1]
     apart = np.minimum(np.max(np.abs(folded - plain), axis=(1, 2)),
@@ -476,41 +529,10 @@ def test_a_period_symmetric_about_its_centre_is_folded_there(monkeypatch, big_om
     assert apart[grid == period].item() <= 1e-12
 
 
-# perfbench's long-horizon drive lh1: Omega = 0.1 and delta != 0
-_LH1 = fields.FieldConfig(A=1.9514951915147918, Omega=0.1, B=1.3603230444577044, omega=1.0,
-                          delta=-1.8793087413016973)
-
-
-@pytest.mark.parametrize("cfg, centre", [
-    (fields.FieldConfig(A=1.0, Omega=0.0, B=1.0, omega=1.0, delta=2.08), math.pi - 2.08),
-    (fields.FieldConfig(A=1.0, Omega=0.0, B=1.0, omega=-3.0, delta=-1.19),
-     (math.pi - 1.19) / 3.0),
-    (fields.FieldConfig(A=1.0, Omega=0.5, B=1.0, omega=0.0, delta=1.0), 0.0),
-    (fields.preset("fig3").config, 0.0),
-    (_LH1, None),
-    (fields.preset("fig8").config, None),
-], ids=["Omega=0", "Omega=0-omega<0", "omega=0", "delta=0", "lh1", "fig8"])
-def test_centre_of_time_symmetry(cfg, centre):
-    # the centre c and the drive shifted to it, h(c + x), which is even in x; a
-    # drive with Omega != 0, omega != 0 and delta != 0 has none
-    found = propagator._centre(cfg)
-    if centre is None:
-        assert found is None
-        return
-    c, shifted = found
-    assert c == pytest.approx(centre, rel=1e-15, abs=0.0)
-    for x in (0.3, 1.7, 4.1):
-        assert fields.epsilon(x, shifted) == pytest.approx(fields.epsilon(c + x, cfg), abs=1e-15)
-        assert fields.j_coupling(x, shifted) == pytest.approx(fields.j_coupling(c + x, cfg),
-                                                              abs=1e-15)
-        assert fields.j_coupling(c - x, cfg) == pytest.approx(fields.j_coupling(c + x, cfg),
-                                                              abs=1e-15)
-
-
 def test_a_drive_without_a_centre_is_solved_over_half_its_period(monkeypatch):
     # lh1's drive, Omega = 0.1 with delta != 0, is symmetric about no time: no
     # fold, but its half periods are related by S = i sigma_x
-    half, _ = propagator._drive_period(_LH1)
+    half = propagator._period_route(_LH1, 500.0)[0]
     charts = record_charts(monkeypatch)
     propagator.run(_LH1, np.diag([0.0, 0.0, 1.0]).astype(complex), 500.0, 250.0, 1e-10)
     assert 2.0 * half < 500.0 and charts[-1][0].t_final == half
@@ -533,12 +555,12 @@ def test_each_half_period_rule_matches_the_unfolded_chart_path(monkeypatch, cfg)
     # periods, and U(T/2) and U(T) at most 3.5e-13.  At most, over the window, a
     # wrong S was 0.25 to 1.4 off, F = U(T/2) S^-1 0.48 to 1.1, and U(s) S^m in
     # place of S^m U(s) 0.67 to 1.4.
-    half, _ = propagator._drive_period(cfg)
+    half = propagator._period_route(cfg, math.inf)[0]
     period = 2.0 * half
     grid = np.unique(np.concatenate([propagator.output_grid(2.0 * period, period / 23),
                                      [half, period, 0.3 * half, 1.3 * half, 2.6 * half]]))
     u = propagator._propagator(cfg, grid, 1e-12)(slice(None))
-    monkeypatch.setattr(propagator, "_drive_period", lambda cfg: None)
+    monkeypatch.setattr(propagator, "_period_route", lambda cfg, t_end: None)
     plain = propagator._propagator(cfg, grid, 1e-12)(slice(None))
     apart = np.minimum(np.max(np.abs(u - plain), axis=(1, 2)),
                        np.max(np.abs(u + plain), axis=(1, 2)))
@@ -575,7 +597,7 @@ def test_the_hydrogen_drive_returns_to_plus_or_minus_identity_each_half_period(n
     # T/2 = pi/omega, so the solve's own U(T/2) = S F is checked without a
     # reference.  Measured 0.008 to 0.042 tol.
     cfg = fields.preset(name).config
-    half, _ = propagator._drive_period(cfg)
+    half = propagator._period_route(cfg, math.inf)[0]
     u_half = propagator._propagator(cfg, np.array([0.0, half, 2.0 * half]), tol)(slice(1, 2))[0]
     assert min(np.max(np.abs(u_half - np.eye(2))), np.max(np.abs(u_half + np.eye(2)))) <= tol
 
@@ -621,7 +643,7 @@ def test_floquet_error_grows_linearly_with_the_periods():
     # and 6.59e-2 at 10^8.  Linear growth is 100x from 10^2 to 10^4 periods.
     ps = fields.preset("hydrogen")
     cfg, rho0 = ps.config, ps.initial.density()
-    assert cfg.Gamma == 0.0 and propagator._drive_period(cfg)[0] == math.pi
+    assert cfg.Gamma == 0.0 and propagator._period_route(cfg, math.inf)[0] == math.pi
 
     def error(periods):
         t_end = 2.0 * math.pi * periods
@@ -690,7 +712,7 @@ def test_each_chart_serves_from_the_previous_cover_to_its_own(monkeypatch):
     # there.  The covers are read from a run on the preset's own grid: only the
     # dense output depends on the grid, so the covers do not.
     ps = fields.preset("fig3")
-    span, _ = propagator._drive_period(ps.config)
+    span = propagator._period_route(ps.config, ps.t_end)[0]
     assert ps.t_end > 2.0 * span
     charts = record_charts(monkeypatch)
     propagator.run(ps.config, ps.initial.density(), ps.t_end, ps.dt_out, 1e-10)
@@ -791,7 +813,7 @@ def test_one_step_table_gives_the_per_chart_loops_u_bit_for_bit(monkeypatch, nam
     else:
         ps = fields.preset(name)
         cfg, grid = ps.config, propagator.output_grid(ps.t_end, ps.dt_out)
-        span, s_half = propagator._drive_period(cfg)
+        span, s_half, _, _ = propagator._period_route(cfg, grid[-1])
         assert span < grid[-1]   # a periodic span: some samples in later halves
     charts, tables = record_charts(monkeypatch), record_tables(monkeypatch)
     if every_node:
@@ -1138,7 +1160,7 @@ def test_a_solve_past_the_step_cap_is_a_value_error(monkeypatch):
     # At most MAX_SAMPLES accepted Riccati steps, over all charts, are allowed.
     ps = fields.preset("fig9")
     cfg = dataclasses.replace(ps.config, Omega=math.sqrt(2.0) - 1.0)
-    assert propagator._drive_period(cfg) is None
+    assert propagator._period_route(cfg, 60.0) is None
     rho0 = ps.initial.density()
     charts = record_charts(monkeypatch)
     propagator.run(cfg, rho0, 60.0, 10.0, 1e-8)

@@ -412,7 +412,7 @@ def test_each_restarted_chart_starts_with_its_predecessors_last_step(monkeypatch
     monkeypatch.setattr(propagator, "solve_mu", first_step)
     restarts = 0
     for ps in map(fields.preset, fields.preset_names()):
-        for window_end in (ps.t_end, propagator._drive_period(ps.config)[0]):
+        for window_end in (ps.t_end, propagator._period_route(ps.config, ps.t_end)[0]):
             solves.clear()
             propagator.run(ps.config, ps.initial.density(), window_end, ps.dt_out, tol)
             h = math.inf
